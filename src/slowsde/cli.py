@@ -93,8 +93,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "directory": {"type": "string"},
-                "formats": {"type": "array",
-                            "items": {"enum": ["json", "csv"]}},
             },
             "additionalProperties": False,
         },
@@ -185,7 +183,7 @@ def _write_per_path(path, report, per_path: dict) -> None:
             fh.write(f"{i}," + ",".join(cells) + "\n")
 
 
-def _export_envelopes(outdir: Path, doc: dict, report=None) -> None:
+def _export_envelopes(outdir: Path, doc: dict) -> None:
     model = model_from_dict(doc["model"])
     dyn = doc["dynamics"]
     eps, sigma = dyn["eps"], dyn["sigma"]
@@ -194,7 +192,6 @@ def _export_envelopes(outdir: Path, doc: dict, report=None) -> None:
         sq = math.sqrt(eps)
         t0 = min(dyn["t0"], -2.0 * sq)
         grid = time_grid(t0, dt, n_steps_for(t0, sq, dt))
-        grid = grid[grid <= sq + 1e-12]
         table = env.zeta_pitchfork(model, eps, t0, grid)
         table.to_csv(outdir / "zeta_pitchfork.csv")
         curves = branches(model)

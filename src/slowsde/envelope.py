@@ -72,14 +72,25 @@ def _phi1(m: np.ndarray) -> np.ndarray:
 
 
 def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
-                    zeta0: float, substeps: int) -> np.ndarray:
-    """Scan the exponential-step recurrence over the refined grid."""
+                    zeta0, substeps: int) -> np.ndarray:
+    """Scan the exponential-step recurrence over the refined grid.
+
+    abar_sub is one rate (n_sub,) or a stack of rows (n, n_sub) integrated
+    side by side from zeta0 (scalar or (n,)).  A substep whose rate is NaN
+    (a row that has not started yet) leaves zeta unchanged.
+    """
     K = len(t_grid) - 1
     h_sub = np.repeat(np.diff(t_grid) / substeps, substeps)
-    m = (abar_sub[:-1] + abar_sub[1:]) * h_sub / eps
+    m = (abar_sub[..., :-1] + abar_sub[..., 1:]) * h_sub / eps
+    idle = np.isnan(m)
+    m[idle] = 0.0
     E = np.exp(m)
     w = (h_sub / eps) * _phi1(m)
-    zeta = np.empty(K + 1)
+    w[idle] = 0.0
+    # step axis first, so each step reads one contiguous row
+    E = np.ascontiguousarray(np.moveaxis(E, -1, 0))
+    w = np.ascontiguousarray(np.moveaxis(w, -1, 0))
+    zeta = np.empty((K + 1,) + np.shape(zeta0))
     zeta[0] = z = zeta0
     idx = 0
     for k in range(K):
@@ -87,22 +98,22 @@ def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
             z = z * E[idx] + w[idx]
             idx += 1
         zeta[k + 1] = z
-    return zeta
+    return np.moveaxis(zeta, 0, -1)
 
 
 def _refine_nodes(t_grid: np.ndarray, substeps: int) -> np.ndarray:
-    cells = [np.linspace(t_grid[k], t_grid[k + 1], substeps + 1)[:-1]
-             for k in range(len(t_grid) - 1)]
-    return np.concatenate(cells + [t_grid[-1:]])
+    cells = np.linspace(t_grid[:-1], t_grid[1:], substeps + 1, axis=1)
+    return np.concatenate([cells[:, :-1].ravel(), t_grid[-1:]])
 
 
 def _hermite_refine(t_grid: np.ndarray, x: np.ndarray, slope: np.ndarray,
                     substeps: int) -> np.ndarray:
     """Cubic Hermite values of x on the refined grid (slopes from the ODE).
 
-    Linear interpolation is not enough here: the rate along a relaxing
-    centreline bends on the eps scale inside one cell, and that curvature
-    would leak into the zeta ODE residual.
+    x and slope are one path (K+1,) or rows (n, K+1).  Linear interpolation
+    is not enough here: the rate along a relaxing centreline bends on the
+    eps scale inside one cell, and that curvature would leak into the zeta
+    ODE residual.
     """
     h = np.diff(t_grid)
     theta = (np.arange(substeps) / substeps)[None, :]
@@ -112,9 +123,41 @@ def _hermite_refine(t_grid: np.ndarray, x: np.ndarray, slope: np.ndarray,
     h10 = t3 - 2 * t2 + theta
     h01 = -2 * t3 + 3 * t2
     h11 = t3 - t2
-    vals = (h00 * x[:-1, None] + h01 * x[1:, None]
-            + (h[:, None]) * (h10 * slope[:-1, None] + h11 * slope[1:, None]))
-    return np.concatenate([vals.ravel(), x[-1:]])
+    vals = (h00 * x[..., :-1, None] + h01 * x[..., 1:, None]
+            + (h[:, None]) * (h10 * slope[..., :-1, None]
+                              + h11 * slope[..., 1:, None]))
+    return np.concatenate([vals.reshape(x.shape[:-1] + (-1,)), x[..., -1:]],
+                          axis=-1)
+
+
+def _zeta_along(model: ModelSpec, eps: float, t_grid: np.ndarray,
+                x: np.ndarray, abar: np.ndarray, substeps: int) -> np.ndarray:
+    """zeta driven by df/dx along a path, refined by cubic Hermite values.
+
+    x is one path (K+1,) or rows (n, K+1) with abar = df/dx on its nodes.
+    Each row starts at its first finite node from 1/(2|abar|) there, and its
+    zeta is NaN before that node.  The grid is taken in blocks of cells so
+    the refined arrays stay small however many rows there are.
+    """
+    first = np.argmax(np.isfinite(x), axis=-1)
+    a_first = np.take_along_axis(abar, np.expand_dims(first, -1), -1)[..., 0]
+    z = 1.0 / (2.0 * np.abs(a_first))
+    K = len(t_grid) - 1
+    cells = max(1, (1 << 20) // (substeps * (x.size // (K + 1))))
+    zeta = np.full(x.shape, np.nan)
+    zeta[..., first.min()] = z
+    for lo in range(first.min(), K, cells):
+        hi = min(lo + cells, K)
+        tg, xb = t_grid[lo:hi + 1], x[..., lo:hi + 1]
+        slope = np.asarray(model.drift(xb, tg), dtype=float) / eps
+        x_sub = _hermite_refine(tg, xb, slope, substeps)
+        sub = np.asarray(model.drift_dx(x_sub, _refine_nodes(tg, substeps)),
+                         dtype=float)
+        zb = _integrate_zeta(eps, tg, sub, z, substeps)
+        zeta[..., lo + 1:hi + 1] = zb[..., 1:]
+        z = zb[..., -1]
+    zeta[np.isnan(x)] = np.nan
+    return zeta
 
 
 @dataclass(frozen=True)
@@ -173,12 +216,7 @@ def zeta_stable(model: ModelSpec, eps: float, t_grid, xdet_path: DetPath,
     abar = np.asarray(model.drift_dx(xdet_path.x_values, tg), dtype=float)
     if np.any(abar >= 0):
         raise NotStable("df/dx along the path must stay negative")
-    slope = np.asarray(model.drift(xdet_path.x_values, tg), dtype=float) / eps
-    x_sub = _hermite_refine(tg, xdet_path.x_values, slope, substeps)
-    sub = np.asarray(model.drift_dx(x_sub, _refine_nodes(tg, substeps)),
-                     dtype=float)
-    zeta0 = 1.0 / (2.0 * abs(abar[0]))
-    z = _integrate_zeta(eps, tg, sub, zeta0, substeps)
+    z = _zeta_along(model, eps, tg, xdet_path.x_values, abar, substeps)
     a_plus, a_minus = float(np.max(-abar)), float(np.min(-abar))
     gap_mask = tg - tg[0] >= 10.0 * eps * abs(math.log(eps))
     gap = float(np.max(np.abs(z[gap_mask] - 1.0 / (2.0 * np.abs(abar[gap_mask]))))) \
@@ -256,12 +294,8 @@ def zeta_post_exit(model: ModelSpec, eps: float, tau: float, t_grid,
         raise GridMismatch("post-exit path does not cover the requested grid")
     xhat = np.abs(det.x_values[:len(tg)])
     abar = np.asarray(model.drift_dx(xhat, tg), dtype=float)
-    slope = np.asarray(model.drift(xhat, tg), dtype=float) / eps
-    x_sub = _hermite_refine(tg, xhat, slope, substeps)
-    sub = np.asarray(model.drift_dx(x_sub, _refine_nodes(tg, substeps)),
-                     dtype=float)
-    zeta0 = 1.0 / (2.0 * abs(abar[0]))
-    z = _integrate_zeta(eps, tg, sub, zeta0, substeps)
+    z = _zeta_along(model, eps, tg, xhat, abar, substeps)
+    zeta0 = z[0]
 
     a_star = np.asarray(curves.a_star(tg), dtype=float)
     lower = 1.0 / (2.0 * np.abs(a_star))

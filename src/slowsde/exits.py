@@ -160,8 +160,11 @@ def first_exit_batch(X: np.ndarray, t_grid: np.ndarray,
 
 
 def delay_times_batch(X: np.ndarray, t_grid: np.ndarray,
-                      width: float) -> np.ndarray:
-    """First time each row leaves |x| < width; NaN when it never does."""
+                      width) -> np.ndarray:
+    """First time each row leaves |x| < width; NaN when it never does.
+
+    width is a constant or one value per grid node.
+    """
     outside = np.abs(X) >= width
     any_exit = outside.any(axis=1)
     first = np.where(any_exit, outside.argmax(axis=1), 0)

@@ -80,6 +80,11 @@ class EnsembleConfig:
             raise RegimeViolation("tag 'stable' needs a stable-branch model")
         if self.tag == "unstable" and self.model.kind != "unstable-branch":
             raise RegimeViolation("tag 'unstable' needs an unstable-branch model")
+        with np.errstate(invalid="ignore"):
+            x0 = _resolve_x0(self)
+        if not math.isfinite(x0):
+            raise ValueError(f"x0={self.x0!r} resolves to {x0!r} at "
+                             f"t0={self.t0:g}; the start value must be finite")
         n_steps = n_steps_for(self.t0, self.t_end, self.dt)
         if self.n_paths * n_steps > self.max_total_steps:
             raise ResourceLimit(
@@ -219,43 +224,11 @@ def _prob_entry(successes: int, n: int, bound_eval=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# batched path generation
+# batched simulation and per-path scans
 
 
 def _batch_size(n_steps: int) -> int:
     return max(16, min(4096, (1 << 24) // max(1, n_steps)))
-
-
-def _batches(n_paths: int, n_steps: int):
-    b = _batch_size(n_steps)
-    return [(lo, min(lo + b, n_paths)) for lo in range(0, n_paths, b)]
-
-
-def _simulate_span(config: EnsembleConfig, lo: int, hi: int, x0: float,
-                   n_steps: int) -> tuple:
-    dw = np.empty((hi - lo, n_steps))
-    fill_increments(dw, config.master_seed, range(lo, hi), config.dt,
-                    config.mirror)
-    return em_batch(config.model, config.eps, config.sigma, config.t0, x0,
-                    config.dt, dw)
-
-
-def _map_batches(config: EnsembleConfig, x0: float, n_steps: int,
-                 per_batch, threads: int) -> None:
-    """Run per_batch(lo, hi, X, trunc) over all batches, threaded."""
-    spans = _batches(config.n_paths, n_steps)
-
-    def work(span):
-        lo, hi = span
-        X, trunc = _simulate_span(config, lo, hi, x0, n_steps)
-        per_batch(lo, hi, X, trunc)
-
-    if threads <= 1:
-        for span in spans:
-            work(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
 
 
 def _resolve_x0(config: EnsembleConfig) -> float:
@@ -267,134 +240,55 @@ def _resolve_x0(config: EnsembleConfig) -> float:
     return float(config.x0)
 
 
-# ---------------------------------------------------------------------------
-# per-tag measurements
+@dataclass(frozen=True)
+class _Run:
+    """One ensemble run: its config, grid, start value and thread count."""
+
+    config: EnsembleConfig
+    grid: np.ndarray
+    x0: float
+    threads: int
+
+    def scan(self, scan, paths=None) -> dict:
+        """Simulate the given path indices (all by default) in batches and
+        return, in path order, the per-path columns scan(X, paths) gives for
+        each batch of paths X (B, K+1)."""
+        cfg = self.config
+        n_steps = len(self.grid) - 1
+        if paths is None:
+            paths = np.arange(cfg.n_paths)
+        b = _batch_size(n_steps)
+
+        def work(idx):
+            dw = np.empty((len(idx), n_steps))
+            fill_increments(dw, cfg.master_seed, idx, cfg.dt, cfg.mirror)
+            X, _ = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0, self.x0,
+                            cfg.dt, dw)
+            del dw  # free the increments before the scans allocate
+            # copies, so no column keeps its batch's path matrix alive
+            return {k: np.array(v) for k, v in scan(X, idx).items()}
+
+        spans = [paths[lo:lo + b] for lo in range(0, len(paths), b)]
+        if self.threads <= 1:
+            parts = [work(span) for span in spans]
+        else:
+            with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                parts = list(pool.map(work, spans))
+        return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-def _run_stable(config: EnsembleConfig, threads: int) -> dict:
-    grid = time_grid(config.t0, config.dt, n_steps_for(config.t0, config.t_end,
-                                                       config.dt))
-    x0 = _resolve_x0(config)
-    xdet = solve_det(config.model, config.eps, config.t0, x0, config.t_end,
-                     config.dt, method="euler")
-    table = env.zeta_stable(config.model, config.eps, grid, xdet)
-    sqrtz = table.sqrt_zeta()
-    centre = xdet.x_values
-    sups = np.empty(config.n_paths)
-
-    def per_batch(lo, hi, X, trunc):
-        sups[lo:hi] = sup_deviation_batch(X, centre, sqrtz)
-
-    _map_batches(config, x0, len(grid) - 1, per_batch, threads)
-    series = []
-    for h in config.h_list:
-        b = env.bound_stable(config.model, config.t_end, config.eps,
-                             config.sigma, h, t_start=config.t0)
-        series.append({"h": h, **_prob_entry(int(np.sum(sups >= h)),
-                                             config.n_paths, b)})
-    return {"exceedance": series,
-            "zeta_residual": table.ode_residual(),
-            "sup_deviation_quantiles": _quantiles(sups)}, {"sup_deviation": sups}
+def _exceedance(config: EnsembleConfig, sups: np.ndarray, n: int,
+                bound_at) -> list:
+    return [{"h": h, **_prob_entry(int(np.nansum(sups >= h)), n, bound_at(h))}
+            for h in config.h_list]
 
 
-def _run_unstable(config: EnsembleConfig, threads: int) -> dict:
-    grid = time_grid(config.t0, config.dt, n_steps_for(config.t0, config.t_end,
-                                                       config.dt))
-    x0 = _resolve_x0(config)
-    xhat = adiabatic_solution(config.model, config.eps, grid)
-    abar = np.asarray(config.model.drift_dx(xhat.x_values, grid), dtype=float)
-    h = config.h_list[0] if config.h_list else config.sigma / 2.0
-    widths = h / np.sqrt(2.0 * abar)
-    centre = xhat.x_values
-    exit_times = np.empty(config.n_paths)
-
-    def per_batch(lo, hi, X, trunc):
-        outside = np.abs(X - centre[None, :]) >= widths[None, :]
-        any_exit = outside.any(axis=1)
-        first = np.where(any_exit, outside.argmax(axis=1), 0)
-        exit_times[lo:hi] = np.where(any_exit, grid[first], np.nan)
-
-    _map_batches(config, x0, len(grid) - 1, per_batch, threads)
-    series = []
-    for t in config.t_probe_list:
-        confined = int(np.sum(~(exit_times < t)))  # NaN = never exited
-        b = env.bound_unstable(t, config.eps, config.sigma, h,
-                               model=config.model, t_start=config.t0)
-        series.append({"t": t, **_prob_entry(confined, config.n_paths, b)})
-    return ({"survival": series, "h": h,
-             "censored_fraction": float(np.mean(np.isnan(exit_times)))},
-            {"exit_time": exit_times})
-
-
-def _run_before(config: EnsembleConfig, threads: int) -> dict:
-    sq = math.sqrt(config.eps)
-    grid = time_grid(config.t0, config.dt, n_steps_for(config.t0, config.t_end,
-                                                       config.dt))
-    n_cols = int(np.searchsorted(grid, sq + 1e-12))
-    sub_grid = grid[:n_cols]
-    x0 = _resolve_x0(config)
-    table = env.zeta_pitchfork(config.model, config.eps, config.t0, sub_grid)
-    sqrtz = table.sqrt_zeta()
-    centre = x0 * np.exp(
-        np.array([env.alpha(config.model, t, config.t0) for t in sub_grid])
-        / config.eps)
-    sups = np.empty(config.n_paths)
-    at_sq = np.empty(config.n_paths)
-
-    def per_batch(lo, hi, X, trunc):
-        sups[lo:hi] = sup_deviation_batch(X[:, :n_cols], centre, sqrtz)
-        at_sq[lo:hi] = X[:, n_cols - 1]
-
-    _map_batches(config, x0, len(grid) - 1, per_batch, threads)
-    series = []
-    for h in config.h_list:
-        b = env.bound_before(config.model, float(sub_grid[-1]), config.eps,
-                             config.sigma, h, config.t0)
-        series.append({"h": h, **_prob_entry(int(np.sum(sups >= h)),
-                                             config.n_paths, b)})
-    pred = config.sigma * math.sqrt(float(table.zeta_values[-1]))
-    emp = float(np.std(at_sq, ddof=1))
-    return ({"exceedance": series,
-             "zeta_residual": table.ode_residual(),
-             "spread_at_sqrt_eps": {"t": float(sub_grid[-1]),
-                                    "empirical_std": emp,
-                                    "sigma_sqrt_zeta": pred,
-                                    "ratio": emp / pred}},
-            {"sup_deviation": sups, "x_at_sqrt_eps": at_sq})
-
-
-def _exit_measures(config: EnsembleConfig, threads: int) -> tuple:
-    """Shared pass for escape/delay/branch: tau_D, tau_delay, sides, endpoint."""
-    grid = time_grid(config.t0, config.dt, n_steps_for(config.t0, config.t_end,
-                                                       config.dt))
-    x0 = _resolve_x0(config)
-    curves = branches(config.model)
-    regD = env.region_D(config.model, config.eps, curves,
-                        t_hi=min(config.t_end, config.model.t_max))
-    width = float(curves.x_tilde(math.sqrt(config.eps)))
-    n = config.n_paths
-    tau_d = np.empty(n)
-    side_d = np.empty(n, dtype=np.int8)
-    tau_delay = np.empty(n)
-    x_final = np.empty(n)
-
-    def per_batch(lo, hi, X, trunc):
-        times, sides = first_exit_batch(X, grid, regD)
-        tau_d[lo:hi] = times
-        side_d[lo:hi] = sides
-        tau_delay[lo:hi] = delay_times_batch(X, grid, width)
-        x_final[lo:hi] = X[:, -1]
-
-    _map_batches(config, x0, len(grid) - 1, per_batch, threads)
-    return grid, curves, tau_d, side_d, tau_delay, x_final
-
-
-def _branch_stats(x_final: np.ndarray) -> dict:
-    pos = int(np.sum(x_final > 0))
-    neg = int(np.sum(x_final < 0))
-    zero = int(len(x_final) - pos - neg)
-    entry = _prob_entry(pos, pos + neg) if pos + neg else {}
-    return {"n_positive": pos, "n_negative": neg, "n_zero": zero, **entry}
+def _survival(config: EnsembleConfig, exit_times: np.ndarray,
+              bound_at) -> list:
+    """Per probe time t, the paths not exited before t (NaN: never)."""
+    return [{"t": t, **_prob_entry(int(np.sum(~(exit_times < t))),
+                                   config.n_paths, bound_at(t))}
+            for t in config.t_probe_list]
 
 
 def _quantiles(values: np.ndarray) -> dict:
@@ -405,40 +299,121 @@ def _quantiles(values: np.ndarray) -> dict:
     return {f"q{int(100 * q):02d}": float(np.quantile(finite, q)) for q in qs}
 
 
+# ---------------------------------------------------------------------------
+# per-tag measurements: centre or region and envelope, scans, summary
+
+
+def _run_stable(run: _Run) -> tuple:
+    cfg = run.config
+    xdet = solve_det(cfg.model, cfg.eps, cfg.t0, run.x0, cfg.t_end, cfg.dt,
+                     method="euler")
+    table = env.zeta_stable(cfg.model, cfg.eps, run.grid, xdet)
+    sqrtz = table.sqrt_zeta()
+    sups = run.scan(lambda X, idx: {
+        "sup_deviation": sup_deviation_batch(X, xdet.x_values, sqrtz)
+    })["sup_deviation"]
+    series = _exceedance(cfg, sups, cfg.n_paths, lambda h: env.bound_stable(
+        cfg.model, cfg.t_end, cfg.eps, cfg.sigma, h, t_start=cfg.t0))
+    return {"exceedance": series,
+            "zeta_residual": table.ode_residual(),
+            "sup_deviation_quantiles": _quantiles(sups)}, {"sup_deviation": sups}
+
+
+def _run_unstable(run: _Run) -> tuple:
+    cfg, grid = run.config, run.grid
+    xhat = adiabatic_solution(cfg.model, cfg.eps, grid)
+    abar = np.asarray(cfg.model.drift_dx(xhat.x_values, grid), dtype=float)
+    h = cfg.h_list[0] if cfg.h_list else cfg.sigma / 2.0
+    widths = h / np.sqrt(2.0 * abar)
+    exit_times = run.scan(lambda X, idx: {
+        "exit_time": delay_times_batch(X - xhat.x_values, grid, widths)
+    })["exit_time"]
+    series = _survival(cfg, exit_times, lambda t: env.bound_unstable(
+        t, cfg.eps, cfg.sigma, h, model=cfg.model, t_start=cfg.t0))
+    return ({"survival": series, "h": h,
+             "censored_fraction": float(np.mean(np.isnan(exit_times)))},
+            {"exit_time": exit_times})
+
+
+def _run_before(run: _Run) -> tuple:
+    cfg = run.config
+    n_cols = int(np.searchsorted(run.grid, math.sqrt(cfg.eps) + 1e-12))
+    sub_grid = run.grid[:n_cols]
+    table = env.zeta_pitchfork(cfg.model, cfg.eps, cfg.t0, sub_grid)
+    sqrtz = table.sqrt_zeta()
+    centre = run.x0 * np.exp(
+        np.array([env.alpha(cfg.model, t, cfg.t0) for t in sub_grid])
+        / cfg.eps)
+    cols = run.scan(lambda X, idx: {
+        "sup_deviation": sup_deviation_batch(X[:, :n_cols], centre, sqrtz),
+        "x_at_sqrt_eps": X[:, n_cols - 1],
+    })
+    series = _exceedance(cfg, cols["sup_deviation"], cfg.n_paths,
+                         lambda h: env.bound_before(
+                             cfg.model, float(sub_grid[-1]), cfg.eps,
+                             cfg.sigma, h, cfg.t0))
+    pred = cfg.sigma * math.sqrt(float(table.zeta_values[-1]))
+    emp = float(np.std(cols["x_at_sqrt_eps"], ddof=1))
+    return ({"exceedance": series,
+             "zeta_residual": table.ode_residual(),
+             "spread_at_sqrt_eps": {"t": float(sub_grid[-1]),
+                                    "empirical_std": emp,
+                                    "sigma_sqrt_zeta": pred,
+                                    "ratio": emp / pred}},
+            cols)
+
+
+def _exit_columns(run: _Run) -> dict:
+    """Shared scans of escape/delay/branch/approach: first exit from D with
+    its side, exit time from the delay strip, and the endpoint."""
+    cfg, grid = run.config, run.grid
+    curves = branches(cfg.model)
+    regD = env.region_D(cfg.model, cfg.eps, curves,
+                        t_hi=min(cfg.t_end, cfg.model.t_max))
+    width = float(curves.x_tilde(math.sqrt(cfg.eps)))
+
+    def scan(X, idx):
+        tau_d, side = first_exit_batch(X, grid, regD)
+        return {"tau_D": tau_d, "exit_side": side.astype(int),
+                "tau_delay": delay_times_batch(X, grid, width),
+                "x_final": X[:, -1]}
+
+    return run.scan(scan)
+
+
+def _branch_stats(x_final: np.ndarray) -> dict:
+    pos = int(np.sum(x_final > 0))
+    neg = int(np.sum(x_final < 0))
+    zero = int(len(x_final) - pos - neg)
+    entry = _prob_entry(pos, pos + neg) if pos + neg else {}
+    return {"n_positive": pos, "n_negative": neg, "n_zero": zero, **entry}
+
+
 def _escape_series(config: EnsembleConfig, tau_d: np.ndarray) -> list:
     t0_eff = max(config.t0, math.sqrt(config.eps))
-    series = []
-    for t in config.t_probe_list:
-        surviving = int(np.sum(~(tau_d < t)))
-        b = env.bound_escape(config.model, t, t0_eff, config.eps, config.sigma,
-                             C0=config.bound_c0, eta=config.eta)
-        series.append({"t": t, **_prob_entry(surviving, config.n_paths, b)})
-    return series
+    return _survival(config, tau_d, lambda t: env.bound_escape(
+        config.model, t, t0_eff, config.eps, config.sigma,
+        C0=config.bound_c0, eta=config.eta))
 
 
-def _per_path_exits(tau_d, side_d, tau_delay, x_final) -> dict:
-    return {"tau_D": tau_d, "exit_side": side_d.astype(int),
-            "tau_delay": tau_delay, "x_final": x_final}
-
-
-def _run_escape(config: EnsembleConfig, threads: int) -> dict:
-    grid, curves, tau_d, side_d, tau_delay, x_final = _exit_measures(config,
-                                                                     threads)
-    return ({"survival": _escape_series(config, tau_d),
+def _run_escape(run: _Run) -> tuple:
+    cols = _exit_columns(run)
+    tau_d = cols["tau_D"]
+    return ({"survival": _escape_series(run.config, tau_d),
              "exit_time_quantiles": _quantiles(tau_d),
-             "censored_fraction": float(np.mean(np.isnan(tau_d)))},
-            _per_path_exits(tau_d, side_d, tau_delay, x_final))
+             "censored_fraction": float(np.mean(np.isnan(tau_d)))}, cols)
 
 
-def _run_delay(config: EnsembleConfig, threads: int) -> dict:
-    grid, curves, tau_d, side_d, tau_delay, x_final = _exit_measures(config,
-                                                                     threads)
-    t_low, t_high = env.delay_interval(config.eps, config.sigma, config.model,
-                                       eta=config.eta)
+def _run_delay(run: _Run) -> tuple:
+    cfg = run.config
+    cols = _exit_columns(run)
+    tau_delay = cols["tau_delay"]
+    t_low, t_high = env.delay_interval(cfg.eps, cfg.sigma, cfg.model,
+                                       eta=cfg.eta)
     finite = tau_delay[np.isfinite(tau_delay)]
-    censored = 1.0 - finite.size / config.n_paths
+    censored = 1.0 - finite.size / cfg.n_paths
     if finite.size:
-        edges = np.linspace(config.t0, config.t_end, 81)
+        edges = np.linspace(cfg.t0, cfg.t_end, 81)
         counts, _ = np.histogram(finite, bins=edges)
         hist = {"edges": edges.tolist(), "counts": counts.tolist()}
     else:
@@ -453,16 +428,15 @@ def _run_delay(config: EnsembleConfig, threads: int) -> dict:
         "frac_below_t_low": frac_early,
         "frac_above_t_high": float(np.mean(late)),
         "delay_quantiles": _quantiles(tau_delay),
-        "survival": _escape_series(config, tau_d),
-        "branch": _branch_stats(x_final),
-    }, _per_path_exits(tau_d, side_d, tau_delay, x_final))
+        "survival": _escape_series(cfg, cols["tau_D"]),
+        "branch": _branch_stats(cols["x_final"]),
+    }, cols)
 
 
-def _run_branch(config: EnsembleConfig, threads: int) -> dict:
-    grid, curves, tau_d, side_d, tau_delay, x_final = _exit_measures(config,
-                                                                     threads)
-    return ({"branch": _branch_stats(x_final), "t": float(grid[-1])},
-            _per_path_exits(tau_d, side_d, tau_delay, x_final))
+def _run_branch(run: _Run) -> tuple:
+    cols = _exit_columns(run)
+    return ({"branch": _branch_stats(cols["x_final"]),
+             "t": float(run.grid[-1])}, cols)
 
 
 def _post_exit_family(model: ModelSpec, eps: float, taus: np.ndarray,
@@ -472,112 +446,75 @@ def _post_exit_family(model: ModelSpec, eps: float, taus: np.ndarray,
     Returns (xhat (n_tau, K+1), sqrt_zeta (n_tau, K+1), start column per tau);
     entries before a family member's start column are NaN.
     """
-    n_tau = len(taus)
     K = len(grid) - 1
     dt = grid[1] - grid[0]
     start_col = np.rint((taus - grid[0]) / dt).astype(int)
-    xhat = np.full((n_tau, K + 1), np.nan)
-    active = np.zeros(n_tau, dtype=bool)
-    x = np.zeros(n_tau)
+    k_first = int(start_col.min())
     f = model.drift
     inv = 1.0 / eps
-    for k in range(K + 1):
-        newly = start_col == k
-        if newly.any():
-            x[newly] = np.asarray(curves.x_tilde(taus[newly]), dtype=float)
-            active |= newly
-        if active.any():
-            xhat[active, k] = x[active]
-        if k == K or not active.any():
-            continue
+    # each row holds its start value until its own start column
+    x = np.asarray(curves.x_tilde(taus), dtype=float)
+    xhat = np.empty((len(taus), K + 1))
+    xhat[:, k_first] = x
+    for k in range(k_first, K):
         t = grid[k]
         k1 = f(x, t) * inv
         k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt) * inv
         k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt) * inv
         k4 = f(x + dt * k3, t + dt) * inv
-        x = np.where(active, x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), x)
-
-    # zeta along each centreline: vectorized exponential steps, 2 substeps
-    valid = ~np.isnan(xhat)
-    ab = np.asarray(model.drift_dx(np.where(valid, xhat, 0.0), grid[None, :]),
-                    dtype=float)
-    abar = np.where(valid, ab, -1.0)
-    zeta = np.full((n_tau, K + 1), np.nan)
-    z = np.zeros(n_tau)
-    live = np.zeros(n_tau, dtype=bool)
-    for k in range(K + 1):
-        newly = start_col == k
-        if newly.any():
-            z[newly] = 1.0 / (2.0 * np.abs(abar[newly, k]))
-            live |= newly
-        if live.any():
-            zeta[live, k] = z[live]
-        if k == K or not live.any():
-            continue
-        a0 = abar[:, k]
-        a1 = abar[:, k + 1]
-        am = 0.5 * (a0 + a1)
-        for lo_a, hi_a in ((a0, am), (am, a1)):
-            m = (lo_a + hi_a) * (0.5 * dt) / eps
-            E = np.exp(m)
-            phi = np.where(m != 0.0, np.expm1(m) / np.where(m == 0.0, 1.0, m), 1.0)
-            z = np.where(live, z * E + (0.5 * dt / eps) * phi, z)
+        x = np.where(start_col <= k,
+                     x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), x)
+        xhat[:, k + 1] = x
+    xhat[np.arange(K + 1)[None, :] < start_col[:, None]] = np.nan
+    abar = np.asarray(model.drift_dx(xhat, grid), dtype=float)
+    zeta = env._zeta_along(model, eps, grid, xhat, abar, substeps=4)
     return xhat, np.sqrt(zeta), start_col
 
 
-def _run_approach(config: EnsembleConfig, threads: int) -> dict:
-    grid, curves, tau_d, side_d, tau_delay, x_final = _exit_measures(config,
-                                                                     threads)
-    lo_w, hi_w = config.tau_window
+def _run_approach(run: _Run) -> tuple:
+    cfg, grid = run.config, run.grid
+    cols = _exit_columns(run)
+    tau_d, side_d = cols["tau_D"], cols["exit_side"]
+    lo_w, hi_w = cfg.tau_window
     selected = np.isfinite(tau_d) & (tau_d >= lo_w) & (tau_d <= hi_w) \
         & (side_d != 0)
     n_sel = int(np.sum(selected))
     results: dict = {"n_selected": n_sel,
-                     "selection_fraction": n_sel / config.n_paths,
-                     "tau_window": list(config.tau_window)}
+                     "selection_fraction": n_sel / cfg.n_paths,
+                     "tau_window": list(cfg.tau_window)}
     if n_sel == 0:
         return results, {"tau_D": tau_d}
 
-    taus = np.unique(tau_d[selected])
-    xhat, sqrtz, start_col = _post_exit_family(config.model, config.eps, taus,
-                                               grid, curves)
-    tau_index = {t: i for i, t in enumerate(taus)}
-    path_tau_idx = np.full(config.n_paths, -1, dtype=int)
-    for p in np.nonzero(selected)[0]:
-        path_tau_idx[p] = tau_index[tau_d[p]]
+    # paths are keyed by index, so re-simulating the selected ones
+    # reproduces their first-pass rows exactly
+    paths = np.nonzero(selected)[0]
+    taus, family = np.unique(tau_d[paths], return_inverse=True)
+    xhat, sqrtz, start_col = _post_exit_family(cfg.model, cfg.eps, taus,
+                                               grid, branches(cfg.model))
 
-    sups = np.full(config.n_paths, np.nan)
-    final_dev = np.full(config.n_paths, np.nan)
-    x0 = _resolve_x0(config)
+    def scan(X, idx):
+        j = family[np.searchsorted(paths, idx)]
+        sgn = side_d[idx].astype(float)
+        sups = [sup_deviation_batch(s * X[r:r + 1], xhat[i], sqrtz[i],
+                                    slice(start_col[i], None))[0]
+                for r, (s, i) in enumerate(zip(sgn, j))]
+        return {"sup_deviation": np.array(sups),
+                "final_dev": sgn * X[:, -1] - xhat[j, -1]}
 
-    def per_batch(lo, hi, X, trunc):
-        rows = np.nonzero(selected[lo:hi])[0]
-        for r in rows:
-            p = lo + r
-            j = path_tau_idx[p]
-            k0 = start_col[j]
-            sgn = float(side_d[p])
-            dev = np.abs(sgn * X[r, k0:] - xhat[j, k0:]) / sqrtz[j, k0:]
-            sups[p] = dev.max()
-            final_dev[p] = sgn * X[r, -1] - xhat[j, -1]
-
-    _map_batches(config, x0, len(grid) - 1, per_batch, threads)
-
-    series = []
-    for h in config.h_list:
-        b = env.bound_approach(config.model, config.t_end, config.eps,
-                               config.sigma, h, tau=float(lo_w))
-        series.append({"h": h, **_prob_entry(int(np.nansum(sups >= h)),
-                                             n_sel, b)})
-    devs = final_dev[selected]
-    pred = config.sigma * float(np.median(sqrtz[:, -1]))
+    post = run.scan(scan, paths)
+    sups = np.full(cfg.n_paths, np.nan)
+    sups[paths] = post["sup_deviation"]
+    series = _exceedance(cfg, sups, n_sel, lambda h: env.bound_approach(
+        cfg.model, cfg.t_end, cfg.eps, cfg.sigma, h, tau=float(lo_w)))
+    devs = post["final_dev"]
+    pred = cfg.sigma * float(np.median(sqrtz[:, -1]))
     emp = float(np.std(devs, ddof=1)) if devs.size > 1 else math.nan
     results.update({
         "exceedance": series,
         "spread_at_end": {"t": float(grid[-1]), "empirical_std": emp,
                           "sigma_sqrt_zeta": pred,
                           "ratio": emp / pred if pred else math.nan},
-        "sup_deviation_quantiles": _quantiles(sups[selected]),
+        "sup_deviation_quantiles": _quantiles(post["sup_deviation"]),
     })
     return results, {"tau_D": tau_d, "sup_deviation": sups}
 
@@ -600,12 +537,14 @@ def run_ensemble(config: EnsembleConfig, threads: int = 1) -> EnsembleReport:
     thread count produce identical bytes.
     """
     start = time.perf_counter()
-    results, per_path = _RUNNERS[config.tag](config, threads)
-    report = EnsembleReport(
+    grid = time_grid(config.t0, config.dt,
+                     n_steps_for(config.t0, config.t_end, config.dt))
+    run = _Run(config, grid, _resolve_x0(config), threads)
+    results, per_path = _RUNNERS[config.tag](run)
+    return EnsembleReport(
         config=config.to_dict(), config_hash=config_hash(config),
         tag=config.tag, backend=BACKEND, results=results,
         runtime_seconds=time.perf_counter() - start, per_path=per_path)
-    return report
 
 
 def exceedance_curve(config: EnsembleConfig, h_list=None,

@@ -84,7 +84,10 @@ def n_steps_for(t0: float, t_end: float, dt: float) -> int:
     span = t_end - t0
     if span <= 0 or dt <= 0:
         raise ValueError("need t_end > t0 and dt > 0")
-    return int(math.ceil(span / dt - 1e-9))
+    n = int(math.floor(span / dt + 1e-9))  # the grid never passes t_end
+    if n < 1:
+        raise ValueError(f"dt={dt:g} is longer than the window [t0, t_end]")
+    return n
 
 
 def time_grid(t0: float, dt: float, n_steps: int) -> np.ndarray:

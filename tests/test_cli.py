@@ -57,6 +57,17 @@ class TestRun:
         cfg = write(tmp_path, "bad.json", doc)
         assert cmd_run(cfg, out=str(out)) == 1
 
+    def test_non_finite_start_value_rejected(self, tmp_path, out, capsys):
+        # x_tilde(t) = sqrt(lambda t) has no real value before the bifurcation
+        doc = json.loads(json.dumps(SMALL_DELAY))
+        doc["dynamics"].update(t0=-0.5, x0="x_tilde")
+        doc["ensemble"]["n_paths"] = 50
+        doc["experiment"] = {"tag": "branch"}
+        cfg = write(tmp_path, "nan_start.json", doc)
+        assert cmd_run(cfg, out=str(out)) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_config(self, out):
         assert cmd_run("no_such_config.json", out=str(out)) == 1
 

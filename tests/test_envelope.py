@@ -440,7 +440,7 @@ class TestNoExitLinearMonteCarlo:
         # is much sharper than the bound's decay, so the check is one-sided.
         from slowsde import default_strip_width
         from slowsde.noise import fill_increments
-        from slowsde.sde import linear_batch, n_steps_for
+        from slowsde.sde import linear_batch
         from slowsde.sde import time_grid as tgrid
         eps, sigma = 0.005, 1e-4
         dt = eps / 50.0
@@ -450,10 +450,10 @@ class TestNoExitLinearMonteCarlo:
         curves = branches(standard)
         rho = default_strip_width(sigma) / math.sqrt(float(standard.a(t0)))
         probes = (0.4, 0.5)
-        n_steps = n_steps_for(t0, max(probes), dt)
+        cols = [int(round((t - t0) / dt)) for t in probes]
+        n_steps = max(cols)  # the grid reaches the node nearest each probe
         g = tgrid(t0, dt, n_steps)
         xt = np.asarray(curves.x_tilde(g))
-        cols = [int(round((t - t0) / dt)) for t in probes]
         n_paths = 10000
         counts = np.zeros(len(probes), dtype=int)
         for lo in range(0, n_paths, 2048):

@@ -1,14 +1,19 @@
 import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from slowsde import (RegimeViolation, ResourceLimit, compare_bound,
-                     estimate_prob, run_ensemble)
+from slowsde import (RegimeViolation, ResourceLimit, branches, compare_bound,
+                     estimate_prob, model_from_coeffs, montecarlo,
+                     run_ensemble, standard_pitchfork, zeta_post_exit)
+from slowsde.deterministic import DetPath
 from slowsde.envelope import BoundEvaluation
-from slowsde.montecarlo import EnsembleConfig, exceedance_curve, serialize_json
+from slowsde.montecarlo import (EnsembleConfig, _post_exit_family,
+                                exceedance_curve, serialize_json)
+from slowsde.sde import time_grid
 
 
 def delay_config(standard, **kw):
@@ -93,11 +98,16 @@ class TestDeterminism:
         b = run_ensemble(cfg).to_json()
         assert a == b
 
-    def test_thread_count_invariance(self, standard):
-        cfg = delay_config(standard)
-        a = run_ensemble(cfg, threads=1).to_json()
-        b = run_ensemble(cfg, threads=4).to_json()
-        assert a == b
+    def test_thread_count_invariance(self, monkeypatch):
+        """Every tag: many small batches on four threads give the bytes of
+        one batch on one thread."""
+        configs = [pinned_config(tag) for tag in sorted(PINNED)]
+        want = [run_ensemble(cfg, threads=1) for cfg in configs]
+        monkeypatch.setattr(montecarlo, "_batch_size", lambda n_steps: 16)
+        for cfg, ref in zip(configs, want):
+            got = run_ensemble(cfg, threads=4)
+            assert got.to_json() == ref.to_json(), cfg.tag
+            assert pinned_hashes(got) == pinned_hashes(ref), cfg.tag
 
     def test_seed_changes_report(self, standard):
         a = run_ensemble(delay_config(standard)).to_json()
@@ -209,3 +219,94 @@ class TestEscapeTag:
         assert ps[0] >= ps[1] >= ps[2]
         assert all(r["comparison"]["verdict"] == "consistent" for r in rows)
         assert "exit_time_quantiles" in rep.results
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of every tag at small sizes
+
+
+def _linear_model(rate, kind):
+    return model_from_coeffs(
+        [[0.0], [rate]],
+        {"kind": kind, "equilibrium": lambda t: 0.0, "d": 2.0,
+         "t_range": [0.0, 1.0], "name": f"linear-{kind}"})
+
+
+def pinned_config(tag: str) -> EnsembleConfig:
+    """Small ensembles (200 paths) covering each experiment tag."""
+    sig = 1e-3
+    if tag == "stable":
+        return EnsembleConfig(
+            model=_linear_model(-1.0, "stable-branch"), eps=0.01, sigma=sig,
+            t0=0.0, x0=0.0, t_end=0.2, dt=2e-4, n_paths=200, master_seed=3,
+            tag=tag, h_list=(2 * sig, 3 * sig, 4 * sig))
+    if tag == "unstable":
+        return EnsembleConfig(
+            model=_linear_model(1.0, "unstable-branch"), eps=0.01, sigma=sig,
+            t0=0.0, x0=0.0, t_end=0.2, dt=2e-4, n_paths=200, master_seed=6,
+            tag=tag, h_list=(sig,), t_probe_list=(0.001, 0.003, 0.01))
+    standard = standard_pitchfork()
+    if tag == "approach":
+        return EnsembleConfig(
+            model=standard, eps=0.005, sigma=1e-4, t0=-1.0, x0=0.0,
+            t_end=1.0, dt=1e-4, n_paths=200, master_seed=12, tag=tag,
+            h_list=(4e-4, 5e-4), tau_window=(0.15, 0.25))
+    extra = {"before": dict(h_list=(3e-4, 4e-4)),
+             "escape": dict(t_probe_list=(0.3, 0.45, 0.6), eta=0.1),
+             "delay": dict(eta=0.1),
+             "branch": dict(t_probe_list=())}[tag]
+    return delay_config(standard, tag=tag, **extra)
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(serialize_json(obj).encode()).hexdigest()[:16]
+
+
+# escape, delay and branch share one ensemble and hence these columns
+_EXIT_COLUMNS = {"tau_D": "5fdecabca7af9dcf", "exit_side": "dab291b8994155c6",
+                 "tau_delay": "62ada03ab915e817", "x_final": "3d1c44317c7c928d"}
+# sha256 prefixes of serialize_json(results) and of each per-path column
+PINNED = {
+    "stable": {"results": "70c1a9af5efa1bfe",
+               "sup_deviation": "dc43358576320dbd"},
+    "unstable": {"results": "f3cd7c660f94aaf1",
+                 "exit_time": "af97505c25c8d490"},
+    "before": {"results": "fff836799d9068d4",
+               "sup_deviation": "c50578ecb3f99fb1",
+               "x_at_sqrt_eps": "547af579e5c28ef2"},
+    "escape": {"results": "d715e882207f338d", **_EXIT_COLUMNS},
+    "delay": {"results": "e1dba9403a290a8d", **_EXIT_COLUMNS},
+    "branch": {"results": "ba344958222f852b", **_EXIT_COLUMNS},
+    # the post-exit envelope moved to the 4-substep Hermite zeta integrator
+    # of zeta_post_exit; sqrt(zeta) moved by up to 1.1e-6 relative
+    "approach": {"results": "9b829171d1924832",
+                 "tau_D": "3b6e3b36c01d050c",
+                 "sup_deviation": "6d0f8d20f8eca8e2"},
+}
+
+
+def pinned_hashes(report) -> dict:
+    out = {"results": _sha(report.results)}
+    out.update({k: _sha(np.asarray(v)) for k, v in report.per_path.items()})
+    return out
+
+
+@pytest.mark.parametrize("tag", sorted(PINNED))
+def test_pinned_outputs(tag):
+    assert pinned_hashes(run_ensemble(pinned_config(tag))) == PINNED[tag]
+
+
+def test_post_exit_family_matches_zeta_post_exit(standard):
+    """Batched family rows equal zeta_post_exit along each centreline."""
+    eps = 0.005
+    grid = time_grid(0.1, 1e-4, 3000)
+    taus = grid[[200, 205, 450, 1300]]
+    xhat, sqrtz, start = _post_exit_family(standard, eps, taus, grid,
+                                           branches(standard))
+    assert list(start) == [200, 205, 450, 1300]
+    for j, k0 in enumerate(start):
+        assert np.all(np.isnan(xhat[j, :k0])) and np.all(np.isnan(sqrtz[j, :k0]))
+        det = DetPath(grid[k0:], xhat[j, k0:], eps, "rk4")
+        table = zeta_post_exit(standard, eps, float(taus[j]), grid[k0:],
+                               det=det)
+        assert np.array_equal(table.sqrt_zeta(), sqrtz[j, k0:])

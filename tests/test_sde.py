@@ -8,7 +8,8 @@ from slowsde import (NoiseStream, StepTooLarge, dump_binary, load_binary,
                      simulate, simulate_coupled, simulate_linear, solve_det,
                      variance)
 from slowsde.noise import fill_increments
-from slowsde.sde import BACKEND, em_batch, linear_batch, time_grid
+from slowsde.sde import (BACKEND, em_batch, linear_batch, n_steps_for,
+                         time_grid)
 
 
 class TestNoiseStream:
@@ -92,6 +93,21 @@ class TestSimulate:
         k = int(round((p.truncated_at - p.t_grid[0]) / p.dt))
         assert np.all(p.x_values[k:] == p.x_values[k - 1])
         assert np.max(np.abs(p.x_values)) <= 0.5
+
+
+class TestTimeGrid:
+    def test_grid_stays_inside_window(self):
+        n = n_steps_for(0.0, 0.99999, 3e-4)
+        assert n == 3333
+        assert time_grid(0.0, 3e-4, n)[-1] <= 0.99999
+
+    def test_dividing_step_hits_t_end(self):
+        assert n_steps_for(-1.0, 1.0, 1e-4) == 20000
+        assert n_steps_for(0.0, 0.2, 2e-4) == 1000
+
+    def test_step_longer_than_window(self):
+        with pytest.raises(ValueError):
+            n_steps_for(0.0, 1e-4, 2e-4)
 
 
 class TestSimulateLinear:
