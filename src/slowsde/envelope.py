@@ -30,7 +30,8 @@ from .model import BranchCurves, ModelSpec, alpha, branches
 
 __all__ = [
     "EnvelopeTable", "SpaceTimeRegion", "BoundEvaluation",
-    "zeta_stable", "zeta_pitchfork", "zeta_post_exit", "variance",
+    "zeta_stable", "zeta_pitchfork", "zeta_post_exit", "zeta_along",
+    "variance",
     "region_stable_strip", "region_unstable_strip", "region_B", "region_D",
     "region_S", "region_A", "region_delay_strip",
     "bound_stable", "bound_before", "bound_approach", "bound_unstable",
@@ -130,8 +131,8 @@ def _hermite_refine(t_grid: np.ndarray, x: np.ndarray, slope: np.ndarray,
                           axis=-1)
 
 
-def _zeta_along(model: ModelSpec, eps: float, t_grid: np.ndarray,
-                x: np.ndarray, abar: np.ndarray, substeps: int) -> np.ndarray:
+def zeta_along(model: ModelSpec, eps: float, t_grid: np.ndarray,
+               x: np.ndarray, abar: np.ndarray, substeps: int) -> np.ndarray:
     """zeta driven by df/dx along a path, refined by cubic Hermite values.
 
     x is one path (K+1,) or rows (n, K+1) with abar = df/dx on its nodes.
@@ -216,7 +217,7 @@ def zeta_stable(model: ModelSpec, eps: float, t_grid, xdet_path: DetPath,
     abar = np.asarray(model.drift_dx(xdet_path.x_values, tg), dtype=float)
     if np.any(abar >= 0):
         raise NotStable("df/dx along the path must stay negative")
-    z = _zeta_along(model, eps, tg, xdet_path.x_values, abar, substeps)
+    z = zeta_along(model, eps, tg, xdet_path.x_values, abar, substeps)
     a_plus, a_minus = float(np.max(-abar)), float(np.min(-abar))
     gap_mask = tg - tg[0] >= 10.0 * eps * abs(math.log(eps))
     gap = float(np.max(np.abs(z[gap_mask] - 1.0 / (2.0 * np.abs(abar[gap_mask]))))) \
@@ -294,7 +295,7 @@ def zeta_post_exit(model: ModelSpec, eps: float, tau: float, t_grid,
         raise GridMismatch("post-exit path does not cover the requested grid")
     xhat = np.abs(det.x_values[:len(tg)])
     abar = np.asarray(model.drift_dx(xhat, tg), dtype=float)
-    z = _zeta_along(model, eps, tg, xhat, abar, substeps)
+    z = zeta_along(model, eps, tg, xhat, abar, substeps)
     zeta0 = z[0]
 
     a_star = np.asarray(curves.a_star(tg), dtype=float)

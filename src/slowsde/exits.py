@@ -3,7 +3,8 @@
 Detection works at grid nodes only, with exclusive boundaries (a state on
 the boundary counts as outside); no sub-step bridge correction is applied,
 so identical inputs always give identical records.  Batch variants operate
-on (B, K+1) path matrices and are what the ensemble runner uses.
+on (B, n) path matrices, whole paths or one time chunk of them with its
+slice of the grid, and are what the ensemble runner uses.
 """
 
 from __future__ import annotations
@@ -142,12 +143,16 @@ def first_exit_batch(X: np.ndarray, t_grid: np.ndarray,
     """Vectorized first_exit over the rows of X.
 
     Returns (exit_times with NaN for confined paths, sides with 0 none /
-    -1 lower / +1 upper).
+    -1 lower / +1 upper).  Columns of X outside the region's window are
+    ignored, so a window that misses t_grid gives no exits.
     """
     idx = _window_indices(t_grid, region.t_lo, region.t_hi)
-    tw = t_grid[idx]
+    if idx.size == 0:
+        return np.full(X.shape[0], np.nan), np.zeros(X.shape[0], np.int8)
+    window = slice(idx[0], idx[-1] + 1)  # consecutive nodes: a view of X
+    tw = t_grid[window]
     g1, g2 = region.boundaries(tw)
-    Xw = X[:, idx]
+    Xw = X[:, window]
     low = Xw <= g1[None, :]
     outside = low | (Xw >= g2[None, :])
     any_exit = outside.any(axis=1)
@@ -165,7 +170,7 @@ def delay_times_batch(X: np.ndarray, t_grid: np.ndarray,
 
     width is a constant or one value per grid node.
     """
-    outside = np.abs(X) >= width
+    outside = (X >= width) | (X <= -width)  # |x| >= width, with no copy of X
     any_exit = outside.any(axis=1)
     first = np.where(any_exit, outside.argmax(axis=1), 0)
     return np.where(any_exit, t_grid[first], np.nan)

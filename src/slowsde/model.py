@@ -15,7 +15,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.stats import qmc
 
 from .errors import RootNotBracketed, ValidationFailure
 
@@ -84,14 +83,20 @@ class PolyDrift:
             tab[:, i] = col
         return np.ascontiguousarray(tab)
 
-    def __call__(self, x, t):
-        ct = self.coeff_at(t)
-        f = ct[-1]
-        if np.ndim(x) > 0 and np.ndim(f) == 0:
-            f = np.full(np.shape(x), f)
-        for i in range(len(ct) - 2, -1, -1):
-            f = f * x + ct[i]
+    @staticmethod
+    def horner(ct, x):
+        """sum_i ct[i] x^i for the coefficients ct of one time, by Horner."""
+        if len(ct) == 1:
+            if np.ndim(x) > 0 and np.ndim(ct[0]) == 0:
+                return np.full(np.shape(x), ct[0])
+            return ct[0]
+        f = x * ct[-1] + ct[-2]
+        for c in ct[-3::-1]:
+            f = f * x + c
         return f
+
+    def __call__(self, x, t):
+        return self.horner(self.coeff_at(t), x)
 
     def dx(self) -> "PolyDrift":
         c = self.coeffs
@@ -189,11 +194,26 @@ def _richardson(d_of_h: Callable[[float], float], h: float) -> float:
     return (4.0 * d_of_h(h / 2.0) - d_of_h(h)) / 3.0
 
 
+def _van_der_corput(n: int, base: int) -> np.ndarray:
+    """The first n points of the base-b van der Corput sequence, from 0.
+
+    Digit by digit in the order of scipy.stats.qmc's unscrambled Halton
+    sequence, so the points agree bit for bit.
+    """
+    q = np.arange(n)
+    seq = np.zeros(n)
+    b2r = 1.0 / base
+    while q.any():
+        seq += (q % base) * b2r
+        b2r /= base
+        q //= base
+    return seq
+
+
 def _validate_pitchfork(drift, drift_dx, d, T, n_points=1000) -> tuple:
-    sampler = qmc.Halton(d=2, scramble=False)
-    pts = sampler.random(n_points)
-    xs = (2.0 * pts[:, 0] - 1.0) * d
-    ts = (2.0 * pts[:, 1] - 1.0) * T
+    # the unscrambled 2-d Halton points in bases 2 and 3
+    xs = (2.0 * _van_der_corput(n_points, 2) - 1.0) * d
+    ts = (2.0 * _van_der_corput(n_points, 3) - 1.0) * T
     sym = float(np.max(np.abs(np.asarray(drift(xs, ts)) + np.asarray(drift(-xs, ts)))))
 
     h0 = 1e-3 * min(1.0, d, T)

@@ -23,8 +23,8 @@ from . import envelope as env
 from .deterministic import adiabatic_solution, solve_det
 from .errors import RegimeViolation, ResourceLimit
 from .exits import delay_times_batch, first_exit_batch, sup_deviation_batch
-from .model import ModelSpec, branches
-from .noise import fill_increments
+from .model import ModelSpec, PolyDrift, branches
+from .noise import fill_increments, path_generators
 from .sde import BACKEND, em_batch, n_steps_for, time_grid
 
 __all__ = [
@@ -37,6 +37,9 @@ PITCHFORK_TAGS = ("before", "escape", "approach", "delay", "branch")
 ALL_TAGS = ("stable", "unstable") + PITCHFORK_TAGS
 
 MAX_TOTAL_STEPS = 2_000_000_000
+# time steps per streamed chunk: a batch holds O(batch size x CHUNK_STEPS)
+# floats however long its paths are
+CHUNK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -236,8 +239,28 @@ def _resolve_x0(config: EnsembleConfig) -> float:
         if config.x0 != "x_tilde":
             raise ValueError(f"unknown start rule {config.x0!r}")
         curves = branches(config.model)
-        return float(curves.x_tilde(config.t0))
+        try:
+            return float(curves.x_tilde(config.t0))
+        except ValueError as exc:  # e.g. a root search's sqrt at t0 < 0
+            raise ValueError(f"x0={config.x0!r} cannot be resolved at "
+                             f"t0={config.t0:g}: {exc}") from exc
     return float(config.x0)
+
+
+class _Columns(dict):
+    """Per-path columns of one batch, merged over its time chunks."""
+
+    def first(self, key: str, times: np.ndarray, **same_chunk) -> None:
+        """Keep each row's first non-NaN time, with the same_chunk values
+        of the chunk that gave it."""
+        new = np.isnan(self[key]) & ~np.isnan(times)
+        self[key][new] = times[new]
+        for k, v in same_chunk.items():
+            self[k][new] = v[new]
+
+    def sup(self, key: str, values: np.ndarray) -> None:
+        """Running maximum; a NaN stays, as in one max over the whole row."""
+        np.maximum(self[key], values, out=self[key])
 
 
 @dataclass(frozen=True)
@@ -249,10 +272,17 @@ class _Run:
     x0: float
     threads: int
 
-    def scan(self, scan, paths=None) -> dict:
+    def scan(self, scan, columns: dict, paths=None) -> dict:
         """Simulate the given path indices (all by default) in batches and
-        return, in path order, the per-path columns scan(X, paths) gives for
-        each batch of paths X (B, K+1)."""
+        return the per-path columns in path order.
+
+        Each batch streams through time chunks of CHUNK_STEPS steps.
+        columns maps each column name to its start value.  For every chunk,
+        scan(X, nodes, idx, cols) gets the paths X (B, n+1) of the batch's
+        path indices idx on the grid nodes of the slice nodes, whose first
+        node closes the previous chunk, and merges what it finds into the
+        batch's _Columns cols.
+        """
         cfg = self.config
         n_steps = len(self.grid) - 1
         if paths is None:
@@ -260,13 +290,21 @@ class _Run:
         b = _batch_size(n_steps)
 
         def work(idx):
-            dw = np.empty((len(idx), n_steps))
-            fill_increments(dw, cfg.master_seed, idx, cfg.dt, cfg.mirror)
-            X, _ = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0, self.x0,
-                            cfg.dt, dw)
-            del dw  # free the increments before the scans allocate
-            # copies, so no column keeps its batch's path matrix alive
-            return {k: np.array(v) for k, v in scan(X, idx).items()}
+            gens = path_generators(cfg.master_seed, idx)
+            dw = np.empty((len(idx), min(CHUNK_STEPS, n_steps)))
+            cols = _Columns({k: np.full(len(idx), v)
+                             for k, v in columns.items()})
+            x, trunc = self.x0, None
+            for k0 in range(0, n_steps, CHUNK_STEPS):
+                inc = dw[:, :min(CHUNK_STEPS, n_steps - k0)]
+                fill_increments(inc, cfg.master_seed, idx, cfg.dt, cfg.mirror,
+                                gens)
+                X, trunc = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0, x,
+                                    cfg.dt, inc, k0, trunc)
+                scan(X, slice(k0, k0 + X.shape[1]), idx, cols)
+                x = X[:, -1].copy()
+                del X  # free the chunk before the next one is stepped
+            return cols
 
         spans = [paths[lo:lo + b] for lo in range(0, len(paths), b)]
         if self.threads <= 1:
@@ -274,7 +312,7 @@ class _Run:
         else:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 parts = list(pool.map(work, spans))
-        return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+        return {k: np.concatenate([p[k] for p in parts]) for k in columns}
 
 
 def _exceedance(config: EnsembleConfig, sups: np.ndarray, n: int,
@@ -309,9 +347,10 @@ def _run_stable(run: _Run) -> tuple:
                      method="euler")
     table = env.zeta_stable(cfg.model, cfg.eps, run.grid, xdet)
     sqrtz = table.sqrt_zeta()
-    sups = run.scan(lambda X, idx: {
-        "sup_deviation": sup_deviation_batch(X, xdet.x_values, sqrtz)
-    })["sup_deviation"]
+    sups = run.scan(lambda X, nodes, idx, cols: cols.sup(
+        "sup_deviation",
+        sup_deviation_batch(X, xdet.x_values[nodes], sqrtz[nodes])),
+        {"sup_deviation": -np.inf})["sup_deviation"]
     series = _exceedance(cfg, sups, cfg.n_paths, lambda h: env.bound_stable(
         cfg.model, cfg.t_end, cfg.eps, cfg.sigma, h, t_start=cfg.t0))
     return {"exceedance": series,
@@ -325,9 +364,10 @@ def _run_unstable(run: _Run) -> tuple:
     abar = np.asarray(cfg.model.drift_dx(xhat.x_values, grid), dtype=float)
     h = cfg.h_list[0] if cfg.h_list else cfg.sigma / 2.0
     widths = h / np.sqrt(2.0 * abar)
-    exit_times = run.scan(lambda X, idx: {
-        "exit_time": delay_times_batch(X - xhat.x_values, grid, widths)
-    })["exit_time"]
+    exit_times = run.scan(lambda X, nodes, idx, cols: cols.first(
+        "exit_time", delay_times_batch(X - xhat.x_values[nodes], grid[nodes],
+                                       widths[nodes])),
+        {"exit_time": np.nan})["exit_time"]
     series = _survival(cfg, exit_times, lambda t: env.bound_unstable(
         t, cfg.eps, cfg.sigma, h, model=cfg.model, t_start=cfg.t0))
     return ({"survival": series, "h": h,
@@ -344,10 +384,16 @@ def _run_before(run: _Run) -> tuple:
     centre = run.x0 * np.exp(
         np.array([env.alpha(cfg.model, t, cfg.t0) for t in sub_grid])
         / cfg.eps)
-    cols = run.scan(lambda X, idx: {
-        "sup_deviation": sup_deviation_batch(X[:, :n_cols], centre, sqrtz),
-        "x_at_sqrt_eps": X[:, n_cols - 1],
-    })
+
+    def scan(X, nodes, idx, cols):
+        m = n_cols - nodes.start  # this chunk's columns before sqrt(eps)
+        if m > 0:
+            cols.sup("sup_deviation", sup_deviation_batch(
+                X[:, :m], centre[nodes], sqrtz[nodes]))
+        if nodes.start < n_cols <= nodes.stop:
+            cols["x_at_sqrt_eps"][:] = X[:, m - 1]
+
+    cols = run.scan(scan, {"sup_deviation": -np.inf, "x_at_sqrt_eps": np.nan})
     series = _exceedance(cfg, cols["sup_deviation"], cfg.n_paths,
                          lambda h: env.bound_before(
                              cfg.model, float(sub_grid[-1]), cfg.eps,
@@ -372,13 +418,15 @@ def _exit_columns(run: _Run) -> dict:
                         t_hi=min(cfg.t_end, cfg.model.t_max))
     width = float(curves.x_tilde(math.sqrt(cfg.eps)))
 
-    def scan(X, idx):
-        tau_d, side = first_exit_batch(X, grid, regD)
-        return {"tau_D": tau_d, "exit_side": side.astype(int),
-                "tau_delay": delay_times_batch(X, grid, width),
-                "x_final": X[:, -1]}
+    def scan(X, nodes, idx, cols):
+        tau_d, side = first_exit_batch(X, grid[nodes], regD)
+        cols.first("tau_D", tau_d, exit_side=side)
+        cols.first("tau_delay", delay_times_batch(X, grid[nodes], width))
+        if nodes.stop == len(grid):
+            cols["x_final"][:] = X[:, -1]
 
-    return run.scan(scan)
+    return run.scan(scan, {"tau_D": np.nan, "exit_side": 0,
+                           "tau_delay": np.nan, "x_final": np.nan})
 
 
 def _branch_stats(x_final: np.ndarray) -> dict:
@@ -450,24 +498,36 @@ def _post_exit_family(model: ModelSpec, eps: float, taus: np.ndarray,
     dt = grid[1] - grid[0]
     start_col = np.rint((taus - grid[0]) / dt).astype(int)
     k_first = int(start_col.min())
-    f = model.drift
+    # the drift at the stage times t_k, t_k + dt/2 and t_k + dt of each step;
+    # a polynomial's coefficients are tabulated once, as the drift computes
+    # them, so the loop runs only Horner in x
+    t_k = grid[k_first:-1]
+    stage_t = (t_k, t_k + 0.5 * dt, t_k + dt)
+    if model.poly is not None:
+        tabs = [model.poly.coeff_table(t).tolist() for t in stage_t]
+
+        def f(x, stage, j):
+            return PolyDrift.horner(tabs[stage][j], x)
+    else:
+        def f(x, stage, j):
+            return model.drift(x, stage_t[stage][j])
+
     inv = 1.0 / eps
     # each row holds its start value until its own start column
     x = np.asarray(curves.x_tilde(taus), dtype=float)
     xhat = np.empty((len(taus), K + 1))
     xhat[:, k_first] = x
-    for k in range(k_first, K):
-        t = grid[k]
-        k1 = f(x, t) * inv
-        k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt) * inv
-        k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt) * inv
-        k4 = f(x + dt * k3, t + dt) * inv
+    for j, k in enumerate(range(k_first, K)):
+        k1 = f(x, 0, j) * inv
+        k2 = f(x + 0.5 * dt * k1, 1, j) * inv
+        k3 = f(x + 0.5 * dt * k2, 1, j) * inv
+        k4 = f(x + dt * k3, 2, j) * inv
         x = np.where(start_col <= k,
                      x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), x)
         xhat[:, k + 1] = x
     xhat[np.arange(K + 1)[None, :] < start_col[:, None]] = np.nan
     abar = np.asarray(model.drift_dx(xhat, grid), dtype=float)
-    zeta = env._zeta_along(model, eps, grid, xhat, abar, substeps=4)
+    zeta = env.zeta_along(model, eps, grid, xhat, abar, substeps=4)
     return xhat, np.sqrt(zeta), start_col
 
 
@@ -492,16 +552,21 @@ def _run_approach(run: _Run) -> tuple:
     xhat, sqrtz, start_col = _post_exit_family(cfg.model, cfg.eps, taus,
                                                grid, branches(cfg.model))
 
-    def scan(X, idx):
+    def scan(X, nodes, idx, cols):
         j = family[np.searchsorted(paths, idx)]
         sgn = side_d[idx].astype(float)
-        sups = [sup_deviation_batch(s * X[r:r + 1], xhat[i], sqrtz[i],
-                                    slice(start_col[i], None))[0]
-                for r, (s, i) in enumerate(zip(sgn, j))]
-        return {"sup_deviation": np.array(sups),
-                "final_dev": sgn * X[:, -1] - xhat[j, -1]}
+        sups = np.full(len(idx), -np.inf)
+        for r, (s, i) in enumerate(zip(sgn, j)):
+            if start_col[i] < nodes.stop:
+                sups[r] = sup_deviation_batch(
+                    s * X[r:r + 1], xhat[i, nodes], sqrtz[i, nodes],
+                    slice(max(start_col[i] - nodes.start, 0), None))[0]
+        cols.sup("sup_deviation", sups)
+        if nodes.stop == len(grid):
+            cols["final_dev"][:] = sgn * X[:, -1] - xhat[j, -1]
 
-    post = run.scan(scan, paths)
+    post = run.scan(scan, {"sup_deviation": -np.inf, "final_dev": np.nan},
+                    paths)
     sups = np.full(cfg.n_paths, np.nan)
     sups[paths] = post["sup_deviation"]
     series = _exceedance(cfg, sups, n_sel, lambda h: env.bound_approach(

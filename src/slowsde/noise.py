@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["NoiseStream", "fill_increments"]
+__all__ = ["NoiseStream", "fill_increments", "path_generators"]
 
 
 def _bit_generator(master_seed: int, path_index: int, jumps: int = 0):
@@ -71,11 +71,23 @@ class NoiseStream:
         return replace(self, mirrored=not self.mirrored)
 
 
+def path_generators(master_seed: int, indices) -> list:
+    """One Philox generator per path index, positioned at its first increment."""
+    return [np.random.Generator(_bit_generator(master_seed, int(idx)))
+            for idx in indices]
+
+
 def fill_increments(out: np.ndarray, master_seed: int, indices,
-                    dt: float, mirrored: bool = False) -> None:
-    """Fill out[b, :] with the level-0 increments of each path index."""
-    scale = -math.sqrt(dt) if mirrored else math.sqrt(dt)
-    for b, idx in enumerate(indices):
-        rng = np.random.Generator(_bit_generator(master_seed, int(idx)))
-        out[b, :] = rng.standard_normal(out.shape[1])
-        out[b, :] *= scale
+                    dt: float, mirrored: bool = False, gens=None) -> None:
+    """Fill out[b, :] with the next level-0 increments of each path index.
+
+    Without gens every row starts at its path's first increment.  With gens,
+    the path_generators(master_seed, indices) of the batch, each row continues
+    its path's stream, so filling a batch chunk by chunk gives the same bits
+    as one fill of the whole row.  Each row of out must be contiguous.
+    """
+    if gens is None:
+        gens = path_generators(master_seed, indices)
+    for b, rng in enumerate(gens):
+        rng.standard_normal(out=out[b])
+    out *= -math.sqrt(dt) if mirrored else math.sqrt(dt)

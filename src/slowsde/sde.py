@@ -100,30 +100,40 @@ def _check_dt(dt: float, eps: float) -> None:
 
 
 def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
-             x0, dt: float, increments: np.ndarray) -> tuple:
-    """Integrate a batch of Euler-Maruyama paths sharing one grid.
+             x0, dt: float, increments: np.ndarray, k0: int = 0,
+             trunc: Optional[np.ndarray] = None) -> tuple:
+    """Integrate a batch of Euler-Maruyama paths on the grid t0 + dt * k.
 
-    increments has shape (B, K); x0 is a scalar or a (B,) array.  Returns
-    (paths (B, K+1), trunc (B,) with NaN where the path stayed in |x| <= d).
-    With sigma = 0 this is explicit Euler on the slow ODE, bit for bit.
+    increments (B, n) drive the steps from node k0 to node k0 + n, and x0
+    (a scalar or (B,)) is the state at node k0.  Returns (paths (B, n+1),
+    trunc (B,)): paths is the transposed view of a time-major (n+1, B)
+    array, and trunc is NaN where the path stayed in |x| <= d and its
+    freeze time otherwise.  To integrate in time chunks, pass each chunk's
+    first node as k0, the previous chunk's last column as x0 and its trunc,
+    which is updated in place; the chunks then reproduce the nodes of one
+    call bit for bit, because the step times are the same nodes of the one
+    grid.  With sigma = 0 this is explicit Euler on the slow ODE, bit for
+    bit.
     """
     _check_dt(dt, eps)
-    B, K = increments.shape
-    out = np.empty((B, K + 1))
-    out[:, 0] = x0
-    trunc = np.full(B, np.nan)
-    cdt = dt / eps
+    B, n = increments.shape
+    out = np.empty((n + 1, B))
+    out[0] = x0
+    if trunc is None:
+        trunc = np.full(B, np.nan)
+    # the kernels take the scaled increments in out[1:], time-major; the
+    # transpose goes in blocks of paths, which keeps it cache-friendly
     cns = sigma / math.sqrt(eps)
+    for b in range(0, B, 64):
+        np.multiply(increments[b:b + 64].T, cns, out=out[1:, b:b + 64])
+    t_nodes = t0 + dt * np.arange(k0, k0 + n)  # time_grid(t0, dt, .)[k0:]
     if model.poly is not None:
-        t_nodes = time_grid(t0, dt, K)[:-1]
-        coefs = model.poly.coeff_table(t_nodes)
-        _kernels.em_poly(out, increments, coefs, cdt, cns, model.d,
-                         trunc, t0, dt)
+        _kernels.em_poly(out, model.poly.coeff_table(t_nodes), dt / eps,
+                         model.d, trunc, t0, dt, k0)
     else:
-        t_nodes = time_grid(t0, dt, K)[:-1]
-        _kernels_py.em_callable(out, increments, model.drift, t_nodes,
-                                cdt, cns, model.d, trunc, t0, dt)
-    return out, trunc
+        _kernels_py.em_callable(out, model.drift, t_nodes, dt / eps, model.d,
+                                trunc, t0, dt, k0)
+    return out.T, trunc
 
 
 def linear_batch(rate_fn: Callable, eps: float, sigma: float, t0: float,

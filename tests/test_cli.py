@@ -68,6 +68,20 @@ class TestRun:
         assert "must be finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_unresolvable_start_rule_names_x0_and_t0(self, tmp_path, out,
+                                                     capsys):
+        # the quintic's branch curves need t > 0; x_tilde at t0 < 0 fails
+        doc = json.loads(json.dumps(SMALL_DELAY))
+        doc["model"] = {"coeffs": [[0], [0, 1], [0], [-1], [0], [1]],
+                        "kind": "pitchfork", "d": 0.7, "T": 0.2}
+        doc["dynamics"].update(t0=-0.1, x0="x_tilde", t_end=0.2)
+        doc["experiment"] = {"tag": "branch"}
+        cfg = write(tmp_path, "quintic.json", doc)
+        assert cmd_run(cfg, out=str(out)) == 1
+        err = capsys.readouterr().err
+        assert "x0='x_tilde'" in err and "t0=-0.1" in err
+        assert not (out / "report.json").exists()
+
     def test_missing_config(self, out):
         assert cmd_run("no_such_config.json", out=str(out)) == 1
 

@@ -22,6 +22,15 @@ def bisect_root(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def test_van_der_corput_matches_scipy_halton():
+    from scipy.stats import qmc
+    from slowsde.model import _van_der_corput
+    for n in (1, 1000, 2200):
+        pts = qmc.Halton(d=2, scramble=False).random(n)
+        assert np.array_equal(_van_der_corput(n, 2), pts[:, 0])
+        assert np.array_equal(_van_der_corput(n, 3), pts[:, 1])
+
+
 class TestStandardModel:
     def test_drift_value(self, standard):
         assert standard.drift(0.5, 0.2) == pytest.approx(-0.025, abs=1e-15)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from slowsde.deterministic import DetPath
 from slowsde.envelope import BoundEvaluation
 from slowsde.montecarlo import (EnsembleConfig, _post_exit_family,
                                 exceedance_curve, serialize_json)
-from slowsde.sde import time_grid
+from slowsde.sde import n_steps_for, time_grid
 
 
 def delay_config(standard, **kw):
@@ -294,6 +295,34 @@ def pinned_hashes(report) -> dict:
 @pytest.mark.parametrize("tag", sorted(PINNED))
 def test_pinned_outputs(tag):
     assert pinned_hashes(run_ensemble(pinned_config(tag))) == PINNED[tag]
+
+
+@pytest.mark.parametrize("tag", sorted(PINNED))
+def test_pinned_outputs_in_short_chunks(tag, monkeypatch):
+    """Streaming in chunks of 700 steps, which divide no step count here,
+    and with the region_D window opening inside a chunk, changes no bit."""
+    cfg = pinned_config(tag)
+    assert n_steps_for(cfg.t0, cfg.t_end, cfg.dt) % 700
+    if tag in montecarlo.PITCHFORK_TAGS:
+        assert round((math.sqrt(cfg.eps) - cfg.t0) / cfg.dt) % 700
+    monkeypatch.setattr(montecarlo, "CHUNK_STEPS", 700)
+    assert pinned_hashes(run_ensemble(cfg)) == PINNED[tag]
+
+
+def test_peak_memory_flat_in_n_steps(standard):
+    """Streaming holds O(paths x chunk) floats: ten times the steps leaves
+    the peak far below one (paths, n_steps) matrix."""
+    peaks = {}
+    for n_steps in (10_000, 100_000):
+        cfg = delay_config(standard, tag="branch", t_probe_list=(),
+                           dt=2.0 / n_steps, eps=0.005, n_paths=64)
+        tracemalloc.start()
+        run_ensemble(cfg)
+        peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    matrix = 8 * 64 * 100_000
+    assert peaks[100_000] < matrix / 8
+    assert peaks[100_000] < 2 * peaks[10_000]
 
 
 def test_post_exit_family_matches_zeta_post_exit(standard):

@@ -5,9 +5,9 @@ import pytest
 from scipy.stats import kstest
 
 from slowsde import (NoiseStream, StepTooLarge, dump_binary, load_binary,
-                     simulate, simulate_coupled, simulate_linear, solve_det,
-                     variance)
-from slowsde.noise import fill_increments
+                     make_model, simulate, simulate_coupled, simulate_linear,
+                     solve_det, variance)
+from slowsde.noise import fill_increments, path_generators
 from slowsde.sde import (BACKEND, em_batch, linear_batch, n_steps_for,
                          time_grid)
 
@@ -46,6 +46,16 @@ class TestNoiseStream:
         for b, idx in enumerate([4, 5, 6]):
             ref = NoiseStream(11, idx, 0.0, 1e-3, 50).increments()
             assert np.array_equal(out[b], ref)
+
+    def test_chunked_fill_matches_one_fill(self):
+        whole = np.empty((3, 2500))
+        fill_increments(whole, 11, [4, 5, 6], 1e-3, mirrored=True)
+        gens = path_generators(11, [4, 5, 6])
+        buf = np.empty((3, 1024))
+        for lo in range(0, 2500, 1024):
+            part = buf[:, :min(1024, 2500 - lo)]
+            fill_increments(part, 11, [4, 5, 6], 1e-3, True, gens)
+            assert np.array_equal(part, whole[:, lo:lo + part.shape[1]])
 
 
 class TestSimulate:
@@ -93,6 +103,73 @@ class TestSimulate:
         k = int(round((p.truncated_at - p.t_grid[0]) / p.dt))
         assert np.all(p.x_values[k:] == p.x_values[k - 1])
         assert np.max(np.abs(p.x_values)) <= 0.5
+
+
+def em_per_step(model, eps, sigma, t0, x0, dt, dw):
+    """Reference Euler-Maruyama: one step at a time over path-major rows,
+    each path frozen at its last in-domain value once |x| would exceed d."""
+    B, K = dw.shape
+    t = time_grid(t0, dt, K)
+    X = np.empty((B, K + 1))
+    X[:, 0] = x0
+    trunc = np.full(B, np.nan)
+    x = X[:, 0].copy()
+    alive = np.ones(B, dtype=bool)
+    for k in range(K):
+        f = np.asarray(model.drift(x, t[k]), dtype=float)
+        xn = (x + dt / eps * f) + sigma / math.sqrt(eps) * dw[:, k]
+        exited = alive & (np.abs(xn) > model.d)
+        trunc[exited] = t0 + (k + 1) * dt
+        alive &= ~exited
+        x = np.where(alive, xn, x)
+        X[:, k + 1] = x
+    return X, trunc
+
+
+def em_in_chunks(model, eps, sigma, t0, x0, dt, dw, chunk):
+    """em_batch over consecutive time chunks, carrying state and trunc."""
+    start = np.empty((dw.shape[0], 1))
+    start[:, 0] = x0
+    parts, x, trunc = [start], x0, None
+    for k0 in range(0, dw.shape[1], chunk):
+        X, trunc = em_batch(model, eps, sigma, t0, x, dt,
+                            dw[:, k0:k0 + chunk], k0, trunc)
+        parts.append(X[:, 1:])
+        x = X[:, -1]
+    return np.hstack(parts), trunc
+
+
+class TestChunkedStepping:
+    """em_batch against the per-step reference, in one call and in chunks."""
+
+    eps, sigma, dt, t0, K = 0.01, 0.15, 2e-4, -0.3, 3000
+    # the two outermost paths start outside |x| <= d and freeze at once
+    x0 = np.linspace(-0.72, 0.72, 48)
+
+    def _run(self, model, rng):
+        dw = rng.standard_normal((48, self.K)) * math.sqrt(self.dt)
+        args = (model, self.eps, self.sigma, self.t0, self.x0, self.dt, dw)
+        return em_per_step(*args), em_batch(*args), em_in_chunks(*args, 700)
+
+    @pytest.mark.parametrize("drift", ["polynomial", "callable"])
+    def test_matches_per_step(self, quintic, rng, drift):
+        model = quintic if drift == "polynomial" else make_model(
+            lambda x, t: t * x - x ** 3 + x ** 5,
+            {"kind": "pitchfork", "d": 0.7, "T": 0.2})
+        (X, trunc), *runs = self._run(model, rng)
+        assert np.isfinite(trunc).any() and np.isnan(trunc).any()
+        for got, got_trunc in runs:
+            assert np.array_equal(got, X)
+            assert np.array_equal(got_trunc, trunc, equal_nan=True)
+
+    def test_frozen_in_every_later_chunk(self, quintic, rng):
+        _, _, (got, trunc) = self._run(quintic, rng)
+        exited = np.nonzero(np.isfinite(trunc))[0]
+        node = np.rint((trunc[exited] - self.t0) / self.dt).astype(int)
+        # paths leave in several of the 700-step chunks, from the first step
+        assert len(set((node - 1) // 700)) >= 2 and node.min() == 1
+        for b, k in zip(exited, node):
+            assert np.all(got[b, k:] == got[b, k - 1])
 
 
 class TestTimeGrid:
@@ -242,18 +319,20 @@ class TestBackendEquivalence:
         import slowsde._kernels as ck
         import slowsde._kernels_py as pk
         rng = np.random.default_rng(0)
-        B, K = 32, 1500
+        B, n, k0 = 32, 1500, 700
         dt, eps, sigma = 2e-4, 0.01, 1e-3
-        dw = rng.standard_normal((B, K)) * math.sqrt(dt)
-        coefs = standard.poly.coeff_table(time_grid(-0.1, dt, K)[:-1])
-        args = (dt / eps, sigma / math.sqrt(eps), standard.d)
-        o1 = np.empty((B, K + 1))
-        o1[:, 0] = 0.02
+        coefs = standard.poly.coeff_table(time_grid(-0.1, dt, k0 + n)[k0:-1])
+        o1 = np.empty((n + 1, B))
+        o1[0] = 0.02
+        o1[1:] = rng.standard_normal((n, B)) * (math.sqrt(dt) * sigma
+                                                / math.sqrt(eps))
         o2 = o1.copy()
         t1 = np.full(B, np.nan)
-        t2 = np.full(B, np.nan)
-        ck.em_poly(o1, dw, coefs, *args, t1, -0.1, dt)
-        pk.em_poly(o2, dw, coefs, *args, t2, -0.1, dt)
+        t1[::5] = 0.0  # frozen before this chunk
+        t2 = t1.copy()
+        args = (dt / eps, standard.d)
+        ck.em_poly(o1, coefs, *args, t1, -0.1, dt, k0)
+        pk.em_poly(o2, coefs, *args, t2, -0.1, dt, k0)
         assert np.array_equal(o1, o2)
         assert np.array_equal(t1, t2, equal_nan=True)
 
