@@ -1,4 +1,4 @@
-"""Benchmark the chunked stepping kernel against a per-step reference loop.
+"""Benchmark chunked Euler-Maruyama stepping against a per-step reference loop.
 
 Integrates the same paths twice: with a plain per-step Euler-Maruyama loop
 over (paths, steps) rows, and with em_batch streamed through time chunks of
@@ -7,7 +7,7 @@ path-steps/second for both and exits with status 1 unless the chunked
 paths and freeze times equal the reference bit for bit.  Run from the root
 of a checkout:
 
-    PYTHONPATH=src python benchmarks/bench_kernels.py [n_paths] [n_steps]
+    PYTHONPATH=src python benchmarks/bench_stepping.py [n_paths] [n_steps]
 """
 
 import math
@@ -19,7 +19,7 @@ import numpy as np
 from slowsde import standard_pitchfork
 from slowsde.montecarlo import CHUNK_STEPS
 from slowsde.noise import fill_increments
-from slowsde.sde import BACKEND, em_batch, time_grid
+from slowsde.sde import em_batch, time_grid
 
 
 def per_step(model, eps, sigma, t0, x0, dt, dw):
@@ -48,7 +48,7 @@ def main() -> int:
     model = standard_pitchfork()
     eps, sigma, dt, t0, x0 = 0.005, 1e-4, 1e-4, -1.0, 0.0
     print(f"workload: {n_paths} paths x {n_steps} steps, standard cubic "
-          f"drift, {BACKEND} backend, chunks of {CHUNK_STEPS} steps")
+          f"drift, chunks of {CHUNK_STEPS} steps")
     dw = np.empty((n_paths, n_steps))
     fill_increments(dw, 0, range(n_paths), dt)
 

@@ -259,8 +259,7 @@ def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
     if report.per_path:
         _write_per_path(outdir / "paths_summary.csv", report, report.per_path)
     _export_envelopes(outdir, doc)
-    print(f"wrote {outdir / 'report.json'} "
-          f"(backend={report.backend}, {report.runtime_seconds:.2f}s)")
+    print(f"wrote {outdir / 'report.json'} ({report.runtime_seconds:.2f}s)")
     if strict and _has_violation(res):
         print("bound violation detected (--strict)", file=sys.stderr)
         return 3

@@ -41,8 +41,7 @@ class PolyDrift:
     """Polynomial drift f(x, t) = sum_ij c[i, j] x^i t^j.
 
     Evaluation is Horner in t for the x^i coefficients, then Horner in x.
-    The stepping kernels reuse exactly this coefficient/evaluation order, so
-    compiled and NumPy backends produce bit-identical paths.
+    The stepping kernels reuse exactly this coefficient/evaluation order.
     """
 
     def __init__(self, coeffs: Sequence[Sequence[float]]):

@@ -25,7 +25,7 @@ from .errors import RegimeViolation, ResourceLimit
 from .exits import delay_times_batch, first_exit_batch, sup_deviation_batch
 from .model import ModelSpec, PolyDrift, branches
 from .noise import fill_increments, path_generators
-from .sde import BACKEND, em_batch, n_steps_for, time_grid
+from .sde import em_batch, n_steps_for, time_grid
 
 __all__ = [
     "EnsembleConfig", "EnsembleReport", "BoundComparison",
@@ -129,7 +129,6 @@ class EnsembleReport:
     config: dict
     config_hash: str
     tag: str
-    backend: str
     results: dict
     runtime_seconds: float = field(default=0.0, compare=False)
     per_path: dict = field(default_factory=dict, compare=False)
@@ -137,7 +136,7 @@ class EnsembleReport:
     def payload(self) -> dict:
         return {"schema": "slowsde-report/1", "config": self.config,
                 "config_hash": self.config_hash, "tag": self.tag,
-                "backend": self.backend, "results": self.results}
+                "backend": "python", "results": self.results}
 
     def to_json(self) -> str:
         return serialize_json(self.payload())
@@ -272,9 +271,11 @@ class _Run:
     x0: float
     threads: int
 
-    def scan(self, scan, columns: dict, paths=None) -> dict:
-        """Simulate the given path indices (all by default) in batches and
-        return the per-path columns in path order.
+    def scan(self, scan, columns: dict, paths=None,
+             last: Optional[int] = None) -> dict:
+        """Simulate the given path indices (all by default) in batches up to
+        grid node last (the end of the grid by default) and return the
+        per-path columns in path order.
 
         Each batch streams through time chunks of CHUNK_STEPS steps.
         columns maps each column name to its start value.  For every chunk,
@@ -284,7 +285,7 @@ class _Run:
         batch's _Columns cols.
         """
         cfg = self.config
-        n_steps = len(self.grid) - 1
+        n_steps = len(self.grid) - 1 if last is None else last
         if paths is None:
             paths = np.arange(cfg.n_paths)
         b = _batch_size(n_steps)
@@ -386,14 +387,14 @@ def _run_before(run: _Run) -> tuple:
         / cfg.eps)
 
     def scan(X, nodes, idx, cols):
-        m = n_cols - nodes.start  # this chunk's columns before sqrt(eps)
-        if m > 0:
-            cols.sup("sup_deviation", sup_deviation_batch(
-                X[:, :m], centre[nodes], sqrtz[nodes]))
-        if nodes.start < n_cols <= nodes.stop:
-            cols["x_at_sqrt_eps"][:] = X[:, m - 1]
+        cols.sup("sup_deviation",
+                 sup_deviation_batch(X, centre[nodes], sqrtz[nodes]))
+        if nodes.stop == n_cols:
+            cols["x_at_sqrt_eps"][:] = X[:, -1]
 
-    cols = run.scan(scan, {"sup_deviation": -np.inf, "x_at_sqrt_eps": np.nan})
+    # the paths are stepped no further than the last node at sqrt(eps)
+    cols = run.scan(scan, {"sup_deviation": -np.inf, "x_at_sqrt_eps": np.nan},
+                    last=n_cols - 1)
     series = _exceedance(cfg, cols["sup_deviation"], cfg.n_paths,
                          lambda h: env.bound_before(
                              cfg.model, float(sub_grid[-1]), cfg.eps,
@@ -608,7 +609,7 @@ def run_ensemble(config: EnsembleConfig, threads: int = 1) -> EnsembleReport:
     results, per_path = _RUNNERS[config.tag](run)
     return EnsembleReport(
         config=config.to_dict(), config_hash=config_hash(config),
-        tag=config.tag, backend=BACKEND, results=results,
+        tag=config.tag, results=results,
         runtime_seconds=time.perf_counter() - start, per_path=per_path)
 
 

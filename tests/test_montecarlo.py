@@ -120,7 +120,7 @@ class TestDeterminism:
         doc = json.loads(rep.to_json())
         assert doc["schema"] == "slowsde-report/1"
         assert len(doc["config_hash"]) == 64
-        assert doc["backend"] in ("compiled", "python")
+        assert doc["backend"] == "python"
         assert "runtime" not in json.dumps(doc)
 
 
@@ -307,6 +307,25 @@ def test_pinned_outputs_in_short_chunks(tag, monkeypatch):
         assert round((math.sqrt(cfg.eps) - cfg.t0) / cfg.dt) % 700
     monkeypatch.setattr(montecarlo, "CHUNK_STEPS", 700)
     assert pinned_hashes(run_ensemble(cfg)) == PINNED[tag]
+
+
+def test_before_steps_stop_at_sqrt_eps(monkeypatch):
+    """The before tag steps each path only up to the last node <= sqrt(eps),
+    which is all its scans read."""
+    cfg = dataclasses.replace(pinned_config("before"), n_paths=20)
+    grid = time_grid(cfg.t0, cfg.dt, n_steps_for(cfg.t0, cfg.t_end, cfg.dt))
+    n_cols = int(np.sum(grid <= math.sqrt(cfg.eps) + 1e-12))
+    assert n_cols < len(grid)
+    steps = []
+    em_batch = montecarlo.em_batch
+
+    def counting(model, eps, sigma, t0, x0, dt, increments, *rest):
+        steps.append(increments.size)
+        return em_batch(model, eps, sigma, t0, x0, dt, increments, *rest)
+
+    monkeypatch.setattr(montecarlo, "em_batch", counting)
+    run_ensemble(cfg)
+    assert sum(steps) == cfg.n_paths * (n_cols - 1)
 
 
 def test_peak_memory_flat_in_n_steps(standard):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,7 @@ from slowsde import (NoiseStream, StepTooLarge, dump_binary, load_binary,
                      make_model, simulate, simulate_coupled, simulate_linear,
                      solve_det, variance)
 from slowsde.noise import fill_increments, path_generators
-from slowsde.sde import (BACKEND, em_batch, linear_batch, n_steps_for,
-                         time_grid)
+from slowsde.sde import em_batch, linear_batch, n_steps_for, time_grid
 
 
 class TestNoiseStream:
@@ -171,6 +174,21 @@ class TestChunkedStepping:
         for b, k in zip(exited, node):
             assert np.all(got[b, k:] == got[b, k - 1])
 
+    def test_benchmark_script_bit_identical(self):
+        """benchmarks/bench_stepping.py runs and finds chunked em_batch equal
+        to its per-step loop."""
+        root = Path(__file__).resolve().parents[1]
+        src = str(root / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + os.pathsep + path if path else src)
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "bench_stepping.py"),
+             "64", "3000"], env=env, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "bit-identical" in proc.stdout.splitlines()
+
 
 class TestTimeGrid:
     def test_grid_stays_inside_window(self):
@@ -311,45 +329,3 @@ class TestPathIO:
         f = tmp_path / "p.csv"
         p.to_csv(f)
         assert f.read_text().splitlines()[1] == "t,x"
-
-
-@pytest.mark.skipif(BACKEND != "compiled", reason="compiled kernel not built")
-class TestBackendEquivalence:
-    def test_em_bitwise(self, standard):
-        import slowsde._kernels as ck
-        import slowsde._kernels_py as pk
-        rng = np.random.default_rng(0)
-        B, n, k0 = 32, 1500, 700
-        dt, eps, sigma = 2e-4, 0.01, 1e-3
-        coefs = standard.poly.coeff_table(time_grid(-0.1, dt, k0 + n)[k0:-1])
-        o1 = np.empty((n + 1, B))
-        o1[0] = 0.02
-        o1[1:] = rng.standard_normal((n, B)) * (math.sqrt(dt) * sigma
-                                                / math.sqrt(eps))
-        o2 = o1.copy()
-        t1 = np.full(B, np.nan)
-        t1[::5] = 0.0  # frozen before this chunk
-        t2 = t1.copy()
-        args = (dt / eps, standard.d)
-        ck.em_poly(o1, coefs, *args, t1, -0.1, dt, k0)
-        pk.em_poly(o2, coefs, *args, t2, -0.1, dt, k0)
-        assert np.array_equal(o1, o2)
-        assert np.array_equal(t1, t2, equal_nan=True)
-
-    def test_linear_bitwise(self):
-        import slowsde._kernels as ck
-        import slowsde._kernels_py as pk
-        rng = np.random.default_rng(1)
-        B, K = 32, 1500
-        dt, eps, sigma = 2e-4, 0.01, 1e-3
-        dw = rng.standard_normal((B, K)) * math.sqrt(dt)
-        mult = np.exp(np.linspace(-1, 1, K) * dt / eps)
-        o1 = np.empty((B, K + 1))
-        o1[:, 0] = 0.3
-        o2 = o1.copy()
-        t1 = np.full(B, np.nan)
-        t2 = np.full(B, np.nan)
-        ck.linear_paths(o1, dw, mult, sigma / math.sqrt(eps), 2.0, t1, 0.0, dt)
-        pk.linear_paths(o2, dw, mult, sigma / math.sqrt(eps), 2.0, t2, 0.0, dt)
-        assert np.array_equal(o1, o2)
-        assert np.array_equal(t1, t2, equal_nan=True)
