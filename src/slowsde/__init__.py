@@ -8,15 +8,16 @@ probability bounds and exact Gaussian oracles.
 """
 
 from .errors import (ConfigError, DegenerateWindow, EpsTooLarge, GridMismatch,
-                     HExceedsSigma, NotHyperbolic, NotStable, OutsideRegime,
-                     RegimeViolation, ResourceLimit, RhoTooSmall,
-                     RootNotBracketed, SandwichViolation, SlowSdeError,
-                     StepTooLarge, ValidationFailure)
+                     HExceedsSigma, NonFiniteResult, NotHyperbolic, NotStable,
+                     OutsideRegime, RegimeViolation, ResourceLimit,
+                     RhoTooSmall, RootNotBracketed, RootNotConverged,
+                     SandwichViolation, SlowSdeError, StepTooLarge,
+                     ValidationFailure)
 from .model import (BranchCurves, ModelSpec, PolyDrift, ValidationReport,
                     alpha, branches, make_model, model_from_coeffs,
                     model_from_dict, model_from_json, standard_pitchfork)
 from .deterministic import (DetPath, adiabatic_solution, bifurcation_delay,
-                            det_after_exit, jump_time, solve_det)
+                            det_after_exit, solve_det)
 from .envelope import (BoundEvaluation, EnvelopeTable, SpaceTimeRegion,
                        bound_approach, bound_before, bound_escape,
                        bound_stable, bound_unstable, default_strip_width,
@@ -32,7 +33,7 @@ from .montecarlo import (BoundComparison, EnsembleConfig, EnsembleReport,
                          compare_bound, estimate_prob, exceedance_curve,
                          run_ensemble)
 from .noise import NoiseStream
-from .sde import (PathSample, backend, dump_binary, load_binary, simulate,
-                  simulate_coupled, simulate_linear)
+from .sde import (PathSample, backend, simulate, simulate_coupled,
+                  simulate_linear)
 
 __version__ = "0.1.0"

@@ -244,6 +244,9 @@ def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
     except RegimeViolation as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return 2
+    except SlowSdeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     (outdir / "report.json").write_text(report.to_json())
     res = report.results

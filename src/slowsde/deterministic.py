@@ -13,15 +13,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
+from ._brentq import brentq
 from .errors import NotHyperbolic, SandwichViolation, StepTooLarge
 from .model import BranchCurves, ModelSpec, alpha, branches
 from .sde import em_batch, time_grid, n_steps_for
 
 __all__ = [
     "DetPath", "solve_det", "adiabatic_solution", "bifurcation_delay",
-    "det_after_exit", "jump_time",
+    "det_after_exit",
 ]
 
 
@@ -190,8 +190,8 @@ def bifurcation_delay(model: ModelSpec, t0: float) -> float:
     T = model.t_max
     if alpha(model, T, t0) < 0.0:
         return math.inf
-    return float(optimize.brentq(lambda t: alpha(model, t, t0), 0.0, T,
-                                 xtol=1e-12, rtol=8.9e-16))
+    return float(brentq(lambda t: alpha(model, t, t0), 0.0, T,
+                        xtol=1e-12, rtol=8.9e-16))
 
 
 def det_after_exit(model: ModelSpec, eps: float, tau: float, sign: int,
@@ -227,17 +227,3 @@ def det_after_exit(model: ModelSpec, eps: float, tau: float, sign: int,
                    meta={"approach_gap": xs - absx, "sandwich_tol": tol,
                          "tau": tau, "sign": sign})
 
-
-def jump_time(model: ModelSpec, path: DetPath,
-              curves: Optional[BranchCurves] = None) -> Optional[float]:
-    """First t > 0 with x(t) >= (x_tilde(t) + x_star(t)) / 2, if any."""
-    if curves is None:
-        curves = branches(model)
-    mask = path.t_grid > 0
-    if not mask.any():
-        return None
-    t = path.t_grid[mask]
-    x = np.abs(path.x_values[mask])
-    thresh = 0.5 * (np.asarray(curves.x_tilde(t)) + np.asarray(curves.x_star(t)))
-    hits = np.nonzero(x >= thresh)[0]
-    return float(t[hits[0]]) if hits.size else None

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
+from ._brentq import brentq
 from .deterministic import DetPath, det_after_exit
 from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
                      HExceedsSigma, NotStable, OutsideRegime, RegimeViolation,
@@ -711,9 +711,8 @@ def delay_interval(eps: float, sigma: float, model: ModelSpec,
     target = (2.0 / kappa) * eps * abs(math.log(sigma))
     if alpha(model, model.t_max, t_low) < target:
         return t_low, math.inf
-    t_high = float(optimize.brentq(
-        lambda t: alpha(model, t, t_low) - target, t_low, model.t_max,
-        xtol=1e-12, rtol=8.9e-16))
+    t_high = float(brentq(lambda t: alpha(model, t, t_low) - target,
+                          t_low, model.t_max, xtol=1e-12, rtol=8.9e-16))
     return t_low, t_high
 
 

@@ -10,9 +10,20 @@ class ValidationFailure(SlowSdeError):
     derivative conditions, parameter windows)."""
 
 
-class RootNotBracketed(SlowSdeError):
+class RootNotBracketed(SlowSdeError, ValueError):
     """A bracketed root search found no sign change; usually the declared
-    domain rectangle is too large for the model's bifurcation neighbourhood."""
+    domain rectangle is too large for the model's bifurcation neighbourhood.
+    A ValueError too, as for SciPy's brentq."""
+
+
+class RootNotConverged(SlowSdeError, RuntimeError):
+    """A bracketed root search used up its iterations.  A RuntimeError too,
+    as for SciPy's brentq."""
+
+
+class NonFiniteResult(SlowSdeError, ValueError):
+    """A per-path value or a function value a computation depends on is NaN
+    or infinite, so it cannot count as a result."""
 
 
 class StepTooLarge(SlowSdeError):

@@ -21,7 +21,7 @@ from .sde import PathSample
 
 __all__ = [
     "ExitRecord", "first_exit", "first_return_to_zero", "measure_delay",
-    "branch_at", "sup_normalized_deviation", "exit_records_to_csv",
+    "branch_at", "sup_normalized_deviation",
     "first_exit_batch", "delay_times_batch", "sup_deviation_batch",
 ]
 
@@ -41,15 +41,6 @@ class ExitRecord:
     exit_side: str
     region_label: str
     path_index: Optional[int] = None
-
-
-def exit_records_to_csv(path, records) -> None:
-    with open(path, "w") as fh:
-        fh.write("path_index,region,exit_time,side\n")
-        for r in records:
-            t = "" if r.exit_time is None else f"{r.exit_time:.17g}"
-            idx = "" if r.path_index is None else str(r.path_index)
-            fh.write(f"{idx},{r.region_label},{t},{r.exit_side}\n")
 
 
 def _window_indices(t_grid: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
+from ._brentq import brentq
 from .errors import RootNotBracketed, ValidationFailure
 
 __all__ = [
@@ -460,8 +460,8 @@ def _root_x_bar(model: ModelSpec, t: float) -> float:
         raise RootNotBracketed(
             f"df/dx(., t={t:g}) has no sign change on ({lo:g}, {hi:g}); "
             "domain too large for the bifurcation neighbourhood")
-    return float(optimize.brentq(lambda x: model.drift_dx(x, t), lo, hi,
-                                 xtol=ROOT_TOL, rtol=8.9e-16))
+    return float(brentq(lambda x: model.drift_dx(x, t), lo, hi,
+                        xtol=ROOT_TOL, rtol=8.9e-16))
 
 
 def _root_x_star(model: ModelSpec, t: float, x_bar: float) -> float:
@@ -473,8 +473,8 @@ def _root_x_star(model: ModelSpec, t: float, x_bar: float) -> float:
         raise RootNotBracketed(
             f"f(., t={t:g}) has no sign change on ({lo:g}, {hi:g}); "
             "shrink d or T to stay in the bifurcation neighbourhood")
-    return float(optimize.brentq(lambda x: model.drift(x, t), lo, hi,
-                                 xtol=ROOT_TOL, rtol=8.9e-16))
+    return float(brentq(lambda x: model.drift(x, t), lo, hi,
+                        xtol=ROOT_TOL, rtol=8.9e-16))
 
 
 def branches(model: ModelSpec, t_grid=None) -> BranchCurves:
@@ -527,11 +527,14 @@ def alpha(model: ModelSpec, t: float, s: float) -> float:
     """Accumulated linearization integral of a(u) from s to t.
 
     Uses the closed form when the model carries one, otherwise adaptive
-    quadrature at 1e-10 relative tolerance.
+    quadrature at 1e-10 relative tolerance.  SciPy is imported only here,
+    on the quadrature branch.
     """
     if model.alpha_closed is not None:
         return float(model.alpha_closed(t, s))
     if t == s:
         return 0.0
+    from scipy import integrate
+
     val, _ = integrate.quad(model.a, s, t, epsabs=1e-14, epsrel=1e-10, limit=200)
     return float(val)

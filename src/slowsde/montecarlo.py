@@ -21,7 +21,7 @@ import numpy as np
 
 from . import envelope as env
 from .deterministic import adiabatic_solution, solve_det
-from .errors import RegimeViolation, ResourceLimit
+from .errors import NonFiniteResult, RegimeViolation, ResourceLimit
 from .exits import delay_times_batch, first_exit_batch, sup_deviation_batch
 from .model import ModelSpec, PolyDrift, branches
 from .noise import fill_increments, path_generators
@@ -316,9 +316,18 @@ class _Run:
         return {k: np.concatenate([p[k] for p in parts]) for k in columns}
 
 
-def _exceedance(config: EnsembleConfig, sups: np.ndarray, n: int,
-                bound_at) -> list:
-    return [{"h": h, **_prob_entry(int(np.nansum(sups >= h)), n, bound_at(h))}
+def _require_finite(values: np.ndarray, what: str) -> None:
+    bad = int(np.sum(~np.isfinite(values)))
+    if bad:
+        raise NonFiniteResult(f"{bad} of {len(values)} paths have a "
+                              f"non-finite {what}")
+
+
+def _exceedance(config: EnsembleConfig, sups: np.ndarray, bound_at) -> list:
+    """Per level h, the paths whose sup reaches h, out of all given sups."""
+    _require_finite(sups, "sup deviation")
+    return [{"h": h, **_prob_entry(int(np.sum(sups >= h)), len(sups),
+                                   bound_at(h))}
             for h in config.h_list]
 
 
@@ -352,7 +361,7 @@ def _run_stable(run: _Run) -> tuple:
         "sup_deviation",
         sup_deviation_batch(X, xdet.x_values[nodes], sqrtz[nodes])),
         {"sup_deviation": -np.inf})["sup_deviation"]
-    series = _exceedance(cfg, sups, cfg.n_paths, lambda h: env.bound_stable(
+    series = _exceedance(cfg, sups, lambda h: env.bound_stable(
         cfg.model, cfg.t_end, cfg.eps, cfg.sigma, h, t_start=cfg.t0))
     return {"exceedance": series,
             "zeta_residual": table.ode_residual(),
@@ -395,7 +404,7 @@ def _run_before(run: _Run) -> tuple:
     # the paths are stepped no further than the last node at sqrt(eps)
     cols = run.scan(scan, {"sup_deviation": -np.inf, "x_at_sqrt_eps": np.nan},
                     last=n_cols - 1)
-    series = _exceedance(cfg, cols["sup_deviation"], cfg.n_paths,
+    series = _exceedance(cfg, cols["sup_deviation"],
                          lambda h: env.bound_before(
                              cfg.model, float(sub_grid[-1]), cfg.eps,
                              cfg.sigma, h, cfg.t0))
@@ -431,6 +440,7 @@ def _exit_columns(run: _Run) -> dict:
 
 
 def _branch_stats(x_final: np.ndarray) -> dict:
+    _require_finite(x_final, "final state")
     pos = int(np.sum(x_final > 0))
     neg = int(np.sum(x_final < 0))
     zero = int(len(x_final) - pos - neg)
@@ -570,8 +580,10 @@ def _run_approach(run: _Run) -> tuple:
                     paths)
     sups = np.full(cfg.n_paths, np.nan)
     sups[paths] = post["sup_deviation"]
-    series = _exceedance(cfg, sups, n_sel, lambda h: env.bound_approach(
-        cfg.model, cfg.t_end, cfg.eps, cfg.sigma, h, tau=float(lo_w)))
+    series = _exceedance(cfg, post["sup_deviation"],
+                         lambda h: env.bound_approach(
+                             cfg.model, cfg.t_end, cfg.eps, cfg.sigma, h,
+                             tau=float(lo_w)))
     devs = post["final_dev"]
     pred = cfg.sigma * float(np.median(sqrtz[:, -1]))
     emp = float(np.std(devs, ddof=1)) if devs.size > 1 else math.nan

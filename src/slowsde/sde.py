@@ -9,7 +9,6 @@ multipliers they consume.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,7 +21,6 @@ from .noise import NoiseStream
 __all__ = [
     "PathSample", "simulate", "simulate_linear", "simulate_coupled",
     "em_batch", "linear_batch", "time_grid", "n_steps_for",
-    "dump_binary", "load_binary",
 ]
 
 
@@ -316,25 +314,3 @@ def simulate_coupled(model: ModelSpec, rate_fn: Callable, eps: float,
                        noise.mirrored, noise.level)
     return p_nl, p_lin
 
-
-_BIN_MAGIC = b"SLSDEP1\x00"
-
-
-def dump_binary(path, sample: PathSample) -> None:
-    """Little-endian float64 dump with a (seed, index, t0, dt, n) header."""
-    with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<QQddQ", sample.master_seed, sample.path_index,
-                             sample.t_grid[0], sample.dt, len(sample.x_values)))
-        fh.write(sample.x_values.astype("<f8").tobytes())
-
-
-def load_binary(path) -> dict:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _BIN_MAGIC:
-            raise ValueError("not a slowsde path dump")
-        seed, index, t0, dt, n = struct.unpack("<QQddQ", fh.read(40))
-        x = np.frombuffer(fh.read(8 * n), dtype="<f8")
-    return {"master_seed": seed, "path_index": index, "t0": t0, "dt": dt,
-            "x_values": x}

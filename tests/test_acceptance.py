@@ -15,7 +15,7 @@ from scipy.stats import kstest, norm
 
 from slowsde import (adiabatic_solution, alpha, bifurcation_delay, branches,
                      bound_stable, bound_unstable, det_after_exit,
-                     model_from_coeffs, simulate, simulate_coupled, solve_det,
+                     model_from_coeffs, simulate, solve_det,
                      standard_pitchfork, zeta_pitchfork, zeta_post_exit,
                      zeta_stable)
 from slowsde.montecarlo import EnsembleConfig, estimate_prob, run_ensemble
@@ -231,21 +231,20 @@ def test_criterion_8_pathwise_comparison():
         x0 = float(curves.x_tilde(t0))
         max_f = 2.0  # sup |t x - x^3| on |x|<=1, |t|<=1
         tol = 5.0 * dt * max_f / eps
-        bad = 0
-        for idx in range(1000):
-            nl, lin = simulate_coupled(model, rate, eps, sigma, (x0, t0), 0.6,
-                                       dt, master_seed=COUPLED_SEED,
-                                       path_index=idx)
-            xt = np.asarray(curves.x_tilde(nl.t_grid))
-            stop = len(nl.t_grid)
-            exit_d = np.nonzero((nl.x_values <= 0) | (nl.x_values >= xt))[0]
-            if exit_d.size:
-                stop = min(stop, exit_d[0])
-            ret = np.nonzero(lin.x_values <= 0)[0]
-            if ret.size:
-                stop = min(stop, ret[0])
-            if np.any(nl.x_values[:stop] < lin.x_values[:stop] - tol):
-                bad += 1
+        # paths 0..999 of simulate_coupled's pairs, as one batch on shared
+        # increments
+        n = n_steps_for(t0, 0.6, dt)
+        dw = np.empty((1000, n))
+        fill_increments(dw, COUPLED_SEED, range(1000), dt)
+        nl, _ = em_batch(model, eps, sigma, t0, x0, dt, dw)
+        lin, _ = linear_batch(rate, eps, sigma, t0, x0, dt, dw)
+        xt = np.asarray(curves.x_tilde(time_grid(t0, dt, n)))
+        # compare up to the nonlinear path's exit from (0, x_tilde) or the
+        # linear path's return to zero, whichever comes first
+        ends = (nl <= 0) | (nl >= xt) | (lin <= 0)
+        stop = np.where(ends.any(axis=1), ends.argmax(axis=1), n + 1)
+        live = np.arange(n + 1) < stop[:, None]
+        bad = int(np.sum(np.any(live & (nl < lin - tol), axis=1)))
         assert bad == 0, f"{bad} of 1000 paths broke the ordering"
 
 

@@ -1,7 +1,14 @@
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from slowsde import _brentq, envelope, montecarlo
 from slowsde.cli import cmd_envelope, cmd_run, cmd_validate, main
 
 
@@ -82,6 +89,32 @@ class TestRun:
         assert "x0='x_tilde'" in err and "t0=-0.1" in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("fault", ["nan_path", "root_not_converged"])
+    def test_run_failure_status(self, tmp_path, out, capsys, monkeypatch,
+                                fault):
+        # a package error raised inside the run is status 1, not a traceback
+        doc = json.loads(json.dumps(SMALL_DELAY))
+        if fault == "nan_path":
+            stepper = montecarlo.em_batch
+
+            def nan_row(*args):
+                X, trunc = stepper(*args)
+                X[0, 1:] = np.nan
+                return X, trunc
+
+            monkeypatch.setattr(montecarlo, "em_batch", nan_row)
+            doc["experiment"] = {"tag": "branch"}
+            expected = "non-finite final state"
+        else:
+            monkeypatch.setattr(envelope, "brentq",
+                                functools.partial(_brentq.brentq, maxiter=1))
+            expected = "no convergence after 1 iterations"
+        cfg = write(tmp_path, "cfg.json", doc)
+        assert cmd_run(cfg, out=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+        assert not (out / "report.json").exists()
+
     def test_missing_config(self, out):
         assert cmd_run("no_such_config.json", out=str(out)) == 1
 
@@ -160,3 +193,49 @@ class TestStrictViolation:
         cfg = write(tmp_path, "cfg.json", doc)
         assert cmd_run(cfg, out=str(out), strict=True) == 3
         assert cmd_run(cfg, out=str(out / "plain")) == 0
+
+
+_SCIPY_PROBE = """
+import json, sys
+from slowsde.cli import main
+loaded = {}
+for name, cfg in json.loads(sys.argv[1]):
+    assert main(["run", "--config", cfg, "--out", sys.argv[2] + "/" + name]) == 0
+    loaded[name] = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps(loaded))
+"""
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    """`slowsde run` on standard-model configs never imports SciPy.
+
+    Roots are solved by slowsde._brentq, and the standard model's rate
+    integral alpha has a closed form.  Configs whose model has no
+    `alpha_closed` still load scipy.integrate.quad lazily, inside
+    model.alpha; linear_stable.json is such a config (its JSON-coefficient
+    stable-branch model has an equilibrium, so no closed-form alpha), so it
+    is not checked here.
+    """
+    small_approach = write(tmp_path, "approach.json", {
+        "model": {"builtin": "standard"},
+        "dynamics": {"eps": 0.005, "sigma": 1e-4, "t0": -1.0, "x0": 0.0,
+                     "t_end": 1.0, "dt": 1e-4},
+        "ensemble": {"n_paths": 100, "master_seed": 3},
+        "experiment": {"tag": "approach", "h_list": [0.0005],
+                       "tau_window": [0.15, 0.25]},
+    })
+    configs = [["delay", "standard_delay.json"],
+               ["branch", "standard_branch.json"],
+               ["approach", small_approach]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(configs),
+         str(tmp_path)], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"delay": [], "branch": [], "approach": []}
+    # the approach run reached the post-exit family and its exceedance
+    report = json.loads((tmp_path / "approach" / "report.json").read_text())
+    assert report["results"]["n_selected"] > 0

@@ -5,7 +5,7 @@ import pytest
 
 from slowsde import (NotHyperbolic, SandwichViolation, StepTooLarge,
                      adiabatic_solution, alpha, bifurcation_delay, branches,
-                     det_after_exit, jump_time, model_from_coeffs, solve_det,
+                     det_after_exit, model_from_coeffs, solve_det,
                      standard_pitchfork)
 
 
@@ -35,9 +35,13 @@ class TestSolveDet:
         wide = standard_pitchfork(T=1.2)
         eps = 0.01
         p = solve_det(wide, eps, -1.0, 0.1, 1.15, eps / 50.0)
-        tj = jump_time(wide, p)
-        assert tj is not None
-        assert 0.9 <= tj <= 1.1
+        # the jump: the first t > 0 with |x| past the middle of the wedge
+        curves = branches(wide)
+        t = p.t_grid[p.t_grid > 0]
+        x = np.abs(p.x_values[p.t_grid > 0])
+        hits = np.nonzero(x >= 0.5 * (curves.x_tilde(t) + curves.x_star(t)))[0]
+        assert hits.size
+        assert 0.9 <= t[hits[0]] <= 1.1
         # small until well after sqrt(eps)
         mid = (p.t_grid >= math.sqrt(eps)) & (p.t_grid <= 0.8)
         assert np.max(np.abs(p.x_values[mid])) < 0.05

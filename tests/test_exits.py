@@ -211,19 +211,6 @@ class TestBatchVariants:
                 assert times[b] == d
 
 
-class TestExitRecordsCsv:
-    def test_round_trip_rows(self, tmp_path):
-        from slowsde.exits import exit_records_to_csv, ExitRecord
-        recs = [ExitRecord(0.25, "upper", "D", 0),
-                ExitRecord(None, "none", "D", 1)]
-        f = tmp_path / "exits.csv"
-        exit_records_to_csv(f, recs)
-        lines = f.read_text().splitlines()
-        assert lines[0] == "path_index,region,exit_time,side"
-        assert lines[1] == "0,D,0.25,upper"
-        assert lines[2] == "1,D,,none"
-
-
 class TestDelayOrdering:
     def test_delay_after_strip_exit_when_strip_wider(self, standard):
         # when x_tilde(sqrt(eps)) >= h sqrt(zeta) pointwise, the delay time

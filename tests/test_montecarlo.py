@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slowsde import (RegimeViolation, ResourceLimit, branches, compare_bound,
-                     estimate_prob, model_from_coeffs, montecarlo,
-                     run_ensemble, standard_pitchfork, zeta_post_exit)
+from slowsde import (NonFiniteResult, RegimeViolation, ResourceLimit,
+                     branches, compare_bound, estimate_prob,
+                     model_from_coeffs, montecarlo, run_ensemble,
+                     standard_pitchfork, zeta_post_exit)
 from slowsde.deterministic import DetPath
 from slowsde.envelope import BoundEvaluation
 from slowsde.montecarlo import (EnsembleConfig, _post_exit_family,
@@ -162,6 +163,43 @@ class TestExceedanceCurve:
     def test_wrong_tag_rejected(self, standard):
         with pytest.raises(ValueError):
             exceedance_curve(delay_config(standard))
+
+
+class TestNonFinitePaths:
+    def test_branch_stats_rejects_nan(self):
+        with pytest.raises(NonFiniteResult, match="1 of 3 paths"):
+            montecarlo._branch_stats(np.array([0.3, np.nan, -0.2]))
+
+    def test_branch_stats_counts_exact_zero(self):
+        stats = montecarlo._branch_stats(np.array([0.3, 0.0, -0.2, 0.5]))
+        assert (stats["n_positive"], stats["n_negative"],
+                stats["n_zero"], stats["n"]) == (2, 1, 1, 3)
+
+    def test_exceedance_rejects_nan(self):
+        cfg = dataclasses.make_dataclass("Cfg", [("h_list", tuple)])((0.5,))
+        with pytest.raises(NonFiniteResult, match="sup deviation"):
+            montecarlo._exceedance(cfg, np.array([0.7, np.nan, 0.1]),
+                                   lambda h: 1.0)
+
+    def test_exceedance_counts_over_all_given_sups(self):
+        cfg = dataclasses.make_dataclass("Cfg", [("h_list", tuple)])(
+            (0.1, 0.5))
+        rows = montecarlo._exceedance(cfg, np.array([0.7, 0.2, 0.1, 0.05]),
+                                      lambda h: 1.0)
+        assert [(r["successes"], r["n"]) for r in rows] == [(3, 4), (1, 4)]
+
+    def test_nan_path_fails_the_run(self, standard, monkeypatch):
+        stepper = montecarlo.em_batch
+
+        def nan_row(*args):
+            X, trunc = stepper(*args)
+            X[3, 1:] = np.nan
+            return X, trunc
+
+        monkeypatch.setattr(montecarlo, "em_batch", nan_row)
+        cfg = delay_config(standard, n_paths=20, tag="branch")
+        with pytest.raises(NonFiniteResult):
+            run_ensemble(cfg)
 
 
 class TestSerializeJson:

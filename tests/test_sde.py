@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from slowsde import (NoiseStream, StepTooLarge, dump_binary, load_binary,
-                     make_model, simulate, simulate_coupled, simulate_linear,
-                     solve_det, variance)
+from slowsde import (NoiseStream, StepTooLarge, make_model, simulate,
+                     simulate_coupled, simulate_linear, solve_det, variance)
 from slowsde.noise import fill_increments, path_generators
 from slowsde.sde import em_batch, linear_batch, n_steps_for, time_grid
 
@@ -314,16 +313,6 @@ class TestStrongConvergence:
 
 
 class TestPathIO:
-    def test_binary_roundtrip(self, standard, tmp_path):
-        p = simulate(standard, 0.01, 1e-3, -0.1, 0.0, 0.1, 2e-4,
-                     master_seed=8, path_index=3)
-        f = tmp_path / "path.bin"
-        dump_binary(f, p)
-        back = load_binary(f)
-        assert back["master_seed"] == 8 and back["path_index"] == 3
-        assert back["dt"] == pytest.approx(2e-4)
-        assert np.array_equal(back["x_values"], p.x_values)
-
     def test_csv(self, standard, tmp_path):
         p = simulate(standard, 0.01, 1e-3, -0.1, 0.0, 0.0, 2e-4)
         f = tmp_path / "p.csv"
