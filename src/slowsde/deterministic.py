@@ -3,7 +3,8 @@
 Solves eps dx/dt = f(x, t) with fixed-step RK4, constructs adiabatic
 solutions tracking equilibrium branches, the delay time at which the
 accumulated linearization integral returns to zero, and the post-exit
-solutions used as centrelines for the approach strips.
+solutions used as centrelines for the approach strips (one vectorised RK4
+for any number of exit times).
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from typing import Optional
 import numpy as np
 
 from ._brentq import brentq
-from .errors import NotHyperbolic, SandwichViolation, StepTooLarge
-from .model import BranchCurves, ModelSpec, alpha, branches
-from .sde import em_batch, time_grid, n_steps_for
+from .errors import NotHyperbolic, SandwichViolation
+from .model import BranchCurves, ModelSpec, PolyDrift, alpha, branches
+from .sde import _check_dt, em_batch, n_steps_for, time_grid
 
 __all__ = [
     "DetPath", "solve_det", "adiabatic_solution", "bifurcation_delay",
-    "det_after_exit",
+    "post_exit_family", "det_after_exit",
 ]
 
 
@@ -77,8 +78,7 @@ def solve_det(model: ModelSpec, eps: float, t0: float, x0: float,
     matches simulate(..., sigma=0) bit for bit.  Leaving the domain
     truncates the path (recorded, not raised).
     """
-    if dt > eps / 10.0 * (1.0 + 1e-12):
-        raise StepTooLarge(f"dt={dt:g} exceeds eps/10={eps / 10:g}")
+    _check_dt(dt, eps)
     if not model.in_domain(x0, t0):
         raise ValueError(f"start ({x0:g}, {t0:g}) outside the model domain")
     n = n_steps_for(t0, t_end, dt)
@@ -194,12 +194,57 @@ def bifurcation_delay(model: ModelSpec, t0: float) -> float:
                         xtol=1e-12, rtol=8.9e-16))
 
 
+def post_exit_family(model: ModelSpec, eps: float, taus: np.ndarray,
+                     grid: np.ndarray, curves: BranchCurves,
+                     sign: int = +1) -> tuple:
+    """RK4 post-exit centrelines for exit times on grid nodes, all at once.
+
+    Row j starts at sign * x_tilde(taus[j]) on its own grid node and is
+    stepped by fixed-step RK4 from there.  Returns (xhat (n_tau, K+1),
+    start column per tau); entries before a row's start column are NaN.
+    """
+    K = len(grid) - 1
+    dt = grid[1] - grid[0]
+    start_col = np.rint((taus - grid[0]) / dt).astype(int)
+    k_first = int(start_col.min())
+    # the drift at the stage times t_k, t_k + dt/2 and t_k + dt of each step;
+    # a polynomial's coefficients are tabulated once, as the drift computes
+    # them, so the loop runs only Horner in x
+    t_k = grid[k_first:-1]
+    stage_t = (t_k, t_k + 0.5 * dt, t_k + dt)
+    if model.poly is not None:
+        tabs = [model.poly.coeff_table(t).tolist() for t in stage_t]
+
+        def f(x, stage, j):
+            return PolyDrift.horner(tabs[stage][j], x)
+    else:
+        def f(x, stage, j):
+            return model.drift(x, stage_t[stage][j])
+
+    inv = 1.0 / eps
+    # each row holds its start value until its own start column
+    x = sign * np.asarray(curves.x_tilde(taus), dtype=float)
+    xhat = np.empty((len(taus), K + 1))
+    xhat[:, k_first] = x
+    for j, k in enumerate(range(k_first, K)):
+        k1 = f(x, 0, j) * inv
+        k2 = f(x + 0.5 * dt * k1, 1, j) * inv
+        k3 = f(x + 0.5 * dt * k2, 1, j) * inv
+        k4 = f(x + dt * k3, 2, j) * inv
+        x = np.where(start_col <= k,
+                     x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), x)
+        xhat[:, k + 1] = x
+    xhat[np.arange(K + 1)[None, :] < start_col[:, None]] = np.nan
+    return xhat, start_col
+
+
 def det_after_exit(model: ModelSpec, eps: float, tau: float, sign: int,
                    t_end: float, dt: float,
                    curves: Optional[BranchCurves] = None) -> DetPath:
     """Deterministic solution started on the escape boundary at time tau.
 
-    Starts at sign * x_tilde(tau) and asserts the wedge ordering
+    One row of post_exit_family on the grid from tau: starts at
+    sign * x_tilde(tau) and asserts the wedge ordering
     x_tilde(t) <= |x| <= x_star(t) at every node; violations beyond the
     discretization tolerance raise SandwichViolation.  meta carries the
     approach gap x_star(t) - |x(t)|.
@@ -208,13 +253,14 @@ def det_after_exit(model: ModelSpec, eps: float, tau: float, sign: int,
         raise ValueError("tau must be at least sqrt(eps)")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    _check_dt(dt, eps)
     if curves is None:
         curves = branches(model)
-    x0 = sign * float(curves.x_tilde(tau))
-    path = solve_det(model, eps, tau, x0, t_end, dt)
-    absx = np.abs(path.x_values)
-    xt = np.asarray(curves.x_tilde(path.t_grid), dtype=float)
-    xs = np.asarray(curves.x_star(path.t_grid), dtype=float)
+    grid = time_grid(tau, dt, n_steps_for(tau, t_end, dt))
+    x = post_exit_family(model, eps, np.array([tau]), grid, curves, sign)[0][0]
+    absx = np.abs(x)
+    xt = np.asarray(curves.x_tilde(grid), dtype=float)
+    xs = np.asarray(curves.x_star(grid), dtype=float)
     tol = 1e-7 * (1.0 + float(np.max(xs)))
     low = float(np.min(absx - xt))
     high = float(np.min(xs - absx))
@@ -222,8 +268,6 @@ def det_after_exit(model: ModelSpec, eps: float, tau: float, sign: int,
         raise SandwichViolation(
             f"wedge ordering violated by {max(-low, -high):.3g} "
             "(dt too large or model outside hypotheses)")
-    return DetPath(path.t_grid, path.x_values, eps, path.stepper,
-                   path.local_error, path.truncated_at,
+    return DetPath(grid, x, eps, "rk4",
                    meta={"approach_gap": xs - absx, "sandwich_tol": tol,
                          "tau": tau, "sign": sign})
-

@@ -27,6 +27,7 @@ from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
                      HExceedsSigma, NotStable, OutsideRegime, RegimeViolation,
                      RhoTooSmall)
 from .model import BranchCurves, ModelSpec, alpha, branches
+from .sde import n_steps_for, time_grid
 
 __all__ = [
     "EnvelopeTable", "SpaceTimeRegion", "BoundEvaluation",
@@ -360,12 +361,6 @@ class SpaceTimeRegion:
         if np.any(g1 >= g2):
             raise ValueError(f"region {self.label}: g1 >= g2 on the window")
         return g1, g2
-
-    def contains(self, x: float, t: float) -> bool:
-        if not self.t_lo <= t <= self.t_hi:
-            return False
-        g1, g2 = self.boundaries(t)
-        return bool(g1 < x < g2)
 
     def to_csv(self, path, t_values) -> None:
         g1, g2 = self.boundaries(t_values)
@@ -732,9 +727,7 @@ def calibrate_zeta_brackets(model: Optional[ModelSpec] = None,
     for eps in eps_list:
         for t0 in t0_list:
             dt = eps / 50.0
-            n = int(math.ceil((math.sqrt(eps) - t0) / dt))
-            tg = t0 + dt * np.arange(n + 1)
-            tg = tg[tg <= math.sqrt(eps) + 1e-12]
+            tg = time_grid(t0, dt, n_steps_for(t0, math.sqrt(eps), dt))
             tab = zeta_pitchfork(model, eps, t0, tg)
             if "pre_range" in tab.params:
                 pre_lo = min(pre_lo, tab.params["pre_range"][0])
@@ -756,9 +749,7 @@ def calibrate_post_exit_brackets(model: Optional[ModelSpec] = None,
     for eps in eps_list:
         for tau in tau_list:
             dt = eps / 50.0
-            n = int(math.ceil((model.t_max - tau) / dt))
-            tg = tau + dt * np.arange(n + 1)
-            tg = tg[tg <= model.t_max + 1e-12]
+            tg = time_grid(tau, dt, n_steps_for(tau, model.t_max, dt))
             tab = zeta_post_exit(model, eps, tau, tg)
             lo = min(lo, tab.params["t_range"][0])
             hi = max(hi, tab.params["t_range"][1])

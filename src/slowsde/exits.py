@@ -4,7 +4,8 @@ Detection works at grid nodes only, with exclusive boundaries (a state on
 the boundary counts as outside); no sub-step bridge correction is applied,
 so identical inputs always give identical records.  Batch variants operate
 on (B, n) path matrices, whole paths or one time chunk of them with its
-slice of the grid, and are what the ensemble runner uses.
+slice of the grid, and are what the ensemble runner uses; the single-path
+calls validate their inputs and scan their path as a one-row batch.
 """
 
 from __future__ import annotations
@@ -53,22 +54,16 @@ def first_exit(path: PathLike, region: SpaceTimeRegion) -> ExitRecord:
     t = path.t_grid
     if t[0] > region.t_lo + 1e-9:
         raise GridMismatch("path grid starts after the region window opens")
-    idx = _window_indices(t, region.t_lo, region.t_hi)
-    if idx.size == 0:
+    if _window_indices(t, region.t_lo, region.t_hi).size == 0:
         raise GridMismatch("path grid has no nodes in the region window")
-    tw = t[idx]
-    xw = path.x_values[idx]
-    g1, g2 = region.boundaries(tw)
-    outside = (xw <= g1) | (xw >= g2)
-    hits = np.nonzero(outside)[0]
+    times, sides = first_exit_batch(path.x_values[None, :], t, region)
     pidx = getattr(path, "path_index", None)
-    if hits.size == 0:
+    if np.isnan(times[0]):
         covered = t[-1] >= region.t_hi - 1e-9
         return ExitRecord(None, "none" if covered else "time_end",
                           region.label, pidx)
-    j = hits[0]
-    side = "lower" if xw[j] <= g1[j] else "upper"
-    return ExitRecord(float(tw[j]), side, region.label, pidx)
+    side = "lower" if sides[0] < 0 else "upper"
+    return ExitRecord(float(times[0]), side, region.label, pidx)
 
 
 def first_return_to_zero(path: PathLike, from_time: float) -> Optional[float]:
@@ -97,8 +92,8 @@ def measure_delay(path: PathLike, eps: float, model,
     if curves is None:
         curves = branches(model)
     w = float(curves.x_tilde(math.sqrt(eps)))
-    hits = np.nonzero(np.abs(path.x_values) >= w)[0]
-    return float(path.t_grid[hits[0]]) if hits.size else None
+    t = delay_times_batch(path.x_values[None, :], path.t_grid, w)[0]
+    return None if np.isnan(t) else float(t)
 
 
 def branch_at(path: PathLike, t: float) -> Optional[int]:
@@ -121,8 +116,8 @@ def sup_normalized_deviation(path: PathLike, centreline,
         raise GridMismatch("path grid does not match the envelope grid")
     if len(c) < n:
         raise GridMismatch("centreline shorter than the envelope grid")
-    dev = np.abs(path.x_values[:n] - c[:n]) / envelope.sqrt_zeta()
-    return float(np.max(dev))
+    return float(sup_deviation_batch(path.x_values[None, :n], c[:n],
+                                     envelope.sqrt_zeta())[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from typing import Optional
 import numpy as np
 
 from . import envelope as env
-from .deterministic import adiabatic_solution, solve_det
+from .deterministic import adiabatic_solution, post_exit_family, solve_det
 from .errors import NonFiniteResult, RegimeViolation, ResourceLimit
 from .exits import delay_times_batch, first_exit_batch, sup_deviation_batch
-from .model import ModelSpec, PolyDrift, branches
+from .model import ModelSpec, branches
 from .noise import fill_increments, path_generators
 from .sde import em_batch, n_steps_for, time_grid
 
@@ -282,7 +282,8 @@ class _Run:
         scan(X, nodes, idx, cols) gets the paths X (B, n+1) of the batch's
         path indices idx on the grid nodes of the slice nodes, whose first
         node closes the previous chunk, and merges what it finds into the
-        batch's _Columns cols.
+        batch's _Columns cols.  A path whose state turns non-finite raises
+        NonFiniteResult at the end of that chunk.
         """
         cfg = self.config
         n_steps = len(self.grid) - 1 if last is None else last
@@ -305,6 +306,14 @@ class _Run:
                 scan(X, slice(k0, k0 + X.shape[1]), idx, cols)
                 x = X[:, -1].copy()
                 del X  # free the chunk before the next one is stepped
+                bad = idx[~np.isfinite(x)]
+                if bad.size:
+                    # only |x| > d freezes a path: a NaN state keeps
+                    # stepping and stays NaN to the end
+                    raise NonFiniteResult(
+                        f"{bad.size} paths have a non-finite final state "
+                        f"(path {bad[0]} is non-finite by "
+                        f"t={self.grid[k0 + inc.shape[1]]:g})")
             return cols
 
         spans = [paths[lo:lo + b] for lo in range(0, len(paths), b)]
@@ -498,50 +507,6 @@ def _run_branch(run: _Run) -> tuple:
              "t": float(run.grid[-1])}, cols)
 
 
-def _post_exit_family(model: ModelSpec, eps: float, taus: np.ndarray,
-                      grid: np.ndarray, curves) -> tuple:
-    """RK4 post-exit centrelines for all distinct exit nodes at once.
-
-    Returns (xhat (n_tau, K+1), sqrt_zeta (n_tau, K+1), start column per tau);
-    entries before a family member's start column are NaN.
-    """
-    K = len(grid) - 1
-    dt = grid[1] - grid[0]
-    start_col = np.rint((taus - grid[0]) / dt).astype(int)
-    k_first = int(start_col.min())
-    # the drift at the stage times t_k, t_k + dt/2 and t_k + dt of each step;
-    # a polynomial's coefficients are tabulated once, as the drift computes
-    # them, so the loop runs only Horner in x
-    t_k = grid[k_first:-1]
-    stage_t = (t_k, t_k + 0.5 * dt, t_k + dt)
-    if model.poly is not None:
-        tabs = [model.poly.coeff_table(t).tolist() for t in stage_t]
-
-        def f(x, stage, j):
-            return PolyDrift.horner(tabs[stage][j], x)
-    else:
-        def f(x, stage, j):
-            return model.drift(x, stage_t[stage][j])
-
-    inv = 1.0 / eps
-    # each row holds its start value until its own start column
-    x = np.asarray(curves.x_tilde(taus), dtype=float)
-    xhat = np.empty((len(taus), K + 1))
-    xhat[:, k_first] = x
-    for j, k in enumerate(range(k_first, K)):
-        k1 = f(x, 0, j) * inv
-        k2 = f(x + 0.5 * dt * k1, 1, j) * inv
-        k3 = f(x + 0.5 * dt * k2, 1, j) * inv
-        k4 = f(x + dt * k3, 2, j) * inv
-        x = np.where(start_col <= k,
-                     x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), x)
-        xhat[:, k + 1] = x
-    xhat[np.arange(K + 1)[None, :] < start_col[:, None]] = np.nan
-    abar = np.asarray(model.drift_dx(xhat, grid), dtype=float)
-    zeta = env.zeta_along(model, eps, grid, xhat, abar, substeps=4)
-    return xhat, np.sqrt(zeta), start_col
-
-
 def _run_approach(run: _Run) -> tuple:
     cfg, grid = run.config, run.grid
     cols = _exit_columns(run)
@@ -560,8 +525,11 @@ def _run_approach(run: _Run) -> tuple:
     # reproduces their first-pass rows exactly
     paths = np.nonzero(selected)[0]
     taus, family = np.unique(tau_d[paths], return_inverse=True)
-    xhat, sqrtz, start_col = _post_exit_family(cfg.model, cfg.eps, taus,
-                                               grid, branches(cfg.model))
+    xhat, start_col = post_exit_family(cfg.model, cfg.eps, taus, grid,
+                                       branches(cfg.model))
+    abar = np.asarray(cfg.model.drift_dx(xhat, grid), dtype=float)
+    sqrtz = np.sqrt(env.zeta_along(cfg.model, cfg.eps, grid, xhat, abar,
+                                   substeps=4))
 
     def scan(X, nodes, idx, cols):
         j = family[np.searchsorted(paths, idx)]

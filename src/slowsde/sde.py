@@ -297,20 +297,6 @@ def simulate_coupled(model: ModelSpec, rate_fn: Callable, eps: float,
     the wedge or the linear path returns to zero.
     """
     x0, t0 = start
-    n = n_steps_for(t0, t_end, dt)
-    noise = _resolve_noise(noise, master_seed, path_index, t0, dt, n)
-    dw = np.ascontiguousarray(noise.increments()[None, :]) if sigma != 0.0 \
-        else np.zeros((1, n))
-    Xn, tr_n = em_batch(model, eps, sigma, t0, x0, dt, dw)
-    Xl, tr_l = linear_batch(rate_fn, eps, sigma, t0, x0, dt, dw)
-    grid = time_grid(t0, dt, n)
-    p_nl = PathSample(grid, Xn[0], eps, sigma, noise.master_seed,
-                      noise.path_index, "euler-maruyama",
-                      None if math.isnan(tr_n[0]) else float(tr_n[0]),
-                      noise.mirrored, noise.level)
-    p_lin = PathSample(grid, Xl[0], eps, sigma, noise.master_seed,
-                       noise.path_index, "exponential-euler",
-                       None if math.isnan(tr_l[0]) else float(tr_l[0]),
-                       noise.mirrored, noise.level)
-    return p_nl, p_lin
-
+    keys = (noise, master_seed, path_index)
+    return (simulate(model, eps, sigma, t0, x0, t_end, dt, *keys),
+            simulate_linear(rate_fn, eps, sigma, t0, x0, t_end, dt, *keys))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slowsde import model_from_coeffs, standard_pitchfork
+from slowsde import make_model, model_from_coeffs, standard_pitchfork
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,16 @@ def quintic():
     return model_from_coeffs(
         [[0.0], [0.0, 1.0], [0.0], [-1.0], [0.0], [1.0]],
         {"kind": "pitchfork", "d": 0.7, "T": 0.2, "name": "quintic"})
+
+
+@pytest.fixture(scope="session")
+def nan_patch():
+    # t x - x^3, but NaN on 0.02 < |x| < 0.05 once t > 0.3
+    def drift(x, t):
+        patch = (np.asarray(t) > 0.3) & (np.abs(x) > 0.02) & (np.abs(x) < 0.05)
+        return np.where(patch, np.nan, t * x - x ** 3)
+
+    return make_model(drift, {"kind": "pitchfork", "d": 1.5})
 
 
 @pytest.fixture()

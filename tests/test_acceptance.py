@@ -228,7 +228,8 @@ def test_criterion_8_pathwise_comparison():
         kappa = 1.0 - model.lambda_param
         rate = lambda t: kappa * t  # noqa: E731
         t0 = 0.1
-        x0 = float(curves.x_tilde(t0))
+        # inside (0, x_tilde), so every pair has a window to compare on
+        x0 = 0.5 * float(curves.x_tilde(t0))
         max_f = 2.0  # sup |t x - x^3| on |x|<=1, |t|<=1
         tol = 5.0 * dt * max_f / eps
         # paths 0..999 of simulate_coupled's pairs, as one batch on shared
@@ -243,6 +244,7 @@ def test_criterion_8_pathwise_comparison():
         # linear path's return to zero, whichever comes first
         ends = (nl <= 0) | (nl >= xt) | (lin <= 0)
         stop = np.where(ends.any(axis=1), ends.argmax(axis=1), n + 1)
+        assert stop.min() >= 100, "a pair stopped before it was compared"
         live = np.arange(n + 1) < stop[:, None]
         bad = int(np.sum(np.any(live & (nl < lin - tol), axis=1)))
         assert bad == 0, f"{bad} of 1000 paths broke the ordering"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowsde import _brentq, envelope, montecarlo
+from slowsde import _brentq, cli, envelope, montecarlo
 from slowsde.cli import cmd_envelope, cmd_run, cmd_validate, main
 
 
@@ -89,9 +89,10 @@ class TestRun:
         assert "x0='x_tilde'" in err and "t0=-0.1" in err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("fault", ["nan_path", "root_not_converged"])
+    @pytest.mark.parametrize("fault",
+                             ["nan_path", "nan_drift", "root_not_converged"])
     def test_run_failure_status(self, tmp_path, out, capsys, monkeypatch,
-                                fault):
+                                nan_patch, fault):
         # a package error raised inside the run is status 1, not a traceback
         doc = json.loads(json.dumps(SMALL_DELAY))
         if fault == "nan_path":
@@ -104,6 +105,13 @@ class TestRun:
 
             monkeypatch.setattr(montecarlo, "em_batch", nan_row)
             doc["experiment"] = {"tag": "branch"}
+            expected = "non-finite final state"
+        elif fault == "nan_drift":
+            # paths turn NaN in the drift; escape reads only exit times
+            monkeypatch.setattr(cli, "model_from_dict", lambda doc: nan_patch)
+            doc["dynamics"].update(sigma=1e-3, dt=1e-3)
+            doc["ensemble"] = {"n_paths": 50, "master_seed": 3}
+            doc["experiment"] = {"tag": "escape", "t_probe_list": [0.5]}
             expected = "non-finite final state"
         else:
             monkeypatch.setattr(envelope, "brentq",

@@ -7,6 +7,8 @@ from slowsde import (NotHyperbolic, SandwichViolation, StepTooLarge,
                      adiabatic_solution, alpha, bifurcation_delay, branches,
                      det_after_exit, model_from_coeffs, solve_det,
                      standard_pitchfork)
+from slowsde.deterministic import post_exit_family
+from slowsde.sde import time_grid
 
 
 class TestSolveDet:
@@ -205,6 +207,20 @@ class TestAfterExit:
             k = int(round((t - p2.t_grid[0]) / (eps / 50.0)))
             rate = c.varrho * alpha(standard, t, 0.15) / eps
             assert gap[k] <= g0 * math.exp(-0.8 * rate) + 1e-15
+
+    def test_same_rows_as_the_approach_family(self, standard):
+        # det_after_exit is the family row that starts on the grid's first
+        # node; rows starting later are stepped in the same loop
+        eps, tau, dt = 0.01, 0.15, 2e-4
+        grid = time_grid(tau, dt, 2500)
+        curves = branches(standard)
+        for sign in (+1, -1):
+            xhat, _ = post_exit_family(standard, eps, grid[[0, 40, 700]],
+                                           grid, curves, sign)
+            det = det_after_exit(standard, eps, tau, sign, grid[-1], dt)
+            assert np.array_equal(det.t_grid, grid)
+            assert np.array_equal(det.x_values, xhat[0])
+            assert xhat[2, 700] == sign * curves.x_tilde(grid[700])
 
     def test_tau_before_sqrt_eps_rejected(self, standard):
         with pytest.raises(ValueError):

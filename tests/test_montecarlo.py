@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from slowsde import (NonFiniteResult, RegimeViolation, ResourceLimit,
-                     branches, compare_bound, estimate_prob,
+                     branches, compare_bound, envelope, estimate_prob,
                      model_from_coeffs, montecarlo, run_ensemble,
                      standard_pitchfork, zeta_post_exit)
-from slowsde.deterministic import DetPath
+from slowsde.deterministic import DetPath, post_exit_family
 from slowsde.envelope import BoundEvaluation
-from slowsde.montecarlo import (EnsembleConfig, _post_exit_family,
-                                exceedance_curve, serialize_json)
+from slowsde.montecarlo import (EnsembleConfig, exceedance_curve,
+                                serialize_json)
 from slowsde.sde import n_steps_for, time_grid
 
 
@@ -201,6 +201,14 @@ class TestNonFinitePaths:
         with pytest.raises(NonFiniteResult):
             run_ensemble(cfg)
 
+    def test_nan_drift_fails_escape(self, nan_patch):
+        # escape reads only exit times, which stay NaN ("never exited") on
+        # a NaN path; the run must fail rather than count it as a survivor
+        cfg = delay_config(nan_patch, sigma=1e-3, dt=1e-3, n_paths=50,
+                           master_seed=3, tag="escape")
+        with pytest.raises(NonFiniteResult, match="non-finite final state"):
+            run_ensemble(cfg)
+
 
 class TestSerializeJson:
     def test_canonical_floats(self):
@@ -239,7 +247,6 @@ class TestDelayResults:
 class TestEscapeTag:
     def test_boundary_start_rule_resolves(self, standard):
         from slowsde.montecarlo import _resolve_x0
-        from slowsde import branches
         cfg = delay_config(standard, tag="escape", t0=0.15, x0="x_tilde",
                            t_end=0.5, n_paths=50)
         assert _resolve_x0(cfg) == pytest.approx(
@@ -383,12 +390,16 @@ def test_peak_memory_flat_in_n_steps(standard):
 
 
 def test_post_exit_family_matches_zeta_post_exit(standard):
-    """Batched family rows equal zeta_post_exit along each centreline."""
+    """The approach tag's zeta, taken along all family rows at once, equals
+    zeta_post_exit along each centreline."""
     eps = 0.005
     grid = time_grid(0.1, 1e-4, 3000)
     taus = grid[[200, 205, 450, 1300]]
-    xhat, sqrtz, start = _post_exit_family(standard, eps, taus, grid,
-                                           branches(standard))
+    xhat, start = post_exit_family(standard, eps, taus, grid,
+                                   branches(standard))
+    abar = standard.drift_dx(xhat, grid)
+    sqrtz = np.sqrt(envelope.zeta_along(standard, eps, grid, xhat, abar,
+                                        substeps=4))
     assert list(start) == [200, 205, 450, 1300]
     for j, k0 in enumerate(start):
         assert np.all(np.isnan(xhat[j, :k0])) and np.all(np.isnan(sqrtz[j, :k0]))

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from slowsde import (NoiseStream, StepTooLarge, make_model, simulate,
-                     simulate_coupled, simulate_linear, solve_det, variance)
+from slowsde import (NoiseStream, StepTooLarge, branches, make_model,
+                     model_from_coeffs, simulate, simulate_coupled,
+                     simulate_linear, solve_det, variance)
 from slowsde.noise import fill_increments, path_generators
 from slowsde.sde import em_batch, linear_batch, n_steps_for, time_grid
 
@@ -95,7 +96,6 @@ class TestSimulate:
         assert abs(v_hat - v_exact) < 5 * se
 
     def test_truncation_freezes_state(self):
-        from slowsde import model_from_coeffs
         m = model_from_coeffs([[0.0], [1.0]],
                               {"kind": "unstable-branch", "d": 0.5,
                                "equilibrium": lambda t: 0.0,
@@ -225,7 +225,6 @@ class TestSimulateLinear:
 
     def test_ks_against_gaussian_oracle(self, linear_stable):
         # rate -(1+t); variance oracle from the envelope quadrature
-        from slowsde import model_from_coeffs
         m = model_from_coeffs([[0.0], [-1.0, -1.0]],
                               {"kind": "stable-branch", "d": 3.0,
                                "equilibrium": lambda t: 0.0,
@@ -252,37 +251,11 @@ class TestSimulateLinear:
 
 
 class TestCoupled:
-    def test_ordering_until_exit_or_return(self, standard):
-        eps, sigma, dt = 0.01, 1e-4, 2e-4
-        kappa = 1.0 - standard.lambda_param
-        rate = lambda t: kappa * t  # noqa: E731
-        from slowsde import branches
-        curves = branches(standard)
-        t0 = 0.1
-        x0 = float(curves.x_tilde(t0))
-        tol = 5 * dt * 2.0 / eps
-        violations = 0
-        for idx in range(200):
-            nl, lin = simulate_coupled(standard, rate, eps, sigma, (x0, t0),
-                                       0.6, dt, master_seed=31, path_index=idx)
-            xt = np.asarray(curves.x_tilde(nl.t_grid))
-            exit_d = np.nonzero((nl.x_values <= 0) | (nl.x_values >= xt))[0]
-            ret = np.nonzero(lin.x_values <= 0)[0]
-            end = len(nl.t_grid)
-            if exit_d.size:
-                end = min(end, exit_d[0])
-            if ret.size:
-                end = min(end, ret[0])
-            if np.any(nl.x_values[:end] < lin.x_values[:end] - tol):
-                violations += 1
-        assert violations == 0
-
     def test_zero_noise_strict_order(self, standard):
         # strictly inside the wedge the drift dominates its linear minorant,
         # so the ordering is strict until the nonlinear path leaves
         eps, dt = 0.01, 2e-4
         rate = lambda t: 0.6 * t  # noqa: E731
-        from slowsde import branches
         curves = branches(standard)
         x0 = 0.5 * float(curves.x_tilde(0.1))
         nl, lin = simulate_coupled(standard, rate, eps, 0.0, (x0, 0.1), 0.4,
@@ -292,24 +265,6 @@ class TestCoupled:
         end = exits[0] if exits.size else len(nl.t_grid)
         assert end > 50
         assert np.all(nl.x_values[5:end] > lin.x_values[5:end])
-
-
-class TestStrongConvergence:
-    def test_order_one_refinement(self, standard):
-        eps, sigma = 0.01, 0.01
-        base = NoiseStream(0, 0, -0.2, eps / 10.0, 400)
-        levels = [base]
-        for _ in range(5):
-            levels.append(levels[-1].refine())
-        finals = []
-        for s in levels:
-            p = simulate(standard, eps, sigma, -0.2, 0.05, 0.2, s.dt, noise=s)
-            finals.append(p.x_values[-1])
-        ref = finals[-1]
-        errs = [abs(f - ref) for f in finals[:-2]]
-        ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-        for r in ratios[:2]:
-            assert 1.5 <= r <= 2.5
 
 
 class TestPathIO:
