@@ -22,7 +22,7 @@ import numpy as np
 
 from . import envelope as env
 from .deterministic import solve_det
-from .errors import ConfigError, RegimeViolation, SlowSdeError, ValidationFailure
+from .errors import ConfigError, RegimeViolation, SlowSdeError
 from .model import branches, model_from_dict
 from .montecarlo import EnsembleConfig, run_ensemble
 from .sde import time_grid, n_steps_for

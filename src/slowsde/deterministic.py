@@ -3,8 +3,10 @@
 Solves eps dx/dt = f(x, t) with fixed-step RK4, constructs adiabatic
 solutions tracking equilibrium branches, the delay time at which the
 accumulated linearization integral returns to zero, and the post-exit
-solutions used as centrelines for the approach strips (one vectorised RK4
-for any number of exit times).
+solutions used as centrelines for the approach strips.  Every RK4 solution
+is stepped by one loop, _rk4_rows, which advances any number of rows in
+lockstep: solve_det and adiabatic_solution are one row of it, and
+post_exit_family one row per exit time.
 """
 
 from __future__ import annotations
@@ -61,73 +63,119 @@ class DetPath:
                 fh.write(f"{t:.17g},{x:.17g},{e:.6g}\n")
 
 
-def _rk4_step(g, x: float, t: float, h: float) -> float:
-    k1 = g(x, t)
-    k2 = g(x + 0.5 * h * k1, t + 0.5 * h)
-    k3 = g(x + 0.5 * h * k2, t + 0.5 * h)
-    k4 = g(x + h * k3, t + h)
+def _rk4_step(g, x, h):
+    """One classical RK4 step of length h for x' = g(x, stage), where stage
+    0 is the step's start time, 1 its midpoint and 2 its end."""
+    k1 = g(x, 0)
+    k2 = g(x + 0.5 * h * k1, 1)
+    k3 = g(x + 0.5 * h * k2, 1)
+    k4 = g(x + h * k3, 2)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_rows(model: ModelSpec, eps: float, t: np.ndarray, h, out: np.ndarray,
+              start=None, d: float = math.inf) -> np.ndarray:
+    """RK4 for eps x' = f(x, t), stepping the rows of out (R, n+1) in lockstep.
+
+    out[:, 0] holds the start values; step j runs from time t[j] for a
+    length h[j] (or h) and fills column j + 1.  Row i holds its start value
+    until step start[i].  A row that would leave |x| <= d freezes at its
+    last in-domain value, and the loop stops once every row is frozen.
+    Returns per row the step that left, or n.  A polynomial's coefficients
+    are tabulated once at the stage times t, t + h/2 and t + h, as the
+    drift computes them, so a step runs only Horner in x.
+    """
+    n = len(t)
+    h = np.broadcast_to(h, n)
+    stage_t = (t, t + 0.5 * h, t + h)
+    inv = 1.0 / eps
+    if model.poly is not None:
+        tabs = [model.poly.coeff_table(s).tolist() for s in stage_t]
+
+        def rhs(j):
+            return lambda x, s: PolyDrift.horner(tabs[s][j], x) * inv
+    else:
+        def rhs(j):
+            return lambda x, s: model.drift(x, stage_t[s][j]) * inv
+
+    # a single row steps as a NumPy scalar: the same double arithmetic at a
+    # fraction of the cost of a one-element array
+    x = out[0, 0] if len(out) == 1 else out[:, 0].copy()
+    left = np.full(len(out), n)
+    frozen = None
+    pending = 0 if start is None else int(np.max(start))
+    for j in range(n):
+        new = _rk4_step(rhs(j), x, h[j])
+        if j < pending:
+            new = np.where(start <= j, new, x)
+        if frozen is not None:
+            new = np.where(frozen, x, new)
+        if d < math.inf:
+            exits = np.abs(new) > d
+            if exits.any():
+                left[exits] = j
+                frozen = left < n
+                if frozen.all():
+                    out[:, j + 1:] = out[:, j:j + 1]
+                    break
+                new = np.where(exits, x, new)
+        x = new
+        out[:, j + 1] = x
+    return left
 
 
 def solve_det(model: ModelSpec, eps: float, t0: float, x0: float,
               t_end: float, dt: float, method: str = "rk4") -> DetPath:
     """Fixed-step solution of eps dx/dt = f(x, t) from (x0, t0).
 
-    method="rk4" records per-step local-error estimates from step doubling;
-    method="euler" reuses the SDE kernel with zero noise and therefore
-    matches simulate(..., sigma=0) bit for bit.  Leaving the domain
+    method="rk4" records per-step local-error estimates from step doubling,
+    computed for all nodes at once, so a drift callable must accept arrays
+    of x and t; method="euler" reuses the SDE kernel with zero noise and
+    therefore matches simulate(..., sigma=0) bit for bit.  Leaving the domain
     truncates the path (recorded, not raised).
     """
     _check_dt(dt, eps)
     if not model.in_domain(x0, t0):
         raise ValueError(f"start ({x0:g}, {t0:g}) outside the model domain")
     n = n_steps_for(t0, t_end, dt)
+    grid = time_grid(t0, dt, n)
 
     if method == "euler":
         X, trunc = em_batch(model, eps, 0.0, t0, x0, dt, np.zeros((1, n)))
-        grid = time_grid(t0, dt, n)
-        tr = None if math.isnan(trunc[0]) else float(trunc[0])
-        if tr is not None:
-            keep = grid < tr - 0.5 * dt
-            return DetPath(grid[keep], X[0][keep], eps, "euler", None, tr)
-        return DetPath(grid, X[0], eps, "euler", None, None)
-    if method != "rk4":
+        xs, errs = X[0], None
+        k_last = n if math.isnan(trunc[0]) else \
+            int(round((trunc[0] - t0) / dt)) - 1
+    elif method == "rk4":
+        xs = np.empty((1, n + 1))
+        xs[0, 0] = x0
+        k_last = int(_rk4_rows(model, eps, grid[:-1], dt, xs, d=model.d)[0])
+        xs = xs[0]
+        # step doubling from every kept node but the last, all at once: two
+        # half steps against the full step the path took
+        inv, half = 1.0 / eps, 0.5 * dt
+
+        def g(t):
+            stage_t = (t, t + 0.5 * half, t + half)
+            return lambda x, s: model.drift(x, stage_t[s]) * inv
+
+        t = grid[:k_last]
+        twice = _rk4_step(g(t + half), _rk4_step(g(t), xs[:k_last], half),
+                          half)
+        errs = np.abs(twice - xs[1:k_last + 1]) / 15.0
+    else:
         raise ValueError(f"unknown stepper {method!r}")
-
-    f = model.drift
-    inv = 1.0 / eps
-
-    def g(x, t):
-        return f(x, t) * inv
-
-    grid = time_grid(t0, dt, n)
-    xs = np.empty(n + 1)
-    errs = np.empty(n)
-    xs[0] = x0
-    x = float(x0)
-    truncated_at = None
-    k_last = n
-    for k in range(n):
-        t = grid[k]
-        full = _rk4_step(g, x, t, dt)
-        half = _rk4_step(g, _rk4_step(g, x, t, 0.5 * dt), t + 0.5 * dt, 0.5 * dt)
-        errs[k] = abs(half - full) / 15.0
-        if abs(full) > model.d:
-            truncated_at = float(grid[k + 1])
-            k_last = k
-            break
-        x = full
-        xs[k + 1] = x
-    return DetPath(grid[:k_last + 1], xs[:k_last + 1], eps, "rk4",
-                   errs[:k_last], truncated_at)
+    truncated_at = float(grid[k_last + 1]) if k_last < n else None
+    return DetPath(grid[:k_last + 1], xs[:k_last + 1], eps, method, errs,
+                   truncated_at)
 
 
 def adiabatic_solution(model: ModelSpec, eps: float, t_grid) -> DetPath:
     """Particular solution hugging a nonbifurcating equilibrium branch.
 
     Stable branches are integrated forward from x_star(t_first); unstable
-    ones are integrated backward in reversed time (which flips stability)
-    from x_star(t_last).  The sup deviation from the branch and its ratio
+    ones are integrated backward in time (which flips stability) from
+    x_star(t_last).  Each grid cell is split into equal RK4 sub-steps
+    of at most eps/50.  The sup deviation from the branch and its ratio
     to eps are recorded in meta.
     """
     if model.kind not in ("stable-branch", "unstable-branch"):
@@ -144,32 +192,25 @@ def adiabatic_solution(model: ModelSpec, eps: float, t_grid) -> DetPath:
     if not sign_ok:
         raise NotHyperbolic("a(t) has the wrong sign for this model kind")
 
-    inv = 1.0 / eps
-    f = model.drift
-    if model.kind == "stable-branch":
-        def g(x, t):
-            return f(x, t) * inv
-        nodes = tg
-        x = float(model.equilibrium(tg[0]))
-    else:
-        # reversed time u = -t turns the repelling branch into an attracting one
-        def g(x, u):
-            return -f(x, -u) * inv
-        nodes = -tg[::-1]
-        x = float(model.equilibrium(tg[-1]))
-
-    xs = np.empty(len(nodes))
-    xs[0] = x
-    for k in range(len(nodes) - 1):
-        span = nodes[k + 1] - nodes[k]
-        m = max(1, int(math.ceil(span / (eps / 50.0) - 1e-12)))
-        h = span / m
-        t = nodes[k]
+    # backward in time the repelling branch attracts; RK4 with steps -h is
+    # RK4 in reversed time u = -t bit for bit, since rounding is symmetric
+    backward = model.kind == "unstable-branch"
+    nodes = tg[::-1] if backward else tg
+    # sub-step times accumulate t += h within each cell, from its node
+    t, h, ends = [], [], [0]
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        m = max(1, int(math.ceil(abs(b - a) / (eps / 50.0) - 1e-12)))
+        hk = (b - a) / m
         for _ in range(m):
-            x = _rk4_step(g, x, t, h)
-            t += h
-        xs[k + 1] = x
-    if model.kind == "unstable-branch":
+            t.append(a)
+            h.append(hk)
+            a += hk
+        ends.append(len(t))
+    xs = np.empty((1, len(t) + 1))
+    xs[0, 0] = float(model.equilibrium(nodes[0]))
+    _rk4_rows(model, eps, np.array(t), np.array(h), xs)
+    xs = xs[0, ends]
+    if backward:
         xs = xs[::-1]
 
     star = np.array([float(model.equilibrium(t)) for t in tg])
@@ -207,33 +248,11 @@ def post_exit_family(model: ModelSpec, eps: float, taus: np.ndarray,
     dt = grid[1] - grid[0]
     start_col = np.rint((taus - grid[0]) / dt).astype(int)
     k_first = int(start_col.min())
-    # the drift at the stage times t_k, t_k + dt/2 and t_k + dt of each step;
-    # a polynomial's coefficients are tabulated once, as the drift computes
-    # them, so the loop runs only Horner in x
-    t_k = grid[k_first:-1]
-    stage_t = (t_k, t_k + 0.5 * dt, t_k + dt)
-    if model.poly is not None:
-        tabs = [model.poly.coeff_table(t).tolist() for t in stage_t]
-
-        def f(x, stage, j):
-            return PolyDrift.horner(tabs[stage][j], x)
-    else:
-        def f(x, stage, j):
-            return model.drift(x, stage_t[stage][j])
-
-    inv = 1.0 / eps
-    # each row holds its start value until its own start column
-    x = sign * np.asarray(curves.x_tilde(taus), dtype=float)
     xhat = np.empty((len(taus), K + 1))
-    xhat[:, k_first] = x
-    for j, k in enumerate(range(k_first, K)):
-        k1 = f(x, 0, j) * inv
-        k2 = f(x + 0.5 * dt * k1, 1, j) * inv
-        k3 = f(x + 0.5 * dt * k2, 1, j) * inv
-        k4 = f(x + dt * k3, 2, j) * inv
-        x = np.where(start_col <= k,
-                     x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), x)
-        xhat[:, k + 1] = x
+    # each row holds its start value until its own start column
+    xhat[:, k_first] = sign * np.asarray(curves.x_tilde(taus), dtype=float)
+    _rk4_rows(model, eps, grid[k_first:-1], dt, xhat[:, k_first:],
+              start_col - k_first)
     xhat[np.arange(K + 1)[None, :] < start_col[:, None]] = np.nan
     return xhat, start_col
 

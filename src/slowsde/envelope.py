@@ -26,7 +26,8 @@ from .deterministic import DetPath, det_after_exit
 from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
                      HExceedsSigma, NotStable, OutsideRegime, RegimeViolation,
                      RhoTooSmall)
-from .model import BranchCurves, ModelSpec, alpha, branches
+from .model import (BranchCurves, ModelSpec, _standard_drift, alpha,
+                    branches)
 from .sde import n_steps_for, time_grid
 
 __all__ = [
@@ -177,13 +178,6 @@ class EnvelopeTable:
         if np.any(self.zeta_values <= 0):
             raise ValueError("zeta must stay positive")
 
-    def zeta_at(self, t):
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.t_grid[0], self.t_grid[-1]
-        if np.any(t < lo - 1e-9) or np.any(t > hi + 1e-9):
-            raise GridMismatch("time outside the envelope table range")
-        return np.interp(t, self.t_grid, self.zeta_values)
-
     def sqrt_zeta(self) -> np.ndarray:
         return np.sqrt(self.zeta_values)
 
@@ -238,8 +232,8 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t0: float, t_grid,
 
     Valid for t0 <= -2 sqrt(eps) and a grid inside [t0, sqrt(eps)].  The
     regime brackets (zeta ~ 1/|t| before, ~ 1/sqrt(eps) across) are
-    recorded; for the standard model they are compared against the shipped
-    calibration constants.
+    recorded; for the standard cubic drift they are compared against the
+    shipped calibration constants.
     """
     sq = math.sqrt(eps)
     a_t0 = float(model.a(t0))
@@ -267,7 +261,7 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t0: float, t_grid,
         v = z[cross] * sq
         params["cross_range"] = (float(np.min(v)), float(np.max(v)))
     params["nondecreasing"] = bool(np.all(np.diff(z) >= -1e-12 * np.max(z)))
-    if model.name == "standard":
+    if _standard_drift(model):
         ok = True
         for key, name in (("pre_range", "pre"), ("cross_range", "cross")):
             if key in params:

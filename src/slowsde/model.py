@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,8 @@ __all__ = [
 SYMMETRY_TOL = 1e-9
 DERIVATIVE_TOL = 1e-6
 ROOT_TOL = 1e-13
+# the standard cubic t x - x^3 as c[i][j], the coefficient of x^i t^j
+STANDARD_COEFFS = ((0.0,), (0.0, 1.0), (0.0,), (-1.0,))
 
 
 class PolyDrift:
@@ -370,11 +372,8 @@ def standard_pitchfork(lambda_param: float = 0.4, d: float = 1.0,
     Closed forms: a(t) = t, alpha(t, s) = (t^2 - s^2)/2, branches
     x_star = sqrt(t), x_bar = sqrt(t/3).
     """
-    coeffs = np.zeros((4, 2))
-    coeffs[1, 1] = 1.0   # t*x
-    coeffs[3, 0] = -1.0  # -x^3
     model = model_from_coeffs(
-        coeffs,
+        STANDARD_COEFFS,
         {"kind": "pitchfork", "lambda": lambda_param, "d": d, "T": T,
          "eta": eta, "name": "standard",
          "a": lambda t: t,
@@ -469,7 +468,8 @@ def _root_x_star(model: ModelSpec, t: float, x_bar: float) -> float:
     hi = model.d
     flo = model.drift(lo, t)
     fhi = model.drift(hi, t)
-    if not (flo > 0 > fhi):
+    # a root on the domain edge, f(d, t) = 0, is brentq's end point
+    if not (flo > 0 >= fhi):
         raise RootNotBracketed(
             f"f(., t={t:g}) has no sign change on ({lo:g}, {hi:g}); "
             "shrink d or T to stay in the bifurcation neighbourhood")
@@ -477,11 +477,18 @@ def _root_x_star(model: ModelSpec, t: float, x_bar: float) -> float:
                         xtol=ROOT_TOL, rtol=8.9e-16))
 
 
+def _standard_drift(model: ModelSpec) -> bool:
+    """Whether the drift is the polynomial t x - x^3, whatever the model's
+    name; its branches have closed forms."""
+    return model.poly is not None and np.array_equal(
+        model.poly.coeffs, PolyDrift(STANDARD_COEFFS).coeffs)
+
+
 def branches(model: ModelSpec, t_grid=None) -> BranchCurves:
     """Equilibrium branches of a pitchfork model, tabulated if a grid is given.
 
-    The standard model uses its closed forms; anything else is found by
-    bracketed bisection, with bracket failure raised as RootNotBracketed.
+    The standard cubic drift uses its closed forms; anything else is found
+    by bracketed bisection, with bracket failure raised as RootNotBracketed.
     The ordering x_bar < x_tilde < x_star is verified at every node.
     """
     if model.kind != "pitchfork":
@@ -489,7 +496,7 @@ def branches(model: ModelSpec, t_grid=None) -> BranchCurves:
     lam = model.lambda_param
     sqrt_lam = math.sqrt(lam)
 
-    if model.name == "standard":
+    if _standard_drift(model):
         x_star = lambda t: np.sqrt(t)            # noqa: E731
         x_bar = lambda t: np.sqrt(t / 3.0)       # noqa: E731
         x_tilde = lambda t: sqrt_lam * np.sqrt(t)  # noqa: E731

@@ -63,7 +63,6 @@ class EnsembleConfig:
     mirror: bool = False
     tau_window: tuple = (0.15, 0.25)
     bound_c0: float = 1.0
-    max_total_steps: int = MAX_TOTAL_STEPS
 
     def __post_init__(self):
         if self.tag not in ALL_TAGS:
@@ -89,10 +88,10 @@ class EnsembleConfig:
             raise ValueError(f"x0={self.x0!r} resolves to {x0!r} at "
                              f"t0={self.t0:g}; the start value must be finite")
         n_steps = n_steps_for(self.t0, self.t_end, self.dt)
-        if self.n_paths * n_steps > self.max_total_steps:
+        if self.n_paths * n_steps > MAX_TOTAL_STEPS:
             raise ResourceLimit(
                 f"{self.n_paths} paths x {n_steps} steps exceeds the budget "
-                f"of {self.max_total_steps} total steps")
+                f"of {MAX_TOTAL_STEPS} total steps")
 
     def to_dict(self) -> dict:
         return {
@@ -272,10 +271,10 @@ class _Run:
     threads: int
 
     def scan(self, scan, columns: dict, paths=None,
-             last: Optional[int] = None) -> dict:
+             last: Optional[int] = None) -> tuple:
         """Simulate the given path indices (all by default) in batches up to
         grid node last (the end of the grid by default) and return the
-        per-path columns in path order.
+        per-path columns and the paths' states at that node, in path order.
 
         Each batch streams through time chunks of CHUNK_STEPS steps.
         columns maps each column name to its start value.  For every chunk,
@@ -314,7 +313,7 @@ class _Run:
                         f"{bad.size} paths have a non-finite final state "
                         f"(path {bad[0]} is non-finite by "
                         f"t={self.grid[k0 + inc.shape[1]]:g})")
-            return cols
+            return cols, x
 
         spans = [paths[lo:lo + b] for lo in range(0, len(paths), b)]
         if self.threads <= 1:
@@ -322,7 +321,8 @@ class _Run:
         else:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 parts = list(pool.map(work, spans))
-        return {k: np.concatenate([p[k] for p in parts]) for k in columns}
+        return ({k: np.concatenate([p[k] for p, _ in parts]) for k in columns},
+                np.concatenate([x for _, x in parts]))
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -369,7 +369,7 @@ def _run_stable(run: _Run) -> tuple:
     sups = run.scan(lambda X, nodes, idx, cols: cols.sup(
         "sup_deviation",
         sup_deviation_batch(X, xdet.x_values[nodes], sqrtz[nodes])),
-        {"sup_deviation": -np.inf})["sup_deviation"]
+        {"sup_deviation": -np.inf})[0]["sup_deviation"]
     series = _exceedance(cfg, sups, lambda h: env.bound_stable(
         cfg.model, cfg.t_end, cfg.eps, cfg.sigma, h, t_start=cfg.t0))
     return {"exceedance": series,
@@ -386,7 +386,7 @@ def _run_unstable(run: _Run) -> tuple:
     exit_times = run.scan(lambda X, nodes, idx, cols: cols.first(
         "exit_time", delay_times_batch(X - xhat.x_values[nodes], grid[nodes],
                                        widths[nodes])),
-        {"exit_time": np.nan})["exit_time"]
+        {"exit_time": np.nan})[0]["exit_time"]
     series = _survival(cfg, exit_times, lambda t: env.bound_unstable(
         t, cfg.eps, cfg.sigma, h, model=cfg.model, t_start=cfg.t0))
     return ({"survival": series, "h": h,
@@ -404,15 +404,11 @@ def _run_before(run: _Run) -> tuple:
         np.array([env.alpha(cfg.model, t, cfg.t0) for t in sub_grid])
         / cfg.eps)
 
-    def scan(X, nodes, idx, cols):
-        cols.sup("sup_deviation",
-                 sup_deviation_batch(X, centre[nodes], sqrtz[nodes]))
-        if nodes.stop == n_cols:
-            cols["x_at_sqrt_eps"][:] = X[:, -1]
-
     # the paths are stepped no further than the last node at sqrt(eps)
-    cols = run.scan(scan, {"sup_deviation": -np.inf, "x_at_sqrt_eps": np.nan},
-                    last=n_cols - 1)
+    cols, x_end = run.scan(lambda X, nodes, idx, cols: cols.sup(
+        "sup_deviation", sup_deviation_batch(X, centre[nodes], sqrtz[nodes])),
+        {"sup_deviation": -np.inf}, last=n_cols - 1)
+    cols["x_at_sqrt_eps"] = x_end
     series = _exceedance(cfg, cols["sup_deviation"],
                          lambda h: env.bound_before(
                              cfg.model, float(sub_grid[-1]), cfg.eps,
@@ -441,11 +437,11 @@ def _exit_columns(run: _Run) -> dict:
         tau_d, side = first_exit_batch(X, grid[nodes], regD)
         cols.first("tau_D", tau_d, exit_side=side)
         cols.first("tau_delay", delay_times_batch(X, grid[nodes], width))
-        if nodes.stop == len(grid):
-            cols["x_final"][:] = X[:, -1]
 
-    return run.scan(scan, {"tau_D": np.nan, "exit_side": 0,
-                           "tau_delay": np.nan, "x_final": np.nan})
+    cols, x_end = run.scan(scan, {"tau_D": np.nan, "exit_side": 0,
+                                  "tau_delay": np.nan})
+    cols["x_final"] = x_end
+    return cols
 
 
 def _branch_stats(x_final: np.ndarray) -> dict:
@@ -541,18 +537,15 @@ def _run_approach(run: _Run) -> tuple:
                     s * X[r:r + 1], xhat[i, nodes], sqrtz[i, nodes],
                     slice(max(start_col[i] - nodes.start, 0), None))[0]
         cols.sup("sup_deviation", sups)
-        if nodes.stop == len(grid):
-            cols["final_dev"][:] = sgn * X[:, -1] - xhat[j, -1]
 
-    post = run.scan(scan, {"sup_deviation": -np.inf, "final_dev": np.nan},
-                    paths)
+    post, x_end = run.scan(scan, {"sup_deviation": -np.inf}, paths)
     sups = np.full(cfg.n_paths, np.nan)
     sups[paths] = post["sup_deviation"]
     series = _exceedance(cfg, post["sup_deviation"],
                          lambda h: env.bound_approach(
                              cfg.model, cfg.t_end, cfg.eps, cfg.sigma, h,
                              tau=float(lo_w)))
-    devs = post["final_dev"]
+    devs = side_d[paths].astype(float) * x_end - xhat[family, -1]
     pred = cfg.sigma * float(np.median(sqrtz[:, -1]))
     emp = float(np.std(devs, ddof=1)) if devs.size > 1 else math.nan
     results.update({

@@ -48,12 +48,6 @@ class PathSample:
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
 
-    def value_at(self, t: float) -> float:
-        k = int(round((t - self.t_grid[0]) / self.dt))
-        if not 0 <= k < len(self.t_grid) or abs(self.t_grid[k] - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"t={t!r} is not a grid node")
-        return float(self.x_values[k])
-
     def to_csv(self, path) -> None:
         header = (f"# scheme={self.scheme} eps={self.eps!r} sigma={self.sigma!r} "
                   f"seed={self.master_seed} index={self.path_index}\n"
@@ -125,22 +119,30 @@ def linear_batch(rate_fn: Callable, eps: float, sigma: float, t0: float,
                  domain: float = math.inf) -> tuple:
     """Exponential-Euler batch for the linear equation with rate a(t).
 
-    The per-step multipliers exp(a(t_k) dt / eps) are precomputed here once
-    for the whole batch.
+    x_{k+1} = x_k * mult[k] + (sigma/sqrt(eps)) dW_k, where the per-step
+    multipliers mult[k] = exp(a(t_k) dt / eps) are computed once for the
+    whole batch.  Returns (paths (B, K+1), trunc (B,)) as em_batch does,
+    freezing a path at its last value with |x| <= domain.
     """
     _check_dt(dt, eps)
     B, K = increments.shape
-    out = np.empty((B, K + 1))
-    out[:, 0] = x0
+    out = np.empty((K + 1, B))
+    out[0] = x0
     trunc = np.full(B, np.nan)
+    cns = sigma / math.sqrt(eps)
+    for b in range(0, B, 64):
+        np.multiply(increments[b:b + 64].T, cns, out=out[1:, b:b + 64])
     t_nodes = time_grid(t0, dt, K)[:-1]
     a_vals = np.asarray(rate_fn(t_nodes), dtype=float)
     if a_vals.ndim == 0:
         a_vals = np.full(K, float(a_vals))
-    mult = np.ascontiguousarray(np.exp(a_vals * (dt / eps)))
-    cns = sigma / math.sqrt(eps)
-    _linear_paths(out, increments, mult, cns, domain, trunc, t0, dt)
-    return out, trunc
+    mult = np.exp(a_vals * (dt / eps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # x: state at a node, y: the step's scaled increment, then its result
+        for m, x, y in zip(mult.tolist(), out[:-1], out[1:]):
+            y += x * m
+        _freeze(out, domain, trunc, t0, dt, 0)
+    return out.T, trunc
 
 
 def _em_poly(out, coefs, cdt, d, trunc, t0, dt, k0):
@@ -214,25 +216,6 @@ def _em_callable(out, drift, t_nodes, cdt, d, trunc, t0, dt, k0):
             alive &= ~exited
         x = np.where(alive, xn, x)
         out[j + 1] = x
-    return None
-
-
-def _linear_paths(out, dw, mult, cns, d, trunc, t0, dt):
-    """Exponential-Euler steps x <- x * mult[k] + cns * dW_k.
-
-    mult[k] = exp(a(t_k) dt / eps) is precomputed by the caller.
-    """
-    B, K = dw.shape
-    x = out[:, 0].copy()
-    alive = np.ones(B, dtype=bool)
-    for k in range(K):
-        xn = x * mult[k] + cns * dw[:, k]
-        exited = alive & (np.abs(xn) > d)
-        if exited.any():
-            trunc[exited] = t0 + (k + 1) * dt
-            alive &= ~exited
-        x = np.where(alive, xn, x)
-        out[:, k + 1] = x
     return None
 
 

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
-from slowsde import (adiabatic_solution, alpha, bifurcation_delay, branches,
-                     bound_stable, bound_unstable, det_after_exit,
-                     model_from_coeffs, simulate, solve_det,
-                     standard_pitchfork, zeta_pitchfork, zeta_post_exit,
-                     zeta_stable)
+from slowsde import (adiabatic_solution, bifurcation_delay, branches,
+                     bound_stable, det_after_exit, model_from_coeffs,
+                     simulate, solve_det, standard_pitchfork, zeta_pitchfork,
+                     zeta_post_exit, zeta_stable)
 from slowsde.montecarlo import EnsembleConfig, estimate_prob, run_ensemble
 from slowsde.noise import NoiseStream, fill_increments
 from slowsde.sde import em_batch, linear_batch, n_steps_for, time_grid

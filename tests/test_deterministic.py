@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from slowsde import (NotHyperbolic, SandwichViolation, StepTooLarge,
-                     adiabatic_solution, alpha, bifurcation_delay, branches,
-                     det_after_exit, model_from_coeffs, solve_det,
-                     standard_pitchfork)
-from slowsde.deterministic import post_exit_family
-from slowsde.sde import time_grid
+from slowsde import (NotHyperbolic, StepTooLarge, adiabatic_solution, alpha,
+                     bifurcation_delay, branches, det_after_exit, make_model,
+                     model_from_coeffs, solve_det, standard_pitchfork)
+from slowsde.deterministic import _rk4_rows, post_exit_family
+from slowsde.sde import n_steps_for, time_grid
 
 
 class TestSolveDet:
@@ -130,6 +129,116 @@ class TestAdiabatic:
     def test_not_hyperbolic(self, standard):
         with pytest.raises(NotHyperbolic):
             adiabatic_solution(standard, 0.01, np.linspace(0.1, 0.5, 11))
+
+
+def rk4_step(g, x, t, h):
+    k1 = g(x, t)
+    k2 = g(x + 0.5 * h * k1, t + 0.5 * h)
+    k3 = g(x + 0.5 * h * k2, t + 0.5 * h)
+    k4 = g(x + h * k3, t + h)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def solve_det_reference(model, eps, t0, x0, t_end, dt):
+    """Scalar RK4 on Python floats, one node at a time, with step doubling;
+    stops at the last node before a step would leave |x| <= d."""
+    def g(x, t):
+        return model.drift(x, t) * (1.0 / eps)
+
+    grid = time_grid(t0, dt, n_steps_for(t0, t_end, dt))
+    xs, errs, x = [x0], [], float(x0)
+    for k in range(len(grid) - 1):
+        t = grid[k]
+        full = rk4_step(g, x, t, dt)
+        if abs(full) > model.d:
+            return grid[:k + 1], xs, errs, grid[k + 1]
+        half = rk4_step(g, rk4_step(g, x, t, 0.5 * dt), t + 0.5 * dt,
+                        0.5 * dt)
+        errs.append(abs(half - full) / 15.0)
+        x = full
+        xs.append(x)
+    return grid, xs, errs, None
+
+
+def adiabatic_reference(model, eps, tg):
+    """Scalar RK4 sub-steps of at most eps/50 per cell, t += h within a
+    cell; unstable branches in reversed time u = -t from the last node."""
+    if model.kind == "stable-branch":
+        def g(x, t):
+            return model.drift(x, t) * (1.0 / eps)
+        nodes, x = tg, float(model.equilibrium(tg[0]))
+    else:
+        def g(x, u):
+            return -model.drift(x, -u) * (1.0 / eps)
+        nodes, x = -tg[::-1], float(model.equilibrium(tg[-1]))
+    xs = [x]
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        m = max(1, math.ceil((b - a) / (eps / 50.0) - 1e-12))
+        h, t = (b - a) / m, a
+        for _ in range(m):
+            x = rk4_step(g, x, t, h)
+            t += h
+        xs.append(x)
+    return xs if model.kind == "stable-branch" else xs[::-1]
+
+
+class TestOneRK4Loop:
+    """solve_det, adiabatic_solution and post_exit_family share one RK4
+    loop; it equals scalar RK4 written out node by node, bit for bit."""
+
+    lin_u = model_from_coeffs([[0.0], [1.0]],
+                              {"kind": "unstable-branch", "d": 1.0,
+                               "equilibrium": lambda t: 0.0,
+                               "t_range": [0.0, 1.0], "name": "lin-u"})
+    moving = model_from_coeffs([[0.0, 1.0], [-1.0]],
+                               {"kind": "stable-branch", "d": 3.0,
+                                "equilibrium": lambda t: t,
+                                "t_range": [0.0, 1.0], "name": "moving"})
+    moving_u = model_from_coeffs([[0.0, -1.0], [1.0]],
+                                 {"kind": "unstable-branch", "d": 3.0,
+                                  "equilibrium": lambda t: t,
+                                  "t_range": [0.0, 1.0], "name": "moving-u"})
+
+    @pytest.mark.parametrize("case", ["x0", "t0", "quintic", "callable",
+                                      "truncated"])
+    def test_solve_det(self, standard, quintic, case):
+        args = {"x0": (standard, 0.01, -0.5, 0.12, 0.1, 2e-4),
+                "t0": (standard, 0.01, 0.2, 0.5, 0.4, 2e-4),
+                "quintic": (quintic, 0.005, -0.2, 0.05, 0.2, 1e-4),
+                "callable": (make_model(lambda x, t: t * x - x ** 3,
+                                        {"kind": "pitchfork", "d": 1.5}),
+                             0.01, 0.1, 1.4, 0.4, 2e-4),
+                "truncated": (self.lin_u, 0.01, 0.0, 0.5, 1.0, 2e-4)}[case]
+        grid, xs, errs, truncated_at = solve_det_reference(*args)
+        p = solve_det(*args)
+        assert np.array_equal(p.t_grid, grid)
+        assert np.array_equal(p.x_values, xs)
+        assert np.array_equal(p.local_error, errs)
+        assert p.truncated_at == truncated_at
+        assert (truncated_at is not None) == (case == "truncated")
+
+    @pytest.mark.parametrize("kind", ["stable", "unstable"])
+    def test_adiabatic(self, kind):
+        model = self.moving if kind == "stable" else self.moving_u
+        # cells of 0.002 and of 0.0205 take 10 and 103 sub-steps
+        tg = np.concatenate([np.linspace(0.0, 0.2, 101), [0.2205, 0.241]])
+        p = adiabatic_solution(model, 0.01, tg)
+        assert np.array_equal(p.x_values, adiabatic_reference(model, 0.01,
+                                                              tg))
+
+    def test_rows_freeze_independently(self):
+        # rows stepped in lockstep equal one-row solve_det calls, each
+        # frozen at its own exit while the others go on
+        m, eps, dt, n = self.lin_u, 0.01, 2e-4, 2500
+        x0 = np.array([0.5, -0.2, 0.0, 0.9])
+        out = np.empty((4, n + 1))
+        out[:, 0] = x0
+        left = _rk4_rows(m, eps, time_grid(0.0, dt, n)[:-1], dt, out, d=m.d)
+        assert left[2] == n and len(set(left)) == 4
+        for row, k, start in zip(out, left, x0):
+            p = solve_det(m, eps, 0.0, start, n * dt, dt)
+            assert np.array_equal(row[:k + 1], p.x_values)
+            assert np.all(row[k + 1:] == p.x_values[-1])
 
 
 class TestBifurcationDelay:

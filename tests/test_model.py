@@ -5,7 +5,8 @@ import pytest
 
 from slowsde import (PolyDrift, RootNotBracketed, ValidationFailure, alpha,
                      branches, make_model, model_from_coeffs, model_from_dict,
-                     standard_pitchfork)
+                     standard_pitchfork, zeta_pitchfork)
+from slowsde.sde import time_grid
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -107,6 +108,27 @@ class TestMakeModel:
         for lam in (1 / 3, 0.5, 0.6):
             with pytest.raises(ValidationFailure, match="lambda"):
                 standard_pitchfork(lambda_param=lam)
+
+    def test_closed_forms_follow_the_drift_not_the_name(self, quintic):
+        # a quintic document named "standard" gets its own roots, and the
+        # standard cubic under another name its closed forms
+        named = model_from_dict({"kind": "pitchfork", "name": "standard",
+                                 "coeffs": [[0], [0, 1], [0], [-1], [0], [1]],
+                                 "d": 0.7, "T": 0.2})
+        c = branches(named)
+        assert float(c.x_star(0.1)) == float(branches(quintic).x_star(0.1))
+        assert abs(named.drift(float(c.x_star(0.1)), 0.1)) < 1e-12
+        grid = time_grid(-0.2, 1e-4, 1000)
+        assert "bracket_ok" not in zeta_pitchfork(named, 0.001, -0.2,
+                                                  grid).params
+        cubic = model_from_dict({"kind": "pitchfork", "name": "renamed",
+                                 "coeffs": [[0], [0, 1], [0], [-1]]})
+        assert float(branches(cubic).x_star(0.3)) == math.sqrt(0.3)
+
+    def test_root_on_the_domain_edge(self):
+        # x_star(1) = d = 1, where f(d, 1) = 0
+        m = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"})
+        assert branches(m).x_star(1.0) == 1.0
 
     def test_callable_drift_accepted(self):
         m = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"})

@@ -239,6 +239,30 @@ class TestSimulateLinear:
         stat = kstest(X[:, -1] / math.sqrt(v), "norm").statistic
         assert stat < 1.6276 / math.sqrt(n)
 
+    def test_matches_per_step_reference(self, rng):
+        # rate t - 0.1: paths leave |x| <= 0.01 at many different steps
+        eps, sigma, dt, t0, K = 0.01, 2e-3, 2e-4, 0.0, 1500
+        x0 = np.linspace(-0.008, 0.008, 70)
+        dw = rng.standard_normal((70, K)) * math.sqrt(dt)
+        X, trunc = linear_batch(lambda t: t - 0.1, eps, sigma, t0, x0, dt, dw,
+                                domain=0.01)
+        # the reference: one exponential-Euler step at a time, path-major
+        mult = np.exp((time_grid(t0, dt, K)[:-1] - 0.1) * (dt / eps))
+        ref = np.empty((70, K + 1))
+        ref[:, 0] = x = x0
+        ref_trunc = np.full(70, np.nan)
+        alive = np.ones(70, dtype=bool)
+        for k in range(K):
+            xn = x * mult[k] + sigma / math.sqrt(eps) * dw[:, k]
+            exited = alive & (np.abs(xn) > 0.01)
+            ref_trunc[exited] = t0 + (k + 1) * dt
+            alive &= ~exited
+            x = np.where(alive, xn, x)
+            ref[:, k + 1] = x
+        assert 10 < np.isfinite(ref_trunc).sum() < 70
+        assert np.array_equal(X, ref)
+        assert np.array_equal(trunc, ref_trunc, equal_nan=True)
+
     def test_additivity(self):
         eps, sigma, dt = 0.01, 1e-3, 2e-4
         rate = lambda t: -(1.0 + t)  # noqa: E731
