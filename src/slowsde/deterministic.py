@@ -19,7 +19,7 @@ import numpy as np
 
 from ._brentq import brentq
 from .errors import NotHyperbolic, SandwichViolation
-from .model import BranchCurves, ModelSpec, PolyDrift, alpha, branches
+from .model import BranchCurves, ModelSpec, alpha, branches
 from .sde import _check_dt, em_batch, n_steps_for, time_grid
 
 __all__ = [
@@ -83,17 +83,18 @@ def _rk4_rows(model: ModelSpec, eps: float, t: np.ndarray, h, out: np.ndarray,
     last in-domain value, and the loop stops once every row is frozen.
     Returns per row the step that left, or n.  A polynomial's coefficients
     are tabulated once at the stage times t, t + h/2 and t + h, as the
-    drift computes them, so a step runs only Horner in x.
+    drift computes them, so a step runs only the drift's Horner plan in x.
     """
     n = len(t)
     h = np.broadcast_to(h, n)
     stage_t = (t, t + 0.5 * h, t + h)
     inv = 1.0 / eps
-    if model.poly is not None:
-        tabs = [model.poly.coeff_table(s).tolist() for s in stage_t]
+    poly = model.poly
+    if poly is not None:
+        tabs = [poly.coeff_table(s).tolist() for s in stage_t]
 
         def rhs(j):
-            return lambda x, s: PolyDrift.horner(tabs[s][j], x) * inv
+            return lambda x, s: poly.horner(tabs[s][j], x) * inv
     else:
         def rhs(j):
             return lambda x, s: model.drift(x, stage_t[s][j]) * inv

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -39,11 +40,92 @@ ROOT_TOL = 1e-13
 STANDARD_COEFFS = ((0.0,), (0.0, 1.0), (0.0,), (-1.0,))
 
 
+@dataclass(frozen=True)
+class HornerPlan:
+    """Horner in x for one coefficient matrix, with the calls that change
+    no bit left out.
+
+    Operands are indexed into (x, f, *coefficients, *constants): `vary` names
+    the rows whose per-time coefficients follow x and f, and `consts` the
+    time-independent values after them.  `ops` is the sequence of
+    (ufunc name, left, right) calls, each writing f; `result` indexes the
+    operand holding the polynomial's value once they have run.
+
+    The plan equals full Horner, x*c_n + c_(n-1), then f*x + c_i down to
+    c_0, bit for bit at finite t (NaN payloads included):
+      - a leading row equal to the constant +-1 is not multiplied; for -1,
+        f holds -(the full Horner value), which the next add resolves as
+        c - f, since (-a)*b == -(a*b) and (-a) + c == c - a in IEEE
+        arithmetic;
+      - rows i in [1, n) that are zero in every entry are not added, and
+        other zero-valued rows become +0.0.  This only changes the sign of
+        zero intermediates, and the add of c_0, always kept, turns those
+        into the same bits, unless c_0 can be -0: with c[0, 0] == -0.0
+        every row is added as tabulated.
+    """
+
+    ops: tuple
+    vary: tuple
+    consts: tuple
+    result: int
+
+    @classmethod
+    def build(cls, c: np.ndarray) -> "HornerPlan":
+        def minus_zero(v):
+            return v == 0.0 and math.copysign(1.0, v) < 0
+
+        n = c.shape[0] - 1
+        exact_zeros = not minus_zero(c[0, 0])
+        # at finite t, a row with c[i, 1:] == 0 tabulates as (+-0) + c[i, 0]:
+        # c[i, 0] itself, or +0.0 unless c[i, 0] == -0.0 sees the sign of t
+        vary, values = [], []   # values: the constant, or None if tabulated
+        for r in c:
+            if r[1:].any() or (len(r) > 1 and minus_zero(r[0])
+                               and not exact_zeros):
+                vary.append(len(values))
+                values.append(None)
+            else:
+                values.append(float(r[0]) + 0.0 if len(r) > 1
+                              else float(r[0]))
+        consts = []
+
+        def operand(i):
+            if values[i] is None:
+                return 2 + vary.index(i)
+            consts.append(values[i])
+            return 1 + len(vary) + len(consts)
+
+        X, F = 0, 1
+        if n == 0:
+            result = operand(0)
+            return cls((), tuple(vary), tuple(consts), result)
+        ops = []
+        cur, neg = X, values[n] == -1.0
+        if values[n] not in (1.0, -1.0):
+            ops.append(("multiply", X, operand(n)))
+            cur = F
+        for i in range(n - 1, -1, -1):
+            if i < n - 1:
+                ops.append(("multiply", cur, X))
+                cur = F
+            if 0 < i and exact_zeros and not c[i].any():
+                continue
+            ops.append(("subtract", operand(i), cur) if neg
+                       else ("add", cur, operand(i)))
+            cur, neg = F, False
+        return cls(tuple(ops), tuple(vary), tuple(consts), F)
+
+
+_PY_OPS = {"multiply": operator.mul, "add": operator.add,
+           "subtract": operator.sub}
+
+
 class PolyDrift:
     """Polynomial drift f(x, t) = sum_ij c[i, j] x^i t^j.
 
-    Evaluation is Horner in t for the x^i coefficients, then Horner in x.
-    The stepping kernels reuse exactly this coefficient/evaluation order.
+    Evaluation is Horner in t for the x^i coefficients, then Horner in x by
+    the coefficient matrix's HornerPlan.  The stepping kernel runs the same
+    plan.
     """
 
     def __init__(self, coeffs: Sequence[Sequence[float]]):
@@ -59,7 +141,14 @@ class PolyDrift:
                 c = c[:, None]
         if c.ndim != 2 or c.size == 0:
             raise ValueError("coeffs must be a 2-d array c[i][j] for x^i t^j")
+        if not np.isfinite(c).all():
+            raise ValueError("coeffs must be finite")
         self.coeffs = np.ascontiguousarray(c)
+        self.plan = HornerPlan.build(self.coeffs)
+        # horner() runs the plan on scalars too: NumPy-scalar constants and
+        # Python operators, which call the plan's ufuncs on arrays
+        self._consts = tuple(np.float64(v) for v in self.plan.consts)
+        self._ops = tuple((_PY_OPS[u], a, b) for u, a, b in self.plan.ops)
 
     @property
     def deg_x(self) -> int:
@@ -84,17 +173,16 @@ class PolyDrift:
             tab[:, i] = col
         return np.ascontiguousarray(tab)
 
-    @staticmethod
-    def horner(ct, x):
-        """sum_i ct[i] x^i for the coefficients ct of one time, by Horner."""
+    def horner(self, ct, x):
+        """sum_i ct[i] x^i for the coefficients ct of one time, by the plan."""
         if len(ct) == 1:
             if np.ndim(x) > 0 and np.ndim(ct[0]) == 0:
                 return np.full(np.shape(x), ct[0])
             return ct[0]
-        f = x * ct[-1] + ct[-2]
-        for c in ct[-3::-1]:
-            f = f * x + c
-        return f
+        v = [x, None, *map(ct.__getitem__, self.plan.vary), *self._consts]
+        for op, a, b in self._ops:
+            v[1] = op(v[a], v[b])
+        return v[1]
 
     def __call__(self, x, t):
         return self.horner(self.coeff_at(t), x)
@@ -497,10 +585,22 @@ def branches(model: ModelSpec, t_grid=None) -> BranchCurves:
     sqrt_lam = math.sqrt(lam)
 
     if _standard_drift(model):
-        x_star = lambda t: np.sqrt(t)            # noqa: E731
+        def x_star(t):
+            # the root search's bracket ends at d, which a root may touch;
+            # the slack admits grids that end on d^2 up to their rounding
+            x = np.sqrt(t)
+            if np.any(x > model.d * (1.0 + 1e-9)):
+                raise RootNotBracketed(
+                    f"x_star = sqrt(t) leaves |x| <= {model.d:g} after "
+                    f"t = {model.d ** 2:g}; shrink T to stay in the domain")
+            return x
+
         x_bar = lambda t: np.sqrt(t / 3.0)       # noqa: E731
-        x_tilde = lambda t: sqrt_lam * np.sqrt(t)  # noqa: E731
-        a_star = lambda t: -2.0 * np.asarray(t) if np.ndim(t) else -2.0 * t  # noqa: E731
+        x_tilde = lambda t: sqrt_lam * x_star(t)  # noqa: E731
+
+        def a_star(t):
+            x_star(t)
+            return -2.0 * np.asarray(t) if np.ndim(t) else -2.0 * t
     else:
         x_bar = _vectorized(lambda t: _root_x_bar(model, t))
         x_star = _vectorized(lambda t: _root_x_star(model, t, _root_x_bar(model, t)))

@@ -349,11 +349,17 @@ def _survival(config: EnsembleConfig, exit_times: np.ndarray,
 
 
 def _quantiles(values: np.ndarray) -> dict:
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
+    """Quantiles of the values that are not NaN (censored, or never
+    exited); an infinite value is an error, not a result."""
+    inf = int(np.sum(np.isinf(values)))
+    if inf:
+        raise NonFiniteResult(f"{inf} of {len(values)} paths have an "
+                              "infinite value where a quantile is taken")
+    kept = values[~np.isnan(values)]
+    if kept.size == 0:
         return {}
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    return {f"q{int(100 * q):02d}": float(np.quantile(finite, q)) for q in qs}
+    return {f"q{int(100 * q):02d}": float(np.quantile(kept, q)) for q in qs}
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,8 @@ def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
         np.multiply(increments[b:b + 64].T, cns, out=out[1:, b:b + 64])
     t_nodes = t0 + dt * np.arange(k0, k0 + n)  # time_grid(t0, dt, .)[k0:]
     if model.poly is not None:
-        _em_poly(out, model.poly.coeff_table(t_nodes), dt / eps, model.d,
-                 trunc, t0, dt, k0)
+        _em_poly(out, model.poly, t_nodes, dt / eps, model.d, trunc, t0,
+                 dt, k0)
     else:
         _em_callable(out, model.drift, t_nodes, dt / eps, model.d, trunc, t0,
                      dt, k0)
@@ -145,37 +145,38 @@ def linear_batch(rate_fn: Callable, eps: float, sigma: float, t0: float,
     return out.T, trunc
 
 
-def _em_poly(out, coefs, cdt, d, trunc, t0, dt, k0):
+def _em_poly(out, poly, t_nodes, cdt, d, trunc, t0, dt, k0):
     """Euler-Maruyama steps of one time chunk, time-major and in place.
 
     out: (n+1, B) with out[0] the state at grid node k0 and out[j + 1] the
     increments of step k0 + j already multiplied by sigma/sqrt(eps), which
-    the step's new state replaces; coefs: (n, nx) where coefs[j, i]
-    multiplies x**i at step k0 + j.  trunc: (B,), NaN for a live path and
-    the freeze time of a frozen one; updated in place.  A path freezes at
-    its last in-domain value once |x| would exceed d, and trunc[b] records
-    that time, t0 + (k + 1) * dt for the step k that left.
+    the step's new state replaces; t_nodes[j] is the time of step k0 + j.
+    The drift is poly's HornerPlan, run in place: only its time-dependent
+    coefficients are tabulated, one row per step.  trunc: (B,), NaN for a
+    live path and the freeze time of a frozen one; updated in place.  A path
+    freezes at its last in-domain value once |x| would exceed d, and
+    trunc[b] records that time, t0 + (k + 1) * dt for the step k that left.
 
     Every column is stepped as if live and fixed up once per chunk: paths
     are independent, so a path's nodes up to its first exceedance are those
     of the per-step rule, and its later nodes are overwritten.
     """
-    nx = coefs.shape[1]
+    plan = poly.plan
+    ops = [(getattr(np, u), a, b) for u, a, b in plan.ops]
+    consts = tuple(np.array(v) for v in plan.consts)
+    rows = poly.coeff_table(t_nodes)[:, list(plan.vary)].tolist()
     mul, add = np.multiply, np.add
+    cdt = np.array(cdt)
     f = np.empty(out.shape[1])
+    r = plan.result
     with np.errstate(over="ignore", invalid="ignore"):
         # x: state at a node, y: the step's scaled increment, then its result;
-        # coefficients highest power first, in Horner's order, as floats
-        for c, x, y in zip(coefs[:, ::-1].tolist(), out[:-1], out[1:]):
-            if nx == 1:
-                f.fill(c[0])
-            else:
-                mul(x, c[0], f)
-                add(f, c[1], f)
-                for ci in c[2:]:
-                    mul(f, x, f)
-                    add(f, ci, f)
-            mul(f, cdt, f)
+        # the operands of the plan's calls are indices into v
+        for x, y, c in zip(out[:-1], out[1:], rows):
+            v = (x, f, *c, *consts)
+            for u, a, b in ops:
+                u(v[a], v[b], f)
+            mul(v[r], cdt, f)
             add(x, f, f)
             add(f, y, y)
         _freeze(out, d, trunc, t0, dt, k0)

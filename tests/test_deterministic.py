@@ -32,8 +32,9 @@ class TestSolveDet:
 
     def test_delay_jump_window(self):
         # the jump lands just past Pi(-1) = 1, so observe it on a model
-        # whose declared window extends a little further
-        wide = standard_pitchfork(T=1.2)
+        # whose declared window extends a little further, with a domain
+        # that holds x_star = sqrt(t) up to t = 1.15
+        wide = standard_pitchfork(T=1.2, d=1.1)
         eps = 0.01
         p = solve_det(wide, eps, -1.0, 0.1, 1.15, eps / 50.0)
         # the jump: the first t > 0 with |x| past the middle of the wedge

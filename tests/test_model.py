@@ -130,6 +130,26 @@ class TestMakeModel:
         m = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"})
         assert branches(m).x_star(1.0) == 1.0
 
+    def test_closed_forms_stop_at_the_domain_edge(self):
+        # the cubic's closed forms and its root search, through a zero x^5
+        # row, on d = 0.5: both accept x_star(0.25) = d, where f(d, t) = 0,
+        # and both raise once sqrt(t) > d
+        closed = standard_pitchfork(d=0.5)
+        searched = model_from_coeffs(
+            [[0.0], [0.0, 1.0], [0.0], [-1.0], [0.0], [0.0]],
+            {"kind": "pitchfork", "d": 0.5})
+        a, b = branches(closed, [0.25]), branches(searched, [0.25])
+        assert a.x_star_values[0] == b.x_star_values[0] == 0.5
+        for name in ("x_bar_values", "x_tilde_values", "a_star_values"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name),
+                                                     rel=1e-12)
+        for t in (0.5, 1.0):
+            for m in (closed, searched):
+                with pytest.raises(RootNotBracketed):
+                    branches(m, [t])
+        with pytest.raises(RootNotBracketed):
+            branches(closed).x_tilde(np.array([0.1, 0.3]))
+
     def test_callable_drift_accepted(self):
         m = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"})
         assert m.validation.symmetry_residual < 1e-12

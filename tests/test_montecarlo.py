@@ -181,6 +181,15 @@ class TestNonFinitePaths:
             montecarlo._exceedance(cfg, np.array([0.7, np.nan, 0.1]),
                                    lambda h: 1.0)
 
+    def test_quantiles_drop_only_nan(self):
+        # NaN: censored or never exited
+        got = montecarlo._quantiles(np.array([np.nan, 0.2, 0.4, np.nan]))
+        assert got == montecarlo._quantiles(np.array([0.2, 0.4]))
+        assert montecarlo._quantiles(np.array([np.nan])) == {}
+        for inf in (np.inf, -np.inf):
+            with pytest.raises(NonFiniteResult, match="1 of 3 paths"):
+                montecarlo._quantiles(np.array([0.2, inf, np.nan]))
+
     def test_exceedance_counts_over_all_given_sups(self):
         cfg = dataclasses.make_dataclass("Cfg", [("h_list", tuple)])(
             (0.1, 0.5))
