@@ -17,92 +17,19 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import envelope as env
 from .deterministic import solve_det
 from .errors import ConfigError, RegimeViolation, SlowSdeError
-from .model import branches, model_from_dict
+from .model import branches, model_from_dict, model_from_json
 from .montecarlo import EnsembleConfig, run_ensemble
 from .sde import time_grid, n_steps_for
 
-_MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "builtin": {"enum": ["standard"]},
-        "kind": {"enum": ["pitchfork", "stable-branch", "unstable-branch"]},
-        "coeffs": {"type": "array",
-                   "items": {"type": "array", "items": {"type": "number"}}},
-        "lambda": {"type": "number"},
-        "eta": {"type": "number"},
-        "d": {"type": "number"},
-        "T": {"type": "number"},
-        "t_range": {"type": "array", "items": {"type": "number"},
-                    "minItems": 2, "maxItems": 2},
-        "equilibrium": {"type": "array", "items": {"type": "number"}},
-        "name": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "model": _MODEL_SCHEMA,
-        "dynamics": {
-            "type": "object",
-            "properties": {
-                "eps": {"type": "number", "exclusiveMinimum": 0},
-                "sigma": {"type": "number", "minimum": 0},
-                "t0": {"type": "number"},
-                "x0": {"anyOf": [{"type": "number"},
-                                 {"enum": ["x_tilde"]}]},
-                "t_end": {"type": "number"},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["eps", "sigma", "t0", "x0", "t_end"],
-            "additionalProperties": False,
-        },
-        "ensemble": {
-            "type": "object",
-            "properties": {
-                "n_paths": {"type": "integer", "minimum": 1},
-                "master_seed": {"type": "integer", "minimum": 0},
-                "mirror": {"type": "boolean"},
-            },
-            "required": ["n_paths", "master_seed"],
-            "additionalProperties": False,
-        },
-        "experiment": {
-            "type": "object",
-            "properties": {
-                "tag": {"enum": ["stable", "unstable", "before", "escape",
-                                 "approach", "delay", "branch"]},
-                "h_list": {"type": "array", "items": {"type": "number"}},
-                "t_probe_list": {"type": "array", "items": {"type": "number"}},
-                "eta": {"type": ["number", "null"]},
-                "tau_window": {"type": "array", "items": {"type": "number"},
-                               "minItems": 2, "maxItems": 2},
-                "bound_c0": {"type": "number"},
-            },
-            "required": ["tag"],
-            "additionalProperties": False,
-        },
-        "output": {
-            "type": "object",
-            "properties": {
-                "directory": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["model", "dynamics", "ensemble", "experiment"],
-    "additionalProperties": False,
-}
-
-
-def load_config(path) -> dict:
+def load_config(path, seed=None) -> tuple:
+    """(document, EnsembleConfig) of a config file, or of the shipped config
+    of that name; seed, if given, replaces the document's master seed."""
     p = Path(path)
     if not p.exists():
         shipped = importlib.resources.files("slowsde") / "configs" / str(path)
@@ -112,32 +39,23 @@ def load_config(path) -> dict:
             raise ConfigError(f"config file {path!r} not found")
     with open(p) as fh:
         doc = json.load(fh)
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
-    return doc
+    return doc, EnsembleConfig.from_dict(doc, model_from_dict, seed)
 
 
-def build_ensemble_config(doc: dict, seed_override=None) -> EnsembleConfig:
-    model = model_from_dict(doc["model"])
-    dyn = doc["dynamics"]
-    ens = doc["ensemble"]
-    exp = doc["experiment"]
-    return EnsembleConfig(
-        model=model,
-        eps=dyn["eps"], sigma=dyn["sigma"], t0=dyn["t0"], x0=dyn["x0"],
-        t_end=dyn["t_end"], dt=dyn.get("dt", dyn["eps"] / 50.0),
-        n_paths=ens["n_paths"],
-        master_seed=ens["master_seed"] if seed_override is None else seed_override,
-        tag=exp["tag"],
-        h_list=tuple(exp.get("h_list", ())),
-        t_probe_list=tuple(exp.get("t_probe_list", ())),
-        eta=exp.get("eta"),
-        mirror=ens.get("mirror", False),
-        tau_window=tuple(exp.get("tau_window", (0.15, 0.25))),
-        bound_c0=exp.get("bound_c0", 1.0),
-    )
+def _outdir(doc: dict, out) -> Path:
+    outdir = Path(out if out is not None
+                  else doc.get("output", {}).get("directory", "."))
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def _failed(exc: Exception) -> int:
+    """Print an error and return its exit status."""
+    if isinstance(exc, RegimeViolation):
+        print(f"regime violation: {exc}", file=sys.stderr)
+        return 2
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def _stamp(fh, report) -> None:
@@ -183,30 +101,27 @@ def _write_per_path(path, report, per_path: dict) -> None:
             fh.write(f"{i}," + ",".join(cells) + "\n")
 
 
-def _export_envelopes(outdir: Path, doc: dict) -> None:
-    model = model_from_dict(doc["model"])
-    dyn = doc["dynamics"]
-    eps, sigma = dyn["eps"], dyn["sigma"]
-    dt = dyn.get("dt", eps / 50.0)
+def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
+    model, eps, dt = config.model, config.eps, config.dt
     if model.kind == "pitchfork":
         sq = math.sqrt(eps)
-        t0 = min(dyn["t0"], -2.0 * sq)
+        t0 = min(config.t0, -2.0 * sq)
         grid = time_grid(t0, dt, n_steps_for(t0, sq, dt))
         table = env.zeta_pitchfork(model, eps, t0, grid)
         table.to_csv(outdir / "zeta_pitchfork.csv")
         curves = branches(model)
         tpos = np.linspace(sq, model.t_max, 201)
         env.region_D(model, eps, curves).to_csv(outdir / "region_D.csv", tpos)
-        env.region_S(model, eps, sigma, curves=curves).to_csv(
+        env.region_S(model, eps, config.sigma, curves=curves).to_csv(
             outdir / "region_S.csv", tpos)
         with open(outdir / "bounds.csv", "w") as fh:
             fh.write("t,bound_escape\n")
             for t in tpos[1:]:
-                b = env.bound_escape(model, float(t), sq, eps, sigma)
+                b = env.bound_escape(model, float(t), sq, eps, config.sigma)
                 fh.write(f"{t:.17g},{b.bound:.17g}\n")
     elif model.kind == "stable-branch":
-        t0, t_end = dyn["t0"], dyn["t_end"]
-        xdet = solve_det(model, eps, t0, float(dyn["x0"]), t_end, dt)
+        xdet = solve_det(model, eps, config.t0, float(config.x0),
+                         config.t_end, dt)
         table = env.zeta_stable(model, eps, xdet.t_grid, xdet)
         table.to_csv(outdir / "zeta_stable.csv")
 
@@ -223,30 +138,14 @@ def _has_violation(results) -> bool:
 
 def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
     try:
-        doc = load_config(config_path)
-    except (ConfigError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = build_ensemble_config(doc, seed_override=seed)
-    except RegimeViolation as exc:
-        print(f"regime violation: {exc}", file=sys.stderr)
-        return 2
-    except (SlowSdeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    outdir = Path(out if out is not None
-                  else doc.get("output", {}).get("directory", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+        doc, config = load_config(config_path, seed)
+    except (SlowSdeError, ValueError) as exc:  # JSONDecodeError included
+        return _failed(exc)
+    outdir = _outdir(doc, out)
     try:
         report = run_ensemble(config, threads=threads)
-    except RegimeViolation as exc:
-        print(f"regime violation: {exc}", file=sys.stderr)
-        return 2
     except SlowSdeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _failed(exc)
 
     (outdir / "report.json").write_text(report.to_json())
     res = report.results
@@ -261,7 +160,7 @@ def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
                          res["histogram"])
     if report.per_path:
         _write_per_path(outdir / "paths_summary.csv", report, report.per_path)
-    _export_envelopes(outdir, doc)
+    _export_envelopes(outdir, config)
     print(f"wrote {outdir / 'report.json'} ({report.runtime_seconds:.2f}s)")
     if strict and _has_violation(res):
         print("bound violation detected (--strict)", file=sys.stderr)
@@ -271,30 +170,19 @@ def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
 
 def cmd_envelope(config_path, out=None) -> int:
     try:
-        doc = load_config(config_path)
-    except (ConfigError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    outdir = Path(out if out is not None
-                  else doc.get("output", {}).get("directory", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        _export_envelopes(outdir, doc)
-    except SlowSdeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        doc, config = load_config(config_path)
+        outdir = _outdir(doc, out)
+        _export_envelopes(outdir, config)
+    except (SlowSdeError, ValueError) as exc:
+        return _failed(exc)
     print(f"wrote envelope tables to {outdir}")
     return 0
 
 
 def cmd_validate(model_path) -> int:
     try:
-        with open(model_path) as fh:
-            doc = json.load(fh)
-        jsonschema.validate(doc, _MODEL_SCHEMA)
-        model = model_from_dict(doc)
-    except (OSError, ValueError, json.JSONDecodeError,
-            jsonschema.ValidationError, SlowSdeError) as exc:
+        model = model_from_json(model_path)
+    except (OSError, ValueError, SlowSdeError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
     rep = model.validation

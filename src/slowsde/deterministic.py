@@ -24,7 +24,7 @@ from .sde import _check_dt, em_batch, n_steps_for, time_grid
 
 __all__ = [
     "DetPath", "solve_det", "adiabatic_solution", "bifurcation_delay",
-    "post_exit_family", "det_after_exit",
+    "post_exit_family", "post_exit_path", "det_after_exit",
 ]
 
 
@@ -261,23 +261,31 @@ def post_exit_family(model: ModelSpec, eps: float, taus: np.ndarray,
 def det_after_exit(model: ModelSpec, eps: float, tau: float, sign: int,
                    t_end: float, dt: float,
                    curves: Optional[BranchCurves] = None) -> DetPath:
-    """Deterministic solution started on the escape boundary at time tau.
+    """Deterministic solution started on the escape boundary at time tau:
+    post_exit_path on the grid from tau to t_end in steps of dt."""
+    grid = time_grid(tau, dt, n_steps_for(tau, t_end, dt))
+    return post_exit_path(model, eps, grid, sign, curves)
 
-    One row of post_exit_family on the grid from tau: starts at
-    sign * x_tilde(tau) and asserts the wedge ordering
-    x_tilde(t) <= |x| <= x_star(t) at every node; violations beyond the
-    discretization tolerance raise SandwichViolation.  meta carries the
-    approach gap x_star(t) - |x(t)|.
+
+def post_exit_path(model: ModelSpec, eps: float, grid, sign: int = +1,
+                   curves: Optional[BranchCurves] = None) -> DetPath:
+    """The row of post_exit_family that starts at sign * x_tilde(tau) on the
+    grid's first node, tau.
+
+    Asserts the wedge ordering x_tilde(t) <= |x| <= x_star(t) at every node;
+    violations beyond the discretization tolerance raise SandwichViolation.
+    meta carries the approach gap x_star(t) - |x(t)|.
     """
+    grid = np.asarray(grid, dtype=float)
+    tau = float(grid[0])
     if tau < math.sqrt(eps) * (1.0 - 1e-9):
         raise ValueError("tau must be at least sqrt(eps)")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    _check_dt(dt, eps)
+    _check_dt(grid[1] - grid[0], eps)
     if curves is None:
         curves = branches(model)
-    grid = time_grid(tau, dt, n_steps_for(tau, t_end, dt))
-    x = post_exit_family(model, eps, np.array([tau]), grid, curves, sign)[0][0]
+    x = post_exit_family(model, eps, grid[:1], grid, curves, sign)[0][0]
     absx = np.abs(x)
     xt = np.asarray(curves.x_tilde(grid), dtype=float)
     xs = np.asarray(curves.x_star(grid), dtype=float)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._brentq import brentq
-from .deterministic import DetPath, det_after_exit
+from .deterministic import DetPath, post_exit_path
 from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
                      HExceedsSigma, NotStable, OutsideRegime, RegimeViolation,
                      RhoTooSmall)
@@ -285,7 +285,9 @@ def zeta_post_exit(model: ModelSpec, eps: float, tau: float, t_grid,
     if curves is None:
         curves = branches(model)
     if det is None:
-        det = det_after_exit(model, eps, tau, +1, tg[-1], tg[1] - tg[0], curves)
+        if not np.isclose(tg[0], tau):
+            raise GridMismatch(f"the grid starts at {tg[0]:g}, not at tau")
+        det = post_exit_path(model, eps, tg, +1, curves)
     if len(det.t_grid) < len(tg) or not np.allclose(det.t_grid[:len(tg)], tg):
         raise GridMismatch("post-exit path does not cover the requested grid")
     xhat = np.abs(det.x_values[:len(tg)])
@@ -528,14 +530,14 @@ def bound_stable(model: ModelSpec, t: float, eps: float, sigma: float,
 
 
 def bound_before(model: ModelSpec, t: float, eps: float, sigma: float,
-                 h: float, t0: float, h0: float = 1.0) -> BoundEvaluation:
+                 h: float, t0: float) -> BoundEvaluation:
     """Exceedance bound for the crossing strip up to sqrt(eps)."""
     _require_small_noise(sigma, eps)
     sq = math.sqrt(eps)
     if t > sq * (1.0 + 1e-9):
         raise OutsideRegime("bound applies for t <= sqrt(eps)")
-    if h > h0 * sq:
-        raise OutsideRegime(f"need h <= h0 sqrt(eps) = {h0 * sq:g}")
+    if h > sq:
+        raise OutsideRegime(f"need h <= sqrt(eps) = {sq:g}")
     pref = (abs(alpha(model, t, t0)) / eps ** 2
             + (model.a_plus + 4.0 * sq + 4.0) / eps)
     expo = -0.5 * h * h / (sigma * sigma)
@@ -544,25 +546,15 @@ def bound_before(model: ModelSpec, t: float, eps: float, sigma: float,
 
 
 def bound_approach(model: ModelSpec, t: float, eps: float, sigma: float,
-                   h: float, tau: float,
-                   table: Optional[EnvelopeTable] = None,
-                   h0: float = 1.0) -> BoundEvaluation:
-    """Exceedance bound around the post-exit solution.
-
-    The accumulated rate integral is taken along the tabulated post-exit
-    envelope when one is supplied, else from the branch linearization.
-    """
+                   h: float, tau: float) -> BoundEvaluation:
+    """Exceedance bound around the post-exit solution, with the accumulated
+    rate integral taken from the branch linearization."""
     _require_small_noise(sigma, eps)
-    if h >= h0 * tau:
-        raise OutsideRegime(f"need h < h0 tau = {h0 * tau:g}")
-    if table is not None:
-        tg = table.t_grid
-        mask = tg <= t + 1e-12
-        atau = float(np.trapezoid(table.abar_values[mask], tg[mask]))
-    else:
-        curves = branches(model)
-        tg = np.linspace(tau, t, 2001)
-        atau = float(np.trapezoid(np.asarray(curves.a_star(tg), dtype=float), tg))
+    if h >= tau:
+        raise OutsideRegime(f"need h < tau = {tau:g}")
+    curves = branches(model)
+    tg = np.linspace(tau, t, 2001)
+    atau = float(np.trapezoid(np.asarray(curves.a_star(tg), dtype=float), tg))
     pref = abs(atau) / eps ** 2 + 2.0
     expo = -0.5 * h * h / (sigma * sigma)
     return _finish("approach", {"t": t, "eps": eps, "sigma": sigma, "h": h,
@@ -588,6 +580,13 @@ def bound_unstable(t: float, eps: float, sigma: float, h: float,
                    math.sqrt(math.e), expo)
 
 
+def _kappa_eff(model: ModelSpec, eta: Optional[float]) -> tuple:
+    """(eta, kappa_eff = (1 - lambda)(1 - eta)), eta the model's if None."""
+    if eta is None:
+        eta = model.eta
+    return eta, (1.0 - model.lambda_param) * (1.0 - eta)
+
+
 def bound_escape(model: ModelSpec, t: float, t0: float, eps: float,
                  sigma: float, C0: float = 1.0, eta: Optional[float] = None,
                  curves: Optional[BranchCurves] = None) -> BoundEvaluation:
@@ -603,11 +602,9 @@ def bound_escape(model: ModelSpec, t: float, t0: float, eps: float,
     if sigma * abs(math.log(sigma)) ** 1.5 > math.sqrt(eps):
         warnings.warn("sigma |log sigma|^{3/2} exceeds sqrt(eps); the escape "
                       "bound is outside its comfort zone", RuntimeWarning)
-    if eta is None:
-        eta = model.eta
+    eta, kappa = _kappa_eff(model, eta)
     if curves is None:
         curves = branches(model)
-    kappa = (1.0 - model.lambda_param) * (1.0 - eta)
     al = alpha(model, t, t0)
     x = kappa * al / eps
     denom = math.sqrt(-math.expm1(-2.0 * x)) if x < 350 else 1.0
@@ -668,11 +665,9 @@ def no_exit_linear_bound(model: ModelSpec, t: float, t0: float, eps: float,
     """Bound on a linear comparison path staying inside (0, x_tilde)."""
     if t <= t0:
         raise DegenerateWindow("need t > t0")
-    if eta is None:
-        eta = model.eta
+    _, kappa = _kappa_eff(model, eta)
     if curves is None:
         curves = branches(model)
-    kappa = (1.0 - model.lambda_param) * (1.0 - eta)
     x = kappa * alpha(model, t, t0) / eps
     a0_t = kappa * float(model.a(t))
     val = (float(curves.x_tilde(t)) * math.sqrt(a0_t)
@@ -693,9 +688,7 @@ def delay_interval(eps: float, sigma: float, model: ModelSpec,
             f"sigma={sigma:g} outside the middle regime "
             f"(exp(-1/eps)={math.exp(-1.0 / eps):.3g}, sqrt(eps)="
             f"{math.sqrt(eps):.4g})")
-    if eta is None:
-        eta = model.eta
-    kappa = (1.0 - model.lambda_param) * (1.0 - eta)
+    _, kappa = _kappa_eff(model, eta)
     t_low = math.sqrt(eps)
     target = (2.0 / kappa) * eps * abs(math.log(sigma))
     if alpha(model, model.t_max, t_low) < target:

@@ -75,5 +75,6 @@ class ResourceLimit(SlowSdeError):
     """Requested ensemble exceeds the configured step budget."""
 
 
-class ConfigError(SlowSdeError):
-    """Experiment configuration failed schema validation."""
+class ConfigError(SlowSdeError, ValueError):
+    """A config or model document has an unknown, missing, wrongly typed or
+    out-of-range value.  A ValueError too, as for a bad argument."""

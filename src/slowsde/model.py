@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._brentq import brentq
-from .errors import RootNotBracketed, ValidationFailure
+from .errors import ConfigError, RootNotBracketed, ValidationFailure
 
 __all__ = [
     "PolyDrift",
@@ -31,6 +31,7 @@ __all__ = [
     "model_from_json",
     "branches",
     "alpha",
+    "read_object",
 ]
 
 SYMMETRY_TOL = 1e-9
@@ -38,6 +39,58 @@ DERIVATIVE_TOL = 1e-6
 ROOT_TOL = 1e-13
 # the standard cubic t x - x^3 as c[i][j], the coefficient of x^i t^j
 STANDARD_COEFFS = ((0.0,), (0.0, 1.0), (0.0,), (-1.0,))
+MODEL_KINDS = ("pitchfork", "stable-branch", "unstable-branch")
+
+
+def _finite(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_finite, v))
+
+
+# the JSON types of document values, by the name their errors print
+JSON_TYPES = {
+    "a number": _finite,
+    "a number > 0": lambda v: _finite(v) and v > 0,
+    "a number >= 0": lambda v: _finite(v) and v >= 0,
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "true or false": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a number or null": lambda v: v is None or _finite(v),
+    "a number or 'x_tilde'": lambda v: v == "x_tilde" or _finite(v),
+    "a list of numbers": _numbers,
+    "a pair of numbers": lambda v: _numbers(v) and len(v) == 2,
+    "a list of lists of numbers":
+        lambda v: isinstance(v, list) and all(map(_numbers, v)),
+}
+
+
+def read_object(doc, types: dict, where: str, required=()) -> dict:
+    """Check a JSON object against types, {key: a JSON_TYPES name or a tuple
+    of the strings allowed}, and return it; an unknown or missing key or a
+    value of another type raises ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    for key in doc:
+        if key not in types:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{where}: missing key {key!r}")
+    for key, value in doc.items():
+        kind = types[key]
+        if isinstance(kind, tuple):
+            if not (isinstance(value, str) and value in kind):
+                raise ConfigError(f"{where}.{key} must be one of "
+                                  f"{', '.join(map(repr, kind))}, "
+                                  f"got {value!r}")
+        elif not JSON_TYPES[kind](value):
+            raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -240,10 +293,10 @@ class ModelSpec:
     equilibrium: Optional[Callable] = None
     poly: Optional[PolyDrift] = None
     validation: Optional[ValidationReport] = None
-    name: str = "model"
+    name: str = "custom"
 
     def __post_init__(self):
-        if self.kind not in ("stable-branch", "unstable-branch", "pitchfork"):
+        if self.kind not in MODEL_KINDS:
             raise ValidationFailure(f"unknown model kind {self.kind!r}")
         if self.kind == "pitchfork" and not (1 / 3 < self.lambda_param < 1 / 2):
             raise ValidationFailure(
@@ -400,14 +453,14 @@ def make_model(drift: Callable, config: dict) -> ModelSpec:
     return ModelSpec(
         kind=kind, drift=drift, drift_dx=drift_dx, a=a, d=d,
         t_min=t_min, t_max=t_max,
-        lambda_param=float(config.get("lambda", 0.4)),
-        eta=float(config.get("eta", 0.1)),
+        lambda_param=float(config.get("lambda", ModelSpec.lambda_param)),
+        eta=float(config.get("eta", ModelSpec.eta)),
         a_plus=a_plus, a_minus=a_minus,
         alpha_closed=config.get("alpha_closed"),
         equilibrium=equilibrium,
         poly=config.get("poly"),
         validation=report,
-        name=config.get("name", "custom"),
+        name=config.get("name", ModelSpec.name),
     )
 
 
@@ -453,41 +506,54 @@ def model_from_coeffs(coeffs, config: dict) -> ModelSpec:
     return make_model(poly, cfg)
 
 
-def standard_pitchfork(lambda_param: float = 0.4, d: float = 1.0,
-                       T: float = 1.0, eta: float = 0.1) -> ModelSpec:
+# the parameters of a model document, as make_model reads them
+_PARAMS = {"lambda": "a number", "eta": "a number", "d": "a number > 0",
+           "T": "a number > 0"}
+# the builtin document: only what standard_pitchfork honours
+_BUILTIN_KEYS = {"builtin": ("standard",), "kind": ("pitchfork",), **_PARAMS}
+_COEFFS_KEYS = {"coeffs": "a list of lists of numbers", "kind": MODEL_KINDS,
+                **_PARAMS, "t_range": "a pair of numbers",
+                "equilibrium": "a list of numbers", "name": "a string"}
+
+
+def standard_pitchfork(lambda_param: Optional[float] = None,
+                       d: Optional[float] = None, T: Optional[float] = None,
+                       eta: Optional[float] = None) -> ModelSpec:
     """The reference cubic model f(x, t) = t*x - x**3.
 
-    Closed forms: a(t) = t, alpha(t, s) = (t^2 - s^2)/2, branches
-    x_star = sqrt(t), x_bar = sqrt(t/3).
+    A parameter left None takes make_model's default.  Closed forms:
+    a(t) = t, alpha(t, s) = (t^2 - s^2)/2, branches x_star = sqrt(t),
+    x_bar = sqrt(t/3).
     """
-    model = model_from_coeffs(
+    params = {"lambda": lambda_param, "d": d, "T": T, "eta": eta}
+    return model_from_coeffs(
         STANDARD_COEFFS,
-        {"kind": "pitchfork", "lambda": lambda_param, "d": d, "T": T,
-         "eta": eta, "name": "standard",
+        {"kind": "pitchfork", "name": "standard",
          "a": lambda t: t,
-         "alpha_closed": lambda t, s: 0.5 * (t * t - s * s)},
+         "alpha_closed": lambda t, s: 0.5 * (t * t - s * s),
+         **{k: v for k, v in params.items() if v is not None}},
     )
-    return model
 
 
 def model_from_dict(doc: dict) -> ModelSpec:
-    """Load a model from its JSON document form.
+    """Load a model from its JSON document form, checked key by key.
 
-    Either {"kind": "pitchfork", "builtin": "standard", ...} or a
-    coefficient list {"kind": ..., "coeffs": [[...], ...], ...}.  For
-    nonbifurcating kinds an optional "equilibrium" entry gives the branch
-    as a polynomial in t (coefficient list, low order first).
+    Either {"builtin": "standard", ...} or a coefficient list {"kind": ...,
+    "coeffs": [[...], ...], ...}.  For nonbifurcating kinds an optional
+    "equilibrium" entry gives the branch as a polynomial in t (coefficient
+    list, low order first).
     """
-    if doc.get("builtin") == "standard":
+    if isinstance(doc, dict) and "builtin" in doc:
+        read_object(doc, _BUILTIN_KEYS, "model")
         return standard_pitchfork(
-            lambda_param=float(doc.get("lambda", 0.4)),
-            d=float(doc.get("d", 1.0)),
-            T=float(doc.get("T", 1.0)),
-            eta=float(doc.get("eta", 0.1)))
-    if "coeffs" not in doc:
-        raise ValidationFailure("model document needs 'builtin' or 'coeffs'")
-    cfg = {k: v for k, v in doc.items() if k in
-           ("kind", "lambda", "eta", "d", "T", "t_range", "name")}
+            lambda_param=doc.get("lambda"), d=doc.get("d"), T=doc.get("T"),
+            eta=doc.get("eta"))
+    if isinstance(doc, dict) and "coeffs" not in doc:
+        raise ConfigError("model document needs 'builtin' or 'coeffs'")
+    read_object(doc, _COEFFS_KEYS, "model", required=("kind",))
+    if "T" in doc and "t_range" in doc:
+        raise ConfigError("model: give T or t_range, not both")
+    cfg = {k: v for k, v in doc.items() if k not in ("coeffs", "equilibrium")}
     if "equilibrium" in doc:
         eq_c = np.asarray(doc["equilibrium"], dtype=float)
         cfg["equilibrium"] = lambda t: float(np.polyval(eq_c[::-1], t))
@@ -533,9 +599,6 @@ class BranchCurves:
     x_bar_values: Optional[np.ndarray] = None
     x_tilde_values: Optional[np.ndarray] = None
     a_star_values: Optional[np.ndarray] = None
-
-    def kappa_eff(self, eta: float) -> float:
-        return self.kappa * (1.0 - eta)
 
 
 def _root_x_bar(model: ModelSpec, t: float) -> float:

@@ -21,9 +21,10 @@ import numpy as np
 
 from . import envelope as env
 from .deterministic import adiabatic_solution, post_exit_family, solve_det
-from .errors import NonFiniteResult, RegimeViolation, ResourceLimit
+from .errors import (ConfigError, NonFiniteResult, RegimeViolation,
+                     ResourceLimit)
 from .exits import delay_times_batch, first_exit_batch, sup_deviation_batch
-from .model import ModelSpec, branches
+from .model import ModelSpec, branches, read_object
 from .noise import fill_increments, path_generators
 from .sde import em_batch, n_steps_for, time_grid
 
@@ -42,7 +43,27 @@ MAX_TOTAL_STEPS = 2_000_000_000
 CHUNK_STEPS = 1024
 
 
-@dataclass(frozen=True)
+# The experiment sections of the config document, section -> {key: JSON
+# type (model.JSON_TYPES) or the strings allowed}.  Each key sets the
+# EnsembleConfig field of its name, and the key of a field without a
+# default is required.  from_dict reads and to_dict writes through it.
+SECTIONS = {
+    "dynamics": {"eps": "a number > 0", "sigma": "a number >= 0",
+                 "t0": "a number", "x0": "a number or 'x_tilde'",
+                 "t_end": "a number", "dt": "a number > 0"},
+    "ensemble": {"n_paths": "an integer", "master_seed": "an integer",
+                 "mirror": "true or false"},
+    "experiment": {"tag": ALL_TAGS, "h_list": "a list of numbers",
+                   "t_probe_list": "a list of numbers",
+                   "eta": "a number or null", "tau_window": "a pair of numbers",
+                   "bound_c0": "a number"},
+}
+# beside them the document holds the model, read by model_from_dict, and
+# the output directory of the CLI
+_DOCUMENT = dict.fromkeys(("model", *SECTIONS, "output"), "an object")
+
+
+@dataclass(frozen=True, kw_only=True)
 class EnsembleConfig:
     """Everything that determines an ensemble; the report is a pure function
     of this object (thread count is a run option, not part of it)."""
@@ -53,7 +74,7 @@ class EnsembleConfig:
     t0: float
     x0: object  # float or the start rule "x_tilde"
     t_end: float
-    dt: float
+    dt: Optional[float] = None  # eps / 50 when not given
     n_paths: int
     master_seed: int
     tag: str
@@ -66,11 +87,16 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.tag not in ALL_TAGS:
-            raise ValueError(f"unknown experiment tag {self.tag!r}")
+            raise ConfigError(f"unknown experiment tag {self.tag!r}")
         if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+            raise ConfigError("n_paths must be at least 1")
+        if not 0 <= self.master_seed < 2 ** 64:  # a Philox key is 64 bits
+            raise ConfigError(f"master_seed={self.master_seed} is not in "
+                              "[0, 2^64)")
+        if self.dt is None:
+            object.__setattr__(self, "dt", self.eps / 50.0)
         if self.dt > self.eps / 10.0 * (1.0 + 1e-12):
-            raise ValueError(f"dt={self.dt:g} exceeds eps/10")
+            raise ConfigError(f"dt={self.dt:g} exceeds eps/10")
         if self.tag in PITCHFORK_TAGS:
             if self.model.kind != "pitchfork":
                 raise RegimeViolation(f"tag {self.tag!r} needs a pitchfork model")
@@ -93,19 +119,34 @@ class EnsembleConfig:
                 f"{self.n_paths} paths x {n_steps} steps exceeds the budget "
                 f"of {MAX_TOTAL_STEPS} total steps")
 
+    @classmethod
+    def from_dict(cls, doc: dict, read_model,
+                  master_seed: Optional[int] = None) -> "EnsembleConfig":
+        """The config of a config document, read through SECTIONS; a bad
+        key or value raises ConfigError.  read_model (model_from_dict) builds
+        the model; master_seed, if given, replaces the document's."""
+        read_object(doc, _DOCUMENT, "config", required=("model", *SECTIONS))
+        read_object(doc.get("output", {}), {"directory": "a string"}, "output")
+        required = {f.name for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING}
+        values = {}
+        for section, types in SECTIONS.items():
+            values.update(read_object(doc[section], types, section,
+                                      [k for k in types if k in required]))
+        if master_seed is not None:
+            values["master_seed"] = master_seed
+        return cls(model=read_model(doc["model"]),
+                   **{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in values.items()})
+
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "dynamics": {"eps": self.eps, "sigma": self.sigma, "t0": self.t0,
-                         "x0": self.x0, "t_end": self.t_end, "dt": self.dt},
-            "ensemble": {"n_paths": self.n_paths,
-                         "master_seed": self.master_seed,
-                         "mirror": self.mirror},
-            "experiment": {"tag": self.tag, "h_list": list(self.h_list),
-                           "t_probe_list": list(self.t_probe_list),
-                           "eta": self.eta, "tau_window": list(self.tau_window),
-                           "bound_c0": self.bound_c0},
-        }
+        def value(key):
+            v = getattr(self, key)
+            return list(v) if isinstance(v, tuple) else v
+
+        return {"model": self.model.to_dict(),
+                **{section: {k: value(k) for k in types}
+                   for section, types in SECTIONS.items()}}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowsde import _brentq, cli, envelope, montecarlo
+from slowsde import _brentq, cli, envelope, model_from_dict, montecarlo
 from slowsde.cli import cmd_envelope, cmd_run, cmd_validate, main
 
 
@@ -143,6 +144,134 @@ class TestRun:
         assert "master_seed=5" in first
 
 
+STANDARD_COEFFS = [[0.0], [0.0, 1.0], [0.0], [-1.0]]
+DROP = object()  # a MALFORMED value that deletes the key
+
+# one document per rule of the config document: (path, value) edits of
+# SMALL_DELAY, each of which must be rejected
+MALFORMED = {
+    "unknown-top": (("colour",), {}),
+    "unknown-model": (("model", "colour"), 1.0),
+    "unknown-dynamics": (("dynamics", "colour"), 1.0),
+    "unknown-ensemble": (("ensemble", "colour"), 1),
+    "unknown-experiment": (("experiment", "colour"), 1.0),
+    "unknown-output": (("output", "colour"), "out"),
+    **{f"missing-{key}": ((key,), DROP)
+       for key in ("model", "dynamics", "ensemble", "experiment")},
+    "missing-builtin": (("model", "builtin"), DROP),
+    **{f"missing-{key}": (("dynamics", key), DROP)
+       for key in ("eps", "sigma", "t0", "x0", "t_end")},
+    **{f"missing-{key}": (("ensemble", key), DROP)
+       for key in ("n_paths", "master_seed")},
+    "missing-tag": (("experiment", "tag"), DROP),
+    **{f"true-{'-'.join(path)}": (path, True) for path in (
+        ("dynamics", "eps"), ("dynamics", "sigma"), ("dynamics", "t0"),
+        ("dynamics", "x0"), ("dynamics", "t_end"), ("dynamics", "dt"),
+        ("ensemble", "n_paths"), ("ensemble", "master_seed"),
+        ("experiment", "eta"), ("experiment", "bound_c0"),
+        ("model", "lambda"), ("model", "eta"), ("model", "d"),
+        ("model", "T"))},
+    "true-h_list": (("experiment", "h_list"), [True]),
+    "true-tau_window": (("experiment", "tau_window"), [True, 0.25]),
+    "string-eps": (("dynamics", "eps"), "0.01"),
+    "string-n_paths": (("ensemble", "n_paths"), "120"),
+    "string-t_probe_list": (("experiment", "t_probe_list"), ["0.45"]),
+    "string-lambda": (("model", "lambda"), "0.4"),
+    "fraction-n_paths": (("ensemble", "n_paths"), 120.5),
+    "number-mirror": (("ensemble", "mirror"), 1),
+    "number-directory": (("output", "directory"), 5),
+    "zero-eps": (("dynamics", "eps"), 0.0),
+    "negative-eps": (("dynamics", "eps"), -0.01),
+    "zero-dt": (("dynamics", "dt"), 0.0),
+    "negative-dt": (("dynamics", "dt"), -2e-4),
+    "negative-sigma": (("dynamics", "sigma"), -1e-4),
+    "zero-n_paths": (("ensemble", "n_paths"), 0),
+    "negative-master_seed": (("ensemble", "master_seed"), -1),
+    "three-tau_window": (("experiment", "tau_window"), [0.1, 0.2, 0.3]),
+    "three-t_range": (("model",), {"coeffs": STANDARD_COEFFS,
+                                   "kind": "pitchfork",
+                                   "t_range": [-1.0, 0.0, 1.0]}),
+    "bad-tag": (("experiment", "tag"), "delays"),
+    "bad-kind": (("model",), {"coeffs": STANDARD_COEFFS, "kind": "saddle"}),
+    "bad-builtin": (("model", "builtin"), "cubic"),
+    "bad-x0": (("dynamics", "x0"), "x_star"),
+}
+
+# model documents with a key their form does not read, or without kind
+DRIFTED_MODELS = {
+    "builtin-kind": {"builtin": "standard", "kind": "stable-branch"},
+    "builtin-coeffs": {"builtin": "standard", "coeffs": STANDARD_COEFFS},
+    "builtin-t_range": {"builtin": "standard", "t_range": [-1.0, 1.0]},
+    "builtin-equilibrium": {"builtin": "standard", "equilibrium": [0.0]},
+    "builtin-name": {"builtin": "standard", "name": "mine"},
+    "coeffs-without-kind": {"coeffs": STANDARD_COEFFS},
+}
+
+
+def edited(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected(self, tmp_path, out, capsys, case):
+        cfg = write(tmp_path, "bad.json", edited(SMALL_DELAY, *MALFORMED[case]))
+        assert cmd_run(cfg, out=str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("path, value", [
+        (("dynamics", "eps"), math.nan), (("dynamics", "t_end"), math.inf),
+        (("experiment", "h_list"), [-math.inf]), (("model", "lambda"), math.nan),
+        (("model", "d"), -1.0), (("model", "T"), 0.0)])
+    def test_non_finite_or_empty_domain_rejected(self, tmp_path, out, capsys,
+                                                 path, value):
+        # json reads NaN and Infinity, and d, T <= 0 leave no domain
+        cfg = write(tmp_path, "bad.json", edited(SMALL_DELAY, path, value))
+        assert cmd_run(cfg, out=str(out)) == 1
+        assert "must be a" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_master_seed_is_a_philox_key(self, tmp_path, out, capsys):
+        # --seed bypasses the document, but not the range of the key
+        cfg = write(tmp_path, "cfg.json", SMALL_DELAY)
+        assert cmd_run(cfg, seed=-1, out=str(out)) == 1
+        big = edited(SMALL_DELAY, ("ensemble", "master_seed"), 2 ** 64)
+        assert cmd_run(write(tmp_path, "big.json", big), out=str(out)) == 1
+        assert capsys.readouterr().err.count("not in [0, 2^64)") == 2
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(DRIFTED_MODELS))
+    def test_drifted_model_rejected(self, tmp_path, out, capsys, case):
+        model = DRIFTED_MODELS[case]
+        cfg = write(tmp_path, "bad.json", edited(SMALL_DELAY, ("model",), model))
+        assert cmd_run(cfg, out=str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "report.json").exists()
+        assert cmd_validate(write(tmp_path, "m.json", model)) == 1
+        assert capsys.readouterr().err.startswith("validation failed: ")
+
+    def test_one_model_build_per_run(self, tmp_path, out, monkeypatch):
+        calls = []
+
+        def counted(doc):
+            calls.append(doc)
+            return model_from_dict(doc)
+
+        monkeypatch.setattr(cli, "model_from_dict", counted)
+        assert cmd_run(write(tmp_path, "cfg.json", SMALL_DELAY),
+                       out=str(out)) == 0
+        assert calls == [SMALL_DELAY["model"]]
+
+
 class TestEnvelope:
     def test_pitchfork_tables(self, tmp_path, out):
         cfg = write(tmp_path, "cfg.json", SMALL_DELAY)
@@ -209,13 +338,15 @@ from slowsde.cli import main
 loaded = {}
 for name, cfg in json.loads(sys.argv[1]):
     assert main(["run", "--config", cfg, "--out", sys.argv[2] + "/" + name]) == 0
-    loaded[name] = sorted(m for m in sys.modules if m.startswith("scipy"))
+    loaded[name] = sorted(m for m in sys.modules
+                          if m.startswith(("scipy", "jsonschema")))
 print(json.dumps(loaded))
 """
 
 
 def test_run_path_loads_no_scipy(tmp_path):
-    """`slowsde run` on standard-model configs never imports SciPy.
+    """`slowsde run` on standard-model configs never imports SciPy, and no
+    run imports jsonschema: the config classes check the document.
 
     Roots are solved by slowsde._brentq, and the standard model's rate
     integral alpha has a closed form.  Configs whose model has no

@@ -9,8 +9,8 @@ from slowsde import (DegenerateWindow, EpsTooLarge, HExceedsSigma, NotStable,
                      OutsideRegime, RegimeViolation, RhoTooSmall, alpha,
                      bound_approach, bound_before, bound_escape, bound_stable,
                      bound_unstable, branches, default_strip_width,
-                     delay_interval, gaussian_exit_bound, martingale_sup_bound,
-                     model_from_coeffs, no_exit_linear_bound, region_B,
+                     delay_interval, gaussian_exit_bound, make_model,
+                     martingale_sup_bound, model_from_coeffs, no_exit_linear_bound, region_B,
                      region_D, region_S, region_delay_strip,
                      region_stable_strip, return_to_zero_bound, solve_det,
                      variance, zeta_pitchfork, zeta_post_exit, zeta_stable)
@@ -139,6 +139,20 @@ class TestZetaPostExit:
         lo, hi = STANDARD_POST_EXIT_BRACKETS
         fresh = calibrate_post_exit_brackets()
         assert lo <= fresh[0] and fresh[1] <= hi
+
+    def test_callable_drift_stays_on_the_callers_grid(self, standard):
+        # t x - x^3 as a callable, d = T = 1: x_star reaches d at t = 1, so
+        # its root search fails for any node past T, and the centreline must
+        # run on the grid given, not on one re-derived from its first step
+        model = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"})
+        eps = 0.01
+        tg = grid_to(0.2, 1.0, eps / 50.0)
+        tab = zeta_post_exit(model, eps, 0.2, tg)
+        assert np.array_equal(tab.t_grid, tg)
+        assert tab.params["sandwich_ok"]
+        closed = zeta_post_exit(standard, eps, 0.2, tg)
+        np.testing.assert_allclose(tab.zeta_values, closed.zeta_values,
+                                   rtol=1e-6)
 
 
 class TestVariance:

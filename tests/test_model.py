@@ -6,6 +6,7 @@ import pytest
 from slowsde import (PolyDrift, RootNotBracketed, ValidationFailure, alpha,
                      branches, make_model, model_from_coeffs, model_from_dict,
                      standard_pitchfork, zeta_pitchfork)
+from slowsde.envelope import _kappa_eff
 from slowsde.sde import time_grid
 
 
@@ -67,7 +68,9 @@ class TestStandardModel:
         assert c.varrho == pytest.approx(0.2)
         assert 0.5 < c.kappa < 2 / 3
         assert 0.0 < c.varrho < 0.5
-        assert c.kappa_eff(0.1) == pytest.approx(0.54)
+        # kappa_eff = (1 - lambda)(1 - eta), eta the model's by default
+        assert _kappa_eff(standard, None) == (0.1, pytest.approx(0.54))
+        assert _kappa_eff(standard, 0.5)[1] == pytest.approx(0.3)
 
 
 class TestMakeModel:

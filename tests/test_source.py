@@ -1,6 +1,9 @@
-"""Source hygiene checks that need no linter: no unused imports."""
+"""Source hygiene checks that need no linter: no unused imports, and no
+runtime dependency that the package never imports."""
 
 import ast
+import re
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,3 +42,37 @@ def test_no_unused_imports():
             if names:
                 found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules a source file imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_dependency_is_imported():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    used = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        used |= imported_modules(path.read_text())
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+             for d in deps}
+    assert names - used == set()
+
+
+def test_readme_lists_every_config_key():
+    """The README's config table gives every key of montecarlo.SECTIONS
+    with the JSON type it is checked against."""
+    from slowsde.montecarlo import SECTIONS
+    readme = (ROOT / "README.md").read_text()
+    for section, types in SECTIONS.items():
+        for key, kind in types.items():
+            if isinstance(kind, tuple):
+                kind = "one of " + ", ".join(f"`{v}`" for v in kind)
+            assert f"| `{section}.{key}` | {kind} |" in readme, key
