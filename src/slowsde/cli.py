@@ -144,6 +144,7 @@ def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
     outdir = _outdir(doc, out)
     try:
         report = run_ensemble(config, threads=threads)
+        _export_envelopes(outdir, config)
     except SlowSdeError as exc:
         return _failed(exc)
 
@@ -160,7 +161,6 @@ def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
                          res["histogram"])
     if report.per_path:
         _write_per_path(outdir / "paths_summary.csv", report, report.per_path)
-    _export_envelopes(outdir, config)
     print(f"wrote {outdir / 'report.json'} ({report.runtime_seconds:.2f}s)")
     if strict and _has_violation(res):
         print("bound violation detected (--strict)", file=sys.stderr)

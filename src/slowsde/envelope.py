@@ -3,9 +3,9 @@
 zeta(t) solves the stiff linear ODE eps z' = 2 abar(t) z + 1 started from
 1/(2|abar(t0)|); sigma^2 zeta approximates the variance of the linearized
 deviation process and sets every strip width.  The integrator takes exact
-exponential steps for a piecewise-linear freeze of abar on substeps, which
-is unconditionally stable and keeps the discrete ODE residual far below
-the 1e-6 budget.
+exponential steps for a piecewise-linear freeze of abar on SUBSTEPS
+substeps of each grid cell, which is unconditionally stable and keeps the
+discrete ODE residual far below the 1e-6 budget.
 
 All bound evaluators return their theorem's right-hand side at leading
 order: every unquantified correction factor is evaluated as 1 and the
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 KAPPA_UNSTABLE = math.pi / (2.0 * math.e)
+# substeps per grid cell of the exponential zeta integrator
+SUBSTEPS = 4
 
 # zeta(t)*|t| (pre) and zeta(t)*sqrt(eps) (crossing) ranges for the standard
 # model, frozen from calibrate_zeta_brackets with a 10% margin; re-derived in
@@ -75,7 +77,7 @@ def _phi1(m: np.ndarray) -> np.ndarray:
 
 
 def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
-                    zeta0, substeps: int) -> np.ndarray:
+                    zeta0) -> np.ndarray:
     """Scan the exponential-step recurrence over the refined grid.
 
     abar_sub is one rate (n_sub,) or a stack of rows (n, n_sub) integrated
@@ -83,7 +85,7 @@ def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
     (a row that has not started yet) leaves zeta unchanged.
     """
     K = len(t_grid) - 1
-    h_sub = np.repeat(np.diff(t_grid) / substeps, substeps)
+    h_sub = np.repeat(np.diff(t_grid) / SUBSTEPS, SUBSTEPS)
     m = (abar_sub[..., :-1] + abar_sub[..., 1:]) * h_sub / eps
     idle = np.isnan(m)
     m[idle] = 0.0
@@ -97,20 +99,20 @@ def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
     zeta[0] = z = zeta0
     idx = 0
     for k in range(K):
-        for _ in range(substeps):
+        for _ in range(SUBSTEPS):
             z = z * E[idx] + w[idx]
             idx += 1
         zeta[k + 1] = z
     return np.moveaxis(zeta, 0, -1)
 
 
-def _refine_nodes(t_grid: np.ndarray, substeps: int) -> np.ndarray:
-    cells = np.linspace(t_grid[:-1], t_grid[1:], substeps + 1, axis=1)
+def _refine_nodes(t_grid: np.ndarray) -> np.ndarray:
+    cells = np.linspace(t_grid[:-1], t_grid[1:], SUBSTEPS + 1, axis=1)
     return np.concatenate([cells[:, :-1].ravel(), t_grid[-1:]])
 
 
-def _hermite_refine(t_grid: np.ndarray, x: np.ndarray, slope: np.ndarray,
-                    substeps: int) -> np.ndarray:
+def _hermite_refine(t_grid: np.ndarray, x: np.ndarray,
+                    slope: np.ndarray) -> np.ndarray:
     """Cubic Hermite values of x on the refined grid (slopes from the ODE).
 
     x and slope are one path (K+1,) or rows (n, K+1).  Linear interpolation
@@ -119,7 +121,7 @@ def _hermite_refine(t_grid: np.ndarray, x: np.ndarray, slope: np.ndarray,
     ODE residual.
     """
     h = np.diff(t_grid)
-    theta = (np.arange(substeps) / substeps)[None, :]
+    theta = (np.arange(SUBSTEPS) / SUBSTEPS)[None, :]
     t2 = theta * theta
     t3 = t2 * theta
     h00 = 2 * t3 - 3 * t2 + 1
@@ -134,29 +136,31 @@ def _hermite_refine(t_grid: np.ndarray, x: np.ndarray, slope: np.ndarray,
 
 
 def zeta_along(model: ModelSpec, eps: float, t_grid: np.ndarray,
-               x: np.ndarray, abar: np.ndarray, substeps: int) -> np.ndarray:
+               x: np.ndarray, abar: np.ndarray) -> np.ndarray:
     """zeta driven by df/dx along a path, refined by cubic Hermite values.
 
     x is one path (K+1,) or rows (n, K+1) with abar = df/dx on its nodes.
     Each row starts at its first finite node from 1/(2|abar|) there, and its
     zeta is NaN before that node.  The grid is taken in blocks of cells so
-    the refined arrays stay small however many rows there are.
+    the refined arrays stay small however many rows there are: a block
+    holds about 2^17 refined values, and some eight arrays of that size are
+    live at once.
     """
     first = np.argmax(np.isfinite(x), axis=-1)
     a_first = np.take_along_axis(abar, np.expand_dims(first, -1), -1)[..., 0]
     z = 1.0 / (2.0 * np.abs(a_first))
     K = len(t_grid) - 1
-    cells = max(1, (1 << 20) // (substeps * (x.size // (K + 1))))
+    cells = max(1, (1 << 17) // (SUBSTEPS * (x.size // (K + 1))))
     zeta = np.full(x.shape, np.nan)
     zeta[..., first.min()] = z
     for lo in range(first.min(), K, cells):
         hi = min(lo + cells, K)
         tg, xb = t_grid[lo:hi + 1], x[..., lo:hi + 1]
         slope = np.asarray(model.drift(xb, tg), dtype=float) / eps
-        x_sub = _hermite_refine(tg, xb, slope, substeps)
-        sub = np.asarray(model.drift_dx(x_sub, _refine_nodes(tg, substeps)),
+        x_sub = _hermite_refine(tg, xb, slope)
+        sub = np.asarray(model.drift_dx(x_sub, _refine_nodes(tg)),
                          dtype=float)
-        zb = _integrate_zeta(eps, tg, sub, z, substeps)
+        zb = _integrate_zeta(eps, tg, sub, z)
         zeta[..., lo + 1:hi + 1] = zb[..., 1:]
         z = zb[..., -1]
     zeta[np.isnan(x)] = np.nan
@@ -203,8 +207,8 @@ class EnvelopeTable:
                 fh.write(f"{t:.17g},{z:.17g}\n")
 
 
-def zeta_stable(model: ModelSpec, eps: float, t_grid, xdet_path: DetPath,
-                substeps: int = 4) -> EnvelopeTable:
+def zeta_stable(model: ModelSpec, eps: float, t_grid,
+                xdet_path: DetPath) -> EnvelopeTable:
     """zeta along a stable deterministic path (rate from df/dx on the path)."""
     tg = np.asarray(t_grid, dtype=float)
     if len(tg) != len(xdet_path.t_grid) or not np.allclose(tg, xdet_path.t_grid):
@@ -212,7 +216,7 @@ def zeta_stable(model: ModelSpec, eps: float, t_grid, xdet_path: DetPath,
     abar = np.asarray(model.drift_dx(xdet_path.x_values, tg), dtype=float)
     if np.any(abar >= 0):
         raise NotStable("df/dx along the path must stay negative")
-    z = zeta_along(model, eps, tg, xdet_path.x_values, abar, substeps)
+    z = zeta_along(model, eps, tg, xdet_path.x_values, abar)
     a_plus, a_minus = float(np.max(-abar)), float(np.min(-abar))
     gap_mask = tg - tg[0] >= 10.0 * eps * abs(math.log(eps))
     gap = float(np.max(np.abs(z[gap_mask] - 1.0 / (2.0 * np.abs(abar[gap_mask]))))) \
@@ -226,8 +230,8 @@ def zeta_stable(model: ModelSpec, eps: float, t_grid, xdet_path: DetPath,
     return EnvelopeTable(tg, z, abar, "stable", eps, params)
 
 
-def zeta_pitchfork(model: ModelSpec, eps: float, t0: float, t_grid,
-                   substeps: int = 4) -> EnvelopeTable:
+def zeta_pitchfork(model: ModelSpec, eps: float, t0: float,
+                   t_grid) -> EnvelopeTable:
     """zeta for the pitchfork crossing, driven by the origin linearization.
 
     Valid for t0 <= -2 sqrt(eps) and a grid inside [t0, sqrt(eps)].  The
@@ -246,10 +250,9 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t0: float, t_grid,
         raise GridMismatch("grid must start at t0")
     if tg[-1] > sq * (1.0 + 1e-9):
         raise GridMismatch("grid must end at or before sqrt(eps)")
-    sub_nodes = _refine_nodes(tg, substeps)
-    sub = np.asarray(model.a(sub_nodes), dtype=float)
+    sub = np.asarray(model.a(_refine_nodes(tg)), dtype=float)
     abar = np.asarray(model.a(tg), dtype=float)
-    z = _integrate_zeta(eps, tg, sub, 1.0 / (2.0 * abs(a_t0)), substeps)
+    z = _integrate_zeta(eps, tg, sub, 1.0 / (2.0 * abs(a_t0)))
 
     pre = tg <= -sq + 1e-12
     cross = ~pre
@@ -273,8 +276,7 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t0: float, t_grid,
 
 def zeta_post_exit(model: ModelSpec, eps: float, tau: float, t_grid,
                    det: Optional[DetPath] = None,
-                   curves: Optional[BranchCurves] = None,
-                   substeps: int = 4) -> EnvelopeTable:
+                   curves: Optional[BranchCurves] = None) -> EnvelopeTable:
     """zeta along the deterministic solution restarted on the escape boundary.
 
     The rate is df/dx along that path; the table checks the sandwich between
@@ -292,7 +294,7 @@ def zeta_post_exit(model: ModelSpec, eps: float, tau: float, t_grid,
         raise GridMismatch("post-exit path does not cover the requested grid")
     xhat = np.abs(det.x_values[:len(tg)])
     abar = np.asarray(model.drift_dx(xhat, tg), dtype=float)
-    z = zeta_along(model, eps, tg, xhat, abar, substeps)
+    z = zeta_along(model, eps, tg, xhat, abar)
     zeta0 = z[0]
 
     a_star = np.asarray(curves.a_star(tg), dtype=float)
@@ -327,10 +329,7 @@ def variance(model: ModelSpec, eps: float, sigma: float, t: float,
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     wts = (half[:, None] * gl_w[None, :]).ravel()
-    if model.alpha_closed is not None:
-        expo = np.array([2.0 * model.alpha_closed(t, u) / eps for u in nodes])
-    else:
-        expo = np.array([2.0 * alpha(model, t, u) / eps for u in nodes])
+    expo = np.array([2.0 * alpha(model, t, u) / eps for u in nodes])
     m = float(np.max(expo))
     integral = math.exp(m) * float(np.sum(wts * np.exp(expo - m)))
     return sigma * sigma / eps * integral

@@ -396,9 +396,10 @@ def make_model(drift: Callable, config: dict) -> ModelSpec:
     """Build a validated ModelSpec from a drift callable and a config dict.
 
     config keys: kind (required); lambda, eta, d, T or t_range; optional
-    drift_dx, a, alpha_closed, equilibrium callables; name.  Pitchfork
-    models are checked for oddness and the supercritical derivative
-    conditions; violations raise ValidationFailure.
+    drift_dx, a, alpha_closed, equilibrium callables; name.  The domain
+    needs d > 0 and t_min < t_max (so T > 0).  Pitchfork models are checked
+    for oddness and the supercritical derivative conditions; violations
+    raise ValidationFailure.
     """
     kind = config["kind"]
     d = float(config.get("d", 1.0))
@@ -407,6 +408,11 @@ def make_model(drift: Callable, config: dict) -> ModelSpec:
     else:
         t_hi = float(config.get("T", 1.0))
         t_min, t_max = (-t_hi, t_hi) if kind == "pitchfork" else (0.0, t_hi)
+    if not d > 0:
+        raise ValidationFailure(f"d={d:g} leaves no domain; need d > 0")
+    if not t_min < t_max:
+        raise ValidationFailure(
+            f"time range [{t_min:g}, {t_max:g}] is empty or reversed")
 
     drift_dx = config.get("drift_dx")
     dx_numeric = drift_dx is None
@@ -521,16 +527,14 @@ def standard_pitchfork(lambda_param: Optional[float] = None,
                        eta: Optional[float] = None) -> ModelSpec:
     """The reference cubic model f(x, t) = t*x - x**3.
 
-    A parameter left None takes make_model's default.  Closed forms:
-    a(t) = t, alpha(t, s) = (t^2 - s^2)/2, branches x_star = sqrt(t),
-    x_bar = sqrt(t/3).
+    A parameter left None takes make_model's default.  Closed forms, all
+    derived from the coefficients: a(t) = t, alpha(t, s) = (t^2 - s^2)/2,
+    branches x_star = sqrt(t), x_bar = sqrt(t/3).
     """
     params = {"lambda": lambda_param, "d": d, "T": T, "eta": eta}
     return model_from_coeffs(
         STANDARD_COEFFS,
         {"kind": "pitchfork", "name": "standard",
-         "a": lambda t: t,
-         "alpha_closed": lambda t, s: 0.5 * (t * t - s * s),
          **{k: v for k, v in params.items() if v is not None}},
     )
 

@@ -571,8 +571,7 @@ def _run_approach(run: _Run) -> tuple:
     xhat, start_col = post_exit_family(cfg.model, cfg.eps, taus, grid,
                                        branches(cfg.model))
     abar = np.asarray(cfg.model.drift_dx(xhat, grid), dtype=float)
-    sqrtz = np.sqrt(env.zeta_along(cfg.model, cfg.eps, grid, xhat, abar,
-                                   substeps=4))
+    sqrtz = np.sqrt(env.zeta_along(cfg.model, cfg.eps, grid, xhat, abar))
 
     def scan(X, nodes, idx, cols):
         j = family[np.searchsorted(paths, idx)]

@@ -1,9 +1,9 @@
 """SDE integration: Euler-Maruyama for the nonlinear equation, exponential
 Euler for linear comparisons, and coupled pairs sharing one noise realization.
 
-The stepping loops are NumPy kernels over a whole batch of paths; the
-public integrators precompute the scaled increments, step coefficients and
-multipliers they consume.
+Both integrators step a whole batch of paths time-major and in place, in
+NumPy: em_batch through one Euler-Maruyama loop for polynomial and callable
+drifts alike, linear_batch through precomputed exponential multipliers.
 """
 
 from __future__ import annotations
@@ -77,6 +77,22 @@ def _check_dt(dt: float, eps: float) -> None:
         raise StepTooLarge(f"dt={dt:g} exceeds eps/10={eps / 10.0:g}")
 
 
+def _time_major(eps: float, sigma: float, x0, dt: float,
+                increments: np.ndarray) -> np.ndarray:
+    """The (n+1, B) array a batch steps in: the state x0 in row 0, and in
+    row j + 1 the increments of step j times sigma/sqrt(eps), which the
+    step's new state replaces."""
+    _check_dt(dt, eps)
+    B, n = increments.shape
+    out = np.empty((n + 1, B))
+    out[0] = x0
+    # the transpose goes in blocks of paths, which keeps it cache-friendly
+    cns = sigma / math.sqrt(eps)
+    for b in range(0, B, 64):
+        np.multiply(increments[b:b + 64].T, cns, out=out[1:, b:b + 64])
+    return out
+
+
 def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
              x0, dt: float, increments: np.ndarray, k0: int = 0,
              trunc: Optional[np.ndarray] = None) -> tuple:
@@ -92,25 +108,21 @@ def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
     call bit for bit, because the step times are the same nodes of the one
     grid.  With sigma = 0 this is explicit Euler on the slow ODE, bit for
     bit.
+
+    Every column is stepped as if live and fixed up once per chunk by
+    _freeze, so a drift callable is also evaluated at states beyond d, and
+    at the held value of a frozen path, in columns whose nodes are then
+    overwritten: it must accept any float there, and what it returns there
+    (non-finite values included) never reaches the paths.
     """
-    _check_dt(dt, eps)
+    out = _time_major(eps, sigma, x0, dt, increments)
     B, n = increments.shape
-    out = np.empty((n + 1, B))
-    out[0] = x0
     if trunc is None:
         trunc = np.full(B, np.nan)
-    # the kernels take the scaled increments in out[1:], time-major; the
-    # transpose goes in blocks of paths, which keeps it cache-friendly
-    cns = sigma / math.sqrt(eps)
-    for b in range(0, B, 64):
-        np.multiply(increments[b:b + 64].T, cns, out=out[1:, b:b + 64])
     t_nodes = t0 + dt * np.arange(k0, k0 + n)  # time_grid(t0, dt, .)[k0:]
-    if model.poly is not None:
-        _em_poly(out, model.poly, t_nodes, dt / eps, model.d, trunc, t0,
-                 dt, k0)
-    else:
-        _em_callable(out, model.drift, t_nodes, dt / eps, model.d, trunc, t0,
-                     dt, k0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _em_steps(out, model, t_nodes, dt / eps)
+        _freeze(out, model.d, trunc, t0, dt, k0)
     return out.T, trunc
 
 
@@ -124,16 +136,10 @@ def linear_batch(rate_fn: Callable, eps: float, sigma: float, t0: float,
     whole batch.  Returns (paths (B, K+1), trunc (B,)) as em_batch does,
     freezing a path at its last value with |x| <= domain.
     """
-    _check_dt(dt, eps)
+    out = _time_major(eps, sigma, x0, dt, increments)
     B, K = increments.shape
-    out = np.empty((K + 1, B))
-    out[0] = x0
     trunc = np.full(B, np.nan)
-    cns = sigma / math.sqrt(eps)
-    for b in range(0, B, 64):
-        np.multiply(increments[b:b + 64].T, cns, out=out[1:, b:b + 64])
-    t_nodes = time_grid(t0, dt, K)[:-1]
-    a_vals = np.asarray(rate_fn(t_nodes), dtype=float)
+    a_vals = np.asarray(rate_fn(time_grid(t0, dt, K)[:-1]), dtype=float)
     if a_vals.ndim == 0:
         a_vals = np.full(K, float(a_vals))
     mult = np.exp(a_vals * (dt / eps))
@@ -145,46 +151,48 @@ def linear_batch(rate_fn: Callable, eps: float, sigma: float, t0: float,
     return out.T, trunc
 
 
-def _em_poly(out, poly, t_nodes, cdt, d, trunc, t0, dt, k0):
-    """Euler-Maruyama steps of one time chunk, time-major and in place.
+def _em_steps(out, model, t_nodes, cdt):
+    """Euler-Maruyama steps of one time chunk, in place in _time_major's
+    array out, whose row 0 is the state at grid node k0.
 
-    out: (n+1, B) with out[0] the state at grid node k0 and out[j + 1] the
-    increments of step k0 + j already multiplied by sigma/sqrt(eps), which
-    the step's new state replaces; t_nodes[j] is the time of step k0 + j.
-    The drift is poly's HornerPlan, run in place: only its time-dependent
-    coefficients are tabulated, one row per step.  trunc: (B,), NaN for a
-    live path and the freeze time of a frozen one; updated in place.  A path
-    freezes at its last in-domain value once |x| would exceed d, and
-    trunc[b] records that time, t0 + (k + 1) * dt for the step k that left.
-
-    Every column is stepped as if live and fixed up once per chunk: paths
-    are independent, so a path's nodes up to its first exceedance are those
-    of the per-step rule, and its later nodes are overwritten.
+    t_nodes[j] is the time of step k0 + j.  A polynomial drift runs its
+    HornerPlan in place, with only its time-dependent coefficients
+    tabulated, one row per step; any other drift is one model.drift(x, t)
+    call per step.
     """
-    plan = poly.plan
-    ops = [(getattr(np, u), a, b) for u, a, b in plan.ops]
-    consts = tuple(np.array(v) for v in plan.consts)
-    rows = poly.coeff_table(t_nodes)[:, list(plan.vary)].tolist()
+    poly = model.poly
+    if poly is not None:
+        plan = poly.plan
+        ops = [(getattr(np, u), a, b) for u, a, b in plan.ops]
+        consts = tuple(np.array(v) for v in plan.consts)
+        rows = poly.coeff_table(t_nodes)[:, list(plan.vary)].tolist()
+        r = plan.result
+    else:
+        drift, rows = model.drift, t_nodes
     mul, add = np.multiply, np.add
     cdt = np.array(cdt)
     f = np.empty(out.shape[1])
-    r = plan.result
-    with np.errstate(over="ignore", invalid="ignore"):
-        # x: state at a node, y: the step's scaled increment, then its result;
-        # the operands of the plan's calls are indices into v
-        for x, y, c in zip(out[:-1], out[1:], rows):
+    # x: state at a node, y: the step's scaled increment, then its result;
+    # c: the step's time, or the plan's time-dependent coefficients, which
+    # with x, f and the plan's constants are the operands the plan indexes
+    for x, y, c in zip(out[:-1], out[1:], rows):
+        if poly is None:
+            fx = drift(x, c)
+        else:
             v = (x, f, *c, *consts)
             for u, a, b in ops:
                 u(v[a], v[b], f)
-            mul(v[r], cdt, f)
-            add(x, f, f)
-            add(f, y, y)
-        _freeze(out, d, trunc, t0, dt, k0)
+            fx = v[r]
+        mul(fx, cdt, f)
+        add(x, f, f)
+        add(f, y, y)
 
 
 def _freeze(out, d, trunc, t0, dt, k0):
     """Hold frozen columns of out at their value on entry, and freeze each
-    live column from its first node with |x| > d."""
+    live column from its first node with |x| > d, at that node's previous
+    value; trunc[b] records the time t0 + (k + 1) * dt of the step k that
+    left."""
     live = np.isnan(trunc)
     if not live.all():
         out[1:, ~live] = out[0, ~live]
@@ -200,32 +208,22 @@ def _freeze(out, d, trunc, t0, dt, k0):
         out[j + 1:, b] = out[j, b]
 
 
-def _em_callable(out, drift, t_nodes, cdt, d, trunc, t0, dt, k0):
-    """_em_poly for an arbitrary vectorized drift callable.
-
-    t_nodes[j] is the time of step k0 + j.  Frozen paths are held step by
-    step, so the drift is only ever evaluated inside the domain.
-    """
-    x = out[0].copy()
-    alive = np.isnan(trunc)
-    for j in range(len(t_nodes)):
-        f = np.asarray(drift(x, t_nodes[j]), dtype=float)
-        xn = (x + cdt * f) + out[j + 1]
-        exited = alive & (np.abs(xn) > d)
-        if exited.any():
-            trunc[exited] = t0 + (k0 + j + 1) * dt
-            alive &= ~exited
-        x = np.where(alive, xn, x)
-        out[j + 1] = x
-    return None
-
-
-def _resolve_noise(noise, master_seed, path_index, t0, dt, n):
+def _one_path(batch, scheme, drift, eps, sigma, t0, x0, t_end, dt, noise,
+              master_seed, path_index, **kwargs) -> PathSample:
+    """One path of batch (em_batch or linear_batch) from t0 to t_end, driven
+    by noise or else by the stream of (master_seed, path_index)."""
+    n = n_steps_for(t0, t_end, dt)
     if noise is None:
         noise = NoiseStream(master_seed, path_index, t0, dt, n)
     if noise.n_steps != n or abs(noise.dt - dt) > 1e-15 * max(1.0, dt):
         raise ValueError("noise stream grid does not match the requested grid")
-    return noise
+    dw = noise.increments()[None, :] if sigma != 0.0 else np.zeros((1, n))
+    X, trunc = batch(drift, eps, sigma, t0, x0, dt, np.ascontiguousarray(dw),
+                     **kwargs)
+    return PathSample(time_grid(t0, dt, n), X[0], eps, sigma,
+                      noise.master_seed, noise.path_index, scheme,
+                      None if math.isnan(trunc[0]) else float(trunc[0]),
+                      noise.mirrored, noise.level)
 
 
 def simulate(model: ModelSpec, eps: float, sigma: float, t0: float, x0: float,
@@ -237,14 +235,8 @@ def simulate(model: ModelSpec, eps: float, sigma: float, t0: float, x0: float,
     Leaving |x| <= d freezes the state at the last in-domain value and records
     the truncation time; it is not an exception.
     """
-    n = n_steps_for(t0, t_end, dt)
-    noise = _resolve_noise(noise, master_seed, path_index, t0, dt, n)
-    dw = noise.increments()[None, :] if sigma != 0.0 else np.zeros((1, n))
-    X, trunc = em_batch(model, eps, sigma, t0, x0, dt, np.ascontiguousarray(dw))
-    return PathSample(time_grid(t0, dt, n), X[0], eps, sigma,
-                      noise.master_seed, noise.path_index, "euler-maruyama",
-                      None if math.isnan(trunc[0]) else float(trunc[0]),
-                      noise.mirrored, noise.level)
+    return _one_path(em_batch, "euler-maruyama", model, eps, sigma, t0, x0,
+                     t_end, dt, noise, master_seed, path_index)
 
 
 def simulate_linear(rate_fn: Callable, eps: float, sigma: float, t0: float,
@@ -259,15 +251,9 @@ def simulate_linear(rate_fn: Callable, eps: float, sigma: float, t0: float,
     up for a > 0 at moderate dt/eps, while the shared dW keeps paths
     comparable with simulate().
     """
-    n = n_steps_for(t0, t_end, dt)
-    noise = _resolve_noise(noise, master_seed, path_index, t0, dt, n)
-    dw = noise.increments()[None, :] if sigma != 0.0 else np.zeros((1, n))
-    X, trunc = linear_batch(rate_fn, eps, sigma, t0, x0, dt,
-                            np.ascontiguousarray(dw), domain)
-    return PathSample(time_grid(t0, dt, n), X[0], eps, sigma,
-                      noise.master_seed, noise.path_index, "exponential-euler",
-                      None if math.isnan(trunc[0]) else float(trunc[0]),
-                      noise.mirrored, noise.level)
+    return _one_path(linear_batch, "exponential-euler", rate_fn, eps, sigma,
+                     t0, x0, t_end, dt, noise, master_seed, path_index,
+                     domain=domain)
 
 
 def simulate_coupled(model: ModelSpec, rate_fn: Callable, eps: float,

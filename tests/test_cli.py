@@ -90,8 +90,8 @@ class TestRun:
         assert "x0='x_tilde'" in err and "t0=-0.1" in err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("fault",
-                             ["nan_path", "nan_drift", "root_not_converged"])
+    @pytest.mark.parametrize("fault", ["nan_path", "nan_drift",
+                                       "root_not_converged", "envelope_table"])
     def test_run_failure_status(self, tmp_path, out, capsys, monkeypatch,
                                 nan_patch, fault):
         # a package error raised inside the run is status 1, not a traceback
@@ -114,6 +114,15 @@ class TestRun:
             doc["ensemble"] = {"n_paths": 50, "master_seed": 3}
             doc["experiment"] = {"tag": "escape", "t_probe_list": [0.5]}
             expected = "non-finite final state"
+        elif fault == "envelope_table":
+            # the run succeeds; then sqrt(eps) = 0.2 > T leaves bound_escape
+            # no window
+            doc = {"model": {"builtin": "standard", "T": 0.1},
+                   "dynamics": {"eps": 0.04, "sigma": 0.001, "t0": -0.1,
+                                "x0": 0.0, "t_end": 0.1},
+                   "ensemble": {"n_paths": 20, "master_seed": 1},
+                   "experiment": {"tag": "branch"}}
+            expected = "need t > t0"
         else:
             monkeypatch.setattr(envelope, "brentq",
                                 functools.partial(_brentq.brentq, maxiter=1))
@@ -298,6 +307,13 @@ class TestValidate:
                    "coeffs": [[0.1], [0.0, 1.0], [0.0], [-1.0]]})
         assert cmd_validate(p) == 1
         assert "odd" in capsys.readouterr().err
+
+    def test_reversed_time_range_fails(self, tmp_path, capsys):
+        p = write(tmp_path, "m.json",
+                  {"coeffs": [[0], [-1]], "kind": "stable-branch",
+                   "t_range": [1, 0], "equilibrium": [0]})
+        assert cmd_validate(p) == 1
+        assert "empty or reversed" in capsys.readouterr().err
 
     def test_subcritical_fails(self, tmp_path, capsys):
         p = write(tmp_path, "m.json",

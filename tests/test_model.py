@@ -107,6 +107,16 @@ class TestMakeModel:
         with pytest.raises(ValidationFailure, match="supercritical"):
             make_model(lambda x, t: t * x + x ** 3, {"kind": "pitchfork"})
 
+    @pytest.mark.parametrize("build", [
+        lambda: standard_pitchfork(d=-1.0), lambda: standard_pitchfork(T=-0.2),
+        lambda: make_model(lambda x, t: -x, {"kind": "stable-branch",
+                                             "a": lambda t: -1.0,
+                                             "t_range": [0.5, 0.5]})],
+        ids=["negative-d", "negative-T", "empty-t_range"])
+    def test_empty_domain_rejected(self, build):
+        with pytest.raises(ValidationFailure, match="d > 0|empty or reversed"):
+            build()
+
     def test_lambda_window_enforced(self):
         for lam in (1 / 3, 0.5, 0.6):
             with pytest.raises(ValidationFailure, match="lambda"):

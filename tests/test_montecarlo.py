@@ -407,8 +407,7 @@ def test_post_exit_family_matches_zeta_post_exit(standard):
     xhat, start = post_exit_family(standard, eps, taus, grid,
                                    branches(standard))
     abar = standard.drift_dx(xhat, grid)
-    sqrtz = np.sqrt(envelope.zeta_along(standard, eps, grid, xhat, abar,
-                                        substeps=4))
+    sqrtz = np.sqrt(envelope.zeta_along(standard, eps, grid, xhat, abar))
     assert list(start) == [200, 205, 450, 1300]
     for j, k0 in enumerate(start):
         assert np.all(np.isnan(xhat[j, :k0])) and np.all(np.isnan(sqrtz[j, :k0]))
@@ -416,3 +415,18 @@ def test_post_exit_family_matches_zeta_post_exit(standard):
         table = zeta_post_exit(standard, eps, float(taus[j]), grid[k0:],
                                det=det)
         assert np.array_equal(table.sqrt_zeta(), sqrtz[j, k0:])
+
+
+def test_zeta_along_memory_stays_near_its_output(standard):
+    """zeta_along refines the grid in blocks of cells, so one call on 64
+    family rows x 20001 nodes peaks below 3x its output array."""
+    eps = 0.01
+    grid = time_grid(0.2, 4e-5, 20000)
+    taus = grid[np.linspace(0, 10000, 64).astype(int)]
+    xhat, _ = post_exit_family(standard, eps, taus, grid, branches(standard))
+    abar = standard.drift_dx(xhat, grid)
+    tracemalloc.start()
+    zeta = envelope.zeta_along(standard, eps, grid, xhat, abar)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3 * zeta.nbytes

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,11 +154,18 @@ class TestChunkedStepping:
         args = (model, self.eps, self.sigma, self.t0, self.x0, self.dt, dw)
         return em_per_step(*args), em_batch(*args), em_in_chunks(*args, 700)
 
-    @pytest.mark.parametrize("drift", ["polynomial", "callable"])
+    @pytest.mark.parametrize("drift", ["polynomial", "callable",
+                                       "inf-outside"])
     def test_matches_per_step(self, quintic, rng, drift):
+        def quintic_fn(x, t):
+            return t * x - x ** 3 + x ** 5
+
         model = quintic if drift == "polynomial" else make_model(
-            lambda x, t: t * x - x ** 3 + x ** 5,
-            {"kind": "pitchfork", "d": 0.7, "T": 0.2})
+            quintic_fn, {"kind": "pitchfork", "d": 0.7, "T": 0.2})
+        if drift == "inf-outside":
+            # non-finite in the columns em_batch steps and then overwrites
+            model = replace(model, drift=lambda x, t: np.where(
+                np.abs(x) > 0.7, np.inf, quintic_fn(x, t)))
         (X, trunc), *runs = self._run(model, rng)
         assert np.isfinite(trunc).any() and np.isnan(trunc).any()
         for got, got_trunc in runs:

@@ -1,5 +1,6 @@
-"""Source hygiene checks that need no linter: no unused imports, and no
-runtime dependency that the package never imports."""
+"""Source hygiene checks that need no linter: no unused imports, no private
+helper that nothing calls, and no runtime dependency that the package never
+imports."""
 
 import ast
 import re
@@ -42,6 +43,37 @@ def test_no_unused_imports():
             if names:
                 found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def orphaned_private_functions(sources: list) -> list:
+    """Private module-level functions that no source refers to by name."""
+    defined, used = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined += [node.name for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(set(defined) - used)
+
+
+def test_checker_finds_orphaned_private_functions():
+    srcs = ["def _a():\n    pass\ndef _b():\n    pass\ndef _c():\n    pass\n"
+            "def __getattr__(n):\n    pass\nx = _a()\n",
+            "from m import _b\nclass K:\n    def _d(self):\n        pass\n"]
+    assert orphaned_private_functions(srcs) == ["_c"]
+
+
+def test_no_orphaned_private_functions():
+    sources = [p.read_text() for p in (ROOT / "src").rglob("*.py")]
+    assert orphaned_private_functions(sources) == []
 
 
 def imported_modules(source: str) -> set:
