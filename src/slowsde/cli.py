@@ -102,23 +102,28 @@ def _write_per_path(path, report, per_path: dict) -> None:
 
 
 def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
+    """Write the envelope tables of the config's model; every table is
+    computed before the first file is written, so a failure leaves none."""
     model, eps, dt = config.model, config.eps, config.dt
     if model.kind == "pitchfork":
         sq = math.sqrt(eps)
         t0 = min(config.t0, -2.0 * sq)
         grid = time_grid(t0, dt, n_steps_for(t0, sq, dt))
         table = env.zeta_pitchfork(model, eps, t0, grid)
-        table.to_csv(outdir / "zeta_pitchfork.csv")
         curves = branches(model)
         tpos = np.linspace(sq, model.t_max, 201)
-        env.region_D(model, eps, curves).to_csv(outdir / "region_D.csv", tpos)
-        env.region_S(model, eps, config.sigma, curves=curves).to_csv(
-            outdir / "region_S.csv", tpos)
-        with open(outdir / "bounds.csv", "w") as fh:
-            fh.write("t,bound_escape\n")
-            for t in tpos[1:]:
-                b = env.bound_escape(model, float(t), sq, eps, config.sigma)
-                fh.write(f"{t:.17g},{b.bound:.17g}\n")
+        regions = {"region_D.csv": env.region_D(model, eps, curves),
+                   "region_S.csv": env.region_S(model, eps, config.sigma,
+                                                curves=curves)}
+        for region in regions.values():
+            region.boundaries(tpos)  # its g1 < g2 check raises here
+        bounds = [env.bound_escape(model, float(t), sq, eps, config.sigma)
+                  for t in tpos[1:]]
+        table.to_csv(outdir / "zeta_pitchfork.csv")
+        for name, region in regions.items():
+            region.to_csv(outdir / name, tpos)
+        (outdir / "bounds.csv").write_text("t,bound_escape\n" + "".join(
+            f"{t:.17g},{b.bound:.17g}\n" for t, b in zip(tpos[1:], bounds)))
     elif model.kind == "stable-branch":
         xdet = solve_det(model, eps, config.t0, float(config.x0),
                          config.t_end, dt)

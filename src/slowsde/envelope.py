@@ -27,7 +27,7 @@ from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
                      HExceedsSigma, NotStable, OutsideRegime, RegimeViolation,
                      RhoTooSmall)
 from .model import (BranchCurves, ModelSpec, _standard_drift, alpha,
-                    branches)
+                    branches, gauss_legendre)
 from .sde import n_steps_for, time_grid
 
 __all__ = [
@@ -323,13 +323,8 @@ def variance(model: ModelSpec, eps: float, sigma: float, t: float,
     if t < s:
         raise ValueError("need s <= t")
     n_panels = max(1, int(math.ceil((t - s) / (eps / 10.0))))
-    edges = np.linspace(s, t, n_panels + 1)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(5)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    wts = (half[:, None] * gl_w[None, :]).ravel()
-    expo = np.array([2.0 * alpha(model, t, u) / eps for u in nodes])
+    nodes, wts = gauss_legendre(s, t, n_panels)
+    expo = 2.0 * alpha(model, t, nodes) / eps
     m = float(np.max(expo))
     integral = math.exp(m) * float(np.sum(wts * np.exp(expo - m)))
     return sigma * sigma / eps * integral
@@ -413,7 +408,7 @@ def region_B(model: ModelSpec, eps: float, h: float, x0: float, t0: float,
     tg = table.t_grid
     if abs(tg[0] - t0) > 1e-12:
         raise GridMismatch("envelope table must start at t0")
-    centre = x0 * np.exp(np.array([alpha(model, t, t0) for t in tg]) / eps)
+    centre = x0 * np.exp(alpha(model, tg, t0) / eps)
     half = h * table.sqrt_zeta()
     return SpaceTimeRegion(
         _interp_fn(tg, centre - half), _interp_fn(tg, centre + half),
@@ -627,35 +622,12 @@ def martingale_sup_bound(delta: float, Phi: float) -> float:
     return math.exp(-delta * delta / (2.0 * Phi))
 
 
-def return_to_zero_bound(rho: float, sigma: float, a0_t0: float,
-                         rate_fn: Optional[Callable] = None,
-                         eps: Optional[float] = None,
-                         t0: Optional[float] = None):
-    """Bound on ever returning to zero from rho, plus a density bound.
-
-    Returns (exp(-a0(t0) rho^2/sigma^2), density_bound_fn).  The density
-    needs the rate function, eps and t0; without them it is None.
-    """
+def return_to_zero_bound(rho: float, sigma: float, a0_t0: float) -> float:
+    """Bound exp(-a0(t0) rho^2/sigma^2) on ever returning to zero from rho."""
     if rho <= sigma / math.sqrt(a0_t0):
         raise RhoTooSmall(f"need rho > sigma/sqrt(a0(t0)) = "
                           f"{sigma / math.sqrt(a0_t0):g}")
-    prob = math.exp(-a0_t0 * rho * rho / (sigma * sigma))
-    density = None
-    if rate_fn is not None and eps is not None and t0 is not None:
-        from scipy import integrate as _integrate
-
-        def density_bound_fn(t: float) -> float:
-            a0_t = float(rate_fn(t))
-            al0, _ = _integrate.quad(rate_fn, t0, t, epsabs=1e-13, epsrel=1e-10)
-            x = 2.0 * al0 / eps
-            if x <= 0:
-                raise DegenerateWindow("density bound needs t > t0")
-            return (2.0 / math.sqrt(math.pi) * math.sqrt(a0_t0) * rho / sigma
-                    * prob / eps * math.sqrt(a0_t * a0_t0)
-                    * math.exp(-x) / math.sqrt(-math.expm1(-x)))
-
-        density = density_bound_fn
-    return prob, density
+    return math.exp(-a0_t0 * rho * rho / (sigma * sigma))
 
 
 def no_exit_linear_bound(model: ModelSpec, t: float, t0: float, eps: float,

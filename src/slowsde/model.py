@@ -8,6 +8,7 @@ are immutable after construction and all operations here are pure.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -15,9 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from ._brentq import brentq
-from .errors import ConfigError, RootNotBracketed, ValidationFailure
+from .errors import (ConfigError, NonFiniteResult, RootNotBracketed,
+                     SlowSdeError, ValidationFailure)
 
 __all__ = [
     "PolyDrift",
@@ -31,6 +34,7 @@ __all__ = [
     "model_from_json",
     "branches",
     "alpha",
+    "gauss_legendre",
     "read_object",
 ]
 
@@ -40,6 +44,8 @@ ROOT_TOL = 1e-13
 # the standard cubic t x - x^3 as c[i][j], the coefficient of x^i t^j
 STANDARD_COEFFS = ((0.0,), (0.0, 1.0), (0.0,), (-1.0,))
 MODEL_KINDS = ("pitchfork", "stable-branch", "unstable-branch")
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)  # 5 nodes on [-1, 1]
+ALPHA_EPSABS, ALPHA_EPSREL = 1e-14, 1e-10  # alpha's quadrature tolerances
 
 
 def _finite(v) -> bool:
@@ -289,7 +295,7 @@ class ModelSpec:
     eta: float = 0.1
     a_plus: float = 1.0
     a_minus: float = 1.0
-    alpha_closed: Optional[Callable] = None
+    alpha_closed: Optional[tuple] = None  # a's antiderivative in t
     equilibrium: Optional[Callable] = None
     poly: Optional[PolyDrift] = None
     validation: Optional[ValidationReport] = None
@@ -304,10 +310,6 @@ class ModelSpec:
             )
         if not 0 <= self.eta < 1:
             raise ValidationFailure("eta must lie in [0, 1)")
-
-    @property
-    def T(self) -> float:
-        return self.t_max
 
     def in_domain(self, x: float, t: float) -> bool:
         return abs(x) <= self.d and self.t_min <= t <= self.t_max
@@ -373,13 +375,14 @@ def _validate_pitchfork(drift, drift_dx, d, T, n_points=1000) -> tuple:
     h3 = 1e-2 * min(1.0, d)
     fxxx0 = _richardson(d3, h3)
 
-    # bound on |f_xxx| over the rectangle (enters only as the 6M estimate)
-    big_m = 0.0
-    for x, t in zip(xs[:200], ts[:200]):
-        big_m = max(big_m, abs(_richardson(lambda h: (
-            drift(x + 2 * h, t) - 2 * drift(x + h, t)
-            + 2 * drift(x - h, t) - drift(x - 2 * h, t)) / (2 * h ** 3), h3)) / 6.0)
-    return sym, float(fx0), float(fxt0), float(fxxx0), big_m
+    # bound on |f_xxx| (enters only as the 6M estimate); the stencil reaches
+    # 2 h3 from its centres, which keep that far (and a hair) inside |x| <= d
+    lim = d - 2.0 * h3 * (1.0 + 1e-9)
+    x, t = np.clip(xs[:200], -lim, lim), ts[:200]
+    m = np.abs(_richardson(lambda h: (
+        drift(x + 2 * h, t) - 2 * drift(x + h, t)
+        + 2 * drift(x - h, t) - drift(x - 2 * h, t)) / (2 * h ** 3), h3)) / 6.0
+    return sym, float(fx0), float(fxt0), float(fxxx0), float(np.max(m))
 
 
 def _slope_bounds(a: Callable, kind: str, t_max: float) -> tuple:
@@ -396,10 +399,11 @@ def make_model(drift: Callable, config: dict) -> ModelSpec:
     """Build a validated ModelSpec from a drift callable and a config dict.
 
     config keys: kind (required); lambda, eta, d, T or t_range; optional
-    drift_dx, a, alpha_closed, equilibrium callables; name.  The domain
-    needs d > 0 and t_min < t_max (so T > 0).  Pitchfork models are checked
-    for oddness and the supercritical derivative conditions; violations
-    raise ValidationFailure.
+    drift_dx, a, equilibrium callables, alpha_closed (a's antiderivative,
+    coefficients in t from low order), name.  The domain needs d > 0 and
+    t_min < t_max (so T > 0).  Pitchfork models are checked for oddness and
+    the supercritical derivative conditions; violations raise
+    ValidationFailure.
     """
     kind = config["kind"]
     d = float(config.get("d", 1.0))
@@ -424,17 +428,21 @@ def make_model(drift: Callable, config: dict) -> ModelSpec:
     big_m = 0.0
     if kind == "pitchfork":
         sym, fx0, fxt0, fxxx0, big_m = _validate_pitchfork(drift, drift_dx, d, t_max)
-        if sym > SYMMETRY_TOL:
+        # each check is written to fail on NaN
+        if not sym <= SYMMETRY_TOL:
             raise ValidationFailure(
                 f"symmetry residual {sym:.3g} exceeds {SYMMETRY_TOL:g}; "
                 "drift is not odd in x")
-        if abs(fx0) > DERIVATIVE_TOL:
+        if not abs(fx0) <= DERIVATIVE_TOL:
             raise ValidationFailure(f"df/dx(0,0) = {fx0:.3g}, expected 0")
-        if abs(fxt0 - 1.0) > DERIVATIVE_TOL:
+        if not abs(fxt0 - 1.0) <= DERIVATIVE_TOL:
             raise ValidationFailure(f"d2f/dtdx(0,0) = {fxt0:.3g}, expected 1")
-        if abs(fxxx0 + 6.0) > DERIVATIVE_TOL:
+        if not abs(fxxx0 + 6.0) <= DERIVATIVE_TOL:
             raise ValidationFailure(
                 f"d3f/dx3(0,0) = {fxxx0:.3g}, expected -6 (supercritical)")
+        if not math.isfinite(big_m):
+            raise ValidationFailure(
+                f"|f_xxx|/6 bound estimate {big_m:.3g} is not finite")
 
     a = config.get("a")
     equilibrium = config.get("equilibrium")
@@ -471,44 +479,33 @@ def make_model(drift: Callable, config: dict) -> ModelSpec:
 
 
 def model_from_coeffs(coeffs, config: dict) -> ModelSpec:
-    """Model from a polynomial coefficient matrix c[i][j] * x^i * t^j."""
+    """Model from a polynomial coefficient matrix c[i][j] * x^i * t^j.
+
+    config is make_model's, but `equilibrium` may also be a coefficient
+    list in t from low order.  Unless config gives `a`, the rate is
+    a(t) = f_x(eq(t), t), with eq = 0 for pitchfork models and for a model
+    with no equilibrium; for a polynomial eq alpha has a closed form.
+    """
     poly = PolyDrift(coeffs)
     kind = config["kind"]
     if kind == "pitchfork" and not poly.is_odd_in_x():
         raise ValidationFailure("pitchfork coefficient matrix must use odd x powers only")
-    cfg = dict(config)
-    cfg["poly"] = poly
-    cfg["drift_dx"] = poly.dx()
-
-    a_row = poly.coeffs[1] if poly.coeffs.shape[0] > 1 else np.zeros(1)
-
-    def a_fn(t):
-        v = a_row[-1]
-        for j in range(len(a_row) - 2, -1, -1):
-            v = v * t + a_row[j]
-        return v
-
-    anti = np.concatenate([[0.0], a_row / np.arange(1, len(a_row) + 1)])
-
-    def alpha_closed(t, s):
-        def F(u):
-            v = anti[-1]
-            for j in range(len(anti) - 2, -1, -1):
-                v = v * u + anti[j]
-            return v
-        return F(t) - F(s)
-
-    if kind == "pitchfork":
-        cfg.setdefault("a", a_fn)
-    elif "equilibrium" in cfg:
-        eq = cfg["equilibrium"]
-        dx = cfg["drift_dx"]
-        cfg.setdefault("a", lambda t: dx(eq(t), t))
-    else:
-        # fall back to the origin linearization (valid when x*ature == 0)
-        cfg.setdefault("a", a_fn)
-    if cfg.get("a") is a_fn:
-        cfg.setdefault("alpha_closed", alpha_closed)
+    cfg = dict(config, poly=poly, drift_dx=poly.dx())
+    eq = cfg.get("equilibrium")
+    if isinstance(eq, (list, tuple)):
+        eq = np.asarray(eq, dtype=float)
+        cfg["equilibrium"] = functools.partial(P.polyval, c=eq)
+    # pitchfork models, and models with no equilibrium, linearize at x = 0
+    origin = kind == "pitchfork" or eq is None
+    if "a" not in config and (origin or not callable(eq)):
+        # a(t) = f_x(eq(t), t) is a polynomial in t: keep its antiderivative
+        eq = np.zeros(1) if origin else eq
+        rate = np.zeros(1)
+        for i, row in enumerate(cfg["drift_dx"].coeffs):
+            rate = P.polyadd(rate, P.polymul(row, P.polypow(eq, i)))
+        cfg["alpha_closed"] = tuple(P.polyint(rate).tolist())
+        if origin:  # Horner in t, as PolyDrift tabulates its rows
+            cfg["a"] = functools.partial(PolyDrift([rate]), 0.0)
     return make_model(poly, cfg)
 
 
@@ -557,11 +554,8 @@ def model_from_dict(doc: dict) -> ModelSpec:
     read_object(doc, _COEFFS_KEYS, "model", required=("kind",))
     if "T" in doc and "t_range" in doc:
         raise ConfigError("model: give T or t_range, not both")
-    cfg = {k: v for k, v in doc.items() if k not in ("coeffs", "equilibrium")}
-    if "equilibrium" in doc:
-        eq_c = np.asarray(doc["equilibrium"], dtype=float)
-        cfg["equilibrium"] = lambda t: float(np.polyval(eq_c[::-1], t))
-    return model_from_coeffs(doc["coeffs"], cfg)
+    return model_from_coeffs(doc["coeffs"],
+                             {k: v for k, v in doc.items() if k != "coeffs"})
 
 
 def model_from_json(path) -> ModelSpec:
@@ -697,18 +691,46 @@ def branches(model: ModelSpec, t_grid=None) -> BranchCurves:
     return BranchCurves(**curves)
 
 
-def alpha(model: ModelSpec, t: float, s: float) -> float:
-    """Accumulated linearization integral of a(u) from s to t.
+def gauss_legendre(s: float, t: float, n_panels: int) -> tuple:
+    """(nodes, weights) of the 5-point Gauss-Legendre rule on n_panels equal
+    panels of [s, t]; the weights are negative for t < s."""
+    edges = np.linspace(s, t, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    wts = (half[:, None] * _GL_W[None, :]).ravel()
+    return nodes, wts
 
-    Uses the closed form when the model carries one, otherwise adaptive
-    quadrature at 1e-10 relative tolerance.  SciPy is imported only here,
-    on the quadrature branch.
-    """
-    if model.alpha_closed is not None:
-        return float(model.alpha_closed(t, s))
+
+def _integrate_rate(a: Callable, s: float, t: float) -> float:
+    """int_s^t a(u) du by gauss_legendre on 1, 2, 4, ..., 4096 panels until
+    two estimates agree, with a called on one node at a time."""
     if t == s:
         return 0.0
-    from scipy import integrate
+    prev = math.nan
+    for k in range(13):
+        nodes, wts = gauss_legendre(s, t, 1 << k)
+        val = float(np.sum(wts * np.array([a(u) for u in nodes.tolist()],
+                                          dtype=float)))
+        if not math.isfinite(val):
+            raise NonFiniteResult(f"a(t) is not finite on [{s:g}, {t:g}]")
+        if abs(val - prev) <= max(ALPHA_EPSABS, ALPHA_EPSREL * abs(val)):
+            return val
+        prev = val
+    raise SlowSdeError(f"the integral of a(t) over [{s:g}, {t:g}] did not "
+                       "converge on 4096 panels")
 
-    val, _ = integrate.quad(model.a, s, t, epsabs=1e-14, epsrel=1e-10, limit=200)
-    return float(val)
+
+def alpha(model: ModelSpec, t, s):
+    """Accumulated linearization integral of a(u) from s to t.
+
+    t and s broadcast; scalars give a float.  A model carrying
+    `alpha_closed` evaluates that antiderivative; any other integrates `a`
+    for each (t, s) by _integrate_rate, to ALPHA_EPSABS or ALPHA_EPSREL.
+    """
+    if model.alpha_closed is not None:
+        val = P.polyval(t, model.alpha_closed) - P.polyval(s, model.alpha_closed)
+    else:
+        val = np.vectorize(functools.partial(_integrate_rate, model.a),
+                           otypes=[float])(s, t)
+    return float(val) if np.ndim(val) == 0 else val

@@ -447,9 +447,7 @@ def _run_before(run: _Run) -> tuple:
     sub_grid = run.grid[:n_cols]
     table = env.zeta_pitchfork(cfg.model, cfg.eps, cfg.t0, sub_grid)
     sqrtz = table.sqrt_zeta()
-    centre = run.x0 * np.exp(
-        np.array([env.alpha(cfg.model, t, cfg.t0) for t in sub_grid])
-        / cfg.eps)
+    centre = run.x0 * np.exp(env.alpha(cfg.model, sub_grid, cfg.t0) / cfg.eps)
 
     # the paths are stepped no further than the last node at sqrt(eps)
     cols, x_end = run.scan(lambda X, nodes, idx, cols: cols.sup(

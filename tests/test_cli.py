@@ -131,7 +131,7 @@ class TestRun:
         assert cmd_run(cfg, out=str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
-        assert not (out / "report.json").exists()
+        assert list(out.iterdir()) == []
 
     def test_missing_config(self, out):
         assert cmd_run("no_such_config.json", out=str(out)) == 1
@@ -350,26 +350,32 @@ class TestStrictViolation:
 
 _SCIPY_PROBE = """
 import json, sys
+sys.path.insert(0, sys.argv[2])
 from slowsde.cli import main
+from slowsde.montecarlo import run_ensemble
+from test_montecarlo import pinned_config
 loaded = {}
-for name, cfg in json.loads(sys.argv[1]):
-    assert main(["run", "--config", cfg, "--out", sys.argv[2] + "/" + name]) == 0
+def probe(name):
     loaded[name] = sorted(m for m in sys.modules
                           if m.startswith(("scipy", "jsonschema")))
+for name, argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, name
+    probe(name)
+for tag in ("stable", "unstable"):
+    run_ensemble(pinned_config(tag))
+    probe("pinned-" + tag)
 print(json.dumps(loaded))
 """
 
 
 def test_run_path_loads_no_scipy(tmp_path):
-    """`slowsde run` on standard-model configs never imports SciPy, and no
-    run imports jsonschema: the config classes check the document.
+    """No command imports SciPy, and no run imports jsonschema: the config
+    classes check the document.
 
-    Roots are solved by slowsde._brentq, and the standard model's rate
-    integral alpha has a closed form.  Configs whose model has no
-    `alpha_closed` still load scipy.integrate.quad lazily, inside
-    model.alpha; linear_stable.json is such a config (its JSON-coefficient
-    stable-branch model has an equilibrium, so no closed-form alpha), so it
-    is not checked here.
+    Roots are solved by slowsde._brentq.  The rate integral alpha has a
+    closed form for every coefficient model (linear_stable.json included)
+    and takes NumPy Gauss-Legendre panels for the pinned stable and
+    unstable models, whose equilibrium is a callable.
     """
     small_approach = write(tmp_path, "approach.json", {
         "model": {"builtin": "standard"},
@@ -379,18 +385,32 @@ def test_run_path_loads_no_scipy(tmp_path):
         "experiment": {"tag": "approach", "h_list": [0.0005],
                        "tau_window": [0.15, 0.25]},
     })
-    configs = [["delay", "standard_delay.json"],
-               ["branch", "standard_branch.json"],
-               ["approach", small_approach]]
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    coeff_model = write(tmp_path, "model.json", {
+        "kind": "stable-branch", "coeffs": [[0.0], [-1.0, 0.5], [0.0], [-1.0]],
+        "equilibrium": [0.1, 0.2], "d": 2.0, "T": 1.0})
+    shipped = ("standard_delay.json", "standard_branch.json",
+               "linear_stable.json")
+    commands = [[name, ["run", "--config", cfg, "--out",
+                        str(tmp_path / name)]]
+                for name, cfg in [("delay", shipped[0]), ("branch", shipped[1]),
+                                  ("linear", shipped[2]),
+                                  ("approach", small_approach)]]
+    commands += [[f"envelope-{cfg}", ["envelope", "--config", cfg, "--out",
+                                      str(tmp_path / f"envelope-{cfg}")]]
+                 for cfg in shipped]
+    commands.append(["validate", ["validate", coeff_model]])
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(configs),
-         str(tmp_path)], capture_output=True, text=True, env=env, timeout=600)
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands),
+         str(tests)], capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"delay": [], "branch": [], "approach": []}
+    names = [name for name, _ in commands] + ["pinned-stable",
+                                              "pinned-unstable"]
+    assert loaded == {name: [] for name in names}
     # the approach run reached the post-exit family and its exceedance
     report = json.loads((tmp_path / "approach" / "report.json").read_text())
     assert report["results"]["n_selected"] > 0

@@ -255,7 +255,7 @@ class TestBounds:
                               {"kind": "pitchfork", "T": 0.8, "name": "tq"})
         eps = 0.005
         b = bound_stable(m, 0.5, eps, 1e-3, 5e-3, t_start=-0.5)
-        closed = m.alpha_closed(0.5, -0.5)
+        closed = alpha(m, 0.5, -0.5)
         assert b.prefactor == pytest.approx(abs(closed) / eps ** 2 + 2.0,
                                             rel=1e-9)
 
@@ -351,7 +351,7 @@ class TestBounds:
         sigma, kappa, a_t0 = 1e-3, 0.6, 0.3
         h = default_strip_width(sigma)
         rho = h / math.sqrt(a_t0)
-        prob, _ = return_to_zero_bound(rho, sigma, kappa * a_t0)
+        prob = return_to_zero_bound(rho, sigma, kappa * a_t0)
         assert prob == pytest.approx(sigma ** (4 * kappa), rel=1e-12)
 
     def test_return_to_zero_unit_exponent(self):
@@ -360,19 +360,8 @@ class TestBounds:
         rho = sigma / math.sqrt(a0)  # makes a0 rho^2/sigma^2 = 1
         with pytest.raises(RhoTooSmall):
             return_to_zero_bound(rho, sigma, a0)
-        prob, _ = return_to_zero_bound(rho * (1 + 1e-9), sigma, a0)
+        prob = return_to_zero_bound(rho * (1 + 1e-9), sigma, a0)
         assert prob == pytest.approx(math.exp(-1), rel=1e-6)
-
-    def test_return_to_zero_density(self):
-        sigma, eps, t0 = 1e-3, 0.01, 0.2
-        rate = lambda t: 0.6 * t  # noqa: E731
-        rho = 4 * sigma
-        prob, dens = return_to_zero_bound(rho, sigma, rate(t0), rate_fn=rate,
-                                          eps=eps, t0=t0)
-        assert dens is not None
-        assert dens(0.3) > 0
-        with pytest.raises(DegenerateWindow):
-            dens(t0)
 
     def test_no_exit_linear_bound_small(self, standard):
         eps, sigma = 0.005, 1e-4

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from slowsde import (PolyDrift, RootNotBracketed, ValidationFailure, alpha,
-                     branches, make_model, model_from_coeffs, model_from_dict,
+from slowsde import (NonFiniteResult, PolyDrift, RootNotBracketed,
+                     SlowSdeError, ValidationFailure, alpha, branches,
+                     make_model, model_from_coeffs, model_from_dict,
                      standard_pitchfork, zeta_pitchfork)
 from slowsde.envelope import _kappa_eff
 from slowsde.sde import time_grid
@@ -107,6 +108,22 @@ class TestMakeModel:
         with pytest.raises(ValidationFailure, match="supercritical"):
             make_model(lambda x, t: t * x + x ** 3, {"kind": "pitchfork"})
 
+    def test_nan_drift_rejected(self):
+        # NaN beyond |x| = 0.9, inside the domain |x| <= 1
+        def drift(x, t):
+            return np.where(np.abs(x) <= 0.9, t * x - x ** 3, np.nan)
+
+        with pytest.raises(ValidationFailure, match="symmetry residual nan"):
+            make_model(drift, {"kind": "pitchfork", "d": 1.0})
+
+    def test_infinite_outside_domain_accepted(self):
+        # the |f_xxx| stencil stays inside |x| <= d, where f is finite
+        def drift(x, t):
+            return np.where(np.abs(x) <= 1.0, t * x - x ** 3, np.inf)
+
+        m = make_model(drift, {"kind": "pitchfork", "d": 1.0})
+        assert m.validation.big_m == pytest.approx(1.0, rel=1e-6)
+
     @pytest.mark.parametrize("build", [
         lambda: standard_pitchfork(d=-1.0), lambda: standard_pitchfork(T=-0.2),
         lambda: make_model(lambda x, t: -x, {"kind": "stable-branch",
@@ -171,18 +188,74 @@ class TestMakeModel:
         assert m.validation.drift_dx_numeric
 
 
+def rate_model(a):
+    """A stable-branch model whose rate is the callable a, so that alpha
+    takes the quadrature path."""
+    return make_model(lambda x, t: -x, {"kind": "stable-branch", "a": a,
+                                        "t_range": [-2.0, 2.0]})
+
+
 class TestAlpha:
     def test_quadrature_vs_antiderivative(self):
         # a(t) = t + t^2 via a pitchfork drift (t + t^2) x - x^3
         m = model_from_coeffs([[0.0], [0.0, 1.0, 1.0], [0.0], [-1.0]],
                               {"kind": "pitchfork", "T": 0.6, "name": "tt2"})
         # model carries the closed form; compare against quadrature directly
-        closed = m.alpha_closed(0.5, -0.5)
+        assert m.alpha_closed is not None
+        closed = alpha(m, 0.5, -0.5)
         exact = (0.5 ** 2 / 2 + 0.5 ** 3 / 3) - ((-0.5) ** 2 / 2 + (-0.5) ** 3 / 3)
         assert closed == pytest.approx(exact, abs=1e-15)
         from scipy.integrate import quad
         quad_val, _ = quad(m.a, -0.5, 0.5, epsabs=1e-14, epsrel=1e-10)
         assert closed == pytest.approx(quad_val, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [
+        lambda t: t + 0.3 * t * t + math.sin(t) ** 3,
+        math.sinh,
+        lambda t: math.exp(-t) * math.cos(3.0 * t) - 0.2],
+        ids=["poly-sin3", "sinh", "damped-cosine"])
+    def test_quadrature_path_vs_quad(self, a, rng):
+        from scipy.integrate import quad
+        m = rate_model(a)
+        assert m.alpha_closed is None
+        for s, t in rng.uniform(-2.0, 2.0, (40, 2)):
+            ref, _ = quad(a, s, t, epsabs=1e-14, epsrel=1e-10, limit=200)
+            assert alpha(m, t, s) == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("a, error, match", [
+        (lambda t: math.nan if t > 0.5 else 1.0, NonFiniteResult,
+         "not finite"),
+        (lambda t: abs(t - 1.0 / 3.0), SlowSdeError, "did not converge")],
+        ids=["nan", "kink"])
+    def test_quadrature_failure_raises(self, a, error, match):
+        # a kink inside a panel converges too slowly for 1e-10 relative
+        with pytest.raises(error, match=match):
+            alpha(rate_model(a), 1.0, 0.0)
+
+    def test_closed_form_with_polynomial_equilibrium(self, rng):
+        from scipy.integrate import quad
+        m = model_from_dict({"kind": "stable-branch", "d": 2.0, "T": 1.0,
+                             "coeffs": [[0.0], [-1.0, 0.5], [0.0], [-1.0]],
+                             "equilibrium": [0.1, 0.2]})
+        assert m.alpha_closed is not None
+        for s, t in rng.uniform(0.0, 1.0, (40, 2)):
+            ref, _ = quad(lambda u: float(m.a(u)), s, t, epsabs=1e-14,
+                          epsrel=1e-10)
+            assert alpha(m, t, s) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+    def test_arrays_equal_scalar_calls(self, standard, rng):
+        quadrature = rate_model(lambda t: math.cosh(t) - 0.5)
+        for m in (standard, quadrature):
+            t = rng.uniform(-1.0, 1.0, 50)
+            s = rng.uniform(-1.0, 1.0)
+            got = alpha(m, t, s)
+            want = np.array([alpha(m, float(u), s) for u in t])
+            assert got.shape == t.shape
+            assert got.tobytes() == want.tobytes()
+            got = alpha(m, s, t.reshape(5, 10))
+            want = np.array([alpha(m, s, float(u)) for u in t])
+            assert got.shape == (5, 10)
+            assert got.tobytes() == want.reshape(5, 10).tobytes()
 
     def test_additivity(self, standard, rng):
         for _ in range(50):

@@ -4,6 +4,7 @@ imports."""
 
 import ast
 import re
+import sys
 import tomllib
 from pathlib import Path
 
@@ -87,15 +88,31 @@ def imported_modules(source: str) -> set:
     return names
 
 
-def test_every_dependency_is_imported():
+def declared_dependencies() -> set:
+    """Module names of the runtime dependencies in pyproject.toml."""
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+            for d in deps}
+
+
+def package_imports() -> set:
     used = set()
     for path in (ROOT / "src").rglob("*.py"):
         used |= imported_modules(path.read_text())
-    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
-             for d in deps}
-    assert names - used == set()
+    return used
+
+
+def test_every_dependency_is_imported():
+    assert declared_dependencies() - package_imports() == set()
+
+
+def test_every_import_is_a_dependency():
+    """A module the package imports is the standard library's, the
+    package's own, or a declared runtime dependency."""
+    own = {p.name for p in (ROOT / "src").iterdir() if p.is_dir()}
+    third_party = package_imports() - set(sys.stdlib_module_names) - own
+    assert third_party - declared_dependencies() == set()
 
 
 def test_readme_lists_every_config_key():
