@@ -27,7 +27,7 @@ from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
                      HExceedsSigma, NotStable, OutsideRegime, RegimeViolation,
                      RhoTooSmall)
 from .model import (BranchCurves, ModelSpec, _standard_drift, alpha,
-                    branches, gauss_legendre)
+                    alpha_on_panels, branches)
 from .sde import n_steps_for, time_grid
 
 __all__ = [
@@ -323,8 +323,8 @@ def variance(model: ModelSpec, eps: float, sigma: float, t: float,
     if t < s:
         raise ValueError("need s <= t")
     n_panels = max(1, int(math.ceil((t - s) / (eps / 10.0))))
-    nodes, wts = gauss_legendre(s, t, n_panels)
-    expo = 2.0 * alpha(model, t, nodes) / eps
+    _, wts, al = alpha_on_panels(model, s, t, n_panels)
+    expo = 2.0 * al / eps
     m = float(np.max(expo))
     integral = math.exp(m) * float(np.sum(wts * np.exp(expo - m)))
     return sigma * sigma / eps * integral

@@ -34,6 +34,7 @@ __all__ = [
     "model_from_json",
     "branches",
     "alpha",
+    "alpha_on_panels",
     "gauss_legendre",
     "read_object",
 ]
@@ -45,6 +46,12 @@ ROOT_TOL = 1e-13
 STANDARD_COEFFS = ((0.0,), (0.0, 1.0), (0.0,), (-1.0,))
 MODEL_KINDS = ("pitchfork", "stable-branch", "unstable-branch")
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)  # 5 nodes on [-1, 1]
+# antiderivatives of the Lagrange basis polynomials of the nodes, and
+# _GL_TAIL[i, j] = int_{_GL_X[i]}^1 of the j-th: the integral from node i to
+# the panel's end of a's degree-4 interpolant is _GL_TAIL[i] @ a(nodes)
+_GL_BASIS = [P.polyint(c) for c in np.linalg.inv(P.polyvander(_GL_X, 4)).T]
+_GL_TAIL = np.array([[P.polyval(1.0, b) - P.polyval(x, b) for b in _GL_BASIS]
+                     for x in _GL_X])
 ALPHA_EPSABS, ALPHA_EPSREL = 1e-14, 1e-10  # alpha's quadrature tolerances
 
 
@@ -700,6 +707,30 @@ def gauss_legendre(s: float, t: float, n_panels: int) -> tuple:
     nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
     wts = (half[:, None] * _GL_W[None, :]).ravel()
     return nodes, wts
+
+
+def alpha_on_panels(model: ModelSpec, s: float, t: float,
+                    n_panels: int) -> tuple:
+    """(nodes, weights, alpha(model, t, nodes)) for the nodes and weights of
+    gauss_legendre(s, t, n_panels), s < t.
+
+    A model carrying `alpha_closed` evaluates it.  Any other integrates `a`
+    once, cumulatively, from its values at the nodes alone: each later
+    panel by the rule, and the rest of a node's own panel by integrating
+    a's degree-4 interpolant through that panel's nodes.
+    """
+    nodes, wts = gauss_legendre(s, t, n_panels)
+    if model.alpha_closed is not None:
+        return nodes, wts, alpha(model, t, nodes)
+    vals = np.array([model.a(u) for u in nodes.tolist()], dtype=float)
+    if not np.isfinite(vals).all():
+        raise NonFiniteResult(f"a(t) is not finite on [{s:g}, {t:g}]")
+    vals = vals.reshape(n_panels, len(_GL_X))
+    half = 0.5 * np.diff(np.linspace(s, t, n_panels + 1))
+    # int_u^t a = (rest of u's panel) + (every later panel)
+    later = np.append(np.cumsum((half * (vals @ _GL_W))[:0:-1])[::-1], 0.0)
+    rest = half[:, None] * (vals @ _GL_TAIL.T)
+    return nodes, wts, (rest + later[:, None]).ravel()
 
 
 def _integrate_rate(a: Callable, s: float, t: float) -> float:

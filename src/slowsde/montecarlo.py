@@ -41,6 +41,9 @@ MAX_TOTAL_STEPS = 2_000_000_000
 # time steps per streamed chunk: a batch holds O(batch size x CHUNK_STEPS)
 # floats however long its paths are
 CHUNK_STEPS = 1024
+# paths per batch at most, whatever n_steps is; two chunk-sized float arrays
+# of this width take 14 MB
+MAX_BATCH = 838
 
 
 # The experiment sections of the config document, section -> {key: JSON
@@ -269,8 +272,13 @@ def _prob_entry(successes: int, n: int, bound_eval=None) -> dict:
 # batched simulation and per-path scans
 
 
-def _batch_size(n_steps: int) -> int:
-    return max(16, min(4096, (1 << 24) // max(1, n_steps)))
+def _batches(paths: np.ndarray, threads: int) -> list:
+    """paths split evenly into the fewest batches of at most MAX_BATCH
+    paths whose count is a multiple of threads, or one batch per path when
+    there are fewer paths than that."""
+    n = -(-len(paths) // MAX_BATCH)
+    n = min(len(paths), -(-n // max(1, threads)) * max(1, threads))
+    return np.array_split(paths, n) if n else []
 
 
 def _resolve_x0(config: EnsembleConfig) -> float:
@@ -329,7 +337,6 @@ class _Run:
         n_steps = len(self.grid) - 1 if last is None else last
         if paths is None:
             paths = np.arange(cfg.n_paths)
-        b = _batch_size(n_steps)
 
         def work(idx):
             gens = path_generators(cfg.master_seed, idx)
@@ -356,7 +363,7 @@ class _Run:
                         f"t={self.grid[k0 + inc.shape[1]]:g})")
             return cols, x
 
-        spans = [paths[lo:lo + b] for lo in range(0, len(paths), b)]
+        spans = _batches(paths, self.threads)
         if self.threads <= 1:
             parts = [work(span) for span in spans]
         else:

@@ -1,9 +1,13 @@
 """SDE integration: Euler-Maruyama for the nonlinear equation, exponential
 Euler for linear comparisons, and coupled pairs sharing one noise realization.
 
-Both integrators step a whole batch of paths time-major and in place, in
-NumPy: em_batch through one Euler-Maruyama loop for polynomial and callable
-drifts alike, linear_batch through precomputed exponential multipliers.
+Both integrators step a whole batch of paths time-major and in place:
+em_batch by Euler-Maruyama, linear_batch through precomputed exponential
+multipliers.  em_batch steps a polynomial drift through the compiled kernel
+of _em.c, built and loaded at the first such call (see _compiled), and any
+other drift through one NumPy loop, which is also the polynomial drifts'
+fallback when no C compiler works and the reference the kernel equals bit
+for bit.  Freezing paths that leave |x| <= d stays in NumPy.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._compiled import Library
 from .errors import StepTooLarge
 from .model import ModelSpec
 from .noise import NoiseStream
@@ -24,9 +29,15 @@ __all__ = [
 ]
 
 
+# the compiled kernel of this process, built and loaded on first use
+_LIBRARY = Library()
+
+
 def backend() -> str:
-    """Name of the stepping implementation, as recorded in reports."""
-    return "python"
+    """The kernel that steps polynomial drifts in this process: "c" for the
+    compiled one, "numpy" when it cannot be built or loaded.  Reports keep
+    the literal "python", so their bytes never depend on it."""
+    return "numpy" if _LIBRARY.em_poly() is None else "c"
 
 
 @dataclass(frozen=True)
@@ -157,15 +168,20 @@ def _em_steps(out, model, t_nodes, cdt):
 
     t_nodes[j] is the time of step k0 + j.  A polynomial drift runs its
     HornerPlan in place, with only its time-dependent coefficients
-    tabulated, one row per step; any other drift is one model.drift(x, t)
-    call per step.
+    tabulated, one row per step, in the compiled kernel when it loads;
+    any other drift is one model.drift(x, t) call per step.
     """
     poly = model.poly
     if poly is not None:
         plan = poly.plan
+        rows = poly.coeff_table(t_nodes)[:, list(plan.vary)]
+        step = _LIBRARY.em_poly()
+        if step is not None:
+            step(out, rows, plan, cdt)
+            return
         ops = [(getattr(np, u), a, b) for u, a, b in plan.ops]
         consts = tuple(np.array(v) for v in plan.consts)
-        rows = poly.coeff_table(t_nodes)[:, list(plan.vary)].tolist()
+        rows = rows.tolist()
         r = plan.result
     else:
         drift, rows = model.drift, t_nodes

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slowsde import make_model, model_from_coeffs, standard_pitchfork
+from slowsde import make_model, model_from_coeffs, sde, standard_pitchfork
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +49,23 @@ def nan_patch():
     valid = make_model(lambda x, t: t * x - x ** 3,
                        {"kind": "pitchfork", "d": 1.5})
     return dataclasses.replace(valid, drift=drift)
+
+
+@pytest.fixture()
+def kernels(monkeypatch):
+    """kernels() yields "c", then "numpy": while a name is current,
+    polynomial drifts step through the compiled kernel, which must build
+    here, or through the NumPy loop.  Looping in the test body keeps one
+    test id for both kernels."""
+    step = sde._LIBRARY.em_poly()
+    assert step is not None, "the C kernel did not build"
+
+    def each():
+        for name, fn in (("c", step), ("numpy", None)):
+            monkeypatch.setattr(sde._LIBRARY, "em_poly", lambda: fn)
+            yield name
+
+    return each
 
 
 @pytest.fixture()

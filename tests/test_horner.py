@@ -1,8 +1,9 @@
 """The Horner plan of a polynomial drift against full Horner, bit for bit.
 
 PolyDrift.horner and em_batch run the drift's HornerPlan, which leaves out
-the calls that change no bit.  The references here run Horner's rule with
-every multiply and every add, zero coefficients included, and results are
+the calls that change no bit; em_batch runs it in the compiled kernel and
+in the NumPy loop.  The references here run Horner's rule with every
+multiply and every add, zero coefficients included, and results are
 compared on their bits, so signed zeros and NaN payloads count.
 """
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from slowsde import model_from_coeffs, standard_pitchfork
+from slowsde import model_from_coeffs, sde, standard_pitchfork
 from slowsde.model import ModelSpec, PolyDrift
 from slowsde.sde import em_batch, time_grid
 
@@ -96,8 +97,10 @@ states = st.lists(st.one_of(st.sampled_from(EDGE_STATES),
                             st.floats(-2 * D, 2 * D)),
                   max_size=12).map(lambda x: np.array(EDGE_STATES + x))
 
+# the kernels fixture serves every example of a test alike
 SETTINGS = settings(max_examples=60, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.function_scoped_fixture])
 
 
 @SETTINGS
@@ -129,9 +132,10 @@ AT_MINUS_ZERO = np.array(EDGE_STATES + [-0.0] * 8)
          scale=1.0, seed=0)
 @example(c=MINUS_ZERO_C0, x0=AT_MINUS_ZERO, k_zero=0, sigma=0.0,
          scale=1.0, seed=0)
-def test_em_batch_is_full_horner(c, x0, k_zero, sigma, scale, seed):
+def test_em_batch_is_full_horner(kernels, c, x0, k_zero, sigma, scale,
+                                 seed):
     """One call and 700-step chunks against the per-step reference, on a
-    grid through t = 0 exactly, at step k_zero."""
+    grid through t = 0 exactly, at step k_zero, with either kernel."""
     dt, K = 2.0 ** -9, 1500
     eps, t0 = 16 * dt, -dt * k_zero
     dw = np.random.default_rng(seed).standard_normal((len(x0), K)) * scale
@@ -140,17 +144,19 @@ def test_em_batch_is_full_horner(c, x0, k_zero, sigma, scale, seed):
                       a=lambda t: -1.0, d=D, t_min=-8.0, t_max=8.0, poly=poly)
     with np.errstate(all="ignore"):
         X, trunc = em_reference(poly, D, eps, sigma, t0, x0, dt, dw)
-        got = [em_batch(model, eps, sigma, t0, x0, dt, dw)]
-        x, tr, parts = x0, None, [X[:, :1]]
-        for k0 in range(0, K, 700):
-            Y, tr = em_batch(model, eps, sigma, t0, x, dt,
-                             dw[:, k0:k0 + 700], k0, tr)
-            parts.append(Y[:, 1:])
-            x = Y[:, -1]
-        got.append((np.hstack(parts), tr))
-    for Y, tr in got:
-        assert np.array_equal(bits(Y), bits(X))
-        assert np.array_equal(bits(tr), bits(trunc))
+    for kernel in kernels():
+        with np.errstate(all="ignore"):
+            got = [em_batch(model, eps, sigma, t0, x0, dt, dw)]
+            x, tr, parts = x0, None, [X[:, :1]]
+            for k0 in range(0, K, 700):
+                Y, tr = em_batch(model, eps, sigma, t0, x, dt,
+                                 dw[:, k0:k0 + 700], k0, tr)
+                parts.append(Y[:, 1:])
+                x = Y[:, -1]
+            got.append((np.hstack(parts), tr))
+        for Y, tr in got:
+            assert np.array_equal(bits(Y), bits(X)), kernel
+            assert np.array_equal(bits(tr), bits(trunc)), kernel
 
 
 class CountCalls:
@@ -165,6 +171,8 @@ class CountCalls:
 
 
 def calls_per_step(monkeypatch, model):
+    """NumPy calls per step of the NumPy kernel."""
+    monkeypatch.setattr(sde._LIBRARY, "em_poly", lambda: None)
     counters = {}
     for name in ("multiply", "add", "subtract"):
         counters[name] = CountCalls(getattr(np, name))

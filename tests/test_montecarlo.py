@@ -105,11 +105,21 @@ class TestDeterminism:
         one batch on one thread."""
         configs = [pinned_config(tag) for tag in sorted(PINNED)]
         want = [run_ensemble(cfg, threads=1) for cfg in configs]
-        monkeypatch.setattr(montecarlo, "_batch_size", lambda n_steps: 16)
+        monkeypatch.setattr(montecarlo, "MAX_BATCH", 16)
         for cfg, ref in zip(configs, want):
             got = run_ensemble(cfg, threads=4)
             assert got.to_json() == ref.to_json(), cfg.tag
             assert pinned_hashes(got) == pinned_hashes(ref), cfg.tag
+
+    @pytest.mark.parametrize("threads,widths", [(1, [667, 667, 666]),
+                                                (2, [500] * 4)])
+    def test_batches_balanced(self, threads, widths):
+        """2000 paths: the fewest even batches of at most MAX_BATCH paths,
+        as many as a multiple of the thread count, in path order."""
+        paths = np.arange(2000)
+        batches = montecarlo._batches(paths, threads)
+        assert [len(b) for b in batches] == widths
+        assert np.array_equal(np.concatenate(batches), paths)
 
     def test_seed_changes_report(self, standard):
         a = run_ensemble(delay_config(standard)).to_json()
@@ -350,8 +360,10 @@ def pinned_hashes(report) -> dict:
 
 
 @pytest.mark.parametrize("tag", sorted(PINNED))
-def test_pinned_outputs(tag):
-    assert pinned_hashes(run_ensemble(pinned_config(tag))) == PINNED[tag]
+def test_pinned_outputs(tag, kernels):
+    for kernel in kernels():
+        assert pinned_hashes(run_ensemble(pinned_config(tag))) == \
+            PINNED[tag], kernel
 
 
 @pytest.mark.parametrize("tag", sorted(PINNED))

@@ -156,7 +156,7 @@ class TestChunkedStepping:
 
     @pytest.mark.parametrize("drift", ["polynomial", "callable",
                                        "inf-outside"])
-    def test_matches_per_step(self, quintic, rng, drift):
+    def test_matches_per_step(self, quintic, drift, kernels):
         def quintic_fn(x, t):
             return t * x - x ** 3 + x ** 5
 
@@ -166,24 +166,28 @@ class TestChunkedStepping:
             # non-finite in the columns em_batch steps and then overwrites
             model = replace(model, drift=lambda x, t: np.where(
                 np.abs(x) > 0.7, np.inf, quintic_fn(x, t)))
-        (X, trunc), *runs = self._run(model, rng)
-        assert np.isfinite(trunc).any() and np.isnan(trunc).any()
-        for got, got_trunc in runs:
-            assert np.array_equal(got, X)
-            assert np.array_equal(got_trunc, trunc, equal_nan=True)
+        for kernel in kernels():
+            (X, trunc), *runs = self._run(model, np.random.default_rng(1234))
+            assert np.isfinite(trunc).any() and np.isnan(trunc).any()
+            for got, got_trunc in runs:
+                assert np.array_equal(got, X), kernel
+                assert np.array_equal(got_trunc, trunc, equal_nan=True), kernel
 
-    def test_frozen_in_every_later_chunk(self, quintic, rng):
-        _, _, (got, trunc) = self._run(quintic, rng)
-        exited = np.nonzero(np.isfinite(trunc))[0]
-        node = np.rint((trunc[exited] - self.t0) / self.dt).astype(int)
-        # paths leave in several of the 700-step chunks, from the first step
-        assert len(set((node - 1) // 700)) >= 2 and node.min() == 1
-        for b, k in zip(exited, node):
-            assert np.all(got[b, k:] == got[b, k - 1])
+    def test_frozen_in_every_later_chunk(self, quintic, kernels):
+        for kernel in kernels():
+            _, _, (got, trunc) = self._run(quintic,
+                                           np.random.default_rng(1234))
+            exited = np.nonzero(np.isfinite(trunc))[0]
+            node = np.rint((trunc[exited] - self.t0) / self.dt).astype(int)
+            # paths leave in several of the 700-step chunks, from the
+            # first step
+            assert len(set((node - 1) // 700)) >= 2 and node.min() == 1
+            for b, k in zip(exited, node):
+                assert np.all(got[b, k:] == got[b, k - 1]), kernel
 
     def test_benchmark_script_bit_identical(self):
-        """benchmarks/bench_stepping.py runs and finds chunked em_batch equal
-        to its per-step loop."""
+        """benchmarks/bench_stepping.py runs and finds chunked em_batch,
+        with either kernel, equal to its per-step loop."""
         root = Path(__file__).resolve().parents[1]
         src = str(root / "src")
         path = os.environ.get("PYTHONPATH")

@@ -125,3 +125,13 @@ def test_readme_lists_every_config_key():
             if isinstance(kind, tuple):
                 kind = "one of " + ", ".join(f"`{v}`" for v in kind)
             assert f"| `{section}.{key}` | {kind} |" in readme, key
+
+
+def test_c_kernel_source_is_shipped():
+    """The stepping kernel's C source is package data, which the installed
+    package builds from."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    from slowsde import _compiled
+    assert _compiled.SOURCE.is_file()
+    assert _compiled.SOURCE.name in data["slowsde"]
