@@ -5,7 +5,8 @@ per-user cache directory, under a name that carries the sha256 of the
 source, the flags and the compiler's `--version` output.  Nothing happens at
 import: a Library builds and loads at the first call of `em_poly`.  When no
 compiler works, or the library will not load, `em_poly` returns None and
-the caller keeps to its NumPy loop.
+the caller keeps to its NumPy loop.  The kernel is given arrays and numbers
+only, never the drift's HornerPlan: see Library.em_poly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ SOURCE = Path(__file__).with_name("_em.c")
 # FMA contraction and -ffast-math (which also flushes subnormals to zero)
 # change bits; -march=native would tie the cached library to one CPU
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-OPCODES = {"multiply": 0, "add": 1, "subtract": 2}
+# em_poly(out, n, width, coef, n_coef, cdt), as _em.c declares it
+ARGTYPES = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
+            ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double)
 
 
 def default_cache_dir() -> Path:
@@ -45,10 +48,11 @@ class Library:
         self._step: Optional[Callable] = None
 
     def em_poly(self) -> Optional[Callable]:
-        """step(out, coef, plan, cdt), which runs the kernel on one chunk
-        as sde._em_steps describes, or None when the library cannot be
-        built or loaded.  The first call builds and loads it; concurrent
-        first calls wait for that one."""
+        """step(out, coef, cdt), which steps the chunk out of
+        sde._time_major in place by full Horner on coef, the drift's
+        coefficient table with one row per step, and cdt = dt/eps; or None
+        when the library cannot be built or loaded.  The first call builds
+        and loads it; concurrent first calls wait for that one."""
         with self._lock:
             if not self._tried:
                 lib = self._load()
@@ -114,27 +118,20 @@ class Library:
 
 
 def _wrap(fn) -> Callable:
-    """The Python side of em_poly: checks the arrays and passes pointers.
-    ctypes releases the GIL for the call."""
-    p, n, d = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    fn.argtypes = (p, n, n, p, n, p, n, p, n, n, d)
+    """The Python side of em_poly: checks what C relies on and passes
+    pointers.  ctypes releases the GIL for the call."""
+    fn.argtypes = ARGTYPES
     fn.restype = None
 
-    def step(out: np.ndarray, coef: np.ndarray, plan, cdt: float) -> None:
-        rows, width = out.shape
+    def step(out: np.ndarray, coef: np.ndarray, cdt: float) -> None:
         coef = np.ascontiguousarray(coef, dtype=np.float64)
-        consts = np.array(plan.consts, dtype=np.float64)
-        ops = np.array([(OPCODES[u], a, b) for u, a, b in plan.ops],
-                       dtype=np.intc).reshape(-1, 3)
-        n_operands = 2 + len(plan.vary) + len(consts)
-        if not (out.dtype == np.float64 and out.flags.c_contiguous
-                and out.flags.writeable
-                and coef.shape == (rows - 1, len(plan.vary))
-                and 0 <= plan.result < n_operands
-                and np.all((ops[:, 1:] >= 0) & (ops[:, 1:] < n_operands))):
-            raise ValueError("em_poly: arrays do not match the plan")
-        fn(out.ctypes.data, rows - 1, width, coef.ctypes.data, coef.shape[1],
-           consts.ctypes.data, len(consts), ops.ctypes.data, len(ops),
-           plan.result, cdt)
+        if not (out.ndim == 2 and out.dtype == np.float64
+                and out.flags.c_contiguous and out.flags.writeable
+                and coef.ndim == 2 and coef.shape[0] == out.shape[0] - 1
+                and coef.shape[1] >= 1):
+            raise ValueError("em_poly: out must be a writeable C-contiguous "
+                             "float64 matrix and coef (steps, >= 1)")
+        fn(out.ctypes.data, coef.shape[0], out.shape[1], coef.ctypes.data,
+           coef.shape[1], cdt)
 
     return step

@@ -144,28 +144,28 @@ def _has_violation(results) -> bool:
 def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
     try:
         doc, config = load_config(config_path, seed)
-    except (SlowSdeError, ValueError) as exc:  # JSONDecodeError included
+        outdir = _outdir(doc, out)
+    except (OSError, SlowSdeError, ValueError) as exc:  # JSONDecodeError too
         return _failed(exc)
-    outdir = _outdir(doc, out)
     try:
         report = run_ensemble(config, threads=threads)
         _export_envelopes(outdir, config)
-    except SlowSdeError as exc:
+        (outdir / "report.json").write_text(report.to_json())
+        res = report.results
+        if "exceedance" in res:
+            _write_prob_series(outdir / "exceedance.csv", report,
+                               res["exceedance"], "h")
+        if "survival" in res:
+            _write_prob_series(outdir / "survival.csv", report,
+                               res["survival"], "t")
+        if "histogram" in res:
+            _write_histogram(outdir / "delay_histogram.csv", report,
+                             res["histogram"])
+        if report.per_path:
+            _write_per_path(outdir / "paths_summary.csv", report,
+                            report.per_path)
+    except (OSError, SlowSdeError) as exc:
         return _failed(exc)
-
-    (outdir / "report.json").write_text(report.to_json())
-    res = report.results
-    if "exceedance" in res:
-        _write_prob_series(outdir / "exceedance.csv", report,
-                           res["exceedance"], "h")
-    if "survival" in res:
-        _write_prob_series(outdir / "survival.csv", report,
-                           res["survival"], "t")
-    if "histogram" in res:
-        _write_histogram(outdir / "delay_histogram.csv", report,
-                         res["histogram"])
-    if report.per_path:
-        _write_per_path(outdir / "paths_summary.csv", report, report.per_path)
     print(f"wrote {outdir / 'report.json'} ({report.runtime_seconds:.2f}s)")
     if strict and _has_violation(res):
         print("bound violation detected (--strict)", file=sys.stderr)
@@ -178,7 +178,7 @@ def cmd_envelope(config_path, out=None) -> int:
         doc, config = load_config(config_path)
         outdir = _outdir(doc, out)
         _export_envelopes(outdir, config)
-    except (SlowSdeError, ValueError) as exc:
+    except (OSError, SlowSdeError, ValueError) as exc:
         return _failed(exc)
     print(f"wrote envelope tables to {outdir}")
     return 0

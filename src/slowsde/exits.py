@@ -163,9 +163,11 @@ def delay_times_batch(X: np.ndarray, t_grid: np.ndarray,
 
 
 def sup_deviation_batch(X: np.ndarray, centre: np.ndarray,
-                        sqrt_zeta: np.ndarray,
-                        col_slice: slice = slice(None)) -> np.ndarray:
-    """Row-wise sup of |x - c|/sqrt(zeta) over the selected columns."""
-    dev = np.abs(X[:, col_slice] - centre[None, col_slice])
-    dev /= sqrt_zeta[None, col_slice]
-    return dev.max(axis=1)
+                        sqrt_zeta: np.ndarray, where=True) -> np.ndarray:
+    """Row-wise sup of |x - c|/sqrt(zeta) over the columns where `where`
+    holds (all by default), -inf for a row with none; a NaN there stays.
+    centre and sqrt_zeta are one row for all paths or one row per path."""
+    dev = np.subtract(X, centre)
+    np.abs(dev, out=dev)
+    dev /= sqrt_zeta
+    return dev.max(axis=1, where=where, initial=-np.inf)

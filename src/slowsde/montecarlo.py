@@ -579,15 +579,12 @@ def _run_approach(run: _Run) -> tuple:
     sqrtz = np.sqrt(env.zeta_along(cfg.model, cfg.eps, grid, xhat, abar))
 
     def scan(X, nodes, idx, cols):
+        # each row against its family's centreline, from its start column
         j = family[np.searchsorted(paths, idx)]
         sgn = side_d[idx].astype(float)
-        sups = np.full(len(idx), -np.inf)
-        for r, (s, i) in enumerate(zip(sgn, j)):
-            if start_col[i] < nodes.stop:
-                sups[r] = sup_deviation_batch(
-                    s * X[r:r + 1], xhat[i, nodes], sqrtz[i, nodes],
-                    slice(max(start_col[i] - nodes.start, 0), None))[0]
-        cols.sup("sup_deviation", sups)
+        started = np.arange(nodes.start, nodes.stop) >= start_col[j, None]
+        cols.sup("sup_deviation", sup_deviation_batch(
+            sgn[:, None] * X, xhat[j, nodes], sqrtz[j, nodes], started))
 
     post, x_end = run.scan(scan, {"sup_deviation": -np.inf}, paths)
     sups = np.full(cfg.n_paths, np.nan)

@@ -4,10 +4,12 @@ Euler for linear comparisons, and coupled pairs sharing one noise realization.
 Both integrators step a whole batch of paths time-major and in place:
 em_batch by Euler-Maruyama, linear_batch through precomputed exponential
 multipliers.  em_batch steps a polynomial drift through the compiled kernel
-of _em.c, built and loaded at the first such call (see _compiled), and any
-other drift through one NumPy loop, which is also the polynomial drifts'
-fallback when no C compiler works and the reference the kernel equals bit
-for bit.  Freezing paths that leave |x| <= d stays in NumPy.
+of _em.c, built and loaded at the first such call (see _compiled), which
+runs full Horner over the drift's coefficient table, one row per step.  Any
+other drift steps through one NumPy loop, which is also the polynomial
+drifts' fallback when no C compiler works, running their Horner plan, and
+the reference the kernel equals bit for bit.  Freezing paths that leave
+|x| <= d stays in NumPy.
 """
 
 from __future__ import annotations
@@ -166,22 +168,23 @@ def _em_steps(out, model, t_nodes, cdt):
     """Euler-Maruyama steps of one time chunk, in place in _time_major's
     array out, whose row 0 is the state at grid node k0.
 
-    t_nodes[j] is the time of step k0 + j.  A polynomial drift runs its
-    HornerPlan in place, with only its time-dependent coefficients
-    tabulated, one row per step, in the compiled kernel when it loads;
-    any other drift is one model.drift(x, t) call per step.
+    t_nodes[j] is the time of step k0 + j.  A polynomial drift is
+    tabulated, one row of coefficients per step, and the compiled kernel,
+    when it loads, runs full Horner on each row; otherwise the NumPy loop
+    runs the drift's HornerPlan in place, on the time-dependent columns
+    only.  Any other drift is one model.drift(x, t) call per step.
     """
     poly = model.poly
     if poly is not None:
-        plan = poly.plan
-        rows = poly.coeff_table(t_nodes)[:, list(plan.vary)]
+        table = poly.coeff_table(t_nodes)
         step = _LIBRARY.em_poly()
         if step is not None:
-            step(out, rows, plan, cdt)
+            step(out, table, cdt)
             return
+        plan = poly.plan
+        rows = table[:, list(plan.vary)].tolist()
         ops = [(getattr(np, u), a, b) for u, a, b in plan.ops]
         consts = tuple(np.array(v) for v in plan.consts)
-        rows = rows.tolist()
         r = plan.result
     else:
         drift, rows = model.drift, t_nodes

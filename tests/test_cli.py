@@ -136,6 +136,18 @@ class TestRun:
     def test_missing_config(self, out):
         assert cmd_run("no_such_config.json", out=str(out)) == 1
 
+    @pytest.mark.parametrize("command", ["run", "envelope"])
+    @pytest.mark.parametrize("case", ["out-is-a-file", "config-is-a-dir"])
+    def test_io_error_status(self, tmp_path, capsys, command, case):
+        cfg, out = write(tmp_path, "cfg.json", SMALL_DELAY), tmp_path / "out"
+        if case == "out-is-a-file":
+            out.write_text("")   # FileExistsError in _outdir
+        else:
+            cfg = str(tmp_path)  # IsADirectoryError in load_config
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_seed_override_changes_hash(self, tmp_path, out):
         cfg = write(tmp_path, "cfg.json", SMALL_DELAY)
         cmd_run(cfg, out=str(out / "a"))

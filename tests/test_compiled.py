@@ -1,6 +1,7 @@
 """The compiled stepping kernel of _em.c: it builds here and run_ensemble
-steps through it, and a missing compiler, a broken cached library or an
-unwritable cache directory each fall back without changing a byte."""
+steps through it; its wrapper refuses arrays C cannot take before calling
+it; and a missing compiler, a broken cached library or an unwritable cache
+directory each fall back without changing a byte."""
 
 import ctypes
 import sys
@@ -59,9 +60,9 @@ def test_builds_and_steps_run_ensemble(monkeypatch):
     assert sde.backend() == "c"
     path_steps = []
 
-    def counting(out, coef, plan, cdt):
+    def counting(out, coef, cdt):
         path_steps.append((out.shape[0] - 1) * out.shape[1])
-        step(out, coef, plan, cdt)
+        step(out, coef, cdt)
 
     monkeypatch.setattr(sde._LIBRARY, "em_poly", lambda: counting)
     cfg = pinned_config("delay")
@@ -69,6 +70,37 @@ def test_builds_and_steps_run_ensemble(monkeypatch):
     run_ensemble(cfg)
     assert sum(path_steps) == cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end,
                                                         cfg.dt)
+
+
+@pytest.fixture()
+def unreached():
+    """The wrapped step of a kernel that fails the test if it is called."""
+    def kernel(*args):
+        pytest.fail("the kernel was called")
+
+    return _compiled._wrap(kernel)
+
+
+def read_only(shape):
+    out = np.zeros(shape)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("out,coef", [
+    (np.zeros((6, 9))[:, ::2], np.zeros((5, 4))),   # not contiguous
+    (np.zeros((9, 5)).T, np.zeros((5, 4))),          # Fortran order
+    (read_only((6, 5)), np.zeros((5, 4))),
+    (np.zeros((6, 5), dtype=np.float32), np.zeros((5, 4))),
+    (np.zeros((6, 5)), np.zeros((6, 4))),            # one row per node
+    (np.zeros((6, 5)), np.zeros((4, 4))),
+    (np.zeros((6, 5)), np.zeros((5, 0))),            # no coefficient
+    (np.zeros((6, 5)), np.zeros(5)),
+], ids=["strided", "fortran", "read-only", "float32", "rows+1", "rows-1",
+        "no-columns", "1-d-coef"])
+def test_step_rejects_what_c_cannot_take(unreached, out, coef):
+    with pytest.raises(ValueError, match="em_poly"):
+        unreached(out, coef, 0.5)
 
 
 def test_missing_compiler_falls_back(reference, tmp_path, monkeypatch):

@@ -8,7 +8,8 @@ from slowsde import (GridMismatch, branch_at, branches, first_exit,
                      standard_pitchfork, sup_normalized_deviation,
                      zeta_stable)
 from slowsde.envelope import SpaceTimeRegion, region_D, region_delay_strip
-from slowsde.exits import delay_times_batch, first_exit_batch
+from slowsde.exits import (delay_times_batch, first_exit_batch,
+                           sup_deviation_batch)
 from slowsde.sde import PathSample, time_grid
 
 
@@ -176,6 +177,22 @@ class TestSupDeviation:
         other = make_path(xdet.t_grid + 0.05, xdet.x_values)
         with pytest.raises(GridMismatch):
             sup_normalized_deviation(other, xdet, tab)
+
+    def test_batch_from_each_rows_start(self):
+        # one centreline per row; a NaN before a row's start column is
+        # masked, one after it stays, and a row not yet started reads -inf
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((4, 6))
+        X[0, 1] = X[1, 4] = np.nan
+        centre = rng.standard_normal((4, 6))
+        sqz = rng.uniform(0.5, 2.0, (4, 6))
+        start = np.array([2, 3, 0, 6])
+        got = sup_deviation_batch(X, centre, sqz,
+                                  np.arange(6) >= start[:, None])
+        want = [np.max(np.abs(X[r, s:] - centre[r, s:]) / sqz[r, s:])
+                if s < 6 else -np.inf for r, s in enumerate(start)]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isfinite(got[0]) and np.isnan(got[1])
 
 
 def scalar_first_exit(t_grid, x, region):

@@ -1,10 +1,11 @@
-"""The Horner plan of a polynomial drift against full Horner, bit for bit.
+"""Both stepping kernels and the Horner plan against full Horner, bit for bit.
 
-PolyDrift.horner and em_batch run the drift's HornerPlan, which leaves out
-the calls that change no bit; em_batch runs it in the compiled kernel and
-in the NumPy loop.  The references here run Horner's rule with every
-multiply and every add, zero coefficients included, and results are
-compared on their bits, so signed zeros and NaN payloads count.
+PolyDrift.horner and em_batch's NumPy loop run the drift's HornerPlan,
+which leaves out the calls that change no bit; em_batch's compiled kernel
+runs full Horner on the coefficient table.  The references here run
+Horner's rule with every multiply and every add, zero coefficients
+included, and results are compared on their bits, so signed zeros and NaN
+payloads count.  The call counts are the NumPy loop's.
 """
 
 import math

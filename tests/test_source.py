@@ -135,3 +135,23 @@ def test_c_kernel_source_is_shipped():
     from slowsde import _compiled
     assert _compiled.SOURCE.is_file()
     assert _compiled.SOURCE.name in data["slowsde"]
+
+
+def c_parameters(source: str, name: str) -> list:
+    """The parameter declarations of the C function name in source."""
+    match = re.search(rf"\b{name}\s*\(([^)]*)\)\s*{{", source)
+    assert match, f"no definition of {name}"
+    return [p.strip() for p in match.group(1).split(",")]
+
+
+def test_checker_reads_c_parameters():
+    src = "/* f(int) */\nvoid f(double *a,\n  ptrdiff_t n, double c)\n{\n}\n"
+    assert c_parameters(src, "f") == ["double *a", "ptrdiff_t n", "double c"]
+
+
+def test_c_kernel_prototype_matches_argtypes():
+    """ctypes passes what _compiled declares whatever C expects, so the
+    argument count must be checked against the source."""
+    from slowsde import _compiled
+    params = c_parameters(_compiled.SOURCE.read_text(), "em_poly")
+    assert len(params) == len(_compiled.ARGTYPES), params
