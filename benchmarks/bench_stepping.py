@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from slowsde import sde, standard_pitchfork
+from slowsde import _compiled, sde, standard_pitchfork
 from slowsde.montecarlo import CHUNK_STEPS
 from slowsde.noise import fill_increments
 from slowsde.sde import em_batch, time_grid
@@ -54,14 +54,6 @@ def per_step(model, eps, sigma, t0, x0, dt, dw):
     return X, trunc
 
 
-class NoCompiler:
-    """Stands in for sde's compiled library, so em_batch takes its NumPy
-    loop."""
-
-    def em_poly(self):
-        return None
-
-
 def chunked(model, eps, sigma, t0, x0, dt, dw, ref, ref_trunc):
     """Seconds for em_batch over dw in chunks, and whether its paths and
     freeze times equal ref and ref_trunc bit for bit."""
@@ -91,11 +83,11 @@ def bench(model, n_paths, n_steps):
     ref = per_step(*args)
     t_ref = time.perf_counter() - start
 
-    library, sde._LIBRARY = sde._LIBRARY, NoCompiler()
+    library, _compiled.LIBRARY = _compiled.LIBRARY, _compiled.Library(None)
     try:
         t_numpy, same_numpy = chunked(*args, *ref)
     finally:
-        sde._LIBRARY = library
+        _compiled.LIBRARY = library
     t_c, same_c = chunked(*args, *ref)
     return (t_ref, t_numpy, t_c), same_numpy and same_c
 

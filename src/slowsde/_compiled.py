@@ -1,12 +1,23 @@
-"""Build, cache and load the compiled stepping kernel in _em.c.
+"""Build, cache and load the compiled kernels of _em.c.
 
 The library is built once by the system C compiler with FLAGS and kept in a
 per-user cache directory, under a name that carries the sha256 of the
 source, the flags and the compiler's `--version` output.  Nothing happens at
-import: a Library builds and loads at the first call of `em_poly`.  When no
-compiler works, or the library will not load, `em_poly` returns None and
-the caller keeps to its NumPy loop.  The kernel is given arrays and numbers
-only, never the drift's HornerPlan: see Library.em_poly.
+import: LIBRARY, the one Library of the process, builds and loads at the
+first call of its `get`.  Callers read LIBRARY at each call, so a test can
+swap it.  When no compiler works, or the library will not load, every
+kernel is None and each caller keeps to its NumPy or Python code, which the
+kernel equals bit for bit and byte for byte.
+
+ARGTYPES declares every exported function, and _WRAPPERS gives each one
+its Python side, which checks what C relies on (dtype, shape, contiguity,
+writeability) and raises ValueError before the call.  The kernels are given
+arrays and numbers only; ctypes releases the GIL for each call.
+
+  em_poly    Euler-Maruyama steps of a polynomial drift (sde.em_batch)
+  zeta_scan  the zeta recurrence z = z*E + w (envelope._integrate_zeta)
+  rk4_poly   RK4 rows of a polynomial drift (deterministic._rk4_rows)
+  fmt_g17    %.17g CSV rows (envelope.EnvelopeTable.to_csv)
 """
 
 from __future__ import annotations
@@ -24,9 +35,25 @@ SOURCE = Path(__file__).with_name("_em.c")
 # FMA contraction and -ffast-math (which also flushes subnormals to zero)
 # change bits; -march=native would tie the cached library to one CPU
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# em_poly(out, n, width, coef, n_coef, cdt), as _em.c declares it
-ARGTYPES = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
-            ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double)
+
+_P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+# name: (argtypes, restype), as _em.c declares them
+ARGTYPES = {
+    # em_poly(out, n, width, coef, n_coef, cdt)
+    "em_poly": ((_P, _N, _N, _P, _N, _D), None),
+    # zeta_scan(zeta, nodes, rows, e, w, substeps)
+    "zeta_scan": ((_P, _N, _N, _P, _P, _N), None),
+    # rk4_poly(out, rows, n, ld, h, c0, c1, c2, n_coef, inv, start, d, left)
+    "rk4_poly": ((_P, _N, _N, _N, _P, _P, _P, _P, _N, _D, _P, _D, _P),
+                 None),
+    # fmt_g17(buf, cap, a, rows, cols)
+    "fmt_g17": ((_P, _N, _P, _N, _N), _N),
+}
+# rows fmt_g17 formats per call, and the bytes it may take per value: %.17g
+# needs at most 24 ("-1.2345678901234567e-308"), plus the separator, which
+# fmt_g17 writes where snprintf put its NUL
+FMT_BLOCK_ROWS = 4096
+FMT_VALUE_BYTES = 25
 
 
 def default_cache_dir() -> Path:
@@ -36,33 +63,34 @@ def default_cache_dir() -> Path:
 
 
 class Library:
-    """The compiled kernel, built by the compiler cc into cache_dir (or,
+    """The compiled kernels, built by the compiler cc into cache_dir (or,
     when that is not writable, into a temporary directory removed once the
-    library is loaded)."""
+    library is loaded).  cc=None stands for no compiler: every kernel is
+    None."""
 
-    def __init__(self, cc: str = "cc", cache_dir: Optional[Path] = None):
+    def __init__(self, cc: Optional[str] = "cc",
+                 cache_dir: Optional[Path] = None):
         self.cc = cc
         self.cache_dir = cache_dir  # default_cache_dir() at the first use
         self._lock = threading.Lock()
-        self._tried = False
-        self._step: Optional[Callable] = None
+        self._kernels: Optional[dict] = None
 
-    def em_poly(self) -> Optional[Callable]:
-        """step(out, coef, cdt), which steps the chunk out of
-        sde._time_major in place by full Horner on coef, the drift's
-        coefficient table with one row per step, and cdt = dt/eps; or None
-        when the library cannot be built or loaded.  The first call builds
-        and loads it; concurrent first calls wait for that one."""
+    def get(self, name: str) -> Optional[Callable]:
+        """The checked kernel name of ARGTYPES, or None when the library
+        cannot be built or loaded.  The first call builds and loads it;
+        concurrent first calls wait for that one."""
         with self._lock:
-            if not self._tried:
+            if self._kernels is None:
                 lib = self._load()
-                self._step = None if lib is None else _wrap(lib.em_poly)
-                self._tried = True
-        return self._step
+                self._kernels = {} if lib is None else {
+                    n: _WRAPPERS[n](_declare(lib, n)) for n in ARGTYPES}
+        return self._kernels.get(name)
 
     def path(self) -> Optional[Path]:
         """Where the library is cached, or None without a working cc."""
         import subprocess  # here, so that importing slowsde does not pay
+        if self.cc is None:
+            return None
         try:
             version = subprocess.run([self.cc, "--version"], check=True,
                                      capture_output=True).stdout
@@ -117,21 +145,119 @@ class Library:
             return None
 
 
-def _wrap(fn) -> Callable:
-    """The Python side of em_poly: checks what C relies on and passes
-    pointers.  ctypes releases the GIL for the call."""
-    fn.argtypes = ARGTYPES
-    fn.restype = None
+# the library of this process, built and loaded on first use
+LIBRARY = Library()
 
+
+def _declare(lib: ctypes.CDLL, name: str):
+    fn = getattr(lib, name)
+    fn.argtypes, fn.restype = ARGTYPES[name]
+    return fn
+
+
+def _need(ok: bool, name: str, what: str) -> None:
+    if not ok:
+        raise ValueError(f"{name}: {what}")
+
+
+def _array(a, ndim: int, dtype=np.float64, writeable: bool = False) -> bool:
+    """a is a C-contiguous ndarray of ndim and dtype (and writeable)."""
+    return (isinstance(a, np.ndarray) and a.ndim == ndim and a.dtype == dtype
+            and a.flags.c_contiguous and (a.flags.writeable or not writeable))
+
+
+def _em_poly(fn) -> Callable:
     def step(out: np.ndarray, coef: np.ndarray, cdt: float) -> None:
-        coef = np.ascontiguousarray(coef, dtype=np.float64)
-        if not (out.ndim == 2 and out.dtype == np.float64
-                and out.flags.c_contiguous and out.flags.writeable
-                and coef.ndim == 2 and coef.shape[0] == out.shape[0] - 1
-                and coef.shape[1] >= 1):
-            raise ValueError("em_poly: out must be a writeable C-contiguous "
-                             "float64 matrix and coef (steps, >= 1)")
+        """Step the chunk out of sde._time_major in place by full Horner on
+        coef, the drift's coefficient table with one row per step, and
+        cdt = dt/eps."""
+        _need(_array(out, 2, writeable=True) and _array(coef, 2)
+              and coef.shape[0] == out.shape[0] - 1 and coef.shape[1] >= 1,
+              "em_poly", "out must be a writeable C-contiguous float64 "
+              "matrix and coef a C-contiguous float64 (steps, >= 1)")
         fn(out.ctypes.data, coef.shape[0], out.shape[1], coef.ctypes.data,
            coef.shape[1], cdt)
 
     return step
+
+
+def _zeta_scan(fn) -> Callable:
+    def scan(zeta: np.ndarray, e: np.ndarray, w: np.ndarray,
+             substeps: int) -> None:
+        """Fill rows 1.. of zeta (nodes, rows) from its row 0 by substeps
+        steps z = z*e + w per node, e and w ((nodes - 1) * substeps,
+        rows)."""
+        nodes, rows = np.shape(zeta) if np.ndim(zeta) == 2 else (0, 0)
+        _need(_array(zeta, 2, writeable=True) and nodes >= 1
+              and substeps >= 1 and _array(e, 2) and _array(w, 2)
+              and e.shape == w.shape == ((nodes - 1) * substeps, rows),
+              "zeta_scan", "zeta must be a writeable C-contiguous float64 "
+              "(nodes, rows) and e, w C-contiguous float64 "
+              "((nodes - 1) * substeps, rows)")
+        fn(zeta.ctypes.data, nodes, rows, e.ctypes.data, w.ctypes.data,
+           substeps)
+
+    return scan
+
+
+def _rk4_poly(fn) -> Callable:
+    def rk4(out: np.ndarray, h: np.ndarray, tables: tuple, inv: float,
+            start: np.ndarray, d: float) -> np.ndarray:
+        """Step the rows of out (rows, n + 1) in place, step j by h[j] on
+        the coefficient tables (n, n_coef) at t, t + h/2 and t + h, and
+        return per row the step that left |x| <= d, or n.  Each row of out
+        must be contiguous; the rows may be a strided view."""
+        rows, cols = np.shape(out) if np.ndim(out) == 2 else (0, 0)
+        n = cols - 1
+        item = np.dtype(np.float64).itemsize
+        _need(isinstance(out, np.ndarray) and out.ndim == 2
+              and out.dtype == np.float64 and out.flags.writeable
+              and n >= 0 and (cols == 1 or out.strides[1] == item)
+              and (rows == 1 or (out.strides[0] % item == 0
+                                 and out.strides[0] >= cols * item)),
+              "rk4_poly", "out must be a writeable float64 (rows, n + 1) "
+              "whose rows are contiguous and do not overlap")
+        _need(_array(h, 1) and h.shape == (n,) and len(tables) == 3
+              and all(_array(c, 2) and c.shape[0] == n and c.shape[1] >= 1
+                      and c.shape == tables[0].shape for c in tables)
+              and _array(start, 1, np.intp) and start.shape == (rows,),
+              "rk4_poly", "h must be a C-contiguous float64 (n,), the "
+              "tables three C-contiguous float64 (n, >= 1) and start a "
+              "C-contiguous intp (rows,)")
+        left = np.empty(rows, dtype=np.intp)
+        fn(out.ctypes.data, rows, n, out.strides[0] // item, h.ctypes.data,
+           *(c.ctypes.data for c in tables), tables[0].shape[1], inv,
+           start.ctypes.data, d, left.ctypes.data)
+        return left
+
+    return rk4
+
+
+def _fmt_g17(fn) -> Callable:
+    def write(fh, table: np.ndarray) -> None:
+        """Write the rows of table (rows, cols) to the binary file fh as
+        %.17g, comma-separated and newline-terminated, FMT_BLOCK_ROWS rows
+        at a time through one buffer, with the bytes of Python's
+        format(v, ".17g") when LC_NUMERIC's decimal point is ".".  A
+        non-finite value raises before anything is written: glibc would
+        print nan as -nan or nan."""
+        _need(_array(table, 2) and table.shape[1] >= 1, "fmt_g17",
+              "table must be a C-contiguous float64 (rows, >= 1)")
+        _need(bool(np.isfinite(table).all()), "fmt_g17",
+              "table must be finite")
+        rows, cols = table.shape
+        buf = np.empty(min(rows, FMT_BLOCK_ROWS) * cols * FMT_VALUE_BYTES,
+                       dtype=np.uint8)
+        for lo in range(0, rows, FMT_BLOCK_ROWS):
+            block = table[lo:lo + FMT_BLOCK_ROWS]
+            size = fn(buf.ctypes.data, buf.size, block.ctypes.data,
+                      len(block), cols)
+            if size < 0:
+                raise RuntimeError("fmt_g17: a row outgrew its buffer")
+            fh.write(buf[:size])
+
+    return write
+
+
+_WRAPPERS = {"em_poly": _em_poly, "zeta_scan": _zeta_scan,
+             "rk4_poly": _rk4_poly, "fmt_g17": _fmt_g17}

@@ -117,8 +117,8 @@ def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
                                                 curves=curves)}
         for region in regions.values():
             region.boundaries(tpos)  # its g1 < g2 check raises here
-        bounds = [env.bound_escape(model, float(t), sq, eps, config.sigma)
-                  for t in tpos[1:]]
+        bounds = [env.bound_escape(model, float(t), sq, eps, config.sigma,
+                                   curves=curves) for t in tpos[1:]]
         table.to_csv(outdir / "zeta_pitchfork.csv")
         for name, region in regions.items():
             region.to_csv(outdir / name, tpos)

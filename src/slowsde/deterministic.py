@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _compiled
 from ._brentq import brentq
 from .errors import NotHyperbolic, SandwichViolation
 from .model import BranchCurves, ModelSpec, alpha, branches
@@ -83,7 +84,9 @@ def _rk4_rows(model: ModelSpec, eps: float, t: np.ndarray, h, out: np.ndarray,
     last in-domain value, and the loop stops once every row is frozen.
     Returns per row the step that left, or n.  A polynomial's coefficients
     are tabulated once at the stage times t, t + h/2 and t + h, as the
-    drift computes them, so a step runs only the drift's Horner plan in x.
+    drift computes them; the compiled rk4_poly then runs full Horner on
+    them for every row and step, and without it the loop below runs the
+    drift's Horner plan, which gives the same bits.
     """
     n = len(t)
     h = np.broadcast_to(h, n)
@@ -91,7 +94,14 @@ def _rk4_rows(model: ModelSpec, eps: float, t: np.ndarray, h, out: np.ndarray,
     inv = 1.0 / eps
     poly = model.poly
     if poly is not None:
-        tabs = [poly.coeff_table(s).tolist() for s in stage_t]
+        tabs = [poly.coeff_table(s) for s in stage_t]
+        rk4 = _compiled.LIBRARY.get("rk4_poly")
+        if rk4 is not None:
+            starts = np.zeros(len(out), dtype=np.intp) if start is None \
+                else np.ascontiguousarray(start, dtype=np.intp)
+            return rk4(out, np.ascontiguousarray(h, dtype=float), tabs, inv,
+                       starts, d)
+        tabs = [tab.tolist() for tab in tabs]
 
         def rhs(j):
             return lambda x, s: poly.horner(tabs[s][j], x) * inv

@@ -14,6 +14,7 @@ result is flagged leading_order.
 
 from __future__ import annotations
 
+import locale
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,11 +22,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _compiled
 from ._brentq import brentq
 from .deterministic import DetPath, post_exit_path
 from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
-                     HExceedsSigma, NotStable, OutsideRegime, RegimeViolation,
-                     RhoTooSmall)
+                     HExceedsSigma, NonFiniteResult, NotStable, OutsideRegime,
+                     RegimeViolation, RhoTooSmall)
 from .model import (BranchCurves, ModelSpec, _standard_drift, alpha,
                     alpha_on_panels, branches)
 from .sde import n_steps_for, time_grid
@@ -71,8 +73,7 @@ def default_strip_width(sigma: float) -> float:
 
 def _phi1(m: np.ndarray) -> np.ndarray:
     out = np.ones_like(m)
-    nz = m != 0.0
-    out[nz] = np.expm1(m[nz]) / m[nz]
+    np.divide(np.expm1(m), m, out=out, where=m != 0.0)
     return out
 
 
@@ -82,7 +83,10 @@ def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
 
     abar_sub is one rate (n_sub,) or a stack of rows (n, n_sub) integrated
     side by side from zeta0 (scalar or (n,)).  A substep whose rate is NaN
-    (a row that has not started yet) leaves zeta unchanged.
+    (a row that has not started yet) leaves zeta unchanged.  The factors
+    E = exp(m) and w = (h/eps) phi1(m) are NumPy's; the scan z = z*E + w
+    runs in the compiled zeta_scan when it loads, else in the loop below,
+    which it equals bit for bit.
     """
     K = len(t_grid) - 1
     h_sub = np.repeat(np.diff(t_grid) / SUBSTEPS, SUBSTEPS)
@@ -97,6 +101,12 @@ def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
     w = np.ascontiguousarray(np.moveaxis(w, -1, 0))
     zeta = np.empty((K + 1,) + np.shape(zeta0))
     zeta[0] = z = zeta0
+    scan = _compiled.LIBRARY.get("zeta_scan")
+    if scan is not None:
+        cols = zeta[0].size
+        scan(zeta.reshape(K + 1, cols), E.reshape(len(E), cols),
+             w.reshape(len(w), cols), SUBSTEPS)
+        return np.moveaxis(zeta, 0, -1)
     idx = 0
     for k in range(K):
         for _ in range(SUBSTEPS):
@@ -179,6 +189,8 @@ class EnvelopeTable:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not np.isfinite(self.zeta_values).all():
+            raise NonFiniteResult("zeta must stay finite")
         if np.any(self.zeta_values <= 0):
             raise ValueError("zeta must stay positive")
 
@@ -200,11 +212,26 @@ class EnvelopeTable:
         return float(np.max(np.diff(self.zeta_values) / np.diff(self.t_grid)))
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# regime={self.regime} eps={self.eps!r}\n")
-            fh.write("t,zeta\n")
-            for t, z in zip(self.t_grid, self.zeta_values):
-                fh.write(f"{t:.17g},{z:.17g}\n")
+        """t and zeta as %.17g rows under a two-line header, formatted by
+        the compiled fmt_g17 when it loads, else by Python: the same
+        bytes."""
+        with open(path, "wb") as fh:
+            fh.write(f"# regime={self.regime} eps={self.eps!r}\n"
+                     "t,zeta\n".encode())
+            _write_g17(fh, np.column_stack([self.t_grid, self.zeta_values]))
+
+
+def _write_g17(fh, table: np.ndarray) -> None:
+    """The rows of table (rows, cols) to the binary file fh as %.17g,
+    comma-separated and newline-terminated.  C's snprintf writes the
+    LC_NUMERIC decimal point, Python's format always ".", so Python formats
+    under a locale whose decimal point is not "."."""
+    write = _compiled.LIBRARY.get("fmt_g17")
+    if write is not None and locale.localeconv()["decimal_point"] == ".":
+        write(fh, table)
+        return
+    line = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
+    fh.write("".join(map(line.format, *table.T.tolist())).encode())
 
 
 def zeta_stable(model: ModelSpec, eps: float, t_grid,

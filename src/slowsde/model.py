@@ -109,9 +109,9 @@ def read_object(doc, types: dict, where: str, required=()) -> dict:
 @dataclass(frozen=True)
 class HornerPlan:
     """Horner in x for one coefficient matrix, with the calls that change
-    no bit left out.  PolyDrift.horner (so also RK4 and zeta) and the
-    NumPy stepping loop of sde run it, where each call left out saves one
-    NumPy call per step.
+    no bit left out.  PolyDrift.horner (so also zeta_along's drift calls
+    and the NumPy RK4 loop) and the NumPy stepping loop of sde run it,
+    where each call left out saves one NumPy call per step.
 
     Operands are indexed into (x, f, *coefficients, *constants): `vary` names
     the rows whose per-time coefficients follow x and f, and `consts` the
@@ -192,8 +192,9 @@ class PolyDrift:
     """Polynomial drift f(x, t) = sum_ij c[i, j] x^i t^j.
 
     Evaluation is Horner in t for the x^i coefficients, then Horner in x by
-    the coefficient matrix's HornerPlan.  The compiled stepping kernel runs
-    full Horner on coeff_table's rows instead, which gives the same bits.
+    the coefficient matrix's HornerPlan.  The compiled stepping and RK4
+    kernels run full Horner on coeff_table's rows instead, which gives the
+    same bits.
     """
 
     def __init__(self, coeffs: Sequence[Sequence[float]]):

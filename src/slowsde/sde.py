@@ -3,9 +3,10 @@ Euler for linear comparisons, and coupled pairs sharing one noise realization.
 
 Both integrators step a whole batch of paths time-major and in place:
 em_batch by Euler-Maruyama, linear_batch through precomputed exponential
-multipliers.  em_batch steps a polynomial drift through the compiled kernel
-of _em.c, built and loaded at the first such call (see _compiled), which
-runs full Horner over the drift's coefficient table, one row per step.  Any
+multipliers.  em_batch steps a polynomial drift through em_poly, a kernel
+of the compiled library _em.c, built and loaded at its first use (see
+_compiled), which runs full Horner over the drift's coefficient table, one
+row per step.  Any
 other drift steps through one NumPy loop, which is also the polynomial
 drifts' fallback when no C compiler works, running their Horner plan, and
 the reference the kernel equals bit for bit.  Freezing paths that leave
@@ -20,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._compiled import Library
+from . import _compiled
 from .errors import StepTooLarge
 from .model import ModelSpec
 from .noise import NoiseStream
@@ -31,15 +32,11 @@ __all__ = [
 ]
 
 
-# the compiled kernel of this process, built and loaded on first use
-_LIBRARY = Library()
-
-
 def backend() -> str:
     """The kernel that steps polynomial drifts in this process: "c" for the
     compiled one, "numpy" when it cannot be built or loaded.  Reports keep
     the literal "python", so their bytes never depend on it."""
-    return "numpy" if _LIBRARY.em_poly() is None else "c"
+    return "numpy" if _compiled.LIBRARY.get("em_poly") is None else "c"
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ def _em_steps(out, model, t_nodes, cdt):
     poly = model.poly
     if poly is not None:
         table = poly.coeff_table(t_nodes)
-        step = _LIBRARY.em_poly()
+        step = _compiled.LIBRARY.get("em_poly")
         if step is not None:
             step(out, table, cdt)
             return

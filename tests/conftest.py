@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slowsde import make_model, model_from_coeffs, sde, standard_pitchfork
+from slowsde import _compiled, make_model, model_from_coeffs, standard_pitchfork
 
 
 @pytest.fixture(scope="session")
@@ -53,16 +53,18 @@ def nan_patch():
 
 @pytest.fixture()
 def kernels(monkeypatch):
-    """kernels() yields "c", then "numpy": while a name is current,
-    polynomial drifts step through the compiled kernel, which must build
-    here, or through the NumPy loop.  Looping in the test body keeps one
-    test id for both kernels."""
-    step = sde._LIBRARY.em_poly()
-    assert step is not None, "the C kernel did not build"
+    """kernels() yields "c", then "numpy": while a name is current, every
+    kernel of the compiled library runs, which must build here (stepping,
+    the zeta scan, RK4 rows and %.17g tables), or none does and each caller
+    takes its NumPy fallback.  Looping in the test body keeps one test id
+    for both."""
+    library = _compiled.LIBRARY
+    for name in _compiled.ARGTYPES:
+        assert library.get(name) is not None, f"{name} did not build"
 
     def each():
-        for name, fn in (("c", step), ("numpy", None)):
-            monkeypatch.setattr(sde._LIBRARY, "em_poly", lambda: fn)
+        for name, lib in (("c", library), ("numpy", _compiled.Library(None))):
+            monkeypatch.setattr(_compiled, "LIBRARY", lib)
             yield name
 
     return each

@@ -91,7 +91,8 @@ class TestRun:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("fault", ["nan_path", "nan_drift",
-                                       "root_not_converged", "envelope_table"])
+                                       "root_not_converged", "envelope_table",
+                                       "nan_zeta"])
     def test_run_failure_status(self, tmp_path, out, capsys, monkeypatch,
                                 nan_patch, fault):
         # a package error raised inside the run is status 1, not a traceback
@@ -123,6 +124,18 @@ class TestRun:
                    "ensemble": {"n_paths": 20, "master_seed": 1},
                    "experiment": {"tag": "branch"}}
             expected = "need t > t0"
+        elif fault == "nan_zeta":
+            # the run succeeds; then the exported zeta table has a NaN,
+            # which NaN <= 0 would not catch
+            scan = envelope._integrate_zeta
+
+            def nan_node(*args):
+                zeta = scan(*args)
+                zeta[..., 3] = np.nan
+                return zeta
+
+            monkeypatch.setattr(envelope, "_integrate_zeta", nan_node)
+            expected = "zeta must stay finite"
         else:
             monkeypatch.setattr(envelope, "brentq",
                                 functools.partial(_brentq.brentq, maxiter=1))

@@ -1,16 +1,21 @@
-"""The compiled stepping kernel of _em.c: it builds here and run_ensemble
-steps through it; its wrapper refuses arrays C cannot take before calling
-it; and a missing compiler, a broken cached library or an unwritable cache
-directory each fall back without changing a byte."""
+"""The compiled library of _em.c: it builds here and the run goes through
+each of its kernels; each wrapper refuses arrays C cannot take before
+calling it; fmt_g17 writes Python's %.17g bytes; and a missing compiler, a
+broken cached library or an unwritable cache directory each fall back
+without changing a byte."""
 
 import ctypes
+import io
+import locale
+import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from slowsde import _compiled, run_ensemble, sde, standard_pitchfork
+from slowsde import _compiled, envelope, run_ensemble, sde, standard_pitchfork
 from slowsde.cli import cmd_run
 from slowsde.sde import em_batch, n_steps_for
 from test_cli import SMALL_DELAY, write
@@ -33,9 +38,9 @@ def reference(tmp_path_factory):
 
 
 def run_with(library, reference, tmp_path, monkeypatch):
-    """Run the reference config with sde stepping through library, and
+    """Run the reference config with library as the process's library, and
     check its output files against the reference's."""
-    monkeypatch.setattr(sde, "_LIBRARY", library)
+    monkeypatch.setattr(_compiled, "LIBRARY", library)
     cfg, want = reference
     assert cmd_run(cfg, out=str(tmp_path / "out")) == 0
     assert outputs(tmp_path / "out") == want
@@ -54,31 +59,59 @@ def loads(monkeypatch):
     return seen
 
 
-def test_builds_and_steps_run_ensemble(monkeypatch):
-    step = sde._LIBRARY.em_poly()
-    assert step is not None, "the C kernel did not build or load here"
+class Spy:
+    """A library whose kernels record each call's arguments, then run the
+    kernels of library; a kernel named in fail fails the test instead."""
+
+    def __init__(self, library, fail=()):
+        self.library, self.fail = library, fail
+        self.calls = Counter()
+        self.args = []
+
+    def get(self, name):
+        fn = self.library.get(name)
+        if fn is None:
+            return None
+
+        def kernel(*args):
+            if name in self.fail:
+                pytest.fail(f"{name} was called")
+            self.calls[name] += 1
+            self.args.append((name, args))
+            return fn(*args)
+
+        return kernel
+
+
+def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
+    for name in _compiled.ARGTYPES:
+        assert _compiled.LIBRARY.get(name) is not None, f"{name} did not build"
     assert sde.backend() == "c"
-    path_steps = []
-
-    def counting(out, coef, cdt):
-        path_steps.append((out.shape[0] - 1) * out.shape[1])
-        step(out, coef, cdt)
-
-    monkeypatch.setattr(sde._LIBRARY, "em_poly", lambda: counting)
+    spy = Spy(_compiled.LIBRARY)
+    monkeypatch.setattr(_compiled, "LIBRARY", spy)
     cfg = pinned_config("delay")
     assert cfg.model.poly is not None
     run_ensemble(cfg)
-    assert sum(path_steps) == cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end,
-                                                        cfg.dt)
+    assert sum((out.shape[0] - 1) * out.shape[1]
+               for name, (out, *_) in spy.args if name == "em_poly") \
+        == cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
+    # the envelope export scans zeta and formats its table
+    assert cmd_run(write(tmp_path, "cfg.json", SMALL_DELAY),
+                   out=str(tmp_path / "out")) == 0
+    assert spy.calls["zeta_scan"] == 1 and spy.calls["fmt_g17"] == 1
+    # the approach tag steps its post-exit family in one call
+    run_ensemble(pinned_config("approach"))
+    assert spy.calls["rk4_poly"] == 1
 
 
 @pytest.fixture()
 def unreached():
-    """The wrapped step of a kernel that fails the test if it is called."""
+    """wrapped(name): the checked kernel name around a C function that
+    fails the test if it is called."""
     def kernel(*args):
         pytest.fail("the kernel was called")
 
-    return _compiled._wrap(kernel)
+    return lambda name: _compiled._WRAPPERS[name](kernel)
 
 
 def read_only(shape):
@@ -96,18 +129,184 @@ def read_only(shape):
     (np.zeros((6, 5)), np.zeros((4, 4))),
     (np.zeros((6, 5)), np.zeros((5, 0))),            # no coefficient
     (np.zeros((6, 5)), np.zeros(5)),
+    (np.zeros((6, 5)), np.zeros((5, 4), dtype=np.float32)),
+    (np.zeros((6, 5)), np.zeros((5, 8))[:, ::2]),
+    (np.zeros((6, 5)), [[0.0] * 4] * 5),             # not an ndarray
 ], ids=["strided", "fortran", "read-only", "float32", "rows+1", "rows-1",
-        "no-columns", "1-d-coef"])
+        "no-columns", "1-d-coef", "float32-coef", "strided-coef",
+        "list-coef"])
 def test_step_rejects_what_c_cannot_take(unreached, out, coef):
     with pytest.raises(ValueError, match="em_poly"):
-        unreached(out, coef, 0.5)
+        unreached("em_poly")(out, coef, 0.5)
+
+
+ZETA, SUB = np.zeros((5, 3)), np.zeros((16, 3))
+
+
+@pytest.mark.parametrize("zeta,e,w,substeps", [
+    (read_only((5, 3)), SUB, SUB, 4),
+    (np.zeros((5, 3), dtype=np.float32), SUB, SUB, 4),
+    (np.zeros((5, 6))[:, ::2], SUB, SUB, 4),
+    (np.zeros(5), np.zeros(16), np.zeros(16), 4),
+    (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)), 4),
+    (ZETA, np.zeros((15, 3)), SUB, 4),
+    (ZETA, SUB, np.zeros((16, 2)), 4),
+    (ZETA, SUB, SUB, 3),
+    (ZETA, SUB, SUB, 0),
+    (ZETA, np.zeros((32, 3))[::2], SUB, 4),
+    (ZETA, SUB, np.zeros((16, 3), dtype=np.float32), 4),
+    ([[0.0] * 3] * 5, SUB, SUB, 4),
+], ids=["read-only", "float32", "strided", "1-d", "no-nodes", "e-rows",
+        "w-columns", "substeps", "no-substeps", "strided-e", "float32-w",
+        "list"])
+def test_zeta_scan_rejects_what_c_cannot_take(unreached, zeta, e, w,
+                                              substeps):
+    with pytest.raises(ValueError, match="zeta_scan"):
+        unreached("zeta_scan")(zeta, e, w, substeps)
+
+
+TAB = np.zeros((4, 3))
+TABS = (TAB, TAB, TAB)
+STARTS = np.zeros(3, dtype=np.intp)
+
+
+def overlapping_rows():
+    base = np.zeros(12)
+    return np.lib.stride_tricks.as_strided(base, (3, 5), (16, 8))
+
+
+@pytest.mark.parametrize("out,h,tables,start", [
+    (np.zeros((3, 10))[:, ::2], np.zeros(4), TABS, STARTS),
+    (np.zeros((5, 3)).T, np.zeros(4), TABS, STARTS),
+    (overlapping_rows(), np.zeros(4), TABS, STARTS),
+    (read_only((3, 5)), np.zeros(4), TABS, STARTS),
+    (np.zeros((3, 5), dtype=np.float32), np.zeros(4), TABS, STARTS),
+    (np.zeros(5), np.zeros(4), TABS, STARTS),
+    (np.zeros((3, 5)), np.zeros(5), TABS, STARTS),
+    (np.zeros((3, 5)), np.zeros(4, dtype=np.float32), TABS, STARTS),
+    (np.zeros((3, 5)), np.zeros(4), (TAB, TAB), STARTS),
+    (np.zeros((3, 5)), np.zeros(4), (TAB, TAB, np.zeros((4, 2))), STARTS),
+    (np.zeros((3, 5)), np.zeros(4), (TAB, TAB, np.zeros((5, 3))), STARTS),
+    (np.zeros((3, 5)), np.zeros(4), (TAB, TAB, np.zeros((4, 6))[:, ::2]),
+     STARTS),
+    (np.zeros((3, 5)), np.zeros(4), (np.zeros((4, 0)),) * 3, STARTS),
+    (np.zeros((3, 5)), np.zeros(4), TABS, np.zeros(3, dtype=np.int32)),
+    (np.zeros((3, 5)), np.zeros(4), TABS, np.zeros(2, dtype=np.intp)),
+    ([[0.0] * 5] * 3, np.zeros(4), TABS, STARTS),
+], ids=["strided", "fortran", "overlapping", "read-only", "float32", "1-d",
+        "h-length", "float32-h", "two-tables", "table-width", "table-rows",
+        "strided-table", "no-coefficient", "int32-start", "start-length",
+        "list"])
+def test_rk4_poly_rejects_what_c_cannot_take(unreached, out, h, tables,
+                                             start):
+    with pytest.raises(ValueError, match="rk4_poly"):
+        unreached("rk4_poly")(out, h, tables, 10.0, start, math.inf)
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros((4, 2), dtype=np.float32),
+    np.zeros(4),
+    np.zeros((4, 4))[:, ::2],
+    np.zeros((4, 0)),
+    np.array([[1.0, math.nan]]),
+    np.array([[1.0, -math.inf]]),
+], ids=["float32", "1-d", "strided", "no-columns", "nan", "inf"])
+def test_fmt_g17_rejects_what_c_cannot_take(unreached, table):
+    fh = io.BytesIO()
+    with pytest.raises(ValueError, match="fmt_g17"):
+        unreached("fmt_g17")(fh, table)
+    assert fh.getvalue() == b""
+
+
+def g17_values(n):
+    """3n finite doubles: uniform bit patterns; random mantissas with
+    binary exponents from 2^-22 to 2^58, across the switches of %.17g
+    between fixed and exponent form at 1e-5 and 1e17; exact ties of the
+    17th digit, m/4 near 1e15 and m 2^-s; then every edge: +-0, subnormals,
+    the normal boundary, +-max, and the neighbours of each power of ten
+    from 1e-8 to 1e18 and of 9.99...e16, which rounds up to 1e17."""
+    rng = np.random.default_rng(20)
+    values = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    mantissa = rng.integers(0, 2 ** 52, n, dtype=np.uint64)
+    exponent = rng.integers(1023 - 22, 1023 + 59, n).astype(np.uint64)
+    in_range = ((exponent << np.uint64(52)) | mantissa).view(np.float64)
+    ties = np.concatenate([
+        rng.integers(2 ** 50, 2 ** 53, n // 2) / 4.0,
+        rng.integers(2 ** 52, 2 ** 53, n // 2)
+        * 2.0 ** -rng.integers(1, 70, n // 2)])
+    edges = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1e-310, np.finfo(float).max, 99999999999999999.0,
+             9.9999999999999995e16, 9.999999999999999e-7]
+    for k in range(-8, 19):
+        v = up = down = 10.0 ** k
+        edges.append(v)
+        for _ in range(5):
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, 0.0)
+            edges += [up, down]
+    values = np.concatenate([values[np.isfinite(values)], in_range, ties,
+                             edges])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_fmt_g17_matches_python_format(cols):
+    """Blocks of rows in C print the bytes of Python's format(v, ".17g"),
+    over more rows than one block."""
+    values = g17_values(2 * _compiled.FMT_BLOCK_ROWS)
+    values = values[:len(values) // cols * cols].reshape(-1, cols)
+    assert len(values) > _compiled.FMT_BLOCK_ROWS
+    fh = io.BytesIO()
+    _compiled.LIBRARY.get("fmt_g17")(fh, values)
+    want = "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                   for row in values.tolist())
+    assert fh.getvalue() == want.encode()
+
+
+def test_fmt_g17_fits_the_longest_values():
+    """A block of the longest %.17g values (24 bytes, with sign and a
+    three-digit exponent) fills FMT_VALUE_BYTES per value exactly."""
+    longest = -2.2250738585072014e-308
+    assert len(format(longest, ".17g")) + 1 == _compiled.FMT_VALUE_BYTES
+    table = np.full((_compiled.FMT_BLOCK_ROWS + 1, 2), longest)
+    fh = io.BytesIO()
+    _compiled.LIBRARY.get("fmt_g17")(fh, table)
+    assert fh.getvalue() == (
+        f"{longest:.17g},{longest:.17g}\n" * len(table)).encode()
+
+
+def test_fmt_g17_checks_every_block_before_writing():
+    table = np.ones((2 * _compiled.FMT_BLOCK_ROWS, 2))
+    table[-1, 1] = math.nan
+    fh = io.BytesIO()
+    with pytest.raises(ValueError, match="finite"):
+        _compiled.LIBRARY.get("fmt_g17")(fh, table)
+    assert fh.getvalue() == b""
+
+
+def test_other_decimal_point_formats_in_python(tmp_path, monkeypatch):
+    """Under a locale whose decimal point is not ".", snprintf would write
+    that one, so the table is formatted by Python: the same bytes."""
+    table = envelope.EnvelopeTable(np.linspace(-1.0, 0.1, 50),
+                                   np.linspace(0.5, 3.0, 50) / 3.0,
+                                   np.zeros(50), "test", 0.01)
+    table.to_csv(tmp_path / "c.csv")
+    conv = locale.localeconv()
+    monkeypatch.setattr(locale, "localeconv",
+                        lambda: dict(conv, decimal_point=","))
+    monkeypatch.setattr(_compiled, "LIBRARY",
+                        Spy(_compiled.LIBRARY, fail=("fmt_g17",)))
+    table.to_csv(tmp_path / "py.csv")
+    assert (tmp_path / "py.csv").read_bytes() == \
+        (tmp_path / "c.csv").read_bytes()
+    assert (tmp_path / "py.csv").read_bytes().splitlines()[2] == \
+        b"-1,0.16666666666666666"
 
 
 def test_missing_compiler_falls_back(reference, tmp_path, monkeypatch):
     library = _compiled.Library(cc=str(tmp_path / "no-such-cc"),
                                 cache_dir=tmp_path / "cache")
     run_with(library, reference, tmp_path, monkeypatch)
-    assert library.em_poly() is None and sde.backend() == "numpy"
+    assert library.get("em_poly") is None and sde.backend() == "numpy"
     assert not (tmp_path / "cache").exists()
 
 
@@ -116,7 +315,7 @@ def test_truncated_library_is_rebuilt(tmp_path, loads):
     path = library.path()
     path.parent.mkdir()
     path.write_bytes(b"\x7fELF" + bytes(60))
-    assert library.em_poly() is not None
+    assert library.get("em_poly") is not None
     assert loads == [str(path)] * 2 and path.stat().st_size > 64
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 
@@ -135,7 +334,7 @@ def test_library_that_never_loads_falls_back(reference, tmp_path,
     monkeypatch.setattr(_compiled.ctypes, "CDLL", failing)
     run_with(library, reference, tmp_path, monkeypatch)
     # the cached library failed to load, was rebuilt and failed again
-    assert library.em_poly() is None
+    assert library.get("em_poly") is None
     assert attempts == [str(path)] * 2
 
 
@@ -145,14 +344,14 @@ def test_unwritable_cache_uses_a_temporary_directory(reference, tmp_path,
     (tmp_path / "file").write_text("")
     library = _compiled.Library(cache_dir=tmp_path / "file" / "cache")
     run_with(library, reference, tmp_path, monkeypatch)
-    assert library.em_poly() is not None and sde.backend() == "c"
+    assert library.get("em_poly") is not None and sde.backend() == "c"
     assert len(loads) == 1 and not loads[0].startswith(str(tmp_path))
 
 
 def test_concurrent_first_calls_load_one_library(tmp_path, monkeypatch,
                                                  loads):
     library = _compiled.Library(cache_dir=tmp_path)
-    monkeypatch.setattr(sde, "_LIBRARY", library)
+    monkeypatch.setattr(_compiled, "LIBRARY", library)
     model = standard_pitchfork()
     dw = np.random.default_rng(5).standard_normal((16, 500)) * 1e-2
     barrier = threading.Barrier(2)

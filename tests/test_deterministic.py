@@ -185,7 +185,8 @@ def adiabatic_reference(model, eps, tg):
 
 class TestOneRK4Loop:
     """solve_det, adiabatic_solution and post_exit_family share one RK4
-    loop; it equals scalar RK4 written out node by node, bit for bit."""
+    loop; it equals scalar RK4 written out node by node, bit for bit,
+    through the compiled rk4_poly and through the NumPy loop."""
 
     lin_u = model_from_coeffs([[0.0], [1.0]],
                               {"kind": "unstable-branch", "d": 1.0,
@@ -202,7 +203,7 @@ class TestOneRK4Loop:
 
     @pytest.mark.parametrize("case", ["x0", "t0", "quintic", "callable",
                                       "truncated"])
-    def test_solve_det(self, standard, quintic, case):
+    def test_solve_det(self, standard, quintic, case, kernels):
         args = {"x0": (standard, 0.01, -0.5, 0.12, 0.1, 2e-4),
                 "t0": (standard, 0.01, 0.2, 0.5, 0.4, 2e-4),
                 "quintic": (quintic, 0.005, -0.2, 0.05, 0.2, 1e-4),
@@ -211,35 +212,64 @@ class TestOneRK4Loop:
                              0.01, 0.1, 1.4, 0.4, 2e-4),
                 "truncated": (self.lin_u, 0.01, 0.0, 0.5, 1.0, 2e-4)}[case]
         grid, xs, errs, truncated_at = solve_det_reference(*args)
-        p = solve_det(*args)
-        assert np.array_equal(p.t_grid, grid)
-        assert np.array_equal(p.x_values, xs)
-        assert np.array_equal(p.local_error, errs)
-        assert p.truncated_at == truncated_at
+        for kernel in kernels():
+            p = solve_det(*args)
+            assert np.array_equal(p.t_grid, grid), kernel
+            assert np.array_equal(p.x_values, xs), kernel
+            assert np.array_equal(p.local_error, errs), kernel
+            assert p.truncated_at == truncated_at, kernel
         assert (truncated_at is not None) == (case == "truncated")
 
     @pytest.mark.parametrize("kind", ["stable", "unstable"])
-    def test_adiabatic(self, kind):
+    def test_adiabatic(self, kind, kernels):
         model = self.moving if kind == "stable" else self.moving_u
         # cells of 0.002 and of 0.0205 take 10 and 103 sub-steps
         tg = np.concatenate([np.linspace(0.0, 0.2, 101), [0.2205, 0.241]])
-        p = adiabatic_solution(model, 0.01, tg)
-        assert np.array_equal(p.x_values, adiabatic_reference(model, 0.01,
-                                                              tg))
+        want = adiabatic_reference(model, 0.01, tg)
+        for kernel in kernels():
+            p = adiabatic_solution(model, 0.01, tg)
+            assert np.array_equal(p.x_values, want), kernel
 
-    def test_rows_freeze_independently(self):
+    def test_rows_freeze_independently(self, kernels):
         # rows stepped in lockstep equal one-row solve_det calls, each
         # frozen at its own exit while the others go on
         m, eps, dt, n = self.lin_u, 0.01, 2e-4, 2500
         x0 = np.array([0.5, -0.2, 0.0, 0.9])
-        out = np.empty((4, n + 1))
-        out[:, 0] = x0
-        left = _rk4_rows(m, eps, time_grid(0.0, dt, n)[:-1], dt, out, d=m.d)
-        assert left[2] == n and len(set(left)) == 4
-        for row, k, start in zip(out, left, x0):
-            p = solve_det(m, eps, 0.0, start, n * dt, dt)
-            assert np.array_equal(row[:k + 1], p.x_values)
-            assert np.all(row[k + 1:] == p.x_values[-1])
+        for kernel in kernels():
+            out = np.empty((4, n + 1))
+            out[:, 0] = x0
+            left = _rk4_rows(m, eps, time_grid(0.0, dt, n)[:-1], dt, out,
+                             d=m.d)
+            assert left[2] == n and len(set(left)) == 4, kernel
+            for row, k, start in zip(out, left, x0):
+                p = solve_det(m, eps, 0.0, start, n * dt, dt)
+                assert np.array_equal(row[:k + 1], p.x_values), kernel
+                assert np.all(row[k + 1:] == p.x_values[-1]), kernel
+
+    def test_late_starts_and_all_frozen(self, kernels):
+        # rows of a strided view that start at their own steps and all
+        # leave |x| <= d, the last one ending the loop early; both kernels
+        # give the same bits and steps, and no write strays off the view
+        m, eps, dt, n = self.lin_u, 0.01, 2e-4, 3000
+        t = time_grid(0.0, dt, n)[:-1]
+        x0 = np.array([0.5, -0.2, 0.01, 0.9, -0.05])
+        start = np.array([0, 40, 700, 7, 1500])
+        got = []
+        for kernel in kernels():
+            full = np.full((5, n + 9), -7.0)
+            full[:, 4] = x0
+            rows = full[:, 4:n + 5]
+            left = _rk4_rows(m, eps, t, dt, rows, start, d=m.d)
+            got.append((full, left))
+            assert np.all(full[:, :4] == -7.0) and np.all(full[:, -4:] == -7.0)
+            assert np.all(start < left) and np.all(left < 1800), kernel
+            for row, k0, k in zip(rows, start, left):
+                assert np.all(row[:k0 + 1] == row[0]), kernel
+                assert np.all(row[k + 1:] == row[k]), kernel
+                assert abs(row[k]) <= m.d < abs(row[k] * 1.1), kernel
+        (a, left_a), (b, left_b) = got
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.array_equal(left_a, left_b)
 
 
 class TestBifurcationDelay:

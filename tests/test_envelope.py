@@ -6,19 +6,21 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import norm
 
-from slowsde import (DegenerateWindow, EpsTooLarge, HExceedsSigma, NotStable,
-                     OutsideRegime, RegimeViolation, RhoTooSmall, alpha,
-                     bound_approach, bound_before, bound_escape, bound_stable,
-                     bound_unstable, branches, default_strip_width,
-                     delay_interval, gaussian_exit_bound, make_model,
-                     martingale_sup_bound, model_from_coeffs, no_exit_linear_bound, region_B,
+from slowsde import (DegenerateWindow, EpsTooLarge, HExceedsSigma,
+                     NonFiniteResult, NotStable, OutsideRegime,
+                     RegimeViolation, RhoTooSmall, alpha, bound_approach,
+                     bound_before, bound_escape, bound_stable, bound_unstable,
+                     branches, default_strip_width, delay_interval, envelope,
+                     gaussian_exit_bound, make_model, martingale_sup_bound,
+                     model_from_coeffs, no_exit_linear_bound, region_B,
                      region_D, region_S, region_delay_strip,
                      region_stable_strip, return_to_zero_bound, solve_det,
                      variance, zeta_pitchfork, zeta_post_exit, zeta_stable)
 from slowsde.model import alpha_on_panels, gauss_legendre
 from slowsde.envelope import (KAPPA_UNSTABLE, STANDARD_POST_EXIT_BRACKETS,
-                              STANDARD_ZETA_BRACKETS, calibrate_zeta_brackets,
-                              calibrate_post_exit_brackets)
+                              STANDARD_ZETA_BRACKETS, EnvelopeTable,
+                              calibrate_post_exit_brackets,
+                              calibrate_zeta_brackets)
 from slowsde.sde import n_steps_for, time_grid
 
 
@@ -110,6 +112,44 @@ class TestZetaPitchfork:
             lo, hi = STANDARD_ZETA_BRACKETS[key]
             assert lo <= fresh[key][0]
             assert fresh[key][1] <= hi
+
+
+class TestEnvelopeTable:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_zeta_rejected(self, bad):
+        # NaN <= 0 is False, so the positivity check alone would pass NaN
+        with pytest.raises(NonFiniteResult, match="finite"):
+            EnvelopeTable(np.arange(3.0), np.array([1.0, bad, 2.0]),
+                          np.zeros(3), "test", 0.01)
+        assert issubclass(NonFiniteResult, ValueError)
+
+    def test_kernels_give_the_same_tables_and_bytes(self, standard, kernels,
+                                                    tmp_path):
+        """zeta_pitchfork (one row), zeta_along (stacked rows that start at
+        different nodes) and the CSV export give the same bits and bytes
+        through zeta_scan and fmt_g17 as through the NumPy loop and Python
+        formatting, down to a one-node grid."""
+        eps, dt = 0.005, 1e-4
+        grid = time_grid(-0.5, dt, n_steps_for(-0.5, math.sqrt(eps), dt))
+        rows = np.full((3, len(grid)), np.nan)
+        for r, k0 in enumerate((0, 7, 500)):
+            rows[r, k0:] = 0.3 * np.exp(grid[k0:] - grid[k0]) * (r + 1)
+        got = []
+        for kernel in kernels():
+            table = zeta_pitchfork(standard, eps, -0.5, grid)
+            abar = standard.drift_dx(rows, grid)
+            stacked = envelope.zeta_along(standard, eps, grid, rows, abar)
+            one = zeta_pitchfork(standard, eps, -0.5, grid[:1])
+            path = tmp_path / f"{kernel}.csv"
+            table.to_csv(path)
+            got.append((table.zeta_values, stacked, one.zeta_values,
+                        path.read_bytes()))
+        (z1, s1, o1, b1), (z2, s2, o2, b2) = got
+        assert np.array_equal(z1.view(np.uint64), z2.view(np.uint64))
+        assert np.array_equal(s1.view(np.uint64), s2.view(np.uint64))
+        assert np.array_equal(o1.view(np.uint64), o2.view(np.uint64))
+        assert o1.shape == (1,)
+        assert b1 == b2 and b1.count(b"\n") == len(grid) + 2
 
 
 class TestZetaPostExit:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from slowsde import model_from_coeffs, sde, standard_pitchfork
+from slowsde import _compiled, model_from_coeffs, standard_pitchfork
+from slowsde.deterministic import _rk4_rows
 from slowsde.model import ModelSpec, PolyDrift
 from slowsde.sde import em_batch, time_grid
 
@@ -160,6 +161,31 @@ def test_em_batch_is_full_horner(kernels, c, x0, k_zero, sigma, scale,
             assert np.array_equal(bits(tr), bits(trunc)), kernel
 
 
+@SETTINGS
+@given(c=coeff_matrices(), x0=states, seed=st.integers(0, 2 ** 32 - 1),
+       h=st.sampled_from([2.0 ** -9, -2.0 ** -9, 1e-3]),
+       d=st.sampled_from([D, math.inf]))
+def test_rk4_rows_kernels_agree(kernels, c, x0, seed, h, d):
+    """RK4 rows through rk4_poly's full Horner equal the NumPy loop's Horner
+    plan bit for bit, from every edge state, with per-row start steps and
+    steps through t = 0 exactly."""
+    poly = PolyDrift(c)
+    model = ModelSpec(kind="stable-branch", drift=poly, drift_dx=poly.dx(),
+                      a=lambda t: -1.0, d=D, t_min=-8.0, t_max=8.0, poly=poly)
+    n = 300
+    t = h * np.arange(-150, n - 150)
+    start = np.random.default_rng(seed).integers(0, n, len(x0))
+    got = []
+    for kernel in kernels():
+        out = np.empty((len(x0), n + 1))
+        out[:, 0] = x0
+        with np.errstate(all="ignore"):
+            left = _rk4_rows(model, 1.0 / 16, t, h, out, start, d)
+        got.append((bits(out), left))
+    assert np.array_equal(got[0][0], got[1][0])
+    assert np.array_equal(got[0][1], got[1][1])
+
+
 class CountCalls:
     """A NumPy ufunc that counts its calls."""
 
@@ -173,7 +199,7 @@ class CountCalls:
 
 def calls_per_step(monkeypatch, model):
     """NumPy calls per step of the NumPy kernel."""
-    monkeypatch.setattr(sde._LIBRARY, "em_poly", lambda: None)
+    monkeypatch.setattr(_compiled, "LIBRARY", _compiled.Library(None))
     counters = {}
     for name in ("multiply", "add", "subtract"):
         counters[name] = CountCalls(getattr(np, name))

@@ -413,23 +413,66 @@ def test_peak_memory_flat_in_n_steps(standard):
     assert peaks[100_000] < 2 * peaks[10_000]
 
 
-def test_post_exit_family_matches_zeta_post_exit(standard):
+def test_post_exit_family_matches_zeta_post_exit(standard, kernels):
     """The approach tag's zeta, taken along all family rows at once, equals
-    zeta_post_exit along each centreline."""
+    zeta_post_exit along each centreline, and the family and its zeta are
+    the same bits through the compiled kernels and the NumPy loops."""
     eps = 0.005
     grid = time_grid(0.1, 1e-4, 3000)
     taus = grid[[200, 205, 450, 1300]]
-    xhat, start = post_exit_family(standard, eps, taus, grid,
-                                   branches(standard))
-    abar = standard.drift_dx(xhat, grid)
-    sqrtz = np.sqrt(envelope.zeta_along(standard, eps, grid, xhat, abar))
-    assert list(start) == [200, 205, 450, 1300]
-    for j, k0 in enumerate(start):
-        assert np.all(np.isnan(xhat[j, :k0])) and np.all(np.isnan(sqrtz[j, :k0]))
-        det = DetPath(grid[k0:], xhat[j, k0:], eps, "rk4")
-        table = zeta_post_exit(standard, eps, float(taus[j]), grid[k0:],
-                               det=det)
-        assert np.array_equal(table.sqrt_zeta(), sqrtz[j, k0:])
+    got = []
+    for kernel in kernels():
+        xhat, start = post_exit_family(standard, eps, taus, grid,
+                                       branches(standard))
+        abar = standard.drift_dx(xhat, grid)
+        sqrtz = np.sqrt(envelope.zeta_along(standard, eps, grid, xhat, abar))
+        assert list(start) == [200, 205, 450, 1300]
+        for j, k0 in enumerate(start):
+            assert np.all(np.isnan(xhat[j, :k0])), kernel
+            assert np.all(np.isnan(sqrtz[j, :k0])), kernel
+            det = DetPath(grid[k0:], xhat[j, k0:], eps, "rk4")
+            table = zeta_post_exit(standard, eps, float(taus[j]), grid[k0:],
+                                   det=det)
+            assert np.array_equal(table.sqrt_zeta(), sqrtz[j, k0:]), kernel
+        got.append((xhat, sqrtz))
+    (xc, zc), (xn, zn) = got
+    assert np.array_equal(xc, xn, equal_nan=True)
+    assert np.array_equal(zc, zn, equal_nan=True)
+
+
+def test_approach_sup_starts_at_the_exit_node(monkeypatch):
+    """A centreline whose start value sits 1.0 away from the path makes the
+    deviation at the exit node each selected path's sup: the scan reads
+    that node, and no earlier one."""
+    family, zeta_along = montecarlo.post_exit_family, envelope.zeta_along
+    seen = {}
+
+    def shifted(*args):
+        xhat, start_col = family(*args)
+        xhat[np.arange(len(xhat)), start_col] += 1.0
+        seen["start_col"] = start_col
+        return xhat, start_col
+
+    def recorded(*args):
+        seen["zeta"] = zeta_along(*args)
+        return seen["zeta"]
+
+    monkeypatch.setattr(montecarlo, "post_exit_family", shifted)
+    monkeypatch.setattr(envelope, "zeta_along", recorded)
+    cfg = pinned_config("approach")
+    report = run_ensemble(cfg)
+    tau = np.asarray(report.per_path["tau_D"])
+    sups = np.asarray(report.per_path["sup_deviation"])
+    picked = ~np.isnan(sups)
+    assert 5 < picked.sum() < cfg.n_paths
+    # rows of the family are the distinct exit nodes, in order
+    taus, row = np.unique(tau[picked], return_inverse=True)
+    start_col, zeta = seen["start_col"], seen["zeta"]
+    assert np.array_equal(start_col,
+                          np.rint((taus - cfg.t0) / cfg.dt).astype(int))
+    at_start = 1.0 / np.sqrt(zeta[row, start_col[row]])
+    # the path is within 1e-3 of the unshifted centreline there
+    assert np.allclose(sups[picked], at_start, rtol=1e-3, atol=0)
 
 
 def test_zeta_along_memory_stays_near_its_output(standard):

@@ -137,21 +137,40 @@ def test_c_kernel_source_is_shipped():
     assert _compiled.SOURCE.name in data["slowsde"]
 
 
-def c_parameters(source: str, name: str) -> list:
-    """The parameter declarations of the C function name in source."""
-    match = re.search(rf"\b{name}\s*\(([^)]*)\)\s*{{", source)
+def c_prototype(source: str, name: str) -> tuple:
+    """The return type and parameter declarations of the C function name
+    in source."""
+    match = re.search(rf"(\w+)\s+\b{name}\s*\(([^)]*)\)\s*{{", source)
     assert match, f"no definition of {name}"
-    return [p.strip() for p in match.group(1).split(",")]
+    return match.group(1), [p.strip() for p in match.group(2).split(",")]
 
 
 def test_checker_reads_c_parameters():
-    src = "/* f(int) */\nvoid f(double *a,\n  ptrdiff_t n, double c)\n{\n}\n"
-    assert c_parameters(src, "f") == ["double *a", "ptrdiff_t n", "double c"]
+    src = ("/* f(int) */\nvoid f(double *a,\n  ptrdiff_t n, double c)\n{\n}\n"
+           "ptrdiff_t g(const char *s)\n{\n}\n")
+    assert c_prototype(src, "f") == ("void",
+                                     ["double *a", "ptrdiff_t n", "double c"])
+    assert c_prototype(src, "g") == ("ptrdiff_t", ["const char *s"])
+
+
+def ctype_of(declaration: str):
+    """The ctypes type _compiled must declare for a C parameter or return
+    type: a pointer, a ptrdiff_t, a double or void."""
+    import ctypes
+    if "*" in declaration:
+        return ctypes.c_void_p
+    return {"ptrdiff_t": ctypes.c_ssize_t, "double": ctypes.c_double,
+            "void": None}[declaration.split()[0]]
 
 
 def test_c_kernel_prototype_matches_argtypes():
-    """ctypes passes what _compiled declares whatever C expects, so the
-    argument count must be checked against the source."""
+    """ctypes passes what _compiled declares whatever C expects, so every
+    exported function's parameters and return type are checked against the
+    source."""
     from slowsde import _compiled
-    params = c_parameters(_compiled.SOURCE.read_text(), "em_poly")
-    assert len(params) == len(_compiled.ARGTYPES), params
+    source = _compiled.SOURCE.read_text()
+    for name, (argtypes, restype) in _compiled.ARGTYPES.items():
+        ret, params = c_prototype(source, name)
+        assert [ctype_of(p) for p in params] == list(argtypes), name
+        assert ctype_of(ret) is restype, name
+    assert set(_compiled._WRAPPERS) == set(_compiled.ARGTYPES)
