@@ -11,8 +11,7 @@
  * slowsde._compiled checks every argument before the call.
  *
  * A drift is full Horner in x over one time's coefficients c_0 .. c_n,
- * x*c_n + c_(n-1), then f*x + c_i down to c_0, which the NumPy Horner plan
- * equals bit for bit.
+ * x*c_n + c_(n-1), then f*x + c_i down to c_0, as PolyDrift.horner runs it.
  */
 #include <math.h>
 #include <stddef.h>

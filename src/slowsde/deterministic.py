@@ -86,7 +86,7 @@ def _rk4_rows(model: ModelSpec, eps: float, t: np.ndarray, h, out: np.ndarray,
     are tabulated once at the stage times t, t + h/2 and t + h, as the
     drift computes them; the compiled rk4_poly then runs full Horner on
     them for every row and step, and without it the loop below runs the
-    drift's Horner plan, which gives the same bits.
+    same full Horner by PolyDrift.horner, which gives the same bits.
     """
     n = len(t)
     h = np.broadcast_to(h, n)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -106,95 +105,13 @@ def read_object(doc, types: dict, where: str, required=()) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class HornerPlan:
-    """Horner in x for one coefficient matrix, with the calls that change
-    no bit left out.  PolyDrift.horner (so also zeta_along's drift calls
-    and the NumPy RK4 loop) and the NumPy stepping loop of sde run it,
-    where each call left out saves one NumPy call per step.
-
-    Operands are indexed into (x, f, *coefficients, *constants): `vary` names
-    the rows whose per-time coefficients follow x and f, and `consts` the
-    time-independent values after them.  `ops` is the sequence of
-    (ufunc name, left, right) calls, each writing f; `result` indexes the
-    operand holding the polynomial's value once they have run.
-
-    The plan equals full Horner, x*c_n + c_(n-1), then f*x + c_i down to
-    c_0, bit for bit at finite t (NaN payloads included):
-      - a leading row equal to the constant +-1 is not multiplied; for -1,
-        f holds -(the full Horner value), which the next add resolves as
-        c - f, since (-a)*b == -(a*b) and (-a) + c == c - a in IEEE
-        arithmetic;
-      - rows i in [1, n) that are zero in every entry are not added, and
-        other zero-valued rows become +0.0.  This only changes the sign of
-        zero intermediates, and the add of c_0, always kept, turns those
-        into the same bits, unless c_0 can be -0: with c[0, 0] == -0.0
-        every row is added as tabulated.
-    """
-
-    ops: tuple
-    vary: tuple
-    consts: tuple
-    result: int
-
-    @classmethod
-    def build(cls, c: np.ndarray) -> "HornerPlan":
-        def minus_zero(v):
-            return v == 0.0 and math.copysign(1.0, v) < 0
-
-        n = c.shape[0] - 1
-        exact_zeros = not minus_zero(c[0, 0])
-        # at finite t, a row with c[i, 1:] == 0 tabulates as (+-0) + c[i, 0]:
-        # c[i, 0] itself, or +0.0 unless c[i, 0] == -0.0 sees the sign of t
-        vary, values = [], []   # values: the constant, or None if tabulated
-        for r in c:
-            if r[1:].any() or (len(r) > 1 and minus_zero(r[0])
-                               and not exact_zeros):
-                vary.append(len(values))
-                values.append(None)
-            else:
-                values.append(float(r[0]) + 0.0 if len(r) > 1
-                              else float(r[0]))
-        consts = []
-
-        def operand(i):
-            if values[i] is None:
-                return 2 + vary.index(i)
-            consts.append(values[i])
-            return 1 + len(vary) + len(consts)
-
-        X, F = 0, 1
-        if n == 0:
-            result = operand(0)
-            return cls((), tuple(vary), tuple(consts), result)
-        ops = []
-        cur, neg = X, values[n] == -1.0
-        if values[n] not in (1.0, -1.0):
-            ops.append(("multiply", X, operand(n)))
-            cur = F
-        for i in range(n - 1, -1, -1):
-            if i < n - 1:
-                ops.append(("multiply", cur, X))
-                cur = F
-            if 0 < i and exact_zeros and not c[i].any():
-                continue
-            ops.append(("subtract", operand(i), cur) if neg
-                       else ("add", cur, operand(i)))
-            cur, neg = F, False
-        return cls(tuple(ops), tuple(vary), tuple(consts), F)
-
-
-_PY_OPS = {"multiply": operator.mul, "add": operator.add,
-           "subtract": operator.sub}
-
-
 class PolyDrift:
     """Polynomial drift f(x, t) = sum_ij c[i, j] x^i t^j.
 
-    Evaluation is Horner in t for the x^i coefficients, then Horner in x by
-    the coefficient matrix's HornerPlan.  The compiled stepping and RK4
-    kernels run full Horner on coeff_table's rows instead, which gives the
-    same bits.
+    Evaluation is Horner in t for the x^i coefficients, then full Horner in
+    x, x*c_n + c_(n-1), then f*x + c_i down to c_0: the operands and order
+    of the compiled stepping and RK4 kernels, which run it on
+    coeff_table's rows, so either gives the same bits.
     """
 
     def __init__(self, coeffs: Sequence[Sequence[float]]):
@@ -213,11 +130,6 @@ class PolyDrift:
         if not np.isfinite(c).all():
             raise ValueError("coeffs must be finite")
         self.coeffs = np.ascontiguousarray(c)
-        self.plan = HornerPlan.build(self.coeffs)
-        # horner() runs the plan on scalars too: NumPy-scalar constants and
-        # Python operators, which call the plan's ufuncs on arrays
-        self._consts = tuple(np.float64(v) for v in self.plan.consts)
-        self._ops = tuple((_PY_OPS[u], a, b) for u, a, b in self.plan.ops)
 
     @property
     def deg_x(self) -> int:
@@ -243,15 +155,20 @@ class PolyDrift:
         return np.ascontiguousarray(tab)
 
     def horner(self, ct, x):
-        """sum_i ct[i] x^i for the coefficients ct of one time, by the plan."""
+        """sum_i ct[i] x^i for the coefficients ct of one time, by full
+        Horner; the shape is that of x and ct broadcast together."""
         if len(ct) == 1:
-            if np.ndim(x) > 0 and np.ndim(ct[0]) == 0:
-                return np.full(np.shape(x), ct[0])
-            return ct[0]
-        v = [x, None, *map(ct.__getitem__, self.plan.vary), *self._consts]
-        for op, a, b in self._ops:
-            v[1] = op(v[a], v[b])
-        return v[1]
+            shape = np.broadcast_shapes(np.shape(x), np.shape(ct[0]))
+            if np.shape(ct[0]) == shape:  # a rate a(t) on a long grid
+                return ct[0]
+            return np.full(shape, ct[0])
+        # f is new and already of the full shape, since every coefficient
+        # of one time has the same shape: f*x + c can update it in place
+        f = x * ct[-1] + ct[-2]
+        for c in ct[-3::-1]:
+            f *= x
+            f += c
+        return f
 
     def __call__(self, x, t):
         return self.horner(self.coeff_at(t), x)

@@ -277,7 +277,7 @@ def _batches(paths: np.ndarray, threads: int) -> list:
     paths whose count is a multiple of threads, or one batch per path when
     there are fewer paths than that."""
     n = -(-len(paths) // MAX_BATCH)
-    n = min(len(paths), -(-n // max(1, threads)) * max(1, threads))
+    n = min(len(paths), -(-n // threads) * threads)
     return np.array_split(paths, n) if n else []
 
 
@@ -623,6 +623,8 @@ def run_ensemble(config: EnsembleConfig, threads: int = 1) -> EnsembleReport:
     The report payload is a pure function of the config; reruns with any
     thread count produce identical bytes.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     start = time.perf_counter()
     grid = time_grid(config.t0, config.dt,
                      n_steps_for(config.t0, config.t_end, config.dt))

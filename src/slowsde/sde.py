@@ -6,11 +6,10 @@ em_batch by Euler-Maruyama, linear_batch through precomputed exponential
 multipliers.  em_batch steps a polynomial drift through em_poly, a kernel
 of the compiled library _em.c, built and loaded at its first use (see
 _compiled), which runs full Horner over the drift's coefficient table, one
-row per step.  Any
-other drift steps through one NumPy loop, which is also the polynomial
-drifts' fallback when no C compiler works, running their Horner plan, and
-the reference the kernel equals bit for bit.  Freezing paths that leave
-|x| <= d stays in NumPy.
+row per step.  Any other drift steps through one NumPy loop, which is also
+the polynomial drifts' fallback when no C compiler works, running
+PolyDrift.horner on the same rows, and the reference the kernel equals bit
+for bit.  Freezing paths that leave |x| <= d stays in NumPy.
 """
 
 from __future__ import annotations
@@ -166,10 +165,10 @@ def _em_steps(out, model, t_nodes, cdt):
     array out, whose row 0 is the state at grid node k0.
 
     t_nodes[j] is the time of step k0 + j.  A polynomial drift is
-    tabulated, one row of coefficients per step, and the compiled kernel,
-    when it loads, runs full Horner on each row; otherwise the NumPy loop
-    runs the drift's HornerPlan in place, on the time-dependent columns
-    only.  Any other drift is one model.drift(x, t) call per step.
+    tabulated, one row of coefficients per step, and full Horner runs on
+    each row: in the compiled kernel when it loads, else by
+    PolyDrift.horner in the NumPy loop below.  Any other drift is one
+    model.drift(x, t) call per step.
     """
     poly = model.poly
     if poly is not None:
@@ -178,27 +177,20 @@ def _em_steps(out, model, t_nodes, cdt):
         if step is not None:
             step(out, table, cdt)
             return
-        plan = poly.plan
-        rows = table[:, list(plan.vary)].tolist()
-        ops = [(getattr(np, u), a, b) for u, a, b in plan.ops]
-        consts = tuple(np.array(v) for v in plan.consts)
-        r = plan.result
+
+        def drift(x, ct):
+            return poly.horner(ct, x)
+
+        rows = table.tolist()
     else:
         drift, rows = model.drift, t_nodes
     mul, add = np.multiply, np.add
     cdt = np.array(cdt)
     f = np.empty(out.shape[1])
     # x: state at a node, y: the step's scaled increment, then its result;
-    # c: the step's time, or the plan's time-dependent coefficients, which
-    # with x, f and the plan's constants are the operands the plan indexes
+    # c: the step's time, or its row of coefficients
     for x, y, c in zip(out[:-1], out[1:], rows):
-        if poly is None:
-            fx = drift(x, c)
-        else:
-            v = (x, f, *c, *consts)
-            for u, a, b in ops:
-                u(v[a], v[b], f)
-            fx = v[r]
+        fx = drift(x, c)
         mul(fx, cdt, f)
         add(x, f, f)
         add(f, y, y)

@@ -355,6 +355,16 @@ class TestMain:
                        "--threads", "2"])
         assert status == 0
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, tmp_path, out, capsys,
+                                        threads):
+        cfg = write(tmp_path, "cfg.json", SMALL_DELAY)
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--threads", threads]) == 1
+        assert f"error: threads must be at least 1, got {threads}" in \
+            capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_strict_flag_accepted(self, tmp_path, out):
         cfg = write(tmp_path, "cfg.json", SMALL_DELAY)
         assert main(["run", "--config", cfg, "--out", str(out),

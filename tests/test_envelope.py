@@ -151,6 +151,22 @@ class TestEnvelopeTable:
         assert o1.shape == (1,)
         assert b1 == b2 and b1.count(b"\n") == len(grid) + 2
 
+    def test_zeta_along_rows_of_a_linear_model(self):
+        """f = -(1 + t) x: df/dx has degree 0 in x but depends on t, and
+        stacked rows give each row's zeta alone."""
+        model = model_from_coeffs(
+            [[0.0], [-1.0, -1.0]],
+            {"kind": "stable-branch", "equilibrium": lambda t: 0.0, "d": 2.0,
+             "t_range": [0.0, 1.0]})
+        eps, grid = 0.01, time_grid(0.0, 2e-4, 1000)
+        rows = np.vstack([0.3 * np.exp(-grid), -0.1 * np.exp(-2 * grid)])
+        abar = model.drift_dx(rows, grid)
+        assert abar.shape == rows.shape
+        stacked = envelope.zeta_along(model, eps, grid, rows, abar)
+        for row, a_row, got in zip(rows, abar, stacked):
+            alone = envelope.zeta_along(model, eps, grid, row, a_row)
+            assert np.array_equal(got, alone)
+
 
 class TestZetaPostExit:
     def test_relaxes_to_branch_value(self, standard):

@@ -1,11 +1,12 @@
-"""Both stepping kernels and the Horner plan against full Horner, bit for bit.
+"""Both stepping kernels, both RK4 kernels and PolyDrift.horner against
+full Horner, bit for bit.
 
-PolyDrift.horner and em_batch's NumPy loop run the drift's HornerPlan,
-which leaves out the calls that change no bit; em_batch's compiled kernel
-runs full Horner on the coefficient table.  The references here run
-Horner's rule with every multiply and every add, zero coefficients
-included, and results are compared on their bits, so signed zeros and NaN
-payloads count.  The call counts are the NumPy loop's.
+Every evaluation of a polynomial drift in x is full Horner, x*c_n +
+c_(n-1), then f*x + c_i down to c_0: PolyDrift.horner, which the NumPy
+fallbacks of em_batch and of the RK4 rows call, and the compiled kernels
+em_poly and rk4_poly on the coefficient table.  The references here run
+the same rule, zero coefficients included, and results are compared on
+their bits, so signed zeros and NaN payloads count.
 """
 
 import math
@@ -15,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from slowsde import _compiled, model_from_coeffs, standard_pitchfork
 from slowsde.deterministic import _rk4_rows
 from slowsde.model import ModelSpec, PolyDrift
 from slowsde.sde import em_batch, time_grid
@@ -166,8 +166,8 @@ def test_em_batch_is_full_horner(kernels, c, x0, k_zero, sigma, scale,
        h=st.sampled_from([2.0 ** -9, -2.0 ** -9, 1e-3]),
        d=st.sampled_from([D, math.inf]))
 def test_rk4_rows_kernels_agree(kernels, c, x0, seed, h, d):
-    """RK4 rows through rk4_poly's full Horner equal the NumPy loop's Horner
-    plan bit for bit, from every edge state, with per-row start steps and
+    """RK4 rows through rk4_poly equal the NumPy loop's PolyDrift.horner
+    bit for bit, from every edge state, with per-row start steps and
     steps through t = 0 exactly."""
     poly = PolyDrift(c)
     model = ModelSpec(kind="stable-branch", drift=poly, drift_dx=poly.dx(),
@@ -186,57 +186,15 @@ def test_rk4_rows_kernels_agree(kernels, c, x0, seed, h, d):
     assert np.array_equal(got[0][1], got[1][1])
 
 
-class CountCalls:
-    """A NumPy ufunc that counts its calls."""
-
-    def __init__(self, ufunc):
-        self.ufunc, self.calls = ufunc, 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.ufunc(*args, **kwargs)
-
-
-def calls_per_step(monkeypatch, model):
-    """NumPy calls per step of the NumPy kernel."""
-    monkeypatch.setattr(_compiled, "LIBRARY", _compiled.Library(None))
-    counters = {}
-    for name in ("multiply", "add", "subtract"):
-        counters[name] = CountCalls(getattr(np, name))
-        monkeypatch.setattr(np, name, counters[name])
-
-    def calls(n):
-        before = sum(c.calls for c in counters.values())
-        em_batch(model, 0.01, 1e-3, -0.1, 0.0, 1e-4, np.zeros((8, n)))
-        return sum(c.calls for c in counters.values()) - before
-
-    # per-chunk set-up cancels in the difference
-    return (calls(900) - calls(300)) / 600
-
-
-def test_standard_cubic_steps_in_seven_calls(monkeypatch):
-    # mul(x, x), sub(t, f), mul(f, x), add(f, 0), then the step's
-    # mul(f, dt/eps), add(x, f), add(f, y): full Horner makes 9
-    assert calls_per_step(monkeypatch, standard_pitchfork()) == 7
-
-
-@pytest.mark.parametrize("coeffs,calls", [
-    # +-1 leading: 4 multiplies; adds of x^3, x^1 and x^0
-    ([[0.0], [0.0, 1.0], [0.0], [-1.0], [0.0], [1.0]], 4 + 3),
-    ([[0.0], [0.0, 1.0], [0.0], [-1.0], [0.0], [-1.0]], 4 + 3),
-    # a non-unit leading coefficient costs its multiply
-    ([[0.0], [0.0, 1.0], [0.0], [-1.0], [0.0], [0.5]], 5 + 3),
-])
-def test_quintic_steps_in_the_counted_minimum(monkeypatch, coeffs, calls):
-    model = model_from_coeffs(coeffs, {"kind": "stable-branch", "d": 0.7,
-                                       "equilibrium": lambda t: 0.0})
-    assert calls_per_step(monkeypatch, model) == calls + 3
-
-
-def test_minus_zero_constant_term_keeps_every_add():
-    # with c_0 == -0.0 no later add turns a -0 intermediate into +0
-    plan = PolyDrift([[-0.0], [0.0, 1.0], [0.0], [-1.0]]).plan
-    assert len(plan.ops) == 5
+def test_degree_zero_has_the_shape_of_x_and_t():
+    # a t-dependent constant over a (2, 3) batch of states at 3 times
+    dx = PolyDrift([[0.0], [-1.0, -1.0]]).dx()
+    t = np.array([0.0, 0.5, 1.0])
+    assert dx(np.zeros((2, 3)), t).shape == (2, 3)
+    assert np.array_equal(dx(np.zeros((2, 3)), t), np.tile(-1.0 - t, (2, 1)))
+    assert dx(np.zeros(3), 2.0).shape == (3,)
+    assert dx(0.0, t).shape == (3,)
+    assert dx(0.0, 2.0) == -3.0
 
 
 def test_non_finite_coefficients_rejected():

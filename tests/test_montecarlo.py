@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slowsde import (NonFiniteResult, RegimeViolation, ResourceLimit,
-                     branches, compare_bound, envelope, estimate_prob,
-                     model_from_coeffs, montecarlo, run_ensemble,
-                     standard_pitchfork, zeta_post_exit)
+from slowsde import (ConfigError, NonFiniteResult, RegimeViolation,
+                     ResourceLimit, branches, compare_bound, envelope,
+                     estimate_prob, model_from_coeffs, montecarlo,
+                     run_ensemble, standard_pitchfork, zeta_post_exit)
 from slowsde.deterministic import DetPath, post_exit_family
 from slowsde.envelope import BoundEvaluation
 from slowsde.montecarlo import (EnsembleConfig, exceedance_curve,
@@ -110,6 +110,11 @@ class TestDeterminism:
             got = run_ensemble(cfg, threads=4)
             assert got.to_json() == ref.to_json(), cfg.tag
             assert pinned_hashes(got) == pinned_hashes(ref), cfg.tag
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, standard, threads):
+        with pytest.raises(ConfigError, match="threads must be at least 1"):
+            run_ensemble(delay_config(standard), threads=threads)
 
     @pytest.mark.parametrize("threads,widths", [(1, [667, 667, 666]),
                                                 (2, [500] * 4)])
