@@ -18,6 +18,8 @@ arrays and numbers only; ctypes releases the GIL for each call.
   zeta_scan  the zeta recurrence z = z*E + w (envelope._integrate_zeta)
   rk4_poly   RK4 rows of a polynomial drift (deterministic._rk4_rows)
   fmt_g17    %.17g CSV rows (envelope.EnvelopeTable.to_csv)
+  philox_normal  Philox4x64-10 standard normals, as NumPy draws them
+                 (noise.fill_increments)
 """
 
 from __future__ import annotations
@@ -48,7 +50,12 @@ ARGTYPES = {
                  None),
     # fmt_g17(buf, cap, a, rows, cols)
     "fmt_g17": ((_P, _N, _P, _N, _N), _N),
+    # philox_normal(out, rows, n, ld, state, scale)
+    "philox_normal": ((_P, _N, _N, _N, _P, _D), None),
 }
+# uint64 words of one Philox stream's state in philox_normal, the fields of
+# NumPy's philox_state: counter[4], key[2], buffer[4] and buffer_pos
+PHILOX_WORDS = 11
 # rows fmt_g17 formats per call, and the bytes it may take per value: %.17g
 # needs at most 24 ("-1.2345678901234567e-308"), plus the separator, which
 # fmt_g17 writes where snprintf put its NUL
@@ -166,6 +173,22 @@ def _array(a, ndim: int, dtype=np.float64, writeable: bool = False) -> bool:
             and a.flags.c_contiguous and (a.flags.writeable or not writeable))
 
 
+_ITEM = np.dtype(np.float64).itemsize
+
+
+def _rows(a) -> bool:
+    """a is a writeable float64 matrix whose rows are contiguous and do not
+    overlap, so that row i starts a.strides[0] // _ITEM values after row 0:
+    the whole of a C-contiguous matrix, or a slice of its columns."""
+    if not (isinstance(a, np.ndarray) and a.ndim == 2
+            and a.dtype == np.float64 and a.flags.writeable):
+        return False
+    rows, cols = a.shape
+    return ((cols <= 1 or a.strides[1] == _ITEM)
+            and (rows <= 1 or (a.strides[0] % _ITEM == 0
+                               and a.strides[0] >= cols * _ITEM)))
+
+
 def _em_poly(fn) -> Callable:
     def step(out: np.ndarray, coef: np.ndarray, cdt: float) -> None:
         """Step the chunk out of sde._time_major in place by full Horner on
@@ -209,14 +232,9 @@ def _rk4_poly(fn) -> Callable:
         must be contiguous; the rows may be a strided view."""
         rows, cols = np.shape(out) if np.ndim(out) == 2 else (0, 0)
         n = cols - 1
-        item = np.dtype(np.float64).itemsize
-        _need(isinstance(out, np.ndarray) and out.ndim == 2
-              and out.dtype == np.float64 and out.flags.writeable
-              and n >= 0 and (cols == 1 or out.strides[1] == item)
-              and (rows == 1 or (out.strides[0] % item == 0
-                                 and out.strides[0] >= cols * item)),
-              "rk4_poly", "out must be a writeable float64 (rows, n + 1) "
-              "whose rows are contiguous and do not overlap")
+        _need(_rows(out) and n >= 0, "rk4_poly", "out must be a writeable "
+              "float64 (rows, n + 1) whose rows are contiguous and do not "
+              "overlap")
         _need(_array(h, 1) and h.shape == (n,) and len(tables) == 3
               and all(_array(c, 2) and c.shape[0] == n and c.shape[1] >= 1
                       and c.shape == tables[0].shape for c in tables)
@@ -225,7 +243,7 @@ def _rk4_poly(fn) -> Callable:
               "tables three C-contiguous float64 (n, >= 1) and start a "
               "C-contiguous intp (rows,)")
         left = np.empty(rows, dtype=np.intp)
-        fn(out.ctypes.data, rows, n, out.strides[0] // item, h.ctypes.data,
+        fn(out.ctypes.data, rows, n, out.strides[0] // _ITEM, h.ctypes.data,
            *(c.ctypes.data for c in tables), tables[0].shape[1], inv,
            start.ctypes.data, d, left.ctypes.data)
         return left
@@ -259,5 +277,27 @@ def _fmt_g17(fn) -> Callable:
     return write
 
 
+def _philox_normal(fn) -> Callable:
+    def fill(out: np.ndarray, state: np.ndarray, scale: float) -> None:
+        """Fill each row of out (rows, n) with the next n standard normals
+        of the Philox stream in the same row of state (rows, PHILOX_WORDS),
+        each times scale, and advance state past them: the bits of
+        Generator(Philox).standard_normal(out=row) followed by row *= scale.
+        Each row of out must be contiguous; the rows may be a column slice
+        of a larger matrix."""
+        _need(_rows(out), "philox_normal", "out must be a writeable float64 "
+              "(rows, n) whose rows are contiguous and do not overlap")
+        rows, n = out.shape
+        _need(_array(state, 2, np.uint64, writeable=True)
+              and state.shape == (rows, PHILOX_WORDS), "philox_normal",
+              f"state must be a writeable C-contiguous uint64 (rows, "
+              f"{PHILOX_WORDS})")
+        fn(out.ctypes.data, rows, n, out.strides[0] // _ITEM,
+           state.ctypes.data, scale)
+
+    return fill
+
+
 _WRAPPERS = {"em_poly": _em_poly, "zeta_scan": _zeta_scan,
-             "rk4_poly": _rk4_poly, "fmt_g17": _fmt_g17}
+             "rk4_poly": _rk4_poly, "fmt_g17": _fmt_g17,
+             "philox_normal": _philox_normal}

@@ -11,6 +11,7 @@ violation, 3 bound violation under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import math
@@ -43,9 +44,13 @@ def load_config(path, seed=None) -> tuple:
 
 
 def _outdir(doc: dict, out) -> Path:
+    """The output directory: out, or the document's, or ".".  It is made
+    only when the first file is written (_export_envelopes); a file in its
+    place fails here, before the run."""
     outdir = Path(out if out is not None
                   else doc.get("output", {}).get("directory", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    if outdir.exists() and not outdir.is_dir():
+        raise NotADirectoryError(f"output directory {outdir} is a file")
     return outdir
 
 
@@ -102,9 +107,11 @@ def _write_per_path(path, report, per_path: dict) -> None:
 
 
 def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
-    """Write the envelope tables of the config's model; every table is
-    computed before the first file is written, so a failure leaves none."""
+    """Make outdir and write the envelope tables of the config's model into
+    it.  Every table is computed first, so a failure leaves neither the
+    directory nor a file."""
     model, eps, dt = config.model, config.eps, config.dt
+    files = {}  # file name -> the function that writes it
     if model.kind == "pitchfork":
         sq = math.sqrt(eps)
         t0 = min(config.t0, -2.0 * sq)
@@ -119,16 +126,20 @@ def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
             region.boundaries(tpos)  # its g1 < g2 check raises here
         bounds = [env.bound_escape(model, float(t), sq, eps, config.sigma,
                                    curves=curves) for t in tpos[1:]]
-        table.to_csv(outdir / "zeta_pitchfork.csv")
+        text = "t,bound_escape\n" + "".join(
+            f"{t:.17g},{b.bound:.17g}\n" for t, b in zip(tpos[1:], bounds))
+        files["zeta_pitchfork.csv"] = table.to_csv
         for name, region in regions.items():
-            region.to_csv(outdir / name, tpos)
-        (outdir / "bounds.csv").write_text("t,bound_escape\n" + "".join(
-            f"{t:.17g},{b.bound:.17g}\n" for t, b in zip(tpos[1:], bounds)))
+            files[name] = functools.partial(region.to_csv, t_values=tpos)
+        files["bounds.csv"] = lambda path: path.write_text(text)
     elif model.kind == "stable-branch":
         xdet = solve_det(model, eps, config.t0, float(config.x0),
                          config.t_end, dt)
-        table = env.zeta_stable(model, eps, xdet.t_grid, xdet)
-        table.to_csv(outdir / "zeta_stable.csv")
+        files["zeta_stable.csv"] = env.zeta_stable(model, eps, xdet.t_grid,
+                                                   xdet).to_csv
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(outdir / name)
 
 
 def _has_violation(results) -> bool:

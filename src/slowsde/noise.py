@@ -5,6 +5,11 @@ counter-based generator, so any path can be regenerated in isolation and
 ensembles are independent of scheduling order.  Dyadic refinement draws the
 midpoint corrections from a jumped substream, keeping every refinement level
 consistent with one underlying Brownian path.
+
+fill_increments draws a batch's normals in one call of the compiled
+library's philox_normal, which runs Philox4x64-10 and NumPy's ziggurat in C
+and gives the bits of Generator(Philox).standard_normal; without the
+library, NumPy's Generators fill the rows one by one.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import _compiled
 
 __all__ = ["NoiseStream", "fill_increments", "path_generators"]
 
@@ -71,10 +78,20 @@ class NoiseStream:
         return replace(self, mirrored=not self.mirrored)
 
 
-def path_generators(master_seed: int, indices) -> list:
-    """One Philox generator per path index, positioned at its first increment."""
-    return [np.random.Generator(_bit_generator(master_seed, int(idx)))
-            for idx in indices]
+def path_generators(master_seed: int, indices):
+    """The Philox streams of the path indices, each at its first increment,
+    for the fill that runs: a (paths, PHILOX_WORDS) uint64 array of the
+    streams' states when the compiled library loads, else one Generator per
+    path."""
+    if _compiled.LIBRARY.get("philox_normal") is None:
+        return [np.random.Generator(_bit_generator(master_seed, int(idx)))
+                for idx in indices]
+    # Philox(key=[master_seed, idx]): counter 0 and an empty buffer
+    states = np.zeros((len(indices), _compiled.PHILOX_WORDS), dtype=np.uint64)
+    states[:, 4] = master_seed
+    states[:, 5] = indices
+    states[:, 10] = 4
+    return states
 
 
 def fill_increments(out: np.ndarray, master_seed: int, indices,
@@ -85,9 +102,17 @@ def fill_increments(out: np.ndarray, master_seed: int, indices,
     the path_generators(master_seed, indices) of the batch, each row continues
     its path's stream, so filling a batch chunk by chunk gives the same bits
     as one fill of the whole row.  Each row of out must be contiguous.
+
+    The compiled library draws a state array's normals in one call, bit for
+    bit those of the Generators, which NumPy fills row by row.  Either way
+    each increment is its normal times sqrt(dt), or -sqrt(dt) when mirrored.
     """
     if gens is None:
         gens = path_generators(master_seed, indices)
+    scale = -math.sqrt(dt) if mirrored else math.sqrt(dt)
+    if isinstance(gens, np.ndarray):
+        _compiled.LIBRARY.get("philox_normal")(out, gens, scale)
+        return
     for b, rng in enumerate(gens):
         rng.standard_normal(out=out[b])
-    out *= -math.sqrt(dt) if mirrored else math.sqrt(dt)
+    out *= scale

@@ -144,17 +144,20 @@ class TestRun:
         assert cmd_run(cfg, out=str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_config(self, out):
         assert cmd_run("no_such_config.json", out=str(out)) == 1
 
     @pytest.mark.parametrize("command", ["run", "envelope"])
     @pytest.mark.parametrize("case", ["out-is-a-file", "config-is-a-dir"])
-    def test_io_error_status(self, tmp_path, capsys, command, case):
+    def test_io_error_status(self, tmp_path, capsys, monkeypatch, command,
+                             case):
         cfg, out = write(tmp_path, "cfg.json", SMALL_DELAY), tmp_path / "out"
         if case == "out-is-a-file":
-            out.write_text("")   # FileExistsError in _outdir
+            out.write_text("")   # NotADirectoryError in _outdir, unrun
+            monkeypatch.setattr(cli, "run_ensemble",
+                                lambda *args, **kw: pytest.fail("ran"))
         else:
             cfg = str(tmp_path)  # IsADirectoryError in load_config
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
@@ -364,6 +367,16 @@ class TestMain:
         assert f"error: threads must be at least 1, got {threads}" in \
             capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_failed_run_makes_no_directory(self, tmp_path, capsys):
+        # the output directory is made once the run and every table have
+        # been computed, so a run that fails leaves no empty directory
+        cfg = write(tmp_path, "cfg.json", SMALL_DELAY)
+        out = tmp_path / "new" / "dir"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--threads", "0"]) == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
     def test_strict_flag_accepted(self, tmp_path, out):
         cfg = write(tmp_path, "cfg.json", SMALL_DELAY)

@@ -92,9 +92,13 @@ def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
     cfg = pinned_config("delay")
     assert cfg.model.poly is not None
     run_ensemble(cfg)
+    path_steps = cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
     assert sum((out.shape[0] - 1) * out.shape[1]
                for name, (out, *_) in spy.args if name == "em_poly") \
-        == cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
+        == path_steps
+    # every increment is drawn by the noise kernel
+    assert sum(out.size for name, (out, *_) in spy.args
+               if name == "philox_normal") == path_steps
     # the envelope export scans zeta and formats its table
     assert cmd_run(write(tmp_path, "cfg.json", SMALL_DELAY),
                    out=str(tmp_path / "out")) == 0
@@ -114,8 +118,8 @@ def unreached():
     return lambda name: _compiled._WRAPPERS[name](kernel)
 
 
-def read_only(shape):
-    out = np.zeros(shape)
+def read_only(shape, dtype=np.float64):
+    out = np.zeros(shape, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -216,6 +220,32 @@ def test_fmt_g17_rejects_what_c_cannot_take(unreached, table):
     with pytest.raises(ValueError, match="fmt_g17"):
         unreached("fmt_g17")(fh, table)
     assert fh.getvalue() == b""
+
+
+ROWS, STATE = np.zeros((3, 5)), np.zeros((3, _compiled.PHILOX_WORDS),
+                                        dtype=np.uint64)
+
+
+@pytest.mark.parametrize("out,state", [
+    (np.zeros((3, 5), dtype=np.float32), STATE),
+    (np.zeros((3, 10))[:, ::2], STATE),             # rows not contiguous
+    (np.zeros((5, 3)).T, STATE),                    # Fortran order
+    (overlapping_rows(), STATE),
+    (read_only((3, 5)), STATE),
+    (np.zeros(5), STATE[:1]),
+    ([[0.0] * 5] * 3, STATE),
+    (ROWS, np.zeros((3, 10), dtype=np.uint64)),
+    (ROWS, np.zeros((2, _compiled.PHILOX_WORDS), dtype=np.uint64)),
+    (ROWS, np.zeros(3 * _compiled.PHILOX_WORDS, dtype=np.uint64)),
+    (ROWS, STATE.astype(np.int64)),
+    (ROWS, np.zeros((3, 2 * _compiled.PHILOX_WORDS), dtype=np.uint64)[:, ::2]),
+    (ROWS, read_only(STATE.shape, np.uint64)),
+], ids=["float32", "strided", "fortran", "overlapping", "read-only", "1-d",
+        "list", "state-words", "state-rows", "1-d-state", "int64-state",
+        "strided-state", "read-only-state"])
+def test_philox_normal_rejects_what_c_cannot_take(unreached, out, state):
+    with pytest.raises(ValueError, match="philox_normal"):
+        unreached("philox_normal")(out, state, 1.0)
 
 
 def g17_values(n):

@@ -44,22 +44,24 @@ class TestNoiseStream:
         inc = fine.increments()
         assert inc.var() == pytest.approx(fine.dt, rel=0.2)
 
-    def test_fill_matches_stream(self):
-        out = np.empty((3, 50))
-        fill_increments(out, 11, [4, 5, 6], 1e-3)
-        for b, idx in enumerate([4, 5, 6]):
-            ref = NoiseStream(11, idx, 0.0, 1e-3, 50).increments()
-            assert np.array_equal(out[b], ref)
+    def test_fill_matches_stream(self, kernels):
+        for kernel in kernels():
+            out = np.empty((3, 50))
+            fill_increments(out, 11, [4, 5, 6], 1e-3)
+            for b, idx in enumerate([4, 5, 6]):
+                ref = NoiseStream(11, idx, 0.0, 1e-3, 50).increments()
+                assert np.array_equal(out[b], ref), kernel
 
-    def test_chunked_fill_matches_one_fill(self):
-        whole = np.empty((3, 2500))
-        fill_increments(whole, 11, [4, 5, 6], 1e-3, mirrored=True)
-        gens = path_generators(11, [4, 5, 6])
-        buf = np.empty((3, 1024))
-        for lo in range(0, 2500, 1024):
-            part = buf[:, :min(1024, 2500 - lo)]
-            fill_increments(part, 11, [4, 5, 6], 1e-3, True, gens)
-            assert np.array_equal(part, whole[:, lo:lo + part.shape[1]])
+    def test_chunked_fill_matches_one_fill(self, kernels):
+        for kernel in kernels():
+            whole = np.empty((3, 2500))
+            fill_increments(whole, 11, [4, 5, 6], 1e-3, mirrored=True)
+            gens = path_generators(11, [4, 5, 6])
+            buf = np.empty((3, 1024))
+            for lo in range(0, 2500, 1024):
+                part = buf[:, :min(1024, 2500 - lo)]
+                fill_increments(part, 11, [4, 5, 6], 1e-3, True, gens)
+                assert np.array_equal(part, whole[:, lo:lo + part.shape[1]])
 
 
 class TestSimulate:
