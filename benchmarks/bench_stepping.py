@@ -1,15 +1,21 @@
-"""Benchmark chunked Euler-Maruyama stepping against a per-step reference loop.
+"""Benchmark chunked Euler-Maruyama stepping and the exit scans.
 
 Integrates the same paths three times: with a plain per-step Euler-Maruyama
 loop over (paths, steps) rows whose drift is full Horner in x (every
 multiply and every add, zero coefficients included: 9 NumPy calls per step
 for the standard cubic), and with em_batch streamed through time chunks of
 montecarlo.CHUNK_STEPS steps, the way run_ensemble steps a batch, once
-through its NumPy loop and once through the compiled C kernel.  It does so
-for n_paths paths and for 32, a narrow batch where per-step call overhead
-dominates, prints path-steps/second for all three, and exits with status 1
-unless the C kernel loads and both kernels' paths and freeze times equal
-the reference bit for bit.  Run from the root of a checkout:
+through its NumPy loop and once through the compiled C kernel.  Each chunk
+is then scanned as the delay tag scans it: first_exit_batch against region
+D and delay_times_batch against the delay strip, again through NumPy and
+through the compiled first_outside.  The grid ends at t = 0.5, so the
+paths pass the bifurcation at t = 0 and leave the strip when n_steps is a
+few thousand.  It does so for n_paths paths and for 32, a narrow batch
+where per-step call overhead dominates, prints path-steps/second for the
+three steppers and path-nodes/second for the two scans, and exits with
+status 1 unless the C kernels load, both steppers' paths and freeze times
+equal the reference bit for bit, and both scans give the same times and
+sides.  Run from the root of a checkout:
 
     PYTHONPATH=src python benchmarks/bench_stepping.py [n_paths] [n_steps]
 """
@@ -20,10 +26,14 @@ import time
 
 import numpy as np
 
-from slowsde import _compiled, sde, standard_pitchfork
+from slowsde import _compiled, envelope, sde, standard_pitchfork
+from slowsde.exits import delay_times_batch, first_exit_batch
+from slowsde.model import branches
 from slowsde.montecarlo import CHUNK_STEPS
 from slowsde.noise import fill_increments
 from slowsde.sde import em_batch, time_grid
+
+EPS, SIGMA, DT, T_END, X0 = 0.005, 1e-4, 1e-4, 0.5, 0.0
 
 
 def full_horner(coefs, x):
@@ -54,63 +64,76 @@ def per_step(model, eps, sigma, t0, x0, dt, dw):
     return X, trunc
 
 
-def chunked(model, eps, sigma, t0, x0, dt, dw, ref, ref_trunc):
-    """Seconds for em_batch over dw in chunks, and whether its paths and
-    freeze times equal ref and ref_trunc bit for bit."""
-    same = True
-    elapsed = 0.0
-    x, trunc = x0, None
+def chunked(model, t0, dw, ref, ref_trunc):
+    """Seconds for em_batch over dw in chunks and for the scans of each
+    chunk, whether the paths and freeze times equal ref and ref_trunc bit
+    for bit, and the scans' results."""
+    grid = time_grid(t0, DT, dw.shape[1])
+    curves = branches(model)
+    region = envelope.region_D(model, EPS, curves, t_hi=T_END)
+    width = float(curves.x_tilde(math.sqrt(EPS)))
+    same, t_step, t_scan, found = True, 0.0, 0.0, []
+    x, trunc = X0, None
     for k0 in range(0, dw.shape[1], CHUNK_STEPS):
         inc = dw[:, k0:k0 + CHUNK_STEPS]
         start = time.perf_counter()
-        X, trunc = em_batch(model, eps, sigma, t0, x, dt, inc, k0, trunc)
-        elapsed += time.perf_counter() - start
+        X, trunc = em_batch(model, EPS, SIGMA, t0, x, DT, inc, k0, trunc)
+        t_step += time.perf_counter() - start
+        nodes = grid[k0:k0 + X.shape[1]]
+        start = time.perf_counter()
+        found += [*first_exit_batch(X, nodes, region),
+                  delay_times_batch(X, nodes, width)]
+        t_scan += time.perf_counter() - start
         same &= np.array_equal(X, ref[:, k0:k0 + X.shape[1]])
         x = X[:, -1]
     same &= np.array_equal(trunc, ref_trunc, equal_nan=True)
-    return elapsed, same
+    return (t_step, t_scan), same, found
 
 
 def bench(model, n_paths, n_steps):
-    """Seconds for the reference, the NumPy kernel and the C kernel, and
-    whether both kernels agree with the reference bit for bit."""
-    eps, sigma, dt, t0, x0 = 0.005, 1e-4, 1e-4, -1.0, 0.0
+    """Seconds for the reference, the NumPy stepper, the C stepper, the
+    NumPy scans and the C scans, and whether all agree bit for bit."""
+    t0 = T_END - n_steps * DT
     dw = np.empty((n_paths, n_steps))
-    fill_increments(dw, 0, range(n_paths), dt)
-    args = (model, eps, sigma, t0, x0, dt, dw)
+    fill_increments(dw, 0, range(n_paths), DT)
 
     start = time.perf_counter()
-    ref = per_step(*args)
+    ref = per_step(model, EPS, SIGMA, t0, X0, DT, dw)
     t_ref = time.perf_counter() - start
 
     library, _compiled.LIBRARY = _compiled.LIBRARY, _compiled.Library(None)
     try:
-        t_numpy, same_numpy = chunked(*args, *ref)
+        t_numpy, same_numpy, found_numpy = chunked(model, t0, dw, *ref)
     finally:
         _compiled.LIBRARY = library
-    t_c, same_c = chunked(*args, *ref)
-    return (t_ref, t_numpy, t_c), same_numpy and same_c
+    t_c, same_c, found_c = chunked(model, t0, dw, *ref)
+    same_scans = all(np.array_equal(a, b, equal_nan=True)
+                     for a, b in zip(found_numpy, found_c))
+    return ((t_ref, t_numpy[0], t_c[0], t_numpy[1], t_c[1]),
+            same_numpy and same_c and same_scans)
 
 
 def main() -> int:
     n_paths = int(sys.argv[1]) if len(sys.argv) > 1 else 1024
     n_steps = int(sys.argv[2]) if len(sys.argv) > 2 else 10000
     model = standard_pitchfork()
-    if sde.backend() != "c":
-        print("MISSING: the C kernel did not build or load")
+    if sde.backend() != "c" or _compiled.LIBRARY.get("first_outside") is None:
+        print("MISSING: the C kernels did not build or load")
         return 1
-    print(f"workload: {n_steps} steps, standard cubic drift, chunks of "
-          f"{CHUNK_STEPS} steps; M path-steps/s")
+    print(f"workload: {n_steps} steps to t = {T_END}, standard cubic drift, "
+          f"chunks of {CHUNK_STEPS} steps; M path-steps/s (stepping) and "
+          "M path-nodes/s (both scans of a chunk)")
     print(f"{'paths':>6}  {'per-step reference':>18}  {'NumPy kernel':>12}  "
-          f"{'C kernel':>8}")
+          f"{'C kernel':>8}  {'NumPy scans':>11}  {'C scans':>7}")
     same = True
     for width in dict.fromkeys((n_paths, 32)):
         times, ok = bench(model, width, n_steps)
         rates = [width * n_steps / t / 1e6 for t in times]
         print(f"{width:>6}  {rates[0]:>18.1f}  {rates[1]:>12.1f}  "
-              f"{rates[2]:>8.1f}")
+              f"{rates[2]:>8.1f}  {rates[3]:>11.1f}  {rates[4]:>7.1f}")
         same &= ok
-    print("bit-identical" if same else "MISMATCH: chunked paths differ")
+    print("bit-identical" if same else "MISMATCH: chunked paths or scans "
+          "differ")
     return 0 if same else 1
 
 

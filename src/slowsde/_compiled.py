@@ -14,12 +14,15 @@ its Python side, which checks what C relies on (dtype, shape, contiguity,
 writeability) and raises ValueError before the call.  The kernels are given
 arrays and numbers only; ctypes releases the GIL for each call.
 
-  em_poly    Euler-Maruyama steps of a polynomial drift (sde.em_batch)
+  em_poly    Euler-Maruyama steps of a polynomial drift, path by path,
+             with the freezing at |x| > d (sde.em_batch)
   zeta_scan  the zeta recurrence z = z*E + w (envelope._integrate_zeta)
   rk4_poly   RK4 rows of a polynomial drift (deterministic._rk4_rows)
   fmt_g17    %.17g CSV rows (envelope.EnvelopeTable.to_csv)
   philox_normal  Philox4x64-10 standard normals, as NumPy draws them
                  (noise.fill_increments)
+  first_outside  each row's first node outside two bounds
+                 (exits.first_exit_batch, exits.delay_times_batch)
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 # name: (argtypes, restype), as _em.c declares them
 ARGTYPES = {
-    # em_poly(out, n, width, coef, n_coef, cdt)
-    "em_poly": ((_P, _N, _N, _P, _N, _D), None),
+    # em_poly(out, inc, rows, n, ld, coef, n_coef, cdt, cns, d, trunc, t0,
+    #         dt, k0)
+    "em_poly": ((_P, _P, _N, _N, _N, _P, _N, _D, _D, _D, _P, _D, _D, _N),
+                None),
     # zeta_scan(zeta, nodes, rows, e, w, substeps)
     "zeta_scan": ((_P, _N, _N, _P, _P, _N), None),
     # rk4_poly(out, rows, n, ld, h, c0, c1, c2, n_coef, inv, start, d, left)
@@ -52,6 +57,8 @@ ARGTYPES = {
     "fmt_g17": ((_P, _N, _P, _N, _N), _N),
     # philox_normal(out, rows, n, ld, state, scale)
     "philox_normal": ((_P, _N, _N, _N, _P, _D), None),
+    # first_outside(x, rows, cols, ld, g1, g2, first, side)
+    "first_outside": ((_P, _N, _N, _N, _P, _P, _P, _P), None),
 }
 # uint64 words of one Philox stream's state in philox_normal, the fields of
 # NumPy's philox_state: counter[4], key[2], buffer[4] and buffer_pos
@@ -114,13 +121,16 @@ class Library:
         if path is None:
             return None
         try:
-            return self._open(path)
+            lib = self._open(path)
         except OSError:  # the cache directory is not writable
             with tempfile.TemporaryDirectory() as tmp:
                 try:
                     return self._open(Path(tmp) / path.name)
                 except OSError:
                     return None
+        if lib is not None:
+            _prune(path)
+        return lib
 
     def _open(self, path: Path) -> Optional[ctypes.CDLL]:
         """Load path, building it first if it is missing or does not load
@@ -156,6 +166,24 @@ class Library:
 LIBRARY = Library()
 
 
+def _prune(path: Path) -> None:
+    """Remove the builds of other sources, flags or compilers in path's
+    directory that are older than path, the build just loaded.  A process
+    that has one of them loaded keeps it (unlinking a loaded library is safe
+    on Linux); a newer one, of a checkout in use beside this one, stays."""
+    try:
+        mtime = path.stat().st_mtime_ns
+        others = [p for p in path.parent.glob("_em-*.so") if p != path]
+    except OSError:
+        return
+    for other in others:
+        try:
+            if other.stat().st_mtime_ns < mtime:
+                other.unlink()
+        except OSError:
+            pass
+
+
 def _declare(lib: ctypes.CDLL, name: str):
     fn = getattr(lib, name)
     fn.argtypes, fn.restype = ARGTYPES[name]
@@ -176,12 +204,14 @@ def _array(a, ndim: int, dtype=np.float64, writeable: bool = False) -> bool:
 _ITEM = np.dtype(np.float64).itemsize
 
 
-def _rows(a) -> bool:
-    """a is a writeable float64 matrix whose rows are contiguous and do not
-    overlap, so that row i starts a.strides[0] // _ITEM values after row 0:
-    the whole of a C-contiguous matrix, or a slice of its columns."""
+def contiguous_rows(a, writeable: bool = True) -> bool:
+    """a is a float64 matrix (writeable, unless writeable is False) whose
+    rows are contiguous and do not overlap, so that row i starts
+    a.strides[0] // _ITEM values after row 0: the whole of a C-contiguous
+    matrix, or a slice of its columns."""
     if not (isinstance(a, np.ndarray) and a.ndim == 2
-            and a.dtype == np.float64 and a.flags.writeable):
+            and a.dtype == np.float64
+            and (a.flags.writeable or not writeable)):
         return False
     rows, cols = a.shape
     return ((cols <= 1 or a.strides[1] == _ITEM)
@@ -190,16 +220,32 @@ def _rows(a) -> bool:
 
 
 def _em_poly(fn) -> Callable:
-    def step(out: np.ndarray, coef: np.ndarray, cdt: float) -> None:
-        """Step the chunk out of sde._time_major in place by full Horner on
-        coef, the drift's coefficient table with one row per step, and
-        cdt = dt/eps."""
-        _need(_array(out, 2, writeable=True) and _array(coef, 2)
-              and coef.shape[0] == out.shape[0] - 1 and coef.shape[1] >= 1,
-              "em_poly", "out must be a writeable C-contiguous float64 "
-              "matrix and coef a C-contiguous float64 (steps, >= 1)")
-        fn(out.ctypes.data, coef.shape[0], out.shape[1], coef.ctypes.data,
-           coef.shape[1], cdt)
+    def step(out: np.ndarray, inc: np.ndarray, coef: np.ndarray, cdt: float,
+             cns: float, d: float, trunc: np.ndarray, t0: float, dt: float,
+             k0: int) -> None:
+        """Fill columns 1.. of out (rows, n + 1) from its column 0 by
+        Euler-Maruyama steps on the increments inc (rows, n): full Horner on
+        coef, the drift's coefficient table with one row per step, with
+        cdt = dt/eps and cns = sigma/sqrt(eps).  Rows that leave |x| <= d
+        freeze as sde._freeze freezes them, with trunc (rows,) updated in
+        place and the grid t0 + dt * k from node k0.  Each row of inc must
+        be contiguous; the rows may be a column slice of a larger matrix."""
+        rows, cols = np.shape(out) if np.ndim(out) == 2 else (0, 0)
+        _need(_array(out, 2, writeable=True) and cols >= 1
+              and contiguous_rows(inc, writeable=False)
+              and inc.shape == (rows, cols - 1)
+              and not np.may_share_memory(out, inc), "em_poly",
+              "out must be a writeable C-contiguous float64 (rows, n + 1) "
+              "and inc a float64 (rows, n) apart from it, whose rows are "
+              "contiguous and do not overlap")
+        _need(_array(coef, 2) and coef.shape[0] == cols - 1
+              and coef.shape[1] >= 1 and _array(trunc, 1, writeable=True)
+              and trunc.shape == (rows,), "em_poly",
+              "coef must be a C-contiguous float64 (n, >= 1) and trunc a "
+              "writeable C-contiguous float64 (rows,)")
+        fn(out.ctypes.data, inc.ctypes.data, rows, cols - 1,
+           inc.strides[0] // _ITEM, coef.ctypes.data, coef.shape[1], cdt,
+           cns, d, trunc.ctypes.data, t0, dt, k0)
 
     return step
 
@@ -232,9 +278,9 @@ def _rk4_poly(fn) -> Callable:
         must be contiguous; the rows may be a strided view."""
         rows, cols = np.shape(out) if np.ndim(out) == 2 else (0, 0)
         n = cols - 1
-        _need(_rows(out) and n >= 0, "rk4_poly", "out must be a writeable "
-              "float64 (rows, n + 1) whose rows are contiguous and do not "
-              "overlap")
+        _need(contiguous_rows(out) and n >= 0, "rk4_poly", "out must be a "
+              "writeable float64 (rows, n + 1) whose rows are contiguous and "
+              "do not overlap")
         _need(_array(h, 1) and h.shape == (n,) and len(tables) == 3
               and all(_array(c, 2) and c.shape[0] == n and c.shape[1] >= 1
                       and c.shape == tables[0].shape for c in tables)
@@ -285,8 +331,9 @@ def _philox_normal(fn) -> Callable:
         Generator(Philox).standard_normal(out=row) followed by row *= scale.
         Each row of out must be contiguous; the rows may be a column slice
         of a larger matrix."""
-        _need(_rows(out), "philox_normal", "out must be a writeable float64 "
-              "(rows, n) whose rows are contiguous and do not overlap")
+        _need(contiguous_rows(out), "philox_normal", "out must be a "
+              "writeable float64 (rows, n) whose rows are contiguous and do "
+              "not overlap")
         rows, n = out.shape
         _need(_array(state, 2, np.uint64, writeable=True)
               and state.shape == (rows, PHILOX_WORDS), "philox_normal",
@@ -298,6 +345,30 @@ def _philox_normal(fn) -> Callable:
     return fill
 
 
+def _first_outside(fn) -> Callable:
+    def scan(x: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> tuple:
+        """Per row of x (rows, cols), the first column k with x <= g1[k]
+        (side -1) or else x >= g2[k] (side 1): (first, side), an intp and
+        an int8 (rows,), with -1 and 0 for a row that stays inside.  Each
+        row of x must be contiguous; the rows may be a column slice of a
+        larger matrix."""
+        _need(contiguous_rows(x, writeable=False), "first_outside",
+              "x must be a float64 (rows, cols) whose rows are contiguous "
+              "and do not overlap")
+        rows, cols = x.shape
+        _need(_array(g1, 1) and _array(g2, 1)
+              and g1.shape == g2.shape == (cols,), "first_outside",
+              "g1 and g2 must be C-contiguous float64 (cols,)")
+        first = np.empty(rows, dtype=np.intp)
+        side = np.empty(rows, dtype=np.int8)
+        fn(x.ctypes.data, rows, cols, x.strides[0] // _ITEM, g1.ctypes.data,
+           g2.ctypes.data, first.ctypes.data, side.ctypes.data)
+        return first, side
+
+    return scan
+
+
 _WRAPPERS = {"em_poly": _em_poly, "zeta_scan": _zeta_scan,
              "rk4_poly": _rk4_poly, "fmt_g17": _fmt_g17,
-             "philox_normal": _philox_normal}
+             "philox_normal": _philox_normal,
+             "first_outside": _first_outside}

@@ -1,5 +1,6 @@
-/* The compiled kernels of slowsde: Euler-Maruyama steps, the zeta
- * recurrence, RK4 rows, %.17g tables and Philox standard normals.
+/* The compiled kernels of slowsde: Euler-Maruyama steps with their
+ * freezing, the zeta recurrence, RK4 rows, %.17g tables, Philox standard
+ * normals and the first node of a path outside two bounds.
  *
  * Each kernel is the C twin of a NumPy or Python loop that stays as its
  * fallback and reference, and gives the same bits and bytes.  The numeric
@@ -10,7 +11,9 @@
  * exp and log1p exactly where NumPy's distributions.c calls them.  Built by
  * slowsde._compiled with -ffp-contract=off (no FMA) and without
  * -ffast-math.  Arrays are C-contiguous unless a stride is passed;
- * slowsde._compiled checks every argument before the call.
+ * slowsde._compiled checks every argument before the call.  A batch of
+ * paths is path-major, one row per path, from the noise kernel through the
+ * stepping to the exit scans.
  *
  * A drift is full Horner in x over one time's coefficients c_0 .. c_n,
  * x*c_n + c_(n-1), then f*x + c_i down to c_0, as PolyDrift.horner runs it.
@@ -23,43 +26,149 @@
 
 enum { LANES = 8 };
 
-/* Euler-Maruyama steps of a polynomial drift, one time chunk in place; the
- * twin of the NumPy loop in sde._em_steps.
- *
- * out is the (n + 1, width) time-major array of sde._time_major: row 0 holds
- * the states at the chunk's first node, row j + 1 the scaled increments of
- * step j, which the step's new state replaces.  coef (n, n_coef) holds in
- * row j the coefficients at the time of step j.  A step is the drift f,
- * then f*(dt/eps), x + f and f + dW.  The paths go LANES at a time, each
- * value a row of LANES doubles, so the compiler can keep the lanes in vector
- * registers; lanes past the last path compute values that are never stored.
- */
-void em_poly(double *out, ptrdiff_t n, ptrdiff_t width,
-             const double *coef, ptrdiff_t n_coef, double cdt)
+/* Two doubles, or two int64 masks of all ones or zeros, as one value:
+ * GCC's and Clang's vector extensions, which map them onto one 128-bit
+ * vector register (SSE2, NEON), with the same IEEE operations on each
+ * element.  A comparison gives a mask.  LANES values are PAIRS of them. */
+typedef double pair_d __attribute__((vector_size(16)));
+typedef int64_t pair_i __attribute__((vector_size(16)));
+enum { PAIRS = LANES / 2 };
+
+/* Whether any element of the PAIRS masks m is set. */
+static inline int any_set(const pair_i *m)
 {
-    double x[LANES] = {0.0}, f[LANES];
+    pair_i any = m[0];
 
-    for (ptrdiff_t j = 0; j < n; j++) {
-        const double *c = coef + j * n_coef, *xj = out + j * width;
-        double *y = out + (j + 1) * width;
+#pragma GCC unroll 4
+    for (int v = 1; v < PAIRS; v++)
+        any |= m[v];
+    return (any[0] | any[1]) != 0;
+}
 
-        for (ptrdiff_t i = 0; i < width; i += LANES) {
-            int m = width - i < LANES ? (int)(width - i) : LANES;
+/* Euler-Maruyama steps of a polynomial drift over one time chunk, with the
+ * freezing of paths that leave |x| <= d; the twin of the NumPy loop in
+ * sde._em_steps followed by sde._freeze.
+ *
+ * Row i of inc, at inc[i * ld], holds the n increments dW of path i, and
+ * row i of out (rows, n + 1) its path: column 0 the state at the chunk's
+ * first node, which the caller sets, and column j + 1 the state after step
+ * j.  coef (n, n_coef) holds in row j the coefficients at the time of step
+ * j.  A step is the drift f, then f*cdt, x + that and that + dW*cns, with
+ * cdt = dt/eps and cns = sigma/sqrt(eps), dW*cns rounded first.
+ *
+ * A row whose trunc is not NaN is frozen on entry and holds column 0.  A
+ * live row freezes at its first node with |x| > d, which holds the node
+ * before from then on, and trunc records t0 + (k0 + j + 1) * dt for the
+ * step j that left; a NaN never freezes, an infinity does.  The rows go
+ * LANES at a time, row l of the tile in element l % 2 of pair l / 2, each
+ * lane reading one row of inc and writing one row of out in order; in the
+ * last tile the lanes past the last row repeat it, computing and storing
+ * the same values.
+ */
+void em_poly(double *out, const double *inc, ptrdiff_t rows, ptrdiff_t n,
+             ptrdiff_t ld, const double *coef, ptrdiff_t n_coef, double cdt,
+             double cns, double d, double *trunc, double t0, double dt,
+             ptrdiff_t k0)
+{
+    const pair_i magnitude = {INT64_MAX, INT64_MAX}; /* all but the sign */
 
-            for (int l = 0; l < m; l++)
-                x[l] = xj[i + l];
-            if (n_coef == 1) {
-                for (int l = 0; l < LANES; l++) f[l] = c[0];
-            } else {
-                for (int l = 0; l < LANES; l++)
-                    f[l] = x[l] * c[n_coef - 1] + c[n_coef - 2];
-                for (ptrdiff_t k = n_coef - 3; k >= 0; k--)
-                    for (int l = 0; l < LANES; l++) f[l] = f[l] * x[l] + c[k];
+    for (ptrdiff_t i = 0; i < rows; i += LANES) {
+        const double *w[LANES];
+        double *y[LANES];
+        ptrdiff_t r[LANES];
+        /* a lane leaves when |x| > lim: d while it is live, then NaN, which
+         * no comparison passes */
+        pair_d x[PAIRS], lim[PAIRS];
+        pair_i held[PAIRS];
+        int frozen = 0;
+
+        for (int l = 0; l < LANES; l++) {
+            r[l] = i + l < rows ? i + l : rows - 1;
+            w[l] = inc + r[l] * ld;
+            y[l] = out + r[l] * (n + 1);
+            x[l / 2][l % 2] = y[l][0];
+            held[l / 2][l % 2] = isnan(trunc[r[l]]) ? 0 : -1;
+            lim[l / 2][l % 2] = isnan(trunc[r[l]]) ? d : NAN;
+            frozen |= !isnan(trunc[r[l]]);
+        }
+        for (ptrdiff_t j = 0; j < n; j++) {
+            const double *c = coef + j * n_coef;
+            pair_d f[PAIRS], z[PAIRS];
+            pair_i leave[PAIRS];
+
+#pragma GCC unroll 4
+            for (int v = 0; v < PAIRS; v++) {
+                z[v] = (pair_d){w[2 * v][j], w[2 * v + 1][j]} * cns;
+                if (n_coef == 1) {
+                    f[v] = (pair_d){c[0], c[0]};
+                } else {
+                    f[v] = x[v] * c[n_coef - 1] + c[n_coef - 2];
+                    for (ptrdiff_t k = n_coef - 3; k >= 0; k--)
+                        f[v] = f[v] * x[v] + c[k];
+                }
+                f[v] = x[v] + f[v] * cdt;
+                z[v] = f[v] + z[v];
+                leave[v] = (pair_d)((pair_i)z[v] & magnitude) > lim[v];
             }
-            for (int l = 0; l < m; l++) {
-                double g = f[l] * cdt;
-                g = x[l] + g;
-                y[i + l] = g + y[i + l];
+            if (any_set(leave)) {
+                for (int l = 0; l < LANES; l++) {
+                    if (leave[l / 2][l % 2]) {
+                        trunc[r[l]] = t0 + (double)(k0 + j + 1) * dt;
+                        held[l / 2][l % 2] = -1;
+                        lim[l / 2][l % 2] = NAN;
+                    }
+                }
+                frozen = 1;
+            }
+#pragma GCC unroll 4
+            for (int v = 0; v < PAIRS; v++) {
+                if (frozen)
+                    z[v] = (pair_d)(((pair_i)x[v] & held[v])
+                                    | ((pair_i)z[v] & ~held[v]));
+                x[v] = z[v];
+                y[2 * v][j + 1] = z[v][0];
+                y[2 * v + 1][j + 1] = z[v][1];
+            }
+        }
+    }
+}
+
+/* The first column of each row of x (rows, cols), row i at x[i * ld], with
+ * x <= g1[k] (side -1) or else x >= g2[k] (side 1): first[i] is that column
+ * and side[i] its side, or -1 and 0 when the row stays inside; a NaN never
+ * leaves.  The twin of the NumPy bodies of exits.first_exit_batch and
+ * exits.delay_times_batch.  Whole blocks of LANES columns are tested at
+ * once; the block that leaves is then read column by column.
+ */
+void first_outside(const double *x, ptrdiff_t rows, ptrdiff_t cols,
+                   ptrdiff_t ld, const double *g1, const double *g2,
+                   ptrdiff_t *first, int8_t *side)
+{
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const double *row = x + i * ld;
+        ptrdiff_t k = 0;
+
+        for (; k + LANES <= cols; k += LANES) {
+            pair_i outside[PAIRS];
+
+#pragma GCC unroll 4
+            for (int v = 0; v < PAIRS; v++) {
+                pair_d a, lo, hi;
+
+                memcpy(&a, row + k + 2 * v, sizeof a);
+                memcpy(&lo, g1 + k + 2 * v, sizeof lo);
+                memcpy(&hi, g2 + k + 2 * v, sizeof hi);
+                outside[v] = (a <= lo) | (a >= hi);
+            }
+            if (any_set(outside))
+                break;
+        }
+        first[i] = -1, side[i] = 0;
+        for (; k < cols; k++) {
+            if (row[k] <= g1[k] || row[k] >= g2[k]) {
+                first[i] = k;
+                side[i] = row[k] <= g1[k] ? -1 : 1;
+                break;
             }
         }
     }
@@ -582,10 +691,13 @@ static inline double flip_sign(double x, uint64_t flip)
 /* Fill row i of out (rows, n), which starts at out[i * ld], with the next n
  * normals of the stream state + i * PHILOX_WORDS, each times scale.
  *
- * With an empty buffer and 4 or more values to go, a block is drawn and
- * run through the ziggurat's first test without a branch; when all 4 words
- * pass, all 4 values are stored.  Otherwise the block goes to the buffer,
- * and normal() takes it word by word from its first, as NumPy does. */
+ * With an empty buffer and 4 or more values to go, a block is drawn into the
+ * buffer and run through the ziggurat's first test without a branch, its 4
+ * values stored as they come; when all 4 words pass, they are kept.
+ * Otherwise normal() takes the buffer word by word from its first, as NumPy
+ * does, and its values replace those 4.  Each word and each value is
+ * stored on its own: the compiler would otherwise pair them into 128-bit
+ * reloads of what it has just stored, which stall. */
 void philox_normal(double *out, ptrdiff_t rows, ptrdiff_t n, ptrdiff_t ld,
                    uint64_t *state, double scale)
 {
@@ -596,7 +708,6 @@ void philox_normal(double *out, ptrdiff_t rows, ptrdiff_t n, ptrdiff_t ld,
 
         while (j < n) {
             uint64_t w[4];
-            double z[4];
             int pass = 1;
 
             if (s[POS] < 4 || n - j < 4) {
@@ -604,23 +715,21 @@ void philox_normal(double *out, ptrdiff_t rows, ptrdiff_t n, ptrdiff_t ld,
                 continue;
             }
             philox_block(s, w);
+#pragma GCC unroll 4
             for (int k = 0; k < 4; k++) {
                 int idx = w[k] & 0xff;
                 uint64_t rabs = (w[k] >> 9) & 0x000fffffffffffff;
 
+                s[BUF + k] = w[k];
                 /* the signed conversion, exact as rabs < 2^52 */
-                z[k] = flip_sign((double)(int64_t)rabs * wi[idx],
-                                 (w[k] >> 8) & 1);
+                y[j + k] = flip_sign((double)(int64_t)rabs * wi[idx],
+                                     (w[k] >> 8) & 1) * scale;
                 pass &= rabs < ki[idx];
             }
-            memcpy(s + BUF, w, sizeof w);
-            if (pass) {
-                for (int k = 0; k < 4; k++)
-                    y[j + k] = z[k] * scale;
+            if (pass)
                 j += 4;
-            } else {
+            else
                 s[POS] = 0;
-            }
         }
     }
 }

@@ -5,7 +5,9 @@ the boundary counts as outside); no sub-step bridge correction is applied,
 so identical inputs always give identical records.  Batch variants operate
 on (B, n) path matrices, whole paths or one time chunk of them with its
 slice of the grid, and are what the ensemble runner uses; the single-path
-calls validate their inputs and scan their path as a one-row batch.
+calls validate their inputs and scan their path as a one-row batch.  The
+first-exit and delay scans run in the compiled library's first_outside when
+it loads (see _compiled), else in NumPy, with the same results.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _compiled
 from .envelope import EnvelopeTable, SpaceTimeRegion
-from .errors import GridMismatch
+from .errors import GridMismatch, NonFiniteResult
 from .sde import PathSample
 
 __all__ = [
@@ -67,15 +70,21 @@ def first_exit(path: PathLike, region: SpaceTimeRegion) -> ExitRecord:
 
 
 def first_return_to_zero(path: PathLike, from_time: float) -> Optional[float]:
-    """First node after from_time with a sign change or exact zero."""
+    """First node after from_time with a sign change or exact zero.
+
+    A non-finite value from from_time up to that node (or to the end of the
+    path) raises NonFiniteResult: a NaN is no return, and no sign."""
     t = path.t_grid
     k0 = int(np.searchsorted(t, from_time - 1e-9))
-    x0 = path.x_values[k0]
-    s0 = math.copysign(1.0, x0) if x0 != 0.0 else 0.0
+    x = path.x_values[k0:]
+    s0 = math.copysign(1.0, x[0]) if x[0] != 0.0 else 0.0
     if s0 == 0.0:
         raise ValueError("path value at from_time must have a definite sign")
-    x = path.x_values[k0 + 1:]
-    hits = np.nonzero((np.sign(x) != s0))[0]
+    hits = np.nonzero(np.sign(x[1:]) != s0)[0]  # a NaN is among them
+    end = hits[0] + 2 if hits.size else len(x)
+    if not np.isfinite(x[:end]).all():
+        raise NonFiniteResult(f"the path is not finite between t={t[k0]:g} "
+                              f"and t={t[k0 + end - 1]:g}")
     if hits.size == 0:
         return None
     return float(t[k0 + 1 + hits[0]])
@@ -137,17 +146,8 @@ def first_exit_batch(X: np.ndarray, t_grid: np.ndarray,
         return np.full(X.shape[0], np.nan), np.zeros(X.shape[0], np.int8)
     window = slice(idx[0], idx[-1] + 1)  # consecutive nodes: a view of X
     tw = t_grid[window]
-    g1, g2 = region.boundaries(tw)
-    Xw = X[:, window]
-    low = Xw <= g1[None, :]
-    outside = low | (Xw >= g2[None, :])
-    any_exit = outside.any(axis=1)
-    first = np.where(any_exit, outside.argmax(axis=1), 0)
-    times = np.where(any_exit, tw[first], np.nan)
-    sides = np.zeros(X.shape[0], dtype=np.int8)
-    rows = np.nonzero(any_exit)[0]
-    sides[rows] = np.where(low[rows, first[rows]], -1, 1)
-    return times, sides
+    first, sides = _first_outside(X[:, window], *region.boundaries(tw))
+    return _times_at(first, tw), sides
 
 
 def delay_times_batch(X: np.ndarray, t_grid: np.ndarray,
@@ -156,10 +156,38 @@ def delay_times_batch(X: np.ndarray, t_grid: np.ndarray,
 
     width is a constant or one value per grid node.
     """
-    outside = (X >= width) | (X <= -width)  # |x| >= width, with no copy of X
+    g2 = np.broadcast_to(np.asarray(width, dtype=np.float64), X.shape[1:])
+    return _times_at(_first_outside(X, -g2, g2)[0], t_grid)
+
+
+def _first_outside(X: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> tuple:
+    """Per row of X, the first column k with x <= g1[k] (side -1) or else
+    x >= g2[k] (side 1), and its side: (first, sides), with -1 and 0 for a
+    row that stays inside, so a NaN never leaves.  The compiled
+    first_outside scans when it loads, else NumPy."""
+    scan = _compiled.LIBRARY.get("first_outside")
+    if scan is not None:
+        if not _compiled.contiguous_rows(X, writeable=False):
+            X = np.ascontiguousarray(X, dtype=np.float64)
+        g1, g2 = (np.ascontiguousarray(np.broadcast_to(g, X.shape[1:]),
+                                       dtype=np.float64) for g in (g1, g2))
+        return scan(X, g1, g2)
+    low = X <= g1
+    outside = low | (X >= g2)
     any_exit = outside.any(axis=1)
-    first = np.where(any_exit, outside.argmax(axis=1), 0)
-    return np.where(any_exit, t_grid[first], np.nan)
+    first = np.where(any_exit, outside.argmax(axis=1), -1)
+    sides = np.zeros(X.shape[0], dtype=np.int8)
+    rows = np.nonzero(any_exit)[0]
+    sides[rows] = np.where(low[rows, first[rows]], -1, 1)
+    return first, sides
+
+
+def _times_at(first: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """t_grid[first], NaN where first is -1."""
+    times = np.full(first.shape, np.nan)
+    hit = first >= 0
+    times[hit] = t_grid[first[hit]]
+    return times
 
 
 def sup_deviation_batch(X: np.ndarray, centre: np.ndarray,

@@ -1,15 +1,16 @@
 """SDE integration: Euler-Maruyama for the nonlinear equation, exponential
 Euler for linear comparisons, and coupled pairs sharing one noise realization.
 
-Both integrators step a whole batch of paths time-major and in place:
-em_batch by Euler-Maruyama, linear_batch through precomputed exponential
-multipliers.  em_batch steps a polynomial drift through em_poly, a kernel
-of the compiled library _em.c, built and loaded at its first use (see
-_compiled), which runs full Horner over the drift's coefficient table, one
-row per step.  Any other drift steps through one NumPy loop, which is also
-the polynomial drifts' fallback when no C compiler works, running
-PolyDrift.horner on the same rows, and the reference the kernel equals bit
-for bit.  Freezing paths that leave |x| <= d stays in NumPy.
+Both integrators step a whole batch of paths at once: em_batch by
+Euler-Maruyama, linear_batch through precomputed exponential multipliers.
+em_batch steps a polynomial drift through em_poly, a kernel of the
+compiled library _em.c, built and loaded at its first use (see _compiled):
+path by path, it reads each row of increments where the noise was drawn,
+runs full Horner over the drift's coefficient table, one row per step, and
+freezes the paths that leave |x| <= d in the same call.  Any other drift,
+and a polynomial one when no C compiler works, steps time-major through
+one NumPy loop, running PolyDrift.horner on the same rows, and is frozen
+by _freeze: the reference the kernel equals bit for bit.
 """
 
 from __future__ import annotations
@@ -109,26 +110,37 @@ def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
 
     increments (B, n) drive the steps from node k0 to node k0 + n, and x0
     (a scalar or (B,)) is the state at node k0.  Returns (paths (B, n+1),
-    trunc (B,)): paths is the transposed view of a time-major (n+1, B)
-    array, and trunc is NaN where the path stayed in |x| <= d and its
-    freeze time otherwise.  To integrate in time chunks, pass each chunk's
-    first node as k0, the previous chunk's last column as x0 and its trunc,
-    which is updated in place; the chunks then reproduce the nodes of one
-    call bit for bit, because the step times are the same nodes of the one
-    grid.  With sigma = 0 this is explicit Euler on the slow ODE, bit for
-    bit.
+    trunc (B,)): paths is C-contiguous when the compiled kernel steps it,
+    else the transposed view of the time-major (n+1, B) array of the NumPy
+    loop, with the same values; trunc is NaN where the path stayed in
+    |x| <= d and its freeze time otherwise.  To integrate in time chunks,
+    pass each chunk's first node as k0, the previous chunk's last column as
+    x0 and its trunc, which is updated in place; the chunks then reproduce
+    the nodes of one call bit for bit, because the step times are the same
+    nodes of the one grid.  With sigma = 0 this is explicit Euler on the
+    slow ODE, bit for bit.
 
-    Every column is stepped as if live and fixed up once per chunk by
-    _freeze, so a drift callable is also evaluated at states beyond d, and
-    at the held value of a frozen path, in columns whose nodes are then
-    overwritten: it must accept any float there, and what it returns there
-    (non-finite values included) never reaches the paths.
+    In the NumPy loop every column is stepped as if live and fixed up once
+    per chunk by _freeze, so a drift callable is also evaluated at states
+    beyond d, and at the held value of a frozen path, in columns whose
+    nodes are then overwritten: it must accept any float there, and what it
+    returns there (non-finite values included) never reaches the paths.
     """
-    out = _time_major(eps, sigma, x0, dt, increments)
+    _check_dt(dt, eps)
     B, n = increments.shape
     if trunc is None:
         trunc = np.full(B, np.nan)
     t_nodes = t0 + dt * np.arange(k0, k0 + n)  # time_grid(t0, dt, .)[k0:]
+    step = None if model.poly is None else _compiled.LIBRARY.get("em_poly")
+    if step is not None:
+        if not _compiled.contiguous_rows(increments, writeable=False):
+            increments = np.ascontiguousarray(increments, dtype=np.float64)
+        out = np.empty((B, n + 1))
+        out[:, 0] = x0
+        step(out, increments, model.poly.coeff_table(t_nodes), dt / eps,
+             sigma / math.sqrt(eps), model.d, trunc, t0, dt, k0)
+        return out, trunc
+    out = _time_major(eps, sigma, x0, dt, increments)
     with np.errstate(over="ignore", invalid="ignore"):
         _em_steps(out, model, t_nodes, dt / eps)
         _freeze(out, model.d, trunc, t0, dt, k0)
@@ -165,23 +177,16 @@ def _em_steps(out, model, t_nodes, cdt):
     array out, whose row 0 is the state at grid node k0.
 
     t_nodes[j] is the time of step k0 + j.  A polynomial drift is
-    tabulated, one row of coefficients per step, and full Horner runs on
-    each row: in the compiled kernel when it loads, else by
-    PolyDrift.horner in the NumPy loop below.  Any other drift is one
-    model.drift(x, t) call per step.
+    tabulated, one row of coefficients per step, and PolyDrift.horner runs
+    full Horner on each row, as the compiled em_poly does.  Any other drift
+    is one model.drift(x, t) call per step.
     """
     poly = model.poly
     if poly is not None:
-        table = poly.coeff_table(t_nodes)
-        step = _compiled.LIBRARY.get("em_poly")
-        if step is not None:
-            step(out, table, cdt)
-            return
-
         def drift(x, ct):
             return poly.horner(ct, x)
 
-        rows = table.tolist()
+        rows = poly.coeff_table(t_nodes).tolist()
     else:
         drift, rows = model.drift, t_nodes
     mul, add = np.multiply, np.add

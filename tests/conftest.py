@@ -55,9 +55,9 @@ def nan_patch():
 def kernels(monkeypatch):
     """kernels() yields "c", then "numpy": while a name is current, every
     kernel of the compiled library runs, which must build here (stepping,
-    the zeta scan, RK4 rows, %.17g tables and Philox normals), or none does
-    and each caller takes its NumPy fallback.  Looping in the test body keeps one test id
-    for both."""
+    the zeta scan, RK4 rows, %.17g tables, Philox normals and the exit
+    scans), or none does and each caller takes its NumPy fallback.  Looping
+    in the test body keeps one test id for both."""
     library = _compiled.LIBRARY
     for name in _compiled.ARGTYPES:
         assert library.get(name) is not None, f"{name} did not build"

@@ -8,6 +8,7 @@ import ctypes
 import io
 import locale
 import math
+import os
 import sys
 import threading
 from collections import Counter
@@ -93,12 +94,15 @@ def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
     assert cfg.model.poly is not None
     run_ensemble(cfg)
     path_steps = cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
-    assert sum((out.shape[0] - 1) * out.shape[1]
-               for name, (out, *_) in spy.args if name == "em_poly") \
-        == path_steps
+    assert sum(inc.size for name, (out, inc, *_) in spy.args
+               if name == "em_poly") == path_steps
     # every increment is drawn by the noise kernel
     assert sum(out.size for name, (out, *_) in spy.args
                if name == "philox_normal") == path_steps
+    # the delay tag's scans run in C: the delay strip's in every chunk,
+    # and region D's in the chunks that meet its window
+    assert spy.calls["em_poly"] < spy.calls["first_outside"] \
+        < 2 * spy.calls["em_poly"]
     # the envelope export scans zeta and formats its table
     assert cmd_run(write(tmp_path, "cfg.json", SMALL_DELAY),
                    out=str(tmp_path / "out")) == 0
@@ -124,24 +128,51 @@ def read_only(shape, dtype=np.float64):
     return out
 
 
-@pytest.mark.parametrize("out,coef", [
-    (np.zeros((6, 9))[:, ::2], np.zeros((5, 4))),   # not contiguous
-    (np.zeros((9, 5)).T, np.zeros((5, 4))),          # Fortran order
-    (read_only((6, 5)), np.zeros((5, 4))),
-    (np.zeros((6, 5), dtype=np.float32), np.zeros((5, 4))),
-    (np.zeros((6, 5)), np.zeros((6, 4))),            # one row per node
-    (np.zeros((6, 5)), np.zeros((4, 4))),
-    (np.zeros((6, 5)), np.zeros((5, 0))),            # no coefficient
-    (np.zeros((6, 5)), np.zeros(5)),
-    (np.zeros((6, 5)), np.zeros((5, 4), dtype=np.float32)),
-    (np.zeros((6, 5)), np.zeros((5, 8))[:, ::2]),
-    (np.zeros((6, 5)), [[0.0] * 4] * 5),             # not an ndarray
+PATHS, INC, COEF, TRUNC = (np.zeros((3, 6)), np.zeros((3, 5)),
+                           np.zeros((5, 4)), np.full(3, math.nan))
+
+
+def sharing_out():
+    """A path matrix and increments inside it."""
+    out = np.zeros((3, 6))
+    return out, out[:, 1:]
+
+
+@pytest.mark.parametrize("out,inc,coef,trunc", [
+    (np.zeros((3, 12))[:, ::2], INC, COEF, TRUNC),  # not contiguous
+    (np.zeros((6, 3)).T, INC, COEF, TRUNC),         # Fortran order
+    (read_only((3, 6)), INC, COEF, TRUNC),
+    (np.zeros((3, 6), dtype=np.float32), INC, COEF, TRUNC),
+    (PATHS, INC, np.zeros((6, 4)), TRUNC),          # one row per node
+    (PATHS, INC, np.zeros((4, 4)), TRUNC),
+    (PATHS, INC, np.zeros((5, 0)), TRUNC),          # no coefficient
+    (PATHS, INC, np.zeros(5), TRUNC),
+    (PATHS, INC, np.zeros((5, 4), dtype=np.float32), TRUNC),
+    (PATHS, INC, np.zeros((5, 8))[:, ::2], TRUNC),
+    (PATHS, INC, [[0.0] * 4] * 5, TRUNC),           # not an ndarray
+    (np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((0, 4)), TRUNC),
+    (PATHS, np.zeros((3, 10))[:, ::2], COEF, TRUNC),
+    (PATHS, np.zeros((5, 3)).T, COEF, TRUNC),
+    (PATHS, np.zeros((3, 5), dtype=np.float32), COEF, TRUNC),
+    (PATHS, np.zeros((3, 6)), COEF, TRUNC),         # a column too many
+    (PATHS, np.zeros((2, 5)), COEF, TRUNC),
+    (PATHS, [[0.0] * 5] * 3, COEF, TRUNC),
+    (*sharing_out(), COEF, TRUNC),
+    (PATHS, INC, COEF, read_only(3)),
+    (PATHS, INC, COEF, np.full(2, math.nan)),
+    (PATHS, INC, COEF, np.full(3, math.nan, dtype=np.float32)),
+    (PATHS, INC, COEF, np.full(6, math.nan)[::2]),
+    (PATHS, INC, COEF, [math.nan] * 3),
 ], ids=["strided", "fortran", "read-only", "float32", "rows+1", "rows-1",
         "no-columns", "1-d-coef", "float32-coef", "strided-coef",
-        "list-coef"])
-def test_step_rejects_what_c_cannot_take(unreached, out, coef):
+        "list-coef", "no-nodes", "strided-inc", "fortran-inc",
+        "float32-inc", "inc-columns", "inc-rows", "list-inc", "inc-in-out",
+        "read-only-trunc", "trunc-length", "float32-trunc", "strided-trunc",
+        "list-trunc"])
+def test_step_rejects_what_c_cannot_take(unreached, out, inc, coef, trunc):
     with pytest.raises(ValueError, match="em_poly"):
-        unreached("em_poly")(out, coef, 0.5)
+        unreached("em_poly")(out, inc, coef, 0.5, 0.1, 1.0, trunc, 0.0,
+                             1e-3, 0)
 
 
 ZETA, SUB = np.zeros((5, 3)), np.zeros((16, 3))
@@ -248,6 +279,30 @@ def test_philox_normal_rejects_what_c_cannot_take(unreached, out, state):
         unreached("philox_normal")(out, state, 1.0)
 
 
+BOUND = np.zeros(5)
+
+
+@pytest.mark.parametrize("x,g1,g2", [
+    (np.zeros((3, 10))[:, ::2], BOUND, BOUND),      # rows not contiguous
+    (np.zeros((5, 3)).T, BOUND, BOUND),             # Fortran order
+    (overlapping_rows(), BOUND, BOUND),
+    (np.zeros((3, 5), dtype=np.float32), BOUND, BOUND),
+    (np.zeros(5), BOUND, BOUND),
+    ([[0.0] * 5] * 3, BOUND, BOUND),
+    (ROWS, np.zeros(4), BOUND),
+    (ROWS, BOUND, np.zeros(6)),
+    (ROWS, np.zeros(10)[::2], BOUND),
+    (ROWS, BOUND, np.zeros(5, dtype=np.float32)),
+    (ROWS, np.zeros((1, 5)), BOUND),
+    (ROWS, BOUND, [0.0] * 5),
+], ids=["strided", "fortran", "overlapping", "float32", "1-d", "list",
+        "g1-length", "g2-length", "strided-g1", "float32-g2", "2-d-g1",
+        "list-g2"])
+def test_first_outside_rejects_what_c_cannot_take(unreached, x, g1, g2):
+    with pytest.raises(ValueError, match="first_outside"):
+        unreached("first_outside")(x, g1, g2)
+
+
 def g17_values(n):
     """3n finite doubles: uniform bit patterns; random mantissas with
     binary exponents from 2^-22 to 2^58, across the switches of %.17g
@@ -348,6 +403,30 @@ def test_truncated_library_is_rebuilt(tmp_path, loads):
     assert library.get("em_poly") is not None
     assert loads == [str(path)] * 2 and path.stat().st_size > 64
     assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_loading_prunes_older_builds(tmp_path):
+    stale = tmp_path / "_em-0000000000000000.so"
+    stale.write_bytes(b"\x7fELF" + bytes(60))
+    os.utime(stale, ns=(0, 0))
+    (tmp_path / "notes.txt").write_text("not a build")
+    library = _compiled.Library(cache_dir=tmp_path)
+    assert library.get("em_poly") is not None
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted([library.path().name, "notes.txt"])
+
+
+def test_loading_keeps_newer_builds(tmp_path):
+    """The build of a checkout in use beside this one, made after it, stays
+    cached for that checkout."""
+    path = _compiled.Library(cache_dir=tmp_path).path()
+    assert _compiled.Library(cache_dir=tmp_path).get("em_poly") is not None
+    newer = tmp_path / "_em-ffffffffffffffff.so"
+    newer.write_bytes(b"\x7fELF" + bytes(60))
+    mtime = path.stat().st_mtime_ns + 10 ** 9
+    os.utime(newer, ns=(mtime, mtime))
+    assert _compiled.Library(cache_dir=tmp_path).get("em_poly") is not None
+    assert newer.exists()
 
 
 def test_library_that_never_loads_falls_back(reference, tmp_path,

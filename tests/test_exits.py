@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from slowsde import (GridMismatch, branch_at, branches, first_exit,
-                     first_return_to_zero, measure_delay, simulate, solve_det,
-                     standard_pitchfork, sup_normalized_deviation,
-                     zeta_stable)
+from slowsde import (GridMismatch, NonFiniteResult, branch_at, branches,
+                     first_exit, first_return_to_zero, measure_delay,
+                     simulate, solve_det, standard_pitchfork,
+                     sup_normalized_deviation, zeta_stable)
 from slowsde.envelope import SpaceTimeRegion, region_D, region_delay_strip
 from slowsde.exits import (delay_times_batch, first_exit_batch,
                            sup_deviation_batch)
@@ -114,6 +114,24 @@ class TestReturnToZero:
         p = make_path(g, [0.0, 0.1, 0.1, 0.1])
         with pytest.raises(ValueError):
             first_return_to_zero(p, 0.0)
+
+    @pytest.mark.parametrize("x", [
+        [0.4, 0.4, math.nan, 0.4, 0.4, -0.4],   # a NaN is no return
+        [0.4, 0.4, math.inf, 0.4, -0.4, -0.4],  # nor an infinity
+        [0.4, math.nan, math.nan, math.nan, math.nan, math.nan],
+        [math.nan, 0.4, -0.4, 0.4, 0.4, 0.4],   # a NaN has no sign
+        [-math.inf, -0.4, -0.4, -0.4, -0.4, -0.4],
+    ], ids=["nan-inside", "inf-inside", "nan-to-the-end", "nan-start",
+            "inf-start"])
+    def test_non_finite_before_the_return_raises(self, x):
+        p = make_path(time_grid(0.0, 0.1, 5), x)
+        with pytest.raises(NonFiniteResult):
+            first_return_to_zero(p, 0.0)
+
+    def test_non_finite_after_the_return_is_not_read(self):
+        p = make_path(time_grid(0.0, 0.1, 5),
+                      [0.4, 0.3, -0.1, math.nan, math.inf, 0.2])
+        assert first_return_to_zero(p, 0.0) == pytest.approx(0.2)
 
 
 class TestMeasureDelay:
@@ -238,6 +256,93 @@ class TestBatchVariants:
                 assert math.isnan(times[b])
             else:
                 assert times[b] == d
+
+
+def band(lo, hi):
+    """The region lo(t) < x < hi(t) at every t."""
+    return SpaceTimeRegion(lo, hi, -math.inf, math.inf, "test")
+
+
+UNIT = strip(1.0, -math.inf, math.inf)
+
+
+class TestFirstOutside:
+    """The first-exit and delay scans, through the compiled first_outside
+    and through NumPy (kernels fixture), against per-node loops."""
+
+    g = time_grid(0.0, 0.1, 36)  # 37 nodes: blocks of 8 and a tail of 5
+
+    def check(self, kernels, X, region, width):
+        for kernel in kernels():
+            times, sides = first_exit_batch(X, self.g, region)
+            delays = delay_times_batch(X, self.g, width)
+            for b, x in enumerate(X):
+                t, side = scalar_first_exit(self.g, x, region)
+                assert np.array_equal([times[b], sides[b]], [t, side],
+                                      equal_nan=True), (kernel, b)
+                w = np.broadcast_to(width, self.g.shape)
+                d = next((t for t, xk, wk in zip(self.g, x, w)
+                          if xk >= wk or xk <= -wk), math.nan)
+                assert np.array_equal(delays[b], d, equal_nan=True), \
+                    (kernel, b)
+        return times, sides, delays
+
+    def rows(self):
+        """Rows inside (-1, 1) that leave at the first node, at each
+        position of a block, in the tail and at the last node."""
+        X = np.zeros((12, len(self.g)))
+        X[:, 1::2] = 0.5
+        for b, k in enumerate([0, 1, 7, 8, 15, 31, 32, 35, 36]):
+            X[b, k] = 2.0 if b % 2 else -2.0
+        return X
+
+    def test_every_position(self, kernels):
+        times, sides, _ = self.check(kernels, self.rows(), UNIT, 1.0)
+        assert np.isnan(times[9:]).all() and (sides[:9] != 0).all()
+
+    def test_boundary_values_are_outside(self, kernels):
+        X = np.zeros((3, len(self.g)))
+        X[0, 12] = -0.5   # equal to g1
+        X[1, 20] = 0.75   # equal to g2
+        X[2, 30] = np.nextafter(0.75, 0.0)
+        times, sides, _ = self.check(kernels, X, band(
+            lambda t: np.full_like(t, -0.5), lambda t: np.full_like(t, 0.75)),
+            0.5)
+        assert sides.tolist() == [-1, 1, 0]
+        assert times[:2].tolist() == [self.g[12], self.g[20]]
+
+    def test_nan_never_leaves(self, kernels):
+        X = self.rows()
+        X[:, :33] = np.nan  # every exit before node 33 is hidden
+        times, sides, _ = self.check(kernels, X, UNIT, 1.0)
+        assert np.isnan(times[:7]).all() and (sides[7:9] != 0).all()
+
+    def test_window_inside_the_chunk(self, kernels):
+        # the window covers nodes 10 to 25, so the exits at nodes 0 to 8
+        # and from 31 on are not read
+        times, sides, _ = self.check(kernels, self.rows(),
+                                     strip(1.0, 1.0, 2.5), 1.0)
+        assert np.isnan(times[[0, 1, 2, 3, 5, 6, 7, 8]]).all()
+        assert times[4] == self.g[15]
+
+    def test_window_that_misses_the_chunk(self, kernels):
+        times, sides, _ = self.check(kernels, self.rows(),
+                                     strip(1.0, 5.0, 6.0), 1.0)
+        assert np.isnan(times).all() and not sides.any()
+
+    def test_per_node_bounds(self, kernels):
+        X = np.cumsum(np.random.default_rng(8).normal(0, 0.1, (40, 37)),
+                      axis=1)
+        width = 0.2 + 0.02 * np.arange(37)
+        times, sides, delays = self.check(kernels, X, band(
+            lambda t: -0.1 - 0.1 * t, lambda t: 0.2 + 0.05 * t), width)
+        assert np.isfinite(delays).any() and np.isnan(delays).any()
+        assert (sides == -1).any() and (sides == 1).any()
+
+    def test_column_slice_and_fortran_order(self, kernels):
+        wide = np.hstack([self.rows(), np.full((12, 5), 9.0)])
+        self.check(kernels, wide[:, :37], UNIT, 1.0)
+        self.check(kernels, np.asfortranarray(self.rows()), UNIT, 1.0)
 
 
 class TestDelayOrdering:

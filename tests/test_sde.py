@@ -187,6 +187,46 @@ class TestChunkedStepping:
             for b, k in zip(exited, node):
                 assert np.all(got[b, k:] == got[b, k - 1]), kernel
 
+    def test_freeze_at_the_edges_of_a_chunk(self, quintic, kernels):
+        """Freezes at a chunk's first step and at its last node, at the
+        very first step, from +inf and -inf, and a NaN row that never
+        freezes, stepped in chunks of 10 against the per-step reference."""
+        dw = np.random.default_rng(7).standard_normal((7, 30)) * 1e-2
+        dw[0, 10] = 10.0       # node 11, the first step of the second chunk
+        dw[1, 19] = -10.0      # node 20, the second chunk's last node
+        dw[2, 0] = 10.0        # node 1
+        dw[3, 24] = math.inf   # node 25
+        dw[4, 5] = -math.inf   # node 6
+        dw[5, 4] = math.nan    # NaN from node 5 to the end
+        args = (quintic, self.eps, self.sigma, self.t0, 0.1, self.dt, dw)
+        X, trunc = em_per_step(*args)
+        node = np.rint((trunc - self.t0) / self.dt)
+        assert node[:5].tolist() == [11, 20, 1, 25, 6]
+        assert np.isnan(trunc[5:]).all() and np.isnan(X[5, 5:]).all()
+        assert np.isfinite(X[[0, 1, 2, 3, 4, 6]]).all()
+        for kernel in kernels():
+            for got, got_trunc in (em_batch(*args),
+                                   em_in_chunks(*args, 10)):
+                assert np.array_equal(got, X, equal_nan=True), kernel
+                assert np.array_equal(got_trunc, trunc, equal_nan=True), \
+                    kernel
+
+    def test_frozen_on_entry_holds(self, quintic, kernels):
+        dw = np.random.default_rng(8).standard_normal((4, 12)) * 1e-2
+        x0 = np.array([0.1, 0.2, -0.3, math.nan])
+        live = [0, 2]
+        want = em_per_step(quintic, self.eps, self.sigma, self.t0, x0[live],
+                           self.dt, dw[live])[0]
+        for kernel in kernels():
+            trunc = np.array([math.nan, 0.05, math.nan, -1.0])
+            X, got = em_batch(quintic, self.eps, self.sigma, self.t0, x0,
+                              self.dt, dw, 0, trunc)
+            assert got is trunc, kernel
+            assert np.array_equal(trunc, [math.nan, 0.05, math.nan, -1.0],
+                                  equal_nan=True), kernel
+            assert np.array_equal(X[live], want), kernel
+            assert (X[1] == 0.2).all() and np.isnan(X[3]).all(), kernel
+
     def test_benchmark_script_bit_identical(self):
         """benchmarks/bench_stepping.py runs and finds chunked em_batch,
         with either kernel, equal to its per-step loop."""

@@ -1,12 +1,16 @@
 """Source hygiene checks that need no linter: no unused imports, no private
-helper that nothing calls, and no runtime dependency that the package never
-imports."""
+helper that nothing calls, no runtime dependency that the package never
+imports, and a C source that compiles without a warning."""
 
 import ast
 import re
+import shutil
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -174,3 +178,14 @@ def test_c_kernel_prototype_matches_argtypes():
         assert [ctype_of(p) for p in params] == list(argtypes), name
         assert ctype_of(ret) is restype, name
     assert set(_compiled._WRAPPERS) == set(_compiled.ARGTYPES)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_c_source_compiles_without_warnings(tmp_path):
+    """_em.c builds with the library's flags plus -Wall -Wextra -Werror."""
+    from slowsde import _compiled
+    proc = subprocess.run(
+        ["cc", *_compiled.FLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+         str(tmp_path / "_em.so"), str(_compiled.SOURCE)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
