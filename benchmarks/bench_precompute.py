@@ -6,10 +6,13 @@ standard pitchfork f = t x - x^3 in both:
 
   zeta         zeta_pitchfork on the envelope export grid, t0 to sqrt(eps)
   csv          EnvelopeTable.to_csv of the zeta table
-  family       post_exit_family and zeta_along, to t_end = 1, for rows
-               starting at every stride-th node of the tau window
-               [0.15, 0.25]; only the approach tag builds these, so
-               long-horizon (tag delay) has no family part
+  family       the post-exit centrelines and their zeta (PostExitFamily),
+               stepped to t_end = 1 in chunks of CHUNK_STEPS steps as the
+               approach tag steps them, for rows starting at every
+               stride-th node of the tau window [0.15, 0.25], each added
+               in the chunk that holds its start node; only the approach
+               tag builds these, so long-horizon (tag delay) has no family
+               part
 
   long-horizon eps 2.5e-4, dt 1e-5
   approach     eps 5e-3,   dt 1e-4, stride 4: 251 family rows
@@ -17,11 +20,13 @@ standard pitchfork f = t x - x^3 in both:
 Each part runs `repeats` times with the library and with every kernel
 forced to its fallback; the median seconds of each are printed.  Exits with
 status 1 unless the library loads and both ways give the same bits and
-bytes.  Run from the root of a checkout:
+bytes (for the family, the sha256 of every chunk's rows and zeta).  Run
+from the root of a checkout:
 
     PYTHONPATH=src python benchmarks/bench_precompute.py [repeats]
 """
 
+import hashlib
 import math
 import sys
 import tempfile
@@ -31,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from slowsde import _compiled, branches, standard_pitchfork, zeta_pitchfork
-from slowsde.deterministic import post_exit_family
-from slowsde.envelope import zeta_along
+from slowsde.envelope import PostExitFamily
+from slowsde.montecarlo import CHUNK_STEPS
 from slowsde.sde import n_steps_for, time_grid
 
 # name: (eps, dt, stride of the family's start nodes, or None for no family)
@@ -57,17 +62,23 @@ def parts(eps, dt, stride, csv_path):
     if stride is None:
         return fns, len(export), 0
     grid = time_grid(-1.0, dt, n_steps_for(-1.0, 1.0, dt))
-    window = grid[(grid >= 0.15 - 1e-12) & (grid <= 0.25 + 1e-12)]
-    taus = window[::stride]
+    window = np.nonzero((grid >= 0.15 - 1e-12) & (grid <= 0.25 + 1e-12))[0]
+    starts = window[::stride]
     curves = branches(model)
 
     def family():
-        xhat, _ = post_exit_family(model, eps, taus, grid, curves)
-        abar = model.drift_dx(xhat, grid)
-        return np.concatenate([xhat, zeta_along(model, eps, grid, xhat,
-                                                abar)])
+        rows = PostExitFamily(model, eps, grid, curves)
+        digest = hashlib.sha256()
+        for k0 in range(starts[0] // CHUNK_STEPS * CHUNK_STEPS,
+                        len(grid) - 1, CHUNK_STEPS):
+            nodes = slice(k0, min(k0 + CHUNK_STEPS, len(grid) - 1) + 1)
+            added = len(rows.start)
+            rows.add(starts[added:][starts[added:] < nodes.stop])
+            for a in rows.step(nodes):
+                digest.update(a.tobytes())
+        return digest.digest()
 
-    return dict(fns, family=family), len(export), len(taus)
+    return dict(fns, family=family), len(export), len(starts)
 
 
 def timed(fn, repeats):

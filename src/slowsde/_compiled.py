@@ -16,7 +16,9 @@ arrays and numbers only; ctypes releases the GIL for each call.
 
   em_poly    Euler-Maruyama steps of a polynomial drift, path by path,
              with the freezing at |x| > d (sde.em_batch)
-  zeta_scan  the zeta recurrence z = z*E + w (envelope._integrate_zeta)
+  zeta_scan  the zeta recurrence z = z*E + w (envelope._scan_rates)
+  zeta_rate  the rates m of that recurrence along rows of a path: cubic
+             Hermite values and df/dx on the refined grid (envelope._rates)
   rk4_poly   RK4 rows of a polynomial drift (deterministic._rk4_rows)
   fmt_g17    %.17g CSV rows (envelope.EnvelopeTable.to_csv)
   philox_normal  Philox4x64-10 standard normals, as NumPy draws them
@@ -57,8 +59,12 @@ ARGTYPES = {
     "fmt_g17": ((_P, _N, _P, _N, _N), _N),
     # philox_normal(out, rows, n, ld, state, scale)
     "philox_normal": ((_P, _N, _N, _N, _P, _D), None),
-    # first_outside(x, rows, cols, ld, g1, g2, first, side)
-    "first_outside": ((_P, _N, _N, _N, _P, _P, _P, _P), None),
+    # first_outside(x, rows, cols, ld, g1, g2, skip, first, side)
+    "first_outside": ((_P, _N, _N, _N, _P, _P, _P, _P, _P), None),
+    # zeta_rate(m, x, rows, n, ld, h, cf, n_cf, cd, n_cd, herm, substeps,
+    #           eps, skip)
+    "zeta_rate": ((_P, _P, _N, _N, _N, _P, _P, _N, _P, _N, _P, _N, _D, _P),
+                  None),
 }
 # uint64 words of one Philox stream's state in philox_normal, the fields of
 # NumPy's philox_state: counter[4], key[2], buffer[4] and buffer_pos
@@ -346,12 +352,14 @@ def _philox_normal(fn) -> Callable:
 
 
 def _first_outside(fn) -> Callable:
-    def scan(x: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> tuple:
+    def scan(x: np.ndarray, g1: np.ndarray, g2: np.ndarray,
+             skip: Optional[np.ndarray] = None) -> tuple:
         """Per row of x (rows, cols), the first column k with x <= g1[k]
         (side -1) or else x >= g2[k] (side 1): (first, side), an intp and
-        an int8 (rows,), with -1 and 0 for a row that stays inside.  Each
-        row of x must be contiguous; the rows may be a column slice of a
-        larger matrix."""
+        an int8 (rows,), with -1 and 0 for a row that stays inside and for
+        a row whose skip (a bool (rows,), or None for none) is set, which is
+        not read.  Each row of x must be contiguous; the rows may be a
+        column slice of a larger matrix."""
         _need(contiguous_rows(x, writeable=False), "first_outside",
               "x must be a float64 (rows, cols) whose rows are contiguous "
               "and do not overlap")
@@ -359,16 +367,55 @@ def _first_outside(fn) -> Callable:
         _need(_array(g1, 1) and _array(g2, 1)
               and g1.shape == g2.shape == (cols,), "first_outside",
               "g1 and g2 must be C-contiguous float64 (cols,)")
+        _need(skip is None or (_array(skip, 1, np.bool_)
+                               and skip.shape == (rows,)), "first_outside",
+              "skip must be None or a C-contiguous bool (rows,)")
         first = np.empty(rows, dtype=np.intp)
         side = np.empty(rows, dtype=np.int8)
         fn(x.ctypes.data, rows, cols, x.strides[0] // _ITEM, g1.ctypes.data,
-           g2.ctypes.data, first.ctypes.data, side.ctypes.data)
+           g2.ctypes.data, None if skip is None else skip.ctypes.data,
+           first.ctypes.data, side.ctypes.data)
         return first, side
 
     return scan
 
 
+def _zeta_rate(fn) -> Callable:
+    def rates(x: np.ndarray, h: np.ndarray, cf: np.ndarray, cd: np.ndarray,
+              herm: np.ndarray, eps: float, skip: np.ndarray) -> np.ndarray:
+        """The rates m ((n * substeps), rows), step-major, of the zeta
+        recurrence along the rows of x (rows, n + 1): cells h (n,), the
+        drift's coefficients cf (n + 1, >= 1) at the nodes and df/dx's cd
+        (n * substeps + 1, >= 1) at the refined nodes, the Hermite weights
+        herm (4, substeps), and NaN on the first skip[i] cells of row i,
+        skip an intp (rows,) in [0, n].  Each row of x must be contiguous;
+        the rows may be a strided view."""
+        rows, cols = np.shape(x) if np.ndim(x) == 2 else (0, 0)
+        n = cols - 1
+        _need(contiguous_rows(x, writeable=False) and n >= 0, "zeta_rate",
+              "x must be a float64 (rows, n + 1) whose rows are contiguous "
+              "and do not overlap")
+        substeps = herm.shape[1] if _array(herm, 2) else 0
+        _need(_array(h, 1) and h.shape == (n,) and _array(herm, 2)
+              and herm.shape[0] == 4 and substeps >= 1
+              and _array(cf, 2) and cf.shape[0] == n + 1 and cf.shape[1] >= 1
+              and _array(cd, 2) and cd.shape[0] == n * substeps + 1
+              and cd.shape[1] >= 1, "zeta_rate",
+              "h must be a C-contiguous float64 (n,), herm (4, >= 1), cf "
+              "(n + 1, >= 1) and cd (n * substeps + 1, >= 1)")
+        _need(_array(skip, 1, np.intp) and skip.shape == (rows,)
+              and bool(np.all((skip >= 0) & (skip <= n))), "zeta_rate",
+              "skip must be a C-contiguous intp (rows,) in [0, n]")
+        m = np.empty((n * substeps, rows))
+        fn(m.ctypes.data, x.ctypes.data, rows, n, x.strides[0] // _ITEM,
+           h.ctypes.data, cf.ctypes.data, cf.shape[1], cd.ctypes.data,
+           cd.shape[1], herm.ctypes.data, substeps, eps, skip.ctypes.data)
+        return m
+
+    return rates
+
+
 _WRAPPERS = {"em_poly": _em_poly, "zeta_scan": _zeta_scan,
              "rk4_poly": _rk4_poly, "fmt_g17": _fmt_g17,
              "philox_normal": _philox_normal,
-             "first_outside": _first_outside}
+             "first_outside": _first_outside, "zeta_rate": _zeta_rate}

@@ -1,6 +1,7 @@
 /* The compiled kernels of slowsde: Euler-Maruyama steps with their
- * freezing, the zeta recurrence, RK4 rows, %.17g tables, Philox standard
- * normals and the first node of a path outside two bounds.
+ * freezing, the zeta recurrence and its rates along a path, RK4 rows,
+ * %.17g tables, Philox standard normals and the first node of a path
+ * outside two bounds.
  *
  * Each kernel is the C twin of a NumPy or Python loop that stays as its
  * fallback and reference, and gives the same bits and bytes.  The numeric
@@ -136,18 +137,22 @@ void em_poly(double *out, const double *inc, ptrdiff_t rows, ptrdiff_t n,
 /* The first column of each row of x (rows, cols), row i at x[i * ld], with
  * x <= g1[k] (side -1) or else x >= g2[k] (side 1): first[i] is that column
  * and side[i] its side, or -1 and 0 when the row stays inside; a NaN never
- * leaves.  The twin of the NumPy bodies of exits.first_exit_batch and
- * exits.delay_times_batch.  Whole blocks of LANES columns are tested at
- * once; the block that leaves is then read column by column.
+ * leaves.  A row whose skip is set (skip may be NULL: none is) is not read
+ * and gets -1 and 0.  The twin of the NumPy bodies of
+ * exits.first_exit_batch and exits.delay_times_batch.  Whole blocks of
+ * LANES columns are tested at once; the block that leaves is then read
+ * column by column.
  */
 void first_outside(const double *x, ptrdiff_t rows, ptrdiff_t cols,
                    ptrdiff_t ld, const double *g1, const double *g2,
-                   ptrdiff_t *first, int8_t *side)
+                   const uint8_t *skip, ptrdiff_t *first, int8_t *side)
 {
     for (ptrdiff_t i = 0; i < rows; i++) {
         const double *row = x + i * ld;
         ptrdiff_t k = 0;
 
+        if (skip && skip[i])
+            k = cols;
         for (; k + LANES <= cols; k += LANES) {
             pair_i outside[PAIRS];
 
@@ -174,7 +179,7 @@ void first_outside(const double *x, ptrdiff_t rows, ptrdiff_t cols,
     }
 }
 
-/* The exponential-step zeta recurrence of envelope._integrate_zeta.
+/* The exponential-step zeta recurrence of envelope._scan_rates.
  *
  * zeta (nodes, rows) holds the start values in row 0; e and w
  * ((nodes - 1) * substeps, rows) hold each substep's exp(m) and
@@ -209,6 +214,62 @@ static double horner(const double *c, ptrdiff_t n_coef, double x)
     for (ptrdiff_t k = n_coef - 3; k >= 0; k--)
         f = f * x + c[k];
     return f;
+}
+
+/* The rates of the zeta recurrence along rows of x; the twin of the NumPy
+ * refinement in envelope._rates.
+ *
+ * Row i of x, at x[i * ld], holds a path on n + 1 nodes, and cell k, from
+ * node k to k + 1, is h[k] long.  The slope at node k is f(x_k) / eps, by
+ * full Horner on cf (n + 1, n_cf), the drift's coefficients at the nodes.
+ * The cell's substep q starts at the cubic Hermite value
+ * (w00 x_k + w01 x_(k+1)) + h[k] (w10 s_k + w11 s_(k+1)), with the weights
+ * w00, w01, w10 and w11 of theta = q / substeps in rows 0 to 3 of herm
+ * (4, substeps), and the refined nodes end at x_n itself.  The rate a at
+ * refined node p is drift_dx there, by full Horner on row p of cd
+ * (n * substeps + 1, n_cd), and substep p gets
+ * m = ((a_p + a_(p+1)) * (h[k] / substeps)) / eps, written step-major into
+ * m[p * rows + i].  The first skip[i] cells of row i are not read: their
+ * substeps get NaN, the rate of a row that has not started.
+ */
+void zeta_rate(double *m, const double *x, ptrdiff_t rows, ptrdiff_t n,
+               ptrdiff_t ld, const double *h, const double *cf,
+               ptrdiff_t n_cf, const double *cd, ptrdiff_t n_cd,
+               const double *herm, ptrdiff_t substeps, double eps,
+               const ptrdiff_t *skip)
+{
+    const double *w00 = herm, *w01 = herm + substeps;
+    const double *w10 = herm + 2 * substeps, *w11 = herm + 3 * substeps;
+
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const double *row = x + i * ld;
+        ptrdiff_t k = skip[i], p = 0;
+        double s0, a = 0.0, hs = 0.0;
+
+        for (; p < k * substeps; p++)
+            m[p * rows + i] = NAN;
+        if (k >= n)
+            continue;
+        s0 = horner(cf + k * n_cf, n_cf, row[k]) / eps;
+        for (; k < n; k++) {
+            double x0 = row[k], x1 = row[k + 1], hk = h[k];
+            double s1 = horner(cf + (k + 1) * n_cf, n_cf, x1) / eps;
+
+            for (ptrdiff_t q = 0; q < substeps; q++, p++) {
+                double v = (w00[q] * x0 + w01[q] * x1)
+                           + hk * (w10[q] * s0 + w11[q] * s1);
+                double next = horner(cd + p * n_cd, n_cd, v);
+
+                if (p > skip[i] * substeps)
+                    m[(p - 1) * rows + i] = ((a + next) * hs) / eps;
+                a = next;
+                hs = hk / (double)substeps;
+            }
+            s0 = s1;
+        }
+        m[(p - 1) * rows + i] =
+            ((a + horner(cd + p * n_cd, n_cd, row[n])) * hs) / eps;
+    }
 }
 
 /* Classical RK4 for eps x' = f(x, t), rows in lockstep; the twin of the

@@ -5,8 +5,9 @@ solutions tracking equilibrium branches, the delay time at which the
 accumulated linearization integral returns to zero, and the post-exit
 solutions used as centrelines for the approach strips.  Every RK4 solution
 is stepped by one loop, _rk4_rows, which advances any number of rows in
-lockstep: solve_det and adiabatic_solution are one row of it, and
-post_exit_family one row per exit time.
+lockstep: solve_det and adiabatic_solution are one row of it, and the
+post-exit centrelines of PostExitRows one row per exit time, stepped over
+the whole grid by post_exit_family or chunk by chunk by the ensemble.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .sde import _check_dt, em_batch, n_steps_for, time_grid
 
 __all__ = [
     "DetPath", "solve_det", "adiabatic_solution", "bifurcation_delay",
-    "post_exit_family", "post_exit_path", "det_after_exit",
+    "PostExitRows", "post_exit_family", "post_exit_path", "det_after_exit",
 ]
 
 
@@ -246,25 +247,68 @@ def bifurcation_delay(model: ModelSpec, t0: float) -> float:
                         xtol=1e-12, rtol=8.9e-16))
 
 
+class PostExitRows:
+    """Post-exit centrelines on a grid, stepped one slice of nodes at a time.
+
+    Row j starts at sign * x_tilde(grid[k_j]) on its own grid node k_j and
+    is stepped from there by fixed-step RK4 with steps grid[1] - grid[0].
+    add(k) adds rows that start on the nodes k; step(nodes) steps every row
+    over the grid slice nodes.  Slices follow each other, each starting on
+    the last node of the one before; every row must start at or after the
+    first slice's first node and at or before the last node of the slice
+    that first steps it.  Rows are independent, so how the grid is cut into
+    slices, or the rows into families, changes no bit.
+    """
+
+    def __init__(self, model: ModelSpec, eps: float, grid: np.ndarray,
+                 curves: BranchCurves, sign: int = +1):
+        self.model, self.eps, self.grid = model, eps, grid
+        self.curves, self.sign = curves, sign
+        self.dt = grid[1] - grid[0]
+        self.start = np.empty(0, dtype=np.intp)  # each row's start node
+        # each row's value on the last node stepped, or its start value
+        self.x = np.empty(0)
+
+    def add(self, k) -> np.ndarray:
+        """Add rows starting on the grid nodes k; returns their start
+        values."""
+        k = np.asarray(k, dtype=np.intp)
+        x0 = self.sign * np.asarray(self.curves.x_tilde(self.grid[k]),
+                                    dtype=float)
+        self.start = np.concatenate([self.start, k])
+        self.x = np.concatenate([self.x, x0])
+        return x0
+
+    def step(self, nodes: slice) -> np.ndarray:
+        """The rows on the nodes of grid[nodes] (rows, len), NaN before
+        each row's start node."""
+        t = self.grid[nodes]
+        out = np.empty((len(self.x), len(t)))
+        out[:, 0] = self.x
+        # each row holds its start value until its own start node
+        start = np.maximum(self.start - nodes.start, 0)
+        if len(out):
+            _rk4_rows(self.model, self.eps, t[:-1], self.dt, out, start)
+        self.x = out[:, -1].copy()
+        out[np.arange(len(t))[None, :] < start[:, None]] = np.nan
+        return out
+
+
 def post_exit_family(model: ModelSpec, eps: float, taus: np.ndarray,
                      grid: np.ndarray, curves: BranchCurves,
                      sign: int = +1) -> tuple:
-    """RK4 post-exit centrelines for exit times on grid nodes, all at once.
+    """RK4 post-exit centrelines for exit times on grid nodes, all at once:
+    the rows of PostExitRows stepped over the whole grid in one slice.
 
-    Row j starts at sign * x_tilde(taus[j]) on its own grid node and is
-    stepped by fixed-step RK4 from there.  Returns (xhat (n_tau, K+1),
-    start column per tau); entries before a row's start column are NaN.
+    Returns (xhat (n_tau, K+1), start column per tau); entries before a
+    row's start column are NaN.
     """
-    K = len(grid) - 1
-    dt = grid[1] - grid[0]
-    start_col = np.rint((taus - grid[0]) / dt).astype(int)
+    start_col = np.rint((taus - grid[0]) / (grid[1] - grid[0])).astype(int)
     k_first = int(start_col.min())
-    xhat = np.empty((len(taus), K + 1))
-    # each row holds its start value until its own start column
-    xhat[:, k_first] = sign * np.asarray(curves.x_tilde(taus), dtype=float)
-    _rk4_rows(model, eps, grid[k_first:-1], dt, xhat[:, k_first:],
-              start_col - k_first)
-    xhat[np.arange(K + 1)[None, :] < start_col[:, None]] = np.nan
+    rows = PostExitRows(model, eps, grid, curves, sign)
+    rows.add(start_col)
+    xhat = np.full((len(taus), len(grid)), np.nan)
+    xhat[:, k_first:] = rows.step(slice(k_first, len(grid)))
     return xhat, start_col
 
 

@@ -24,18 +24,18 @@ import numpy as np
 
 from . import _compiled
 from ._brentq import brentq
-from .deterministic import DetPath, post_exit_path
+from .deterministic import DetPath, PostExitRows, post_exit_path
 from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
                      HExceedsSigma, NonFiniteResult, NotStable, OutsideRegime,
                      RegimeViolation, RhoTooSmall)
-from .model import (BranchCurves, ModelSpec, _standard_drift, alpha,
-                    alpha_on_panels, branches)
+from .model import (BranchCurves, ModelSpec, PolyDrift, _standard_drift,
+                    alpha, alpha_on_panels, branches)
 from .sde import n_steps_for, time_grid
 
 __all__ = [
     "EnvelopeTable", "SpaceTimeRegion", "BoundEvaluation",
     "zeta_stable", "zeta_pitchfork", "zeta_post_exit", "zeta_along",
-    "variance",
+    "zeta_rows", "PostExitFamily", "variance",
     "region_stable_strip", "region_unstable_strip", "region_B", "region_D",
     "region_S", "region_A", "region_delay_strip",
     "bound_stable", "bound_before", "bound_approach", "bound_unstable",
@@ -77,43 +77,51 @@ def _phi1(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
-                    zeta0) -> np.ndarray:
+def _substep_rates(eps: float, h: np.ndarray, abar_sub: np.ndarray):
+    """m = ((a_q + a_(q+1)) h_sub) / eps of each substep, along the last
+    axis of the rates abar_sub on the refined nodes of cells h."""
+    h_sub = np.repeat(h / SUBSTEPS, SUBSTEPS)
+    return (abar_sub[..., :-1] + abar_sub[..., 1:]) * h_sub / eps
+
+
+def _scan_rates(eps: float, h: np.ndarray, m: np.ndarray,
+                zeta: np.ndarray) -> None:
     """Scan the exponential-step recurrence over the refined grid.
 
-    abar_sub is one rate (n_sub,) or a stack of rows (n, n_sub) integrated
-    side by side from zeta0 (scalar or (n,)).  A substep whose rate is NaN
-    (a row that has not started yet) leaves zeta unchanged.  The factors
-    E = exp(m) and w = (h/eps) phi1(m) are NumPy's; the scan z = z*E + w
-    runs in the compiled zeta_scan when it loads, else in the loop below,
-    which it equals bit for bit.
+    m (len(h) * SUBSTEPS, rows) holds each substep's rate, step-major;
+    zeta (len(h) + 1, rows) holds the start values in row 0 and gets the
+    rest.  A substep whose rate is NaN (a row that has not started) leaves
+    zeta unchanged.  The factors E = exp(m) and w = (h/eps) phi1(m) are
+    NumPy's; the scan z = z*E + w runs in the compiled zeta_scan when it
+    loads, else in the loop below, which it equals bit for bit.
     """
-    K = len(t_grid) - 1
-    h_sub = np.repeat(np.diff(t_grid) / SUBSTEPS, SUBSTEPS)
-    m = (abar_sub[..., :-1] + abar_sub[..., 1:]) * h_sub / eps
+    h_sub = np.repeat(h / SUBSTEPS, SUBSTEPS)[:, None]
     idle = np.isnan(m)
     m[idle] = 0.0
     E = np.exp(m)
-    w = (h_sub / eps) * _phi1(m)
+    w = _phi1(m)
+    w *= h_sub / eps
     w[idle] = 0.0
-    # step axis first, so each step reads one contiguous row
-    E = np.ascontiguousarray(np.moveaxis(E, -1, 0))
-    w = np.ascontiguousarray(np.moveaxis(w, -1, 0))
-    zeta = np.empty((K + 1,) + np.shape(zeta0))
-    zeta[0] = z = zeta0
     scan = _compiled.LIBRARY.get("zeta_scan")
     if scan is not None:
-        cols = zeta[0].size
-        scan(zeta.reshape(K + 1, cols), E.reshape(len(E), cols),
-             w.reshape(len(w), cols), SUBSTEPS)
-        return np.moveaxis(zeta, 0, -1)
-    idx = 0
-    for k in range(K):
-        for _ in range(SUBSTEPS):
-            z = z * E[idx] + w[idx]
-            idx += 1
+        scan(zeta, E, w, SUBSTEPS)
+        return
+    z = zeta[0]
+    for k in range(len(h)):
+        for q in range(k * SUBSTEPS, (k + 1) * SUBSTEPS):
+            z = z * E[q] + w[q]
         zeta[k + 1] = z
-    return np.moveaxis(zeta, 0, -1)
+
+
+def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
+                    zeta0: float) -> np.ndarray:
+    """zeta (K+1,) on t_grid from zeta0, driven by the one rate abar_sub
+    on its refined nodes."""
+    h = np.diff(t_grid)
+    zeta = np.empty((len(t_grid), 1))
+    zeta[0] = zeta0
+    _scan_rates(eps, h, _substep_rates(eps, h, abar_sub)[:, None], zeta)
+    return zeta[:, 0]
 
 
 def _refine_nodes(t_grid: np.ndarray) -> np.ndarray:
@@ -121,28 +129,89 @@ def _refine_nodes(t_grid: np.ndarray) -> np.ndarray:
     return np.concatenate([cells[:, :-1].ravel(), t_grid[-1:]])
 
 
-def _hermite_refine(t_grid: np.ndarray, x: np.ndarray,
-                    slope: np.ndarray) -> np.ndarray:
-    """Cubic Hermite values of x on the refined grid (slopes from the ODE).
-
-    x and slope are one path (K+1,) or rows (n, K+1).  Linear interpolation
-    is not enough here: the rate along a relaxing centreline bends on the
-    eps scale inside one cell, and that curvature would leak into the zeta
-    ODE residual.
-    """
-    h = np.diff(t_grid)
-    theta = (np.arange(SUBSTEPS) / SUBSTEPS)[None, :]
+def _hermite_weights() -> np.ndarray:
+    """The cubic Hermite basis h00, h01, h10 and h11 at theta = q/SUBSTEPS,
+    one row each: (4, SUBSTEPS)."""
+    theta = np.arange(SUBSTEPS) / SUBSTEPS
     t2 = theta * theta
     t3 = t2 * theta
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + theta
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
+    return np.array([2 * t3 - 3 * t2 + 1, -2 * t3 + 3 * t2,
+                     t3 - 2 * t2 + theta, t3 - t2])
+
+
+
+def _hermite_refine(h: np.ndarray, x: np.ndarray,
+                    slope: np.ndarray) -> np.ndarray:
+    """Cubic Hermite values of the rows x (n, K+1) on the refined grid of
+    the cells h (slopes from the ODE).
+
+    Linear interpolation is not enough here: the rate along a relaxing
+    centreline bends on the eps scale inside one cell, and that curvature
+    would leak into the zeta ODE residual.
+    """
+    h00, h01, h10, h11 = _hermite_weights()
     vals = (h00 * x[..., :-1, None] + h01 * x[..., 1:, None]
             + (h[:, None]) * (h10 * slope[..., :-1, None]
                               + h11 * slope[..., 1:, None]))
     return np.concatenate([vals.reshape(x.shape[:-1] + (-1,)), x[..., -1:]],
                           axis=-1)
+
+
+def _rates(model: ModelSpec, eps: float, t: np.ndarray, x: np.ndarray,
+           skip: np.ndarray) -> np.ndarray:
+    """The substep rates m of the zeta recurrence along the rows x
+    (rows, n+1) on the nodes t, step-major (n * SUBSTEPS, rows): df/dx at
+    the cubic Hermite values of each row on the refined grid, NaN on the
+    first skip[i] cells of row i.  The compiled zeta_rate computes them for
+    a polynomial drift when it loads, else NumPy below, with the same
+    bits."""
+    h = np.diff(t)
+    dx = model.drift_dx
+    rate = _compiled.LIBRARY.get("zeta_rate") \
+        if model.poly is not None and isinstance(dx, PolyDrift) else None
+    if rate is not None:
+        if not _compiled.contiguous_rows(x, writeable=False):
+            x = np.ascontiguousarray(x, dtype=np.float64)
+        return rate(x, h, model.poly.coeff_table(t),
+                    dx.coeff_table(_refine_nodes(t)), _hermite_weights(),
+                    eps, np.ascontiguousarray(skip, dtype=np.intp))
+    slope = np.asarray(model.drift(x, t), dtype=float) / eps
+    sub = np.asarray(dx(_hermite_refine(h, x, slope), _refine_nodes(t)),
+                     dtype=float)
+    m = _substep_rates(eps, h, sub)
+    m[np.arange(m.shape[1])[None, :] < SUBSTEPS * skip[:, None]] = np.nan
+    return np.ascontiguousarray(m.T)
+
+
+def _zeta_start(abar: np.ndarray) -> np.ndarray:
+    """zeta at a row's start node: 1/(2|abar|) there."""
+    return 1.0 / (2.0 * np.abs(abar))
+
+
+def zeta_rows(model: ModelSpec, eps: float, t: np.ndarray, x: np.ndarray,
+              skip: np.ndarray, zeta: np.ndarray) -> None:
+    """zeta along the rows x (rows, n+1) on the nodes t, into zeta (rows,
+    n+1), whose column 0 holds the start values: each row's zeta is driven
+    by df/dx along it from the end of its first skip[i] cells, where it
+    holds its start value.  The one zeta integrator along paths: zeta_along
+    runs it over the whole grid, PostExitFamily over one chunk at a time.
+    The nodes are taken in blocks of cells so the refined arrays stay small
+    however many rows there are: a block holds about 2^16 refined values
+    (512 kB an array), and some eight arrays of that size are live at once.
+    With blocks of 2^17, glibc gave their memory back after each chunk of
+    the approach tag and paged it in again: 35k minor faults a run against
+    5k."""
+    n = len(t) - 1
+    cells = max(1, (1 << 16) // (SUBSTEPS * max(1, len(x))))
+    for lo in range(0, n, cells):
+        hi = min(lo + cells, n)
+        block = slice(lo, hi + 1)
+        zb = np.empty((hi - lo + 1, len(x)))
+        zb[0] = zeta[:, lo]
+        _scan_rates(eps, np.diff(t[block]),
+                    _rates(model, eps, t[block], x[:, block],
+                           np.clip(skip - lo, 0, hi - lo)), zb)
+        zeta[:, lo + 1:hi + 1] = zb[1:].T
 
 
 def zeta_along(model: ModelSpec, eps: float, t_grid: np.ndarray,
@@ -151,30 +220,48 @@ def zeta_along(model: ModelSpec, eps: float, t_grid: np.ndarray,
 
     x is one path (K+1,) or rows (n, K+1) with abar = df/dx on its nodes.
     Each row starts at its first finite node from 1/(2|abar|) there, and its
-    zeta is NaN before that node.  The grid is taken in blocks of cells so
-    the refined arrays stay small however many rows there are: a block
-    holds about 2^17 refined values, and some eight arrays of that size are
-    live at once.
+    zeta is NaN before that node.
     """
-    first = np.argmax(np.isfinite(x), axis=-1)
-    a_first = np.take_along_axis(abar, np.expand_dims(first, -1), -1)[..., 0]
-    z = 1.0 / (2.0 * np.abs(a_first))
-    K = len(t_grid) - 1
-    cells = max(1, (1 << 17) // (SUBSTEPS * (x.size // (K + 1))))
-    zeta = np.full(x.shape, np.nan)
-    zeta[..., first.min()] = z
-    for lo in range(first.min(), K, cells):
-        hi = min(lo + cells, K)
-        tg, xb = t_grid[lo:hi + 1], x[..., lo:hi + 1]
-        slope = np.asarray(model.drift(xb, tg), dtype=float) / eps
-        x_sub = _hermite_refine(tg, xb, slope)
-        sub = np.asarray(model.drift_dx(x_sub, _refine_nodes(tg)),
-                         dtype=float)
-        zb = _integrate_zeta(eps, tg, sub, z)
-        zeta[..., lo + 1:hi + 1] = zb[..., 1:]
-        z = zb[..., -1]
-    zeta[np.isnan(x)] = np.nan
-    return zeta
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    first = np.argmax(np.isfinite(rows), axis=-1)
+    a_first = np.atleast_2d(abar)[np.arange(len(rows)), first]
+    k0 = int(first.min())
+    zeta = np.full(rows.shape, np.nan)
+    zeta[:, k0] = _zeta_start(a_first)
+    zeta_rows(model, eps, t_grid[k0:], rows[:, k0:], first - k0,
+               zeta[:, k0:])
+    zeta[np.isnan(rows)] = np.nan
+    return zeta.reshape(np.shape(x))
+
+
+class PostExitFamily(PostExitRows):
+    """Post-exit centrelines with the zeta along each, stepped one slice of
+    grid nodes at a time (see PostExitRows).  A row's zeta starts at
+    1/(2|df/dx|) on its start node and is zeta_along's, however the grid
+    is sliced."""
+
+    def __init__(self, model: ModelSpec, eps: float, grid: np.ndarray,
+                 curves: BranchCurves):
+        super().__init__(model, eps, grid, curves)
+        self.z = np.empty(0)  # each row's zeta on the last node stepped
+
+    def add(self, k) -> np.ndarray:
+        x0 = super().add(k)
+        a0 = np.asarray(self.model.drift_dx(x0, self.grid[k]), dtype=float)
+        self.z = np.concatenate([self.z, _zeta_start(a0)])
+        return x0
+
+    def step(self, nodes: slice) -> tuple:
+        """The rows and their zeta on the nodes of grid[nodes], each
+        (rows, len) and NaN before each row's start node."""
+        xhat = super().step(nodes)
+        zeta = np.empty_like(xhat)
+        zeta[:, 0] = self.z
+        zeta_rows(self.model, self.eps, self.grid[nodes], xhat,
+                   np.maximum(self.start - nodes.start, 0), zeta)
+        self.z = zeta[:, -1].copy()
+        zeta[np.isnan(xhat)] = np.nan
+        return xhat, zeta
 
 
 @dataclass(frozen=True)

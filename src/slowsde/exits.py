@@ -134,51 +134,63 @@ def sup_normalized_deviation(path: PathLike, centreline,
 
 
 def first_exit_batch(X: np.ndarray, t_grid: np.ndarray,
-                     region: SpaceTimeRegion) -> tuple:
+                     region: SpaceTimeRegion, skip=None) -> tuple:
     """Vectorized first_exit over the rows of X.
 
     Returns (exit_times with NaN for confined paths, sides with 0 none /
     -1 lower / +1 upper).  Columns of X outside the region's window are
-    ignored, so a window that misses t_grid gives no exits.
+    ignored, so a window that misses t_grid gives no exits.  Rows where the
+    bool skip (rows,) is set are not read and give NaN and 0.
     """
     idx = _window_indices(t_grid, region.t_lo, region.t_hi)
     if idx.size == 0:
         return np.full(X.shape[0], np.nan), np.zeros(X.shape[0], np.int8)
     window = slice(idx[0], idx[-1] + 1)  # consecutive nodes: a view of X
     tw = t_grid[window]
-    first, sides = _first_outside(X[:, window], *region.boundaries(tw))
+    first, sides = _first_outside(X[:, window], *region.boundaries(tw),
+                                  skip)
     return _times_at(first, tw), sides
 
 
 def delay_times_batch(X: np.ndarray, t_grid: np.ndarray,
-                      width) -> np.ndarray:
-    """First time each row leaves |x| < width; NaN when it never does.
+                      width, skip=None) -> np.ndarray:
+    """First time each row leaves |x| < width; NaN when it never does, or
+    where the bool skip (rows,) is set, whose rows are not read.
 
     width is a constant or one value per grid node.
     """
     g2 = np.broadcast_to(np.asarray(width, dtype=np.float64), X.shape[1:])
-    return _times_at(_first_outside(X, -g2, g2)[0], t_grid)
+    return _times_at(_first_outside(X, -g2, g2, skip)[0], t_grid)
 
 
-def _first_outside(X: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> tuple:
+def _first_outside(X: np.ndarray, g1: np.ndarray, g2: np.ndarray,
+                   skip=None) -> tuple:
     """Per row of X, the first column k with x <= g1[k] (side -1) or else
     x >= g2[k] (side 1), and its side: (first, sides), with -1 and 0 for a
-    row that stays inside, so a NaN never leaves.  The compiled
-    first_outside scans when it loads, else NumPy."""
+    row that stays inside, so a NaN never leaves, and for a row where skip
+    is set, which is not read.  The compiled first_outside scans when it
+    loads, else NumPy."""
     scan = _compiled.LIBRARY.get("first_outside")
     if scan is not None:
         if not _compiled.contiguous_rows(X, writeable=False):
             X = np.ascontiguousarray(X, dtype=np.float64)
         g1, g2 = (np.ascontiguousarray(np.broadcast_to(g, X.shape[1:]),
                                        dtype=np.float64) for g in (g1, g2))
-        return scan(X, g1, g2)
+        if skip is not None:
+            skip = np.ascontiguousarray(skip, dtype=np.bool_)
+        return scan(X, g1, g2, skip)
+    first = np.full(X.shape[0], -1, dtype=np.intp)
+    sides = np.zeros(X.shape[0], dtype=np.int8)
+    rows = np.arange(X.shape[0])
+    if skip is not None:
+        rows = rows[~np.asarray(skip)]
+        X = X[rows]
     low = X <= g1
     outside = low | (X >= g2)
-    any_exit = outside.any(axis=1)
-    first = np.where(any_exit, outside.argmax(axis=1), -1)
-    sides = np.zeros(X.shape[0], dtype=np.int8)
-    rows = np.nonzero(any_exit)[0]
-    sides[rows] = np.where(low[rows, first[rows]], -1, 1)
+    hit = np.nonzero(outside.any(axis=1))[0]
+    at = outside[hit].argmax(axis=1)
+    first[rows[hit]] = at
+    sides[rows[hit]] = np.where(low[hit, at], -1, 1)
     return first, sides
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import envelope as env
-from .deterministic import adiabatic_solution, post_exit_family, solve_det
+from .deterministic import adiabatic_solution, solve_det
 from .errors import (ConfigError, NonFiniteResult, RegimeViolation,
                      ResourceLimit)
 from .exits import delay_times_batch, first_exit_batch, sup_deviation_batch
@@ -295,7 +295,11 @@ def _resolve_x0(config: EnsembleConfig) -> float:
 
 
 class _Columns(dict):
-    """Per-path columns of one batch, merged over its time chunks."""
+    """Per-path columns of one batch, merged over its time chunks.  carry
+    holds whatever a scan keeps from one chunk of the batch to the next
+    (None before the first)."""
+
+    carry = None
 
     def first(self, key: str, times: np.ndarray, **same_chunk) -> None:
         """Keep each row's first non-NaN time, with the same_chunk values
@@ -305,9 +309,14 @@ class _Columns(dict):
         for k, v in same_chunk.items():
             self[k][new] = v[new]
 
-    def sup(self, key: str, values: np.ndarray) -> None:
-        """Running maximum; a NaN stays, as in one max over the whole row."""
-        np.maximum(self[key], values, out=self[key])
+    def recorded(self, key: str) -> np.ndarray:
+        """The rows whose first time is already kept."""
+        return ~np.isnan(self[key])
+
+    def sup(self, key: str, values: np.ndarray, rows=slice(None)) -> None:
+        """Running maximum of the given rows (all by default); a NaN stays,
+        as in one max over the whole row."""
+        self[key][rows] = np.maximum(self[key][rows], values)
 
 
 @dataclass(frozen=True)
@@ -439,7 +448,8 @@ def _run_unstable(run: _Run) -> tuple:
     widths = h / np.sqrt(2.0 * abar)
     exit_times = run.scan(lambda X, nodes, idx, cols: cols.first(
         "exit_time", delay_times_batch(X - xhat.x_values[nodes], grid[nodes],
-                                       widths[nodes])),
+                                       widths[nodes],
+                                       cols.recorded("exit_time"))),
         {"exit_time": np.nan})[0]["exit_time"]
     series = _survival(cfg, exit_times, lambda t: env.bound_unstable(
         t, cfg.eps, cfg.sigma, h, model=cfg.model, t_start=cfg.t0))
@@ -476,19 +486,33 @@ def _run_before(run: _Run) -> tuple:
             cols)
 
 
-def _exit_columns(run: _Run) -> dict:
-    """Shared scans of escape/delay/branch/approach: first exit from D with
-    its side, exit time from the delay strip, and the endpoint."""
-    cfg, grid = run.config, run.grid
-    curves = branches(cfg.model)
-    regD = env.region_D(cfg.model, cfg.eps, curves,
+def _region_D(run: _Run):
+    cfg = run.config
+    return env.region_D(cfg.model, cfg.eps, branches(cfg.model),
                         t_hi=min(cfg.t_end, cfg.model.t_max))
-    width = float(curves.x_tilde(math.sqrt(cfg.eps)))
+
+
+def _first_exit_D(X, t, cols: _Columns, regD) -> tuple:
+    """Scan a chunk on the nodes t for the first exits from D of the rows
+    without one yet, and keep them in the columns tau_D and exit_side;
+    returns the chunk's new exit times and sides."""
+    tau_d, side = first_exit_batch(X, t, regD, cols.recorded("tau_D"))
+    cols.first("tau_D", tau_d, exit_side=side)
+    return tau_d, side
+
+
+def _exit_columns(run: _Run) -> dict:
+    """Shared scans of escape/delay/branch: first exit from D with its
+    side, exit time from the delay strip, and the endpoint.  A scan skips
+    the rows whose exit it has already kept."""
+    cfg, grid = run.config, run.grid
+    regD = _region_D(run)
+    width = float(branches(cfg.model).x_tilde(math.sqrt(cfg.eps)))
 
     def scan(X, nodes, idx, cols):
-        tau_d, side = first_exit_batch(X, grid[nodes], regD)
-        cols.first("tau_D", tau_d, exit_side=side)
-        cols.first("tau_delay", delay_times_batch(X, grid[nodes], width))
+        _first_exit_D(X, grid[nodes], cols, regD)
+        cols.first("tau_delay", delay_times_batch(
+            X, grid[nodes], width, cols.recorded("tau_delay")))
 
     cols, x_end = run.scan(scan, {"tau_D": np.nan, "exit_side": 0,
                                   "tau_delay": np.nan})
@@ -556,52 +580,74 @@ def _run_branch(run: _Run) -> tuple:
 
 
 def _run_approach(run: _Run) -> tuple:
+    """One pass: a path is selected in the chunk where it leaves D, inside
+    tau_window with a side.  There its post-exit centreline starts, one row
+    per distinct exit node of the batch, and from there the rows and their
+    zeta are stepped chunk by chunk beside the paths, each selected path's
+    sup deviation taken against its row from its exit node on."""
     cfg, grid = run.config, run.grid
-    cols = _exit_columns(run)
-    tau_d, side_d = cols["tau_D"], cols["exit_side"]
+    curves = branches(cfg.model)
+    regD = _region_D(run)
     lo_w, hi_w = cfg.tau_window
-    selected = np.isfinite(tau_d) & (tau_d >= lo_w) & (tau_d <= hi_w) \
-        & (side_d != 0)
-    n_sel = int(np.sum(selected))
+
+    def scan(X, nodes, idx, cols):
+        tau_d, side = _first_exit_D(X, grid[nodes], cols, regD)
+        picked = np.isfinite(tau_d) & (tau_d >= lo_w) & (tau_d <= hi_w) \
+            & (side != 0)
+        family = cols.carry
+        if picked.any():
+            if family is None:
+                family = cols.carry = env.PostExitFamily(
+                    cfg.model, cfg.eps, grid, curves)
+            k = np.rint((tau_d[picked] - grid[0])
+                        / (grid[1] - grid[0])).astype(np.intp)
+            starts, row = np.unique(k, return_inverse=True)
+            cols["row"][picked] = len(family.start) + row
+            family.add(starts)
+        if family is None:
+            return
+        xhat, zeta = family.step(nodes)
+        on = np.nonzero(cols["row"] >= 0)[0]
+        j = cols["row"][on]
+        sqrtz = np.sqrt(zeta[j])
+        sgn = cols["exit_side"][on].astype(float)
+        started = np.arange(nodes.start, nodes.stop) >= family.start[j, None]
+        cols.sup("sup_deviation", sup_deviation_batch(
+            sgn[:, None] * X[on], xhat[j], sqrtz, started), on)
+        if nodes.stop == len(grid):
+            cols["xhat_end"][on] = xhat[j, -1]
+            cols["sqrtz_end"][on] = sqrtz[:, -1]
+
+    cols, x_end = run.scan(scan, {
+        "tau_D": np.nan, "exit_side": 0, "row": -1,
+        "sup_deviation": -np.inf, "xhat_end": np.nan, "sqrtz_end": np.nan})
+    tau_d, side_d = cols["tau_D"], cols["exit_side"]
+    paths = np.nonzero(cols["row"] >= 0)[0]
+    n_sel = len(paths)
     results: dict = {"n_selected": n_sel,
                      "selection_fraction": n_sel / cfg.n_paths,
                      "tau_window": list(cfg.tau_window)}
     if n_sel == 0:
         return results, {"tau_D": tau_d}
 
-    # paths are keyed by index, so re-simulating the selected ones
-    # reproduces their first-pass rows exactly
-    paths = np.nonzero(selected)[0]
-    taus, family = np.unique(tau_d[paths], return_inverse=True)
-    xhat, start_col = post_exit_family(cfg.model, cfg.eps, taus, grid,
-                                       branches(cfg.model))
-    abar = np.asarray(cfg.model.drift_dx(xhat, grid), dtype=float)
-    sqrtz = np.sqrt(env.zeta_along(cfg.model, cfg.eps, grid, xhat, abar))
-
-    def scan(X, nodes, idx, cols):
-        # each row against its family's centreline, from its start column
-        j = family[np.searchsorted(paths, idx)]
-        sgn = side_d[idx].astype(float)
-        started = np.arange(nodes.start, nodes.stop) >= start_col[j, None]
-        cols.sup("sup_deviation", sup_deviation_batch(
-            sgn[:, None] * X, xhat[j, nodes], sqrtz[j, nodes], started))
-
-    post, x_end = run.scan(scan, {"sup_deviation": -np.inf}, paths)
     sups = np.full(cfg.n_paths, np.nan)
-    sups[paths] = post["sup_deviation"]
-    series = _exceedance(cfg, post["sup_deviation"],
+    sups[paths] = cols["sup_deviation"][paths]
+    series = _exceedance(cfg, sups[paths],
                          lambda h: env.bound_approach(
                              cfg.model, cfg.t_end, cfg.eps, cfg.sigma, h,
                              tau=float(lo_w)))
-    devs = side_d[paths].astype(float) * x_end - xhat[family, -1]
-    pred = cfg.sigma * float(np.median(sqrtz[:, -1]))
+    devs = side_d[paths].astype(float) * x_end[paths] \
+        - cols["xhat_end"][paths]
+    # the median over the distinct exit nodes of the whole run
+    _, distinct = np.unique(tau_d[paths], return_index=True)
+    pred = cfg.sigma * float(np.median(cols["sqrtz_end"][paths][distinct]))
     emp = float(np.std(devs, ddof=1)) if devs.size > 1 else math.nan
     results.update({
         "exceedance": series,
         "spread_at_end": {"t": float(grid[-1]), "empirical_std": emp,
                           "sigma_sqrt_zeta": pred,
                           "ratio": emp / pred if pred else math.nan},
-        "sup_deviation_quantiles": _quantiles(post["sup_deviation"]),
+        "sup_deviation_quantiles": _quantiles(sups[paths]),
     })
     return results, {"tau_D": tau_d, "sup_deviation": sups}
 

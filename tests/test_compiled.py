@@ -107,9 +107,17 @@ def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
     assert cmd_run(write(tmp_path, "cfg.json", SMALL_DELAY),
                    out=str(tmp_path / "out")) == 0
     assert spy.calls["zeta_scan"] == 1 and spy.calls["fmt_g17"] == 1
-    # the approach tag steps its post-exit family in one call
-    run_ensemble(pinned_config("approach"))
-    assert spy.calls["rk4_poly"] == 1
+    # the approach tag steps each path once, and its post-exit family chunk
+    # by chunk beside the paths: the RK4 rows and the zeta rates in C
+    spy.calls.clear()
+    spy.args.clear()
+    cfg = pinned_config("approach")
+    run_ensemble(cfg)
+    assert sum(inc.size for name, (out, inc, *_) in spy.args
+               if name == "em_poly") \
+        == cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
+    assert 1 < spy.calls["rk4_poly"] < spy.calls["em_poly"]
+    assert spy.calls["rk4_poly"] <= spy.calls["zeta_rate"]
 
 
 @pytest.fixture()
@@ -301,6 +309,62 @@ BOUND = np.zeros(5)
 def test_first_outside_rejects_what_c_cannot_take(unreached, x, g1, g2):
     with pytest.raises(ValueError, match="first_outside"):
         unreached("first_outside")(x, g1, g2)
+
+
+@pytest.mark.parametrize("skip", [
+    np.zeros(3, dtype=np.uint8),
+    np.zeros(3, dtype=np.int64),
+    np.zeros(2, dtype=bool),
+    np.zeros(4, dtype=bool),
+    np.zeros(6, dtype=bool)[::2],
+    np.zeros((3, 1), dtype=bool),
+    [False] * 3,
+], ids=["uint8", "int64", "short", "long", "strided", "2-d", "list"])
+def test_first_outside_rejects_a_skip_c_cannot_take(unreached, skip):
+    with pytest.raises(ValueError, match="first_outside"):
+        unreached("first_outside")(ROWS, BOUND, BOUND, skip)
+
+
+# zeta_rate on 3 rows of 5 nodes (4 cells), a cubic drift and its
+# quadratic df/dx, 4 substeps
+X5, H4, CF, CD = np.zeros((3, 5)), np.zeros(4), np.zeros((5, 4)), \
+    np.zeros((17, 3))
+HERM, SKIP = np.zeros((4, 4)), np.zeros(3, dtype=np.intp)
+
+
+@pytest.mark.parametrize("x,h,cf,cd,herm,skip", [
+    (np.zeros((3, 10))[:, ::2], H4, CF, CD, HERM, SKIP),
+    (np.zeros((5, 3)).T, H4, CF, CD, HERM, SKIP),
+    (overlapping_rows(), H4, CF, CD, HERM, SKIP),
+    (np.zeros((3, 5), dtype=np.float32), H4, CF, CD, HERM, SKIP),
+    (np.zeros(5), H4, CF, CD, HERM, SKIP[:1]),
+    (np.zeros((3, 0)), np.zeros(0), CF[:0], CD[:1], HERM, SKIP),
+    ([[0.0] * 5] * 3, H4, CF, CD, HERM, SKIP),
+    (X5, np.zeros(5), CF, CD, HERM, SKIP),
+    (X5, np.zeros(8)[::2], CF, CD, HERM, SKIP),
+    (X5, H4, np.zeros((4, 4)), CD, HERM, SKIP),
+    (X5, H4, np.zeros((5, 0)), CD, HERM, SKIP),
+    (X5, H4, np.zeros((5, 8))[:, ::2], CD, HERM, SKIP),
+    (X5, H4, CF, np.zeros((16, 3)), HERM, SKIP),
+    (X5, H4, CF, np.zeros((17, 0)), HERM, SKIP),
+    (X5, H4, CF, CD.astype(np.float32), HERM, SKIP),
+    (X5, H4, CF, CD, np.zeros((3, 4)), SKIP),
+    (X5, H4, CF, CD, np.zeros((4, 0)), SKIP),
+    (X5, H4, CF, CD, np.zeros((4, 3)), SKIP),
+    (X5, H4, CF, CD, HERM, np.zeros(3, dtype=np.int32)),
+    (X5, H4, CF, CD, HERM, np.zeros(2, dtype=np.intp)),
+    (X5, H4, CF, CD, HERM, np.array([0, -1, 0], dtype=np.intp)),
+    (X5, H4, CF, CD, HERM, np.array([0, 5, 0], dtype=np.intp)),
+    (X5, H4, CF, CD, HERM, np.zeros(6, dtype=np.intp)[::2]),
+], ids=["strided", "fortran", "overlapping", "float32", "1-d", "no-nodes",
+        "list", "h-length", "strided-h", "cf-rows", "cf-no-coefficient",
+        "strided-cf", "cd-rows", "cd-no-coefficient", "float32-cd",
+        "herm-rows", "herm-no-substeps", "herm-substeps", "int32-skip",
+        "skip-length", "negative-skip", "skip-past-n", "strided-skip"])
+def test_zeta_rate_rejects_what_c_cannot_take(unreached, x, h, cf, cd, herm,
+                                              skip):
+    with pytest.raises(ValueError, match="zeta_rate"):
+        unreached("zeta_rate")(x, h, cf, cd, herm, 0.01, skip)
 
 
 def g17_values(n):

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import norm
 
+from slowsde import _compiled
 from slowsde import (DegenerateWindow, EpsTooLarge, HExceedsSigma,
                      NonFiniteResult, NotStable, OutsideRegime,
                      RegimeViolation, RhoTooSmall, alpha, bound_approach,
@@ -166,6 +167,56 @@ class TestEnvelopeTable:
         for row, a_row, got in zip(rows, abar, stacked):
             alone = envelope.zeta_along(model, eps, grid, row, a_row)
             assert np.array_equal(got, alone)
+
+
+    def test_late_row_of_a_linear_model_starts_at_its_node(self, kernels):
+        """f = -(1 + t) x: df/dx does not read x, so a row that is NaN
+        before node 300 would have a finite rate there.  Its zeta still
+        starts at node 300 from 1/(2|a|), stacked as alone."""
+        model = model_from_coeffs(
+            [[0.0], [-1.0, -1.0]],
+            {"kind": "stable-branch", "equilibrium": lambda t: 0.0, "d": 2.0,
+             "t_range": [0.0, 1.0]})
+        eps, grid = 0.01, time_grid(0.0, 2e-4, 1000)
+        rows = np.vstack([0.3 * np.exp(-grid), -0.1 * np.exp(-2 * grid)])
+        rows[1, :300] = np.nan
+        abar = model.drift_dx(rows, grid)
+        for kernel in kernels():
+            stacked = envelope.zeta_along(model, eps, grid, rows, abar)
+            alone = envelope.zeta_along(model, eps, grid[300:],
+                                        rows[1, 300:], abar[1, 300:])
+            assert np.isnan(stacked[1, :300]).all(), kernel
+            assert stacked[1, 300] == 1.0 / (2.0 * abs(abar[1, 300]))
+            assert np.array_equal(stacked[1, 300:], alone), kernel
+
+    @pytest.mark.parametrize("name", ["standard", "quintic", "linear"])
+    def test_zeta_rate_gives_the_numpy_bits(self, request, kernels, name):
+        """The rates of zeta_along through the compiled zeta_rate and
+        through NumPy: rows NaN before their starts, a start on the last
+        node, blocks of cells cut inside a row, a quintic drift and a
+        df/dx of degree 0 in x."""
+        if name == "linear":
+            model = model_from_coeffs(
+                [[0.0], [-1.0, -1.0]],
+                {"kind": "stable-branch", "equilibrium": lambda t: 0.0,
+                 "d": 2.0, "t_range": [0.0, 1.0]})
+        else:
+            model = request.getfixturevalue(name)
+        eps, grid = 0.005, time_grid(0.02, 1e-4, 1500)
+        rows = np.full((40, len(grid)), np.nan)
+        starts = np.linspace(0, 1500, 40).astype(int)
+        for r, k0 in enumerate(starts):
+            rows[r, k0:] = (0.1 + 0.01 * r) * np.exp(grid[k0] - grid[k0:])
+        abar = model.drift_dx(rows, grid)
+        got = []
+        for kernel in kernels():
+            compiled = _compiled.LIBRARY.get("zeta_rate") is not None
+            assert compiled == (kernel == "c")
+            zeta = envelope.zeta_along(model, eps, grid, rows, abar)
+            assert np.isfinite(zeta[np.arange(40), starts]).all(), kernel
+            got.append(zeta)
+        assert np.array_equal(got[0].view(np.uint64),
+                              got[1].view(np.uint64))
 
 
 class TestZetaPostExit:

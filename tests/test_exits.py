@@ -344,6 +344,29 @@ class TestFirstOutside:
         self.check(kernels, wide[:, :37], UNIT, 1.0)
         self.check(kernels, np.asfortranarray(self.rows()), UNIT, 1.0)
 
+    @pytest.mark.parametrize("skipped", [[], [0], [1, 4, 9], list(range(12))],
+                             ids=["none", "first", "some", "all"])
+    def test_skipped_rows_are_not_read(self, kernels, skipped):
+        """A skipped row gives no exit, even a NaN row or one that leaves
+        at the first node; the other rows give what they give alone."""
+        X = self.rows()
+        want_t, want_s = first_exit_batch(X, self.g, UNIT)
+        want_d = delay_times_batch(X, self.g, 1.0)
+        skip = np.zeros(len(X), dtype=bool)
+        skip[skipped] = True
+        X[skip] = np.where(np.arange(len(self.g)) % 2, np.nan, 5.0)
+        for kernel in kernels():
+            times, sides = first_exit_batch(X, self.g, UNIT, skip)
+            delays = delay_times_batch(X[:, :30], self.g[:30], 1.0, skip)
+            assert np.isnan(times[skip]).all() and not sides[skip].any()
+            assert np.isnan(delays[skip]).all(), kernel
+            assert np.array_equal(times[~skip], want_t[~skip],
+                                  equal_nan=True), kernel
+            assert np.array_equal(sides[~skip], want_s[~skip]), kernel
+            early = np.where(want_d < self.g[30], want_d, np.nan)
+            assert np.array_equal(delays[~skip], early[~skip],
+                                  equal_nan=True), kernel
+
 
 class TestDelayOrdering:
     def test_delay_after_strip_exit_when_strip_wider(self, standard):

@@ -9,7 +9,7 @@ import pytest
 
 from slowsde import (ConfigError, NonFiniteResult, RegimeViolation,
                      ResourceLimit, branches, compare_bound, envelope,
-                     estimate_prob, model_from_coeffs, montecarlo,
+                     estimate_prob, exits, model_from_coeffs, montecarlo,
                      run_ensemble, standard_pitchfork, zeta_post_exit)
 from slowsde.deterministic import DetPath, post_exit_family
 from slowsde.envelope import BoundEvaluation
@@ -418,6 +418,60 @@ def test_peak_memory_flat_in_n_steps(standard):
     assert peaks[100_000] < 2 * peaks[10_000]
 
 
+def test_approach_steps_each_path_once(monkeypatch):
+    """The approach tag selects its paths and takes their sup deviations in
+    one pass: em_batch is handed n_paths x n_steps path-steps."""
+    cfg = pinned_config("approach")
+    steps = []
+    em_batch = montecarlo.em_batch
+
+    def counting(model, eps, sigma, t0, x0, dt, increments, *rest):
+        steps.append(increments.size)
+        return em_batch(model, eps, sigma, t0, x0, dt, increments, *rest)
+
+    monkeypatch.setattr(montecarlo, "em_batch", counting)
+    report = run_ensemble(cfg)
+    assert report.results["n_selected"] > 5
+    assert sum(steps) == cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
+
+
+def test_approach_peak_memory_flat_in_n_steps():
+    """The post-exit centrelines and their zeta are stepped chunk by chunk,
+    so ten times the steps leaves the approach tag's peak near where it
+    was, and far below one (paths, n_steps) matrix."""
+    peaks = {}
+    for n_steps in (10_000, 100_000):
+        cfg = dataclasses.replace(pinned_config("approach"), n_paths=64,
+                                  dt=2.0 / n_steps)
+        tracemalloc.start()
+        report = run_ensemble(cfg)
+        peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert report.results["n_selected"] > 3
+    matrix = 8 * 64 * 100_000
+    assert peaks[100_000] < matrix / 8
+    assert peaks[100_000] < 1.5 * peaks[10_000]
+
+
+def test_exit_scans_skip_rows_already_out(monkeypatch):
+    """Once a row's first exit is kept, the scans of later chunks do not
+    read it: the delay tag's scans read fewer nodes than its chunks hold,
+    and the report keeps its bits."""
+    read, total = [], []
+    first_outside = exits._first_outside
+
+    def counting(X, g1, g2, skip=None):
+        total.append(X.size)
+        read.append(X.size if skip is None
+                    else X.shape[1] * int(np.sum(~skip)))
+        return first_outside(X, g1, g2, skip)
+
+    monkeypatch.setattr(exits, "_first_outside", counting)
+    report = run_ensemble(pinned_config("delay"))
+    assert pinned_hashes(report) == PINNED["delay"]
+    assert sum(read) < 0.9 * sum(total)
+
+
 def test_post_exit_family_matches_zeta_post_exit(standard, kernels):
     """The approach tag's zeta, taken along all family rows at once, equals
     zeta_post_exit along each centreline, and the family and its zeta are
@@ -445,34 +499,66 @@ def test_post_exit_family_matches_zeta_post_exit(standard, kernels):
     assert np.array_equal(zc, zn, equal_nan=True)
 
 
+@pytest.mark.parametrize("chunk", [700, 1])
+def test_streamed_family_equals_the_whole_grid(standard, kernels, chunk):
+    """PostExitFamily stepped over slices of chunk steps, each row added in
+    the first slice that holds its start node (for 700 steps, one starts
+    on the first slice's last node), gives the bits of post_exit_family
+    and zeta_along over the whole grid, through the kernels and NumPy."""
+    eps = 0.005
+    grid = time_grid(0.1, 1e-4, 2100)
+    starts = np.array([1, 200, 205, 699, 700, 1400, 2099])
+    curves = branches(standard)
+    got = []
+    for kernel in kernels():
+        xhat, _ = post_exit_family(standard, eps, grid[starts], grid, curves)
+        zeta = envelope.zeta_along(standard, eps, grid, xhat,
+                                   standard.drift_dx(xhat, grid))
+        family = envelope.PostExitFamily(standard, eps, grid, curves)
+        xs, zs = np.full_like(xhat, np.nan), np.full_like(zeta, np.nan)
+        for k0 in range(0, len(grid) - 1, chunk):
+            nodes = slice(k0, min(k0 + chunk, len(grid) - 1) + 1)
+            added = len(family.start)
+            family.add(starts[added:][starts[added:] < nodes.stop])
+            if len(family.start):
+                rows = slice(0, len(family.start))
+                xs[rows, nodes], zs[rows, nodes] = family.step(nodes)
+        assert np.array_equal(xs, xhat, equal_nan=True), kernel
+        assert np.array_equal(zs, zeta, equal_nan=True), kernel
+        assert np.isfinite(zs[np.arange(len(starts)), starts]).all()
+        got.append(zs)
+    assert np.array_equal(*got, equal_nan=True)
+
+
 def test_approach_sup_starts_at_the_exit_node(monkeypatch):
     """A centreline whose start value sits 1.0 away from the path makes the
     deviation at the exit node each selected path's sup: the scan reads
     that node, and no earlier one."""
-    family, zeta_along = montecarlo.post_exit_family, envelope.zeta_along
-    seen = {}
+    step = envelope.PostExitFamily.step
+    at_node = {}  # start node -> zeta there
 
-    def shifted(*args):
-        xhat, start_col = family(*args)
-        xhat[np.arange(len(xhat)), start_col] += 1.0
-        seen["start_col"] = start_col
-        return xhat, start_col
+    def shifted(family, nodes):
+        xhat, zeta = step(family, nodes)
+        col = family.start - nodes.start
+        for r in np.nonzero((col >= 0) & (col < xhat.shape[1]))[0]:
+            xhat[r, col[r]] += 1.0
+            at_node[int(family.start[r])] = zeta[r, col[r]]
+        return xhat, zeta
 
-    def recorded(*args):
-        seen["zeta"] = zeta_along(*args)
-        return seen["zeta"]
-
-    monkeypatch.setattr(montecarlo, "post_exit_family", shifted)
-    monkeypatch.setattr(envelope, "zeta_along", recorded)
+    monkeypatch.setattr(envelope.PostExitFamily, "step", shifted)
     cfg = pinned_config("approach")
     report = run_ensemble(cfg)
     tau = np.asarray(report.per_path["tau_D"])
     sups = np.asarray(report.per_path["sup_deviation"])
     picked = ~np.isnan(sups)
     assert 5 < picked.sum() < cfg.n_paths
-    # rows of the family are the distinct exit nodes, in order
+    # the centrelines start on the distinct exit nodes, in order
     taus, row = np.unique(tau[picked], return_inverse=True)
-    start_col, zeta = seen["start_col"], seen["zeta"]
+    start_col = np.array(sorted(at_node))
+    zeta = np.full((len(start_col), n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
+                    + 1), np.nan)
+    zeta[np.arange(len(start_col)), start_col] = [at_node[k]
+                                                  for k in start_col]
     assert np.array_equal(start_col,
                           np.rint((taus - cfg.t0) / cfg.dt).astype(int))
     at_start = 1.0 / np.sqrt(zeta[row, start_col[row]])
