@@ -20,7 +20,7 @@ arrays and numbers only; ctypes releases the GIL for each call.
   zeta_rate  the rates m of that recurrence along rows of a path: cubic
              Hermite values and df/dx on the refined grid (envelope._rates)
   rk4_poly   RK4 rows of a polynomial drift (deterministic._rk4_rows)
-  fmt_g17    %.17g CSV rows (envelope.EnvelopeTable.to_csv)
+  fmt_g17    %.17g CSV rows of a finite table (envelope.write_csv)
   philox_normal  Philox4x64-10 standard normals, as NumPy draws them
                  (noise.fill_increments)
   first_outside  each row's first node outside two bounds

@@ -63,47 +63,32 @@ def _failed(exc: Exception) -> int:
     return 1
 
 
-def _stamp(fh, report) -> None:
-    fh.write(f"# config_hash={report.config_hash} "
-             f"master_seed={report.config['ensemble']['master_seed']}\n")
+def _stamp(report, columns) -> str:
+    """The two header lines of a run's CSV: its config hash and master
+    seed, then the column names."""
+    return (f"# config_hash={report.config_hash} "
+            f"master_seed={report.config['ensemble']['master_seed']}\n"
+            + ",".join(columns) + "\n")
 
 
 def _write_prob_series(path, report, rows, key: str) -> None:
-    with open(path, "w") as fh:
-        _stamp(fh, report)
-        fh.write(f"{key},p_hat,ci_low,ci_high,bound\n")
-        for row in rows:
-            b = row.get("bound")
-            bv = b["bound"] if isinstance(b, dict) else b
-            tail = f"{bv:.17g}" if bv is not None else ""
-            fh.write(f"{row[key]:.17g},{row['p_hat']:.17g},"
-                     f"{row['ci_low']:.17g},{row['ci_high']:.17g},{tail}\n")
+    names = (key, "p_hat", "ci_low", "ci_high")
+    env.write_csv(path, _stamp(report, names + ("bound",)),
+                  np.column_stack([[row[k] for row in rows] for k in names]
+                                  + [[row["bound"]["bound"] for row in rows]]))
 
 
 def _write_histogram(path, report, hist: dict) -> None:
-    edges = hist.get("edges", [])
-    counts = hist.get("counts", [])
-    with open(path, "w") as fh:
-        _stamp(fh, report)
-        fh.write("bin_lo,bin_hi,count\n")
-        for i, c in enumerate(counts):
-            fh.write(f"{edges[i]:.17g},{edges[i + 1]:.17g},{int(c)}\n")
+    edges = hist["edges"]
+    env.write_csv(path, _stamp(report, ("bin_lo", "bin_hi", "count")),
+                  np.column_stack([edges[:-1], edges[1:], hist["counts"]]))
 
 
 def _write_per_path(path, report, per_path: dict) -> None:
     keys = sorted(per_path)
-    n = len(next(iter(per_path.values())))
-    with open(path, "w") as fh:
-        _stamp(fh, report)
-        fh.write("path_index," + ",".join(keys) + "\n")
-        for i in range(n):
-            cells = []
-            for k in keys:
-                v = per_path[k][i]
-                cells.append("" if isinstance(v, float) and math.isnan(v)
-                             else f"{v:.17g}" if isinstance(v, float)
-                             else str(v))
-            fh.write(f"{i}," + ",".join(cells) + "\n")
+    n = len(per_path[keys[0]])
+    env.write_csv(path, _stamp(report, ("path_index", *keys)),
+                  np.column_stack([np.arange(n)] + [per_path[k] for k in keys]))
 
 
 def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
@@ -126,12 +111,12 @@ def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
             region.boundaries(tpos)  # its g1 < g2 check raises here
         bounds = [env.bound_escape(model, float(t), sq, eps, config.sigma,
                                    curves=curves) for t in tpos[1:]]
-        text = "t,bound_escape\n" + "".join(
-            f"{t:.17g},{b.bound:.17g}\n" for t, b in zip(tpos[1:], bounds))
         files["zeta_pitchfork.csv"] = table.to_csv
         for name, region in regions.items():
             files[name] = functools.partial(region.to_csv, t_values=tpos)
-        files["bounds.csv"] = lambda path: path.write_text(text)
+        files["bounds.csv"] = functools.partial(
+            env.write_csv, header="t,bound_escape\n",
+            table=np.column_stack([tpos[1:], [b.bound for b in bounds]]))
     elif model.kind == "stable-branch":
         xdet = solve_det(model, eps, config.t0, float(config.x0),
                          config.t_end, dt)

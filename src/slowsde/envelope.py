@@ -43,7 +43,7 @@ __all__ = [
     "return_to_zero_bound", "no_exit_linear_bound", "delay_interval",
     "calibrate_zeta_brackets", "calibrate_post_exit_brackets",
     "STANDARD_ZETA_BRACKETS", "STANDARD_POST_EXIT_BRACKETS",
-    "default_strip_width", "KAPPA_UNSTABLE",
+    "default_strip_width", "KAPPA_UNSTABLE", "write_csv",
 ]
 
 KAPPA_UNSTABLE = math.pi / (2.0 * math.e)
@@ -111,17 +111,6 @@ def _scan_rates(eps: float, h: np.ndarray, m: np.ndarray,
         for q in range(k * SUBSTEPS, (k + 1) * SUBSTEPS):
             z = z * E[q] + w[q]
         zeta[k + 1] = z
-
-
-def _integrate_zeta(eps: float, t_grid: np.ndarray, abar_sub: np.ndarray,
-                    zeta0: float) -> np.ndarray:
-    """zeta (K+1,) on t_grid from zeta0, driven by the one rate abar_sub
-    on its refined nodes."""
-    h = np.diff(t_grid)
-    zeta = np.empty((len(t_grid), 1))
-    zeta[0] = zeta0
-    _scan_rates(eps, h, _substep_rates(eps, h, abar_sub)[:, None], zeta)
-    return zeta[:, 0]
 
 
 def _refine_nodes(t_grid: np.ndarray) -> np.ndarray:
@@ -193,8 +182,9 @@ def zeta_rows(model: ModelSpec, eps: float, t: np.ndarray, x: np.ndarray,
     """zeta along the rows x (rows, n+1) on the nodes t, into zeta (rows,
     n+1), whose column 0 holds the start values: each row's zeta is driven
     by df/dx along it from the end of its first skip[i] cells, where it
-    holds its start value.  The one zeta integrator along paths: zeta_along
-    runs it over the whole grid, PostExitFamily over one chunk at a time.
+    holds its start value.  The one zeta integrator: zeta_along runs it
+    over the whole grid (every zeta_* table goes through it), PostExitFamily
+    over one chunk at a time.
     The nodes are taken in blocks of cells so the refined arrays stay small
     however many rows there are: a block holds about 2^16 refined values
     (512 kB an array), and some eight arrays of that size are live at once.
@@ -299,26 +289,31 @@ class EnvelopeTable:
         return float(np.max(np.diff(self.zeta_values) / np.diff(self.t_grid)))
 
     def to_csv(self, path) -> None:
-        """t and zeta as %.17g rows under a two-line header, formatted by
-        the compiled fmt_g17 when it loads, else by Python: the same
-        bytes."""
-        with open(path, "wb") as fh:
-            fh.write(f"# regime={self.regime} eps={self.eps!r}\n"
-                     "t,zeta\n".encode())
-            _write_g17(fh, np.column_stack([self.t_grid, self.zeta_values]))
+        """t and zeta as %.17g rows under a two-line header (write_csv)."""
+        write_csv(path, f"# regime={self.regime} eps={self.eps!r}\nt,zeta\n",
+                  np.column_stack([self.t_grid, self.zeta_values]))
 
 
-def _write_g17(fh, table: np.ndarray) -> None:
-    """The rows of table (rows, cols) to the binary file fh as %.17g,
-    comma-separated and newline-terminated.  C's snprintf writes the
-    LC_NUMERIC decimal point, Python's format always ".", so Python formats
-    under a locale whose decimal point is not "."."""
+def write_csv(path, header: str, table) -> None:
+    """Write header, then the rows of table (rows, cols) as %.17g cells,
+    comma-separated and newline-terminated, to the file path; a NaN is an
+    empty cell.  The one writer of every CSV the CLI writes.  The compiled
+    fmt_g17 formats a finite table, and Python every other, with the same
+    bytes; C's snprintf writes the LC_NUMERIC decimal point, Python's format
+    always ".", so Python also formats under a locale whose decimal point is
+    not "."."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
     write = _compiled.LIBRARY.get("fmt_g17")
-    if write is not None and locale.localeconv()["decimal_point"] == ".":
-        write(fh, table)
-        return
-    line = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
-    fh.write("".join(map(line.format, *table.T.tolist())).encode())
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        if write is not None and np.isfinite(table).all() \
+                and locale.localeconv()["decimal_point"] == ".":
+            write(fh, table)
+        else:
+            # Python prints a NaN as "nan", which no other %.17g cell holds
+            line = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
+            fh.write("".join(map(line.format, *table.T.tolist()))
+                     .replace("nan", "").encode())
 
 
 def zeta_stable(model: ModelSpec, eps: float, t_grid,
@@ -348,6 +343,11 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t0: float,
                    t_grid) -> EnvelopeTable:
     """zeta for the pitchfork crossing, driven by the origin linearization.
 
+    zeta is zeta_along's along the origin row x = 0, started from
+    1/(2|a(t0)|): the Hermite values of that row are exactly 0, so its rate
+    df/dx(0, t) is a(t), which a pitchfork's ModelSpec.a is by definition.
+    (A make_model pitchfork given an `a` that is not f_x(0, t) is still
+    driven by f_x(0, t); its a gives the start value and abar_values.)
     Valid for t0 <= -2 sqrt(eps) and a grid inside [t0, sqrt(eps)].  The
     regime brackets (zeta ~ 1/|t| before, ~ 1/sqrt(eps) across) are
     recorded; for the standard cubic drift they are compared against the
@@ -364,9 +364,8 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t0: float,
         raise GridMismatch("grid must start at t0")
     if tg[-1] > sq * (1.0 + 1e-9):
         raise GridMismatch("grid must end at or before sqrt(eps)")
-    sub = np.asarray(model.a(_refine_nodes(tg)), dtype=float)
     abar = np.asarray(model.a(tg), dtype=float)
-    z = _integrate_zeta(eps, tg, sub, 1.0 / (2.0 * abs(a_t0)))
+    z = zeta_along(model, eps, tg, np.zeros(len(tg)), abar)
 
     pre = tg <= -sq + 1e-12
     cross = ~pre
@@ -468,11 +467,8 @@ class SpaceTimeRegion:
 
     def to_csv(self, path, t_values) -> None:
         g1, g2 = self.boundaries(t_values)
-        with open(path, "w") as fh:
-            fh.write(f"# region={self.label}\n")
-            fh.write("t,g1,g2\n")
-            for t, a, b in zip(np.asarray(t_values), g1, g2):
-                fh.write(f"{t:.17g},{a:.17g},{b:.17g}\n")
+        write_csv(path, f"# region={self.label}\nt,g1,g2\n",
+                  np.column_stack([t_values, g1, g2]))
 
 
 def _interp_fn(grid: np.ndarray, values: np.ndarray) -> Callable:

@@ -96,6 +96,13 @@ class EnsembleConfig:
         if not 0 <= self.master_seed < 2 ** 64:  # a Philox key is 64 bits
             raise ConfigError(f"master_seed={self.master_seed} is not in "
                               "[0, 2^64)")
+        if self.eta is not None and not 0 <= self.eta < 1:
+            raise ConfigError(f"eta={self.eta:g} is not in [0, 1)")
+        if not self.bound_c0 > 0:
+            raise ConfigError(f"bound_c0={self.bound_c0:g} must be > 0")
+        if self.tau_window[0] > self.tau_window[1]:
+            raise ConfigError(f"tau_window={list(self.tau_window)} starts "
+                              "after it ends")
         if self.dt is None:
             object.__setattr__(self, "dt", self.eps / 50.0)
         if self.dt > self.eps / 10.0 * (1.0 + 1e-12):
@@ -328,24 +335,21 @@ class _Run:
     x0: float
     threads: int
 
-    def scan(self, scan, columns: dict, paths=None,
-             last: Optional[int] = None) -> tuple:
-        """Simulate the given path indices (all by default) in batches up to
-        grid node last (the end of the grid by default) and return the
-        per-path columns and the paths' states at that node, in path order.
+    def scan(self, scan, columns: dict, last: Optional[int] = None) -> tuple:
+        """Simulate every path in batches up to grid node last (the end of
+        the grid by default) and return the per-path columns and the paths'
+        states at that node, in path order.
 
         Each batch streams through time chunks of CHUNK_STEPS steps.
         columns maps each column name to its start value.  For every chunk,
-        scan(X, nodes, idx, cols) gets the paths X (B, n+1) of the batch's
-        path indices idx on the grid nodes of the slice nodes, whose first
-        node closes the previous chunk, and merges what it finds into the
-        batch's _Columns cols.  A path whose state turns non-finite raises
-        NonFiniteResult at the end of that chunk.
+        scan(X, nodes, cols) gets the batch's paths X (B, n+1) on the grid
+        nodes of the slice nodes, whose first node closes the previous
+        chunk, and merges what it finds into the batch's _Columns cols.  A
+        path whose state turns non-finite raises NonFiniteResult at the end
+        of that chunk.
         """
         cfg = self.config
         n_steps = len(self.grid) - 1 if last is None else last
-        if paths is None:
-            paths = np.arange(cfg.n_paths)
 
         def work(idx):
             gens = path_generators(cfg.master_seed, idx)
@@ -359,7 +363,7 @@ class _Run:
                                 gens)
                 X, trunc = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0, x,
                                     cfg.dt, inc, k0, trunc)
-                scan(X, slice(k0, k0 + X.shape[1]), idx, cols)
+                scan(X, slice(k0, k0 + X.shape[1]), cols)
                 x = X[:, -1].copy()
                 del X  # free the chunk before the next one is stepped
                 bad = idx[~np.isfinite(x)]
@@ -372,7 +376,7 @@ class _Run:
                         f"t={self.grid[k0 + inc.shape[1]]:g})")
             return cols, x
 
-        spans = _batches(paths, self.threads)
+        spans = _batches(np.arange(cfg.n_paths), self.threads)
         if self.threads <= 1:
             parts = [work(span) for span in spans]
         else:
@@ -429,7 +433,7 @@ def _run_stable(run: _Run) -> tuple:
                      method="euler")
     table = env.zeta_stable(cfg.model, cfg.eps, run.grid, xdet)
     sqrtz = table.sqrt_zeta()
-    sups = run.scan(lambda X, nodes, idx, cols: cols.sup(
+    sups = run.scan(lambda X, nodes, cols: cols.sup(
         "sup_deviation",
         sup_deviation_batch(X, xdet.x_values[nodes], sqrtz[nodes])),
         {"sup_deviation": -np.inf})[0]["sup_deviation"]
@@ -446,7 +450,7 @@ def _run_unstable(run: _Run) -> tuple:
     abar = np.asarray(cfg.model.drift_dx(xhat.x_values, grid), dtype=float)
     h = cfg.h_list[0] if cfg.h_list else cfg.sigma / 2.0
     widths = h / np.sqrt(2.0 * abar)
-    exit_times = run.scan(lambda X, nodes, idx, cols: cols.first(
+    exit_times = run.scan(lambda X, nodes, cols: cols.first(
         "exit_time", delay_times_batch(X - xhat.x_values[nodes], grid[nodes],
                                        widths[nodes],
                                        cols.recorded("exit_time"))),
@@ -467,7 +471,7 @@ def _run_before(run: _Run) -> tuple:
     centre = run.x0 * np.exp(env.alpha(cfg.model, sub_grid, cfg.t0) / cfg.eps)
 
     # the paths are stepped no further than the last node at sqrt(eps)
-    cols, x_end = run.scan(lambda X, nodes, idx, cols: cols.sup(
+    cols, x_end = run.scan(lambda X, nodes, cols: cols.sup(
         "sup_deviation", sup_deviation_batch(X, centre[nodes], sqrtz[nodes])),
         {"sup_deviation": -np.inf}, last=n_cols - 1)
     cols["x_at_sqrt_eps"] = x_end
@@ -509,7 +513,7 @@ def _exit_columns(run: _Run) -> dict:
     regD = _region_D(run)
     width = float(branches(cfg.model).x_tilde(math.sqrt(cfg.eps)))
 
-    def scan(X, nodes, idx, cols):
+    def scan(X, nodes, cols):
         _first_exit_D(X, grid[nodes], cols, regD)
         cols.first("tau_delay", delay_times_batch(
             X, grid[nodes], width, cols.recorded("tau_delay")))
@@ -590,7 +594,7 @@ def _run_approach(run: _Run) -> tuple:
     regD = _region_D(run)
     lo_w, hi_w = cfg.tau_window
 
-    def scan(X, nodes, idx, cols):
+    def scan(X, nodes, cols):
         tau_d, side = _first_exit_D(X, grid[nodes], cols, regD)
         picked = np.isfinite(tau_d) & (tau_d >= lo_w) & (tau_d <= hi_w) \
             & (side != 0)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from slowsde import _brentq, cli, envelope, model_from_dict, montecarlo
 from slowsde.cli import cmd_envelope, cmd_run, cmd_validate, main
+from test_montecarlo import pinned_config
 
 
 @pytest.fixture()
@@ -127,14 +129,13 @@ class TestRun:
         elif fault == "nan_zeta":
             # the run succeeds; then the exported zeta table has a NaN,
             # which NaN <= 0 would not catch
-            scan = envelope._integrate_zeta
+            rows = envelope.zeta_rows
 
             def nan_node(*args):
-                zeta = scan(*args)
-                zeta[..., 3] = np.nan
-                return zeta
+                rows(*args)
+                args[-1][..., 3] = np.nan  # the zeta it wrote
 
-            monkeypatch.setattr(envelope, "_integrate_zeta", nan_node)
+            monkeypatch.setattr(envelope, "zeta_rows", nan_node)
             expected = "zeta must stay finite"
         else:
             monkeypatch.setattr(envelope, "brentq",
@@ -232,6 +233,12 @@ MALFORMED = {
     "bad-kind": (("model",), {"coeffs": STANDARD_COEFFS, "kind": "saddle"}),
     "bad-builtin": (("model", "builtin"), "cubic"),
     "bad-x0": (("dynamics", "x0"), "x_star"),
+    "one-eta": (("experiment", "eta"), 1.0),
+    "above-one-eta": (("experiment", "eta"), 1.5),
+    "negative-eta": (("experiment", "eta"), -0.5),
+    "zero-bound_c0": (("experiment", "bound_c0"), 0.0),
+    "negative-bound_c0": (("experiment", "bound_c0"), -1.0),
+    "reversed-tau_window": (("experiment", "tau_window"), [0.25, 0.15]),
 }
 
 # model documents with a key their form does not read, or without kind
@@ -259,10 +266,15 @@ def edited(doc, path, value):
 
 class TestMalformed:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_rejected(self, tmp_path, out, capsys, case):
-        cfg = write(tmp_path, "bad.json", edited(SMALL_DELAY, *MALFORMED[case]))
+    def test_rejected(self, tmp_path, out, capsys, monkeypatch, case):
+        # rejected before anything is simulated, naming the key
+        monkeypatch.setattr(cli, "run_ensemble",
+                            lambda *args, **kw: pytest.fail("ran"))
+        path, value = MALFORMED[case]
+        cfg = write(tmp_path, "bad.json", edited(SMALL_DELAY, path, value))
         assert cmd_run(cfg, out=str(out)) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path[-1] in err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("path, value", [
@@ -318,6 +330,64 @@ class TestEnvelope:
             assert (out / name).exists()
         header = (out / "zeta_pitchfork.csv").read_text().splitlines()
         assert header[1] == "t,zeta"
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of the envelope tables: those of the standard model at
+# eps 0.01 and dt 2e-4 (standard_delay.json and the pinned before, escape,
+# delay and branch), at eps 0.005 and dt 1e-4 (standard_branch.json and the
+# pinned approach), and the linear stable model's
+_ENVELOPE_01 = {"bounds.csv": "2dc6fcd4abb7be10",
+                "region_D.csv": "bbcdd8b058602bbf",
+                "region_S.csv": "840e0a46e27c6e40",
+                "zeta_pitchfork.csv": "fa05940ac0de36a7"}
+_ENVELOPE_005 = {"bounds.csv": "b7534ebed779b02d",
+                 "region_D.csv": "a5b3a2ec017c1718",
+                 "region_S.csv": "c5535dac13e6e1ab",
+                 "zeta_pitchfork.csv": "73ffb503d1f885a6"}
+_ZETA_STABLE = {"zeta_stable.csv": "e1c6c3ba1e4f13c1"}
+# every CSV that cmd_run writes for each pinned config, and that
+# cmd_envelope writes for each shipped config
+CSV_PINNED = {
+    "run-stable": {**_ZETA_STABLE, "exceedance.csv": "191f08d70c47f2d9",
+                   "paths_summary.csv": "9a7ae8f9b162f6b7"},
+    "run-unstable": {"paths_summary.csv": "4d14f96d8bbbf2b8",
+                     "survival.csv": "f83c977e6fd4136d"},
+    "run-before": {**_ENVELOPE_01, "exceedance.csv": "d408c2c267dc8a48",
+                   "paths_summary.csv": "8f9ee7359c929f8a"},
+    "run-escape": {**_ENVELOPE_01, "paths_summary.csv": "d6d0724ba68f9881",
+                   "survival.csv": "a84a0f94e6bb4c63"},
+    "run-delay": {**_ENVELOPE_01, "delay_histogram.csv": "57893627a79dcde7",
+                  "paths_summary.csv": "7cfe7c2f6c12f8be",
+                  "survival.csv": "d1d43ae38216c8f8"},
+    "run-branch": {**_ENVELOPE_01, "paths_summary.csv": "c4699a446a28010b"},
+    # 176 blank cells: the paths that were not selected
+    "run-approach": {**_ENVELOPE_005, "exceedance.csv": "b0d000a625b7782f",
+                     "paths_summary.csv": "593b6a8f906d8b21"},
+    "envelope-standard_delay.json": _ENVELOPE_01,
+    "envelope-standard_branch.json": _ENVELOPE_005,
+    "envelope-linear_stable.json": _ZETA_STABLE,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_PINNED))
+def test_csv_bytes_pinned(case, tmp_path, monkeypatch, kernels):
+    """Every CSV of run and envelope keeps its bytes, with both kernels."""
+    command, name = case.split("-", 1)
+    if command == "run":
+        cfg = pinned_config(name)
+        monkeypatch.setattr(cli, "load_config",
+                            lambda path, seed=None: ({}, cfg))
+    for kernel in kernels():
+        out = tmp_path / kernel
+        status = cmd_run(name, out=str(out)) if command == "run" \
+            else cmd_envelope(name, out=str(out))
+        assert status == 0
+        assert {p.name: _sha(p) for p in out.glob("*.csv")} \
+            == CSV_PINNED[case], kernel
 
 
 class TestValidate:
@@ -418,7 +488,9 @@ print(json.dumps(loaded))
 
 def test_run_path_loads_no_scipy(tmp_path):
     """No command imports SciPy, and no run imports jsonschema: the config
-    classes check the document.
+    classes check the document.  The commands run in development mode with
+    ResourceWarning an error, so a file the CLI leaves unclosed shows on
+    stderr.
 
     Roots are solved by slowsde._brentq.  The rate integral alpha has a
     closed form for every coefficient model (linear_stable.json included)
@@ -452,9 +524,11 @@ def test_run_path_loads_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands),
-         str(tests)], capture_output=True, text=True, env=env, timeout=600)
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         _SCIPY_PROBE, json.dumps(commands), str(tests)],
+        capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     names = [name for name, _ in commands] + ["pinned-stable",
                                               "pinned-unstable"]

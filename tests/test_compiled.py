@@ -103,10 +103,13 @@ def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
     # and region D's in the chunks that meet its window
     assert spy.calls["em_poly"] < spy.calls["first_outside"] \
         < 2 * spy.calls["em_poly"]
-    # the envelope export scans zeta and formats its table
+    # the envelope export takes the zeta rates and scans them in one block,
+    # and every CSV of the run, none with a blank cell, is formatted in C
     assert cmd_run(write(tmp_path, "cfg.json", SMALL_DELAY),
                    out=str(tmp_path / "out")) == 0
-    assert spy.calls["zeta_scan"] == 1 and spy.calls["fmt_g17"] == 1
+    assert spy.calls["zeta_rate"] == spy.calls["zeta_scan"] == 1
+    assert spy.calls["fmt_g17"] == len(list((tmp_path / "out").glob("*.csv"))) \
+        == 7
     # the approach tag steps each path once, and its post-exit family chunk
     # by chunk beside the paths: the RK4 rows and the zeta rates in C
     spy.calls.clear()

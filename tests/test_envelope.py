@@ -152,6 +152,39 @@ class TestEnvelopeTable:
         assert o1.shape == (1,)
         assert b1 == b2 and b1.count(b"\n") == len(grid) + 2
 
+    @pytest.mark.parametrize("name", ["standard", "quintic", "callable"])
+    def test_zeta_pitchfork_is_the_scan_of_a(self, request, kernels, name):
+        """Along the origin row the Hermite values are 0 and df/dx(0, t) is
+        a(t), so zeta_pitchfork gives the recurrence driven by a(t) on the
+        refined grid bit for bit, for a coefficient model and a callable."""
+        model = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"}) \
+            if name == "callable" else request.getfixturevalue(name)
+        eps, t0 = 0.005, -0.15
+        tg = time_grid(t0, 1e-4, n_steps_for(t0, math.sqrt(eps), 1e-4))
+        h = np.diff(tg)
+        for kernel in kernels():
+            want = np.empty((len(tg), 1))
+            want[0] = 1.0 / (2.0 * abs(model.a(t0)))
+            a_sub = np.asarray(model.a(envelope._refine_nodes(tg)), dtype=float)
+            envelope._scan_rates(
+                eps, h, envelope._substep_rates(eps, h, a_sub)[:, None], want)
+            got = zeta_pitchfork(model, eps, t0, tg).zeta_values
+            assert np.array_equal(got.view(np.uint64),
+                                  want[:, 0].view(np.uint64)), kernel
+
+    @pytest.mark.parametrize("table, cells", [
+        ([[0.5, -2.0], [1.0, 0.1]], "0.5,-2\n1,0.10000000000000001\n"),
+        ([[math.nan, 1.0], [0.5, math.nan]], ",1\n0.5,\n"),
+        ([[math.inf, -math.inf, 3.0]], "inf,-inf,3\n"),
+        (np.empty((0, 3)), "")], ids=["finite", "nan", "inf", "no-rows"])
+    def test_write_csv_cells(self, kernels, tmp_path, table, cells):
+        """write_csv writes %.17g cells, a NaN as an empty cell and an
+        infinity as Python does; a table without rows is its header."""
+        for kernel in kernels():
+            path = tmp_path / f"{kernel}.csv"
+            envelope.write_csv(path, "# h\na,b\n", table)
+            assert path.read_text() == "# h\na,b\n" + cells, kernel
+
     def test_zeta_along_rows_of_a_linear_model(self):
         """f = -(1 + t) x: df/dx has degree 0 in x but depends on t, and
         stacked rows give each row's zeta alone."""

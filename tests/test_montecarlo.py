@@ -579,3 +579,17 @@ def test_zeta_along_memory_stays_near_its_output(standard):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 3 * zeta.nbytes
+
+
+def test_zeta_pitchfork_memory_stays_near_its_output(standard):
+    """zeta_pitchfork runs through zeta_along's blocks of cells, so on a
+    1.0e6-node export grid it peaks below 6x its zeta table (refining a(t)
+    over the whole grid at once took 28x)."""
+    eps, dt, t0 = 2.5e-4, 1e-6, -1.0
+    grid = time_grid(t0, dt, n_steps_for(t0, math.sqrt(eps), dt))
+    assert len(grid) > 1_000_000
+    tracemalloc.start()
+    table = envelope.zeta_pitchfork(standard, eps, t0, grid)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 6 * table.zeta_values.nbytes
