@@ -4,11 +4,12 @@ Integrates the same paths three times: with a plain per-step Euler-Maruyama
 loop over (paths, steps) rows whose drift is full Horner in x (every
 multiply and every add, zero coefficients included: 9 NumPy calls per step
 for the standard cubic), and with em_batch streamed through time chunks of
-montecarlo.CHUNK_STEPS steps, the way run_ensemble steps a batch, once
-through its NumPy loop and once through the compiled C kernel.  Each chunk
-is then scanned as the delay tag scans it: first_exit_batch against region
-D and delay_times_batch against the delay strip, again through NumPy and
-through the compiled first_outside.  The grid ends at t = 0.5, so the
+montecarlo.CHUNK_STEPS steps, the way run_ensemble steps a batch (each
+chunk's noise drawn into one workspace per batch and stepped there in
+place), once through its NumPy loop and once through the compiled C
+kernel.  Each chunk is then scanned as the delay tag scans it:
+first_exit_batch against region D and delay_times_batch against the delay
+strip, again through NumPy and through the compiled first_outside.  The grid ends at t = 0.5, so the
 paths pass the bifurcation at t = 0 and leave the strip when n_steps is a
 few thousand.  It does so for n_paths paths and for 32, a narrow batch
 where per-step call overhead dominates, prints path-steps/second for the
@@ -30,10 +31,11 @@ from slowsde import _compiled, envelope, sde, standard_pitchfork
 from slowsde.exits import delay_times_batch, first_exit_batch
 from slowsde.model import branches
 from slowsde.montecarlo import CHUNK_STEPS
-from slowsde.noise import fill_increments
+from slowsde.noise import fill_increments, path_generators
 from slowsde.sde import em_batch, time_grid
 
 EPS, SIGMA, DT, T_END, X0 = 0.005, 1e-4, 1e-4, 0.5, 0.0
+SEED = 0
 
 
 def full_horner(coefs, x):
@@ -64,20 +66,28 @@ def per_step(model, eps, sigma, t0, x0, dt, dw):
     return X, trunc
 
 
-def chunked(model, t0, dw, ref, ref_trunc):
-    """Seconds for em_batch over dw in chunks and for the scans of each
-    chunk, whether the paths and freeze times equal ref and ref_trunc bit
-    for bit, and the scans' results."""
-    grid = time_grid(t0, DT, dw.shape[1])
+def chunked(model, t0, n_steps, ref, ref_trunc):
+    """Seconds for em_batch over n_steps steps in chunks and for the scans
+    of each chunk, whether the paths and freeze times equal ref and
+    ref_trunc bit for bit, and the scans' results.  As run_ensemble does,
+    each chunk's noise is drawn into columns 1.. of one workspace per batch
+    and stepped there in place (the draws are not timed)."""
+    n_paths = ref.shape[0]
+    grid = time_grid(t0, DT, n_steps)
     curves = branches(model)
     region = envelope.region_D(model, EPS, curves, t_hi=T_END)
     width = float(curves.x_tilde(math.sqrt(EPS)))
+    gens = path_generators(SEED, range(n_paths))
+    ws = np.empty((n_paths, min(CHUNK_STEPS, n_steps) + 1))
+    ws[:, 0] = X0
     same, t_step, t_scan, found = True, 0.0, 0.0, []
-    x, trunc = X0, None
-    for k0 in range(0, dw.shape[1], CHUNK_STEPS):
-        inc = dw[:, k0:k0 + CHUNK_STEPS]
+    trunc = None
+    for k0 in range(0, n_steps, CHUNK_STEPS):
+        chunk = ws[:, :min(CHUNK_STEPS, n_steps - k0) + 1]
+        fill_increments(chunk[:, 1:], SEED, range(n_paths), DT, gens=gens)
         start = time.perf_counter()
-        X, trunc = em_batch(model, EPS, SIGMA, t0, x, DT, inc, k0, trunc)
+        X, trunc = em_batch(model, EPS, SIGMA, t0, chunk[:, 0], DT,
+                            chunk[:, 1:], k0, trunc, chunk)
         t_step += time.perf_counter() - start
         nodes = grid[k0:k0 + X.shape[1]]
         start = time.perf_counter()
@@ -85,7 +95,7 @@ def chunked(model, t0, dw, ref, ref_trunc):
                   delay_times_batch(X, nodes, width)]
         t_scan += time.perf_counter() - start
         same &= np.array_equal(X, ref[:, k0:k0 + X.shape[1]])
-        x = X[:, -1]
+        ws[:, 0] = X[:, -1]
     same &= np.array_equal(trunc, ref_trunc, equal_nan=True)
     return (t_step, t_scan), same, found
 
@@ -95,18 +105,19 @@ def bench(model, n_paths, n_steps):
     NumPy scans and the C scans, and whether all agree bit for bit."""
     t0 = T_END - n_steps * DT
     dw = np.empty((n_paths, n_steps))
-    fill_increments(dw, 0, range(n_paths), DT)
+    fill_increments(dw, SEED, range(n_paths), DT)
 
     start = time.perf_counter()
     ref = per_step(model, EPS, SIGMA, t0, X0, DT, dw)
     t_ref = time.perf_counter() - start
+    del dw
 
     library, _compiled.LIBRARY = _compiled.LIBRARY, _compiled.Library(None)
     try:
-        t_numpy, same_numpy, found_numpy = chunked(model, t0, dw, *ref)
+        t_numpy, same_numpy, found_numpy = chunked(model, t0, n_steps, *ref)
     finally:
         _compiled.LIBRARY = library
-    t_c, same_c, found_c = chunked(model, t0, dw, *ref)
+    t_c, same_c, found_c = chunked(model, t0, n_steps, *ref)
     same_scans = all(np.array_equal(a, b, equal_nan=True)
                      for a, b in zip(found_numpy, found_c))
     return ((t_ref, t_numpy[0], t_c[0], t_numpy[1], t_c[1]),

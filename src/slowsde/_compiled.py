@@ -14,8 +14,9 @@ its Python side, which checks what C relies on (dtype, shape, contiguity,
 writeability) and raises ValueError before the call.  The kernels are given
 arrays and numbers only; ctypes releases the GIL for each call.
 
-  em_poly    Euler-Maruyama steps of a polynomial drift, path by path,
-             with the freezing at |x| > d (sde.em_batch)
+  em_poly    Euler-Maruyama steps of a polynomial drift, path by path and
+             in place over the increments, with the freezing at |x| > d
+             (sde.em_batch)
   zeta_scan  the zeta recurrence z = z*E + w (envelope._scan_rates)
   zeta_rate  the rates m of that recurrence along rows of a path: cubic
              Hermite values and df/dx on the refined grid (envelope._rates)
@@ -46,10 +47,8 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 # name: (argtypes, restype), as _em.c declares them
 ARGTYPES = {
-    # em_poly(out, inc, rows, n, ld, coef, n_coef, cdt, cns, d, trunc, t0,
-    #         dt, k0)
-    "em_poly": ((_P, _P, _N, _N, _N, _P, _N, _D, _D, _D, _P, _D, _D, _N),
-                None),
+    # em_poly(out, rows, n, ld, coef, n_coef, cdt, cns, d, trunc, t0, dt, k0)
+    "em_poly": ((_P, _N, _N, _N, _P, _N, _D, _D, _D, _P, _D, _D, _N), None),
     # zeta_scan(zeta, nodes, rows, e, w, substeps)
     "zeta_scan": ((_P, _N, _N, _P, _P, _N), None),
     # rk4_poly(out, rows, n, ld, h, c0, c1, c2, n_coef, inv, start, d, left)
@@ -225,33 +224,44 @@ def contiguous_rows(a, writeable: bool = True) -> bool:
                                and a.strides[0] >= cols * _ITEM)))
 
 
+def tail_columns(inc, out) -> bool:
+    """inc is the view out[:, 1:] of the matrix out: the same rows, from
+    out's second column on (or, when that is empty, of its shape)."""
+    return (isinstance(inc, np.ndarray) and isinstance(out, np.ndarray)
+            and inc.ndim == out.ndim == 2 and inc.dtype == out.dtype
+            and out.shape[1] >= 1
+            and inc.shape == (out.shape[0], out.shape[1] - 1)
+            and (inc.size == 0
+                 or (inc.strides == out.strides
+                     and inc.ctypes.data == out.ctypes.data + out.strides[1])))
+
+
 def _em_poly(fn) -> Callable:
     def step(out: np.ndarray, inc: np.ndarray, coef: np.ndarray, cdt: float,
              cns: float, d: float, trunc: np.ndarray, t0: float, dt: float,
              k0: int) -> None:
-        """Fill columns 1.. of out (rows, n + 1) from its column 0 by
-        Euler-Maruyama steps on the increments inc (rows, n): full Horner on
-        coef, the drift's coefficient table with one row per step, with
-        cdt = dt/eps and cns = sigma/sqrt(eps).  Rows that leave |x| <= d
-        freeze as sde._freeze freezes them, with trunc (rows,) updated in
-        place and the grid t0 + dt * k from node k0.  Each row of inc must
-        be contiguous; the rows may be a column slice of a larger matrix."""
+        """Step the rows of out (rows, n + 1) in place by Euler-Maruyama
+        from column 0 on the increments inc, which must be out[:, 1:]: the
+        increments go in as columns 1.. of out and the path comes out
+        there.  Full Horner on coef, the drift's coefficient table with one
+        row per step, with cdt = dt/eps and cns = sigma/sqrt(eps).  Rows
+        that leave |x| <= d freeze as sde._freeze freezes them, with trunc
+        (rows,) updated in place and the grid t0 + dt * k from node k0.
+        Each row of out must be contiguous; the rows may be a column slice
+        of a larger matrix."""
         rows, cols = np.shape(out) if np.ndim(out) == 2 else (0, 0)
-        _need(_array(out, 2, writeable=True) and cols >= 1
-              and contiguous_rows(inc, writeable=False)
-              and inc.shape == (rows, cols - 1)
-              and not np.may_share_memory(out, inc), "em_poly",
-              "out must be a writeable C-contiguous float64 (rows, n + 1) "
-              "and inc a float64 (rows, n) apart from it, whose rows are "
-              "contiguous and do not overlap")
+        _need(contiguous_rows(out) and cols >= 1 and tail_columns(inc, out),
+              "em_poly", "out must be a writeable float64 (rows, n + 1) "
+              "whose rows are contiguous and do not overlap, and inc its "
+              "view out[:, 1:]")
         _need(_array(coef, 2) and coef.shape[0] == cols - 1
               and coef.shape[1] >= 1 and _array(trunc, 1, writeable=True)
               and trunc.shape == (rows,), "em_poly",
               "coef must be a C-contiguous float64 (n, >= 1) and trunc a "
               "writeable C-contiguous float64 (rows,)")
-        fn(out.ctypes.data, inc.ctypes.data, rows, cols - 1,
-           inc.strides[0] // _ITEM, coef.ctypes.data, coef.shape[1], cdt,
-           cns, d, trunc.ctypes.data, t0, dt, k0)
+        fn(out.ctypes.data, rows, cols - 1, out.strides[0] // _ITEM,
+           coef.ctypes.data, coef.shape[1], cdt, cns, d, trunc.ctypes.data,
+           t0, dt, k0)
 
     return step
 

@@ -13,8 +13,10 @@
  * slowsde._compiled with -ffp-contract=off (no FMA) and without
  * -ffast-math.  Arrays are C-contiguous unless a stride is passed;
  * slowsde._compiled checks every argument before the call.  A batch of
- * paths is path-major, one row per path, from the noise kernel through the
- * stepping to the exit scans.
+ * paths is path-major, one row per path of one workspace: philox_normal
+ * writes a chunk's Philox words there and turns them into increments in
+ * place, em_poly replaces each increment by the node it leads to, and
+ * first_outside scans the rows where they are.
  *
  * A drift is full Horner in x over one time's coefficients c_0 .. c_n,
  * x*c_n + c_(n-1), then f*x + c_i down to c_0, as PolyDrift.horner runs it.
@@ -46,35 +48,34 @@ static inline int any_set(const pair_i *m)
     return (any[0] | any[1]) != 0;
 }
 
-/* Euler-Maruyama steps of a polynomial drift over one time chunk, with the
- * freezing of paths that leave |x| <= d; the twin of the NumPy loop in
- * sde._em_steps followed by sde._freeze.
+/* Euler-Maruyama steps of a polynomial drift over one time chunk, in
+ * place, with the freezing of paths that leave |x| <= d; the twin of the
+ * NumPy loop in sde._em_steps followed by sde._freeze.
  *
- * Row i of inc, at inc[i * ld], holds the n increments dW of path i, and
- * row i of out (rows, n + 1) its path: column 0 the state at the chunk's
- * first node, which the caller sets, and column j + 1 the state after step
- * j.  coef (n, n_coef) holds in row j the coefficients at the time of step
- * j.  A step is the drift f, then f*cdt, x + that and that + dW*cns, with
+ * Row i of out (rows, n + 1), at out[i * ld], holds in column 0 the state
+ * of path i at the chunk's first node, and in columns 1 .. n its n
+ * increments dW; on return column j + 1 holds the state after step j.
+ * coef (n, n_coef) holds in row j the coefficients at the time of step j.
+ * A step is the drift f, then f*cdt, x + that and that + dW*cns, with
  * cdt = dt/eps and cns = sigma/sqrt(eps), dW*cns rounded first.
  *
  * A row whose trunc is not NaN is frozen on entry and holds column 0.  A
  * live row freezes at its first node with |x| > d, which holds the node
  * before from then on, and trunc records t0 + (k0 + j + 1) * dt for the
  * step j that left; a NaN never freezes, an infinity does.  The rows go
- * LANES at a time, row l of the tile in element l % 2 of pair l / 2, each
- * lane reading one row of inc and writing one row of out in order; in the
- * last tile the lanes past the last row repeat it, computing and storing
- * the same values.
+ * LANES at a time, row l of the tile in element l % 2 of pair l / 2; in
+ * the last tile the lanes past the last row repeat it, computing and
+ * storing the same values.  Stepping in place is safe because in each step
+ * every lane reads its dW[j] from column j + 1 before any lane stores node
+ * j + 1 there.
  */
-void em_poly(double *out, const double *inc, ptrdiff_t rows, ptrdiff_t n,
-             ptrdiff_t ld, const double *coef, ptrdiff_t n_coef, double cdt,
-             double cns, double d, double *trunc, double t0, double dt,
-             ptrdiff_t k0)
+void em_poly(double *out, ptrdiff_t rows, ptrdiff_t n, ptrdiff_t ld,
+             const double *coef, ptrdiff_t n_coef, double cdt, double cns,
+             double d, double *trunc, double t0, double dt, ptrdiff_t k0)
 {
     const pair_i magnitude = {INT64_MAX, INT64_MAX}; /* all but the sign */
 
     for (ptrdiff_t i = 0; i < rows; i += LANES) {
-        const double *w[LANES];
         double *y[LANES];
         ptrdiff_t r[LANES];
         /* a lane leaves when |x| > lim: d while it is live, then NaN, which
@@ -85,8 +86,7 @@ void em_poly(double *out, const double *inc, ptrdiff_t rows, ptrdiff_t n,
 
         for (int l = 0; l < LANES; l++) {
             r[l] = i + l < rows ? i + l : rows - 1;
-            w[l] = inc + r[l] * ld;
-            y[l] = out + r[l] * (n + 1);
+            y[l] = out + r[l] * ld;
             x[l / 2][l % 2] = y[l][0];
             held[l / 2][l % 2] = isnan(trunc[r[l]]) ? 0 : -1;
             lim[l / 2][l % 2] = isnan(trunc[r[l]]) ? d : NAN;
@@ -99,7 +99,7 @@ void em_poly(double *out, const double *inc, ptrdiff_t rows, ptrdiff_t n,
 
 #pragma GCC unroll 4
             for (int v = 0; v < PAIRS; v++) {
-                z[v] = (pair_d){w[2 * v][j], w[2 * v + 1][j]} * cns;
+                z[v] = (pair_d){y[2 * v][j + 1], y[2 * v + 1][j + 1]} * cns;
                 if (n_coef == 1) {
                     f[v] = (pair_d){c[0], c[0]};
                 } else {
@@ -705,37 +705,30 @@ static uint64_t next_u64(uint64_t *s)
     return s[BUF];
 }
 
-static double next_double(uint64_t *s)
+/* Where a row's normals take their words from: the words stored at
+ * row[next .. end), then the stream s.  The stored words sit where the
+ * normals go, so they are read through memcpy, which may alias the doubles
+ * stored there. */
+struct words {
+    const double *row;
+    ptrdiff_t next, end;
+    uint64_t *s;
+};
+
+static inline uint64_t next_word(struct words *w)
 {
-    return (double)(next_u64(s) >> 11) * (1.0 / 9007199254740992.0);
+    uint64_t u;
+
+    if (w->next < w->end) {
+        memcpy(&u, w->row + w->next++, sizeof u);
+        return u;
+    }
+    return next_u64(w->s);
 }
 
-/* One normal, word by word: random_standard_normal of NumPy. */
-static double normal(uint64_t *s)
+static double next_double(struct words *w)
 {
-    for (;;) {
-        uint64_t r = next_u64(s);
-        int idx = r & 0xff;
-        uint64_t rabs = (r >> 9) & 0x000fffffffffffff;
-        double x = (double)rabs * wi[idx];
-
-        if ((r >> 8) & 1)
-            x = -x;
-        if (rabs < ki[idx])
-            return x;
-        if (idx == 0) {
-            for (;;) {
-                double xx = -ZIG_INV_R * log1p(-next_double(s));
-                double yy = -log1p(-next_double(s));
-
-                if (yy + yy > xx * xx)
-                    return ((rabs >> 8) & 1) ? -(ZIG_R + xx) : ZIG_R + xx;
-            }
-        }
-        if ((fi[idx - 1] - fi[idx]) * next_double(s) + fi[idx]
-            < exp(-0.5 * x * x))
-            return x;
-    }
+    return (double)(next_word(w) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* x with its sign bit flipped when flip is 1, which is -x when it is. */
@@ -749,48 +742,67 @@ static inline double flip_sign(double x, uint64_t flip)
     return x;
 }
 
+/* One normal from its first word r on, any further words drawn from w:
+ * random_standard_normal of NumPy. */
+static inline double ziggurat(uint64_t r, struct words *w)
+{
+    for (;;) {
+        int idx = r & 0xff;
+        uint64_t rabs = (r >> 9) & 0x000fffffffffffff;
+        /* the signed conversion, exact as rabs < 2^52 */
+        double x = flip_sign((double)(int64_t)rabs * wi[idx], (r >> 8) & 1);
+
+        if (__builtin_expect(rabs < ki[idx], 1))
+            return x;
+        if (idx == 0) {
+            for (;;) {
+                double xx = -ZIG_INV_R * log1p(-next_double(w));
+                double yy = -log1p(-next_double(w));
+
+                if (yy + yy > xx * xx)
+                    return ((rabs >> 8) & 1) ? -(ZIG_R + xx) : ZIG_R + xx;
+            }
+        }
+        if ((fi[idx - 1] - fi[idx]) * next_double(w) + fi[idx]
+            < exp(-0.5 * x * x))
+            return x;
+        r = next_word(w);
+    }
+}
+
 /* Fill row i of out (rows, n), which starts at out[i * ld], with the next n
  * normals of the stream state + i * PHILOX_WORDS, each times scale.
  *
- * With an empty buffer and 4 or more values to go, a block is drawn into the
- * buffer and run through the ziggurat's first test without a branch, its 4
- * values stored as they come; when all 4 words pass, they are kept.
- * Otherwise normal() takes the buffer word by word from its first, as NumPy
- * does, and its values replace those 4.  Each word and each value is
- * stored on its own: the compiler would otherwise pair them into 128-bit
- * reloads of what it has just stored, which stall. */
+ * A row is filled in two phases.  Words left in the stream's buffer are
+ * used up first, value by value, so that the buffer is empty.  Then the
+ * row's next 4 * floor(m / 4) words, m the values still to go, are drawn
+ * block by block into the row itself, the last block staying in the
+ * buffer with buffer_pos 4, as NumPy leaves it; and the ziggurat makes the
+ * normals from them in place.  Each value takes at least one word, so
+ * value j is stored only once the word at column j has been read.  A wedge
+ * or tail draw takes the next stored word, and the stream's once they run
+ * out; the row's last values come from the stream too.
+ */
 void philox_normal(double *out, ptrdiff_t rows, ptrdiff_t n, ptrdiff_t ld,
                    uint64_t *state, double scale)
 {
     for (ptrdiff_t i = 0; i < rows; i++) {
         uint64_t *s = state + i * PHILOX_WORDS;
         double *y = out + i * ld;
+        struct words w = {y, 0, 0, s};
         ptrdiff_t j = 0;
 
-        while (j < n) {
-            uint64_t w[4];
-            int pass = 1;
-
-            if (s[POS] < 4 || n - j < 4) {
-                y[j++] = normal(s) * scale;
-                continue;
-            }
-            philox_block(s, w);
-#pragma GCC unroll 4
-            for (int k = 0; k < 4; k++) {
-                int idx = w[k] & 0xff;
-                uint64_t rabs = (w[k] >> 9) & 0x000fffffffffffff;
-
-                s[BUF + k] = w[k];
-                /* the signed conversion, exact as rabs < 2^52 */
-                y[j + k] = flip_sign((double)(int64_t)rabs * wi[idx],
-                                     (w[k] >> 8) & 1) * scale;
-                pass &= rabs < ki[idx];
-            }
-            if (pass)
-                j += 4;
-            else
-                s[POS] = 0;
+        while (j < n && s[POS] < 4)
+            y[j++] = ziggurat(next_u64(s), &w) * scale;
+        w.next = j;
+        w.end = j + (n - j) / 4 * 4;
+        for (ptrdiff_t k = j; k < w.end; k += 4) {
+            philox_block(s, s + BUF);
+            memcpy(y + k, s + BUF, 4 * sizeof *s);
         }
+        while (w.next < w.end)
+            y[j++] = ziggurat(next_word(&w), &w) * scale;
+        while (j < n)
+            y[j++] = ziggurat(next_u64(s), &w) * scale;
     }
 }

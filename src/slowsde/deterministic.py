@@ -153,7 +153,9 @@ def solve_det(model: ModelSpec, eps: float, t0: float, x0: float,
     grid = time_grid(t0, dt, n)
 
     if method == "euler":
-        X, trunc = em_batch(model, eps, 0.0, t0, x0, dt, np.zeros((1, n)))
+        ws = np.zeros((1, n + 1))  # zero increments, stepped in place
+        X, trunc = em_batch(model, eps, 0.0, t0, x0, dt, ws[:, 1:], 0, None,
+                            ws)
         xs, errs = X[0], None
         k_last = n if math.isnan(trunc[0]) else \
             int(round((trunc[0] - t0) / dt)) - 1

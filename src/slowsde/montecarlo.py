@@ -9,6 +9,7 @@ Runtime is kept out of the serialized payload for the same reason.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -41,8 +42,8 @@ MAX_TOTAL_STEPS = 2_000_000_000
 # time steps per streamed chunk: a batch holds O(batch size x CHUNK_STEPS)
 # floats however long its paths are
 CHUNK_STEPS = 1024
-# paths per batch at most, whatever n_steps is; two chunk-sized float arrays
-# of this width take 14 MB
+# paths per batch at most, whatever n_steps is; the batch's one workspace of
+# CHUNK_STEPS + 1 floats per path takes 6.9 MB at this width
 MAX_BATCH = 838
 
 
@@ -328,53 +329,74 @@ class _Columns(dict):
 
 @dataclass(frozen=True)
 class _Run:
-    """One ensemble run: its config, grid, start value and thread count."""
+    """One ensemble run: its config, its grid's step count, start value and
+    thread count."""
 
     config: EnsembleConfig
-    grid: np.ndarray
+    n_steps: int
     x0: float
     threads: int
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """The whole time grid, made at the first use: the exit tags step
+        and scan without it, so their peak memory does not grow with
+        n_steps."""
+        return time_grid(self.config.t0, self.config.dt, self.n_steps)
+
+    def times(self, nodes: slice) -> np.ndarray:
+        """The grid's nodes in the slice nodes, bit for bit those of grid,
+        without the rest of it."""
+        start, stop, _ = nodes.indices(self.n_steps + 1)
+        return self.config.t0 + self.config.dt * np.arange(start, stop)
 
     def scan(self, scan, columns: dict, last: Optional[int] = None) -> tuple:
         """Simulate every path in batches up to grid node last (the end of
         the grid by default) and return the per-path columns and the paths'
         states at that node, in path order.
 
-        Each batch streams through time chunks of CHUNK_STEPS steps.
-        columns maps each column name to its start value.  For every chunk,
-        scan(X, nodes, cols) gets the batch's paths X (B, n+1) on the grid
-        nodes of the slice nodes, whose first node closes the previous
-        chunk, and merges what it finds into the batch's _Columns cols.  A
-        path whose state turns non-finite raises NonFiniteResult at the end
-        of that chunk.
+        Each batch streams through time chunks of CHUNK_STEPS steps in one
+        workspace of CHUNK_STEPS + 1 columns, which the noise and the
+        stepping fill in place.  columns maps each column name to its start
+        value.  For every chunk, scan(X, nodes, cols) gets the batch's paths
+        X (B, n+1) on the grid nodes of the slice nodes, whose first node
+        closes the previous chunk, and merges what it finds into the batch's
+        _Columns cols; X is overwritten by the next chunk, so a scan keeps
+        no view of it.  A path whose state turns non-finite raises
+        NonFiniteResult at the end of that chunk.
         """
         cfg = self.config
-        n_steps = len(self.grid) - 1 if last is None else last
+        n_steps = self.n_steps if last is None else last
 
         def work(idx):
             gens = path_generators(cfg.master_seed, idx)
-            dw = np.empty((len(idx), min(CHUNK_STEPS, n_steps)))
+            # the batch's one workspace: column 0 holds the paths' state at
+            # a chunk's first node, and each row's other columns take the
+            # chunk's Philox words, then its increments, then its nodes
+            ws = np.empty((len(idx), min(CHUNK_STEPS, n_steps) + 1))
+            ws[:, 0] = self.x0
             cols = _Columns({k: np.full(len(idx), v)
                              for k, v in columns.items()})
-            x, trunc = self.x0, None
+            trunc = None
             for k0 in range(0, n_steps, CHUNK_STEPS):
-                inc = dw[:, :min(CHUNK_STEPS, n_steps - k0)]
-                fill_increments(inc, cfg.master_seed, idx, cfg.dt, cfg.mirror,
-                                gens)
-                X, trunc = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0, x,
-                                    cfg.dt, inc, k0, trunc)
+                chunk = ws[:, :min(CHUNK_STEPS, n_steps - k0) + 1]
+                fill_increments(chunk[:, 1:], cfg.master_seed, idx, cfg.dt,
+                                cfg.mirror, gens)
+                X, trunc = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0,
+                                    chunk[:, 0], cfg.dt, chunk[:, 1:], k0,
+                                    trunc, chunk)
                 scan(X, slice(k0, k0 + X.shape[1]), cols)
-                x = X[:, -1].copy()
-                del X  # free the chunk before the next one is stepped
-                bad = idx[~np.isfinite(x)]
+                ws[:, 0] = X[:, -1]
+                del X  # the NumPy loop's own paths: free them now
+                bad = idx[~np.isfinite(ws[:, 0])]
                 if bad.size:
                     # only |x| > d freezes a path: a NaN state keeps
                     # stepping and stays NaN to the end
+                    t = cfg.t0 + cfg.dt * (k0 + chunk.shape[1] - 1)
                     raise NonFiniteResult(
                         f"{bad.size} paths have a non-finite final state "
-                        f"(path {bad[0]} is non-finite by "
-                        f"t={self.grid[k0 + inc.shape[1]]:g})")
-            return cols, x
+                        f"(path {bad[0]} is non-finite by t={t:g})")
+            return cols, ws[:, 0].copy()
 
         spans = _batches(np.arange(cfg.n_paths), self.threads)
         if self.threads <= 1:
@@ -416,11 +438,39 @@ def _quantiles(values: np.ndarray) -> dict:
     if inf:
         raise NonFiniteResult(f"{inf} of {len(values)} paths have an "
                               "infinite value where a quantile is taken")
-    kept = values[~np.isnan(values)]
-    if kept.size == 0:
+    kept = np.sort(values[~np.isnan(values)]).tolist()
+    if not kept:
         return {}
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    return {f"q{int(100 * q):02d}": float(np.quantile(kept, q)) for q in qs}
+    return {f"q{int(100 * q):02d}": _linear_quantile(kept, q) for q in qs}
+
+
+def _linear_quantile(ordered: list, q: float) -> float:
+    """The q-quantile of the sorted floats ordered, bit for bit
+    np.quantile(ordered, q) by its default "linear" method, with its
+    operations in its order.  np.quantile itself would import numpy.ma
+    (through a plain np.unique) inside the timed run."""
+    v = (len(ordered) - 1) * q
+    if v >= len(ordered) - 1:  # both neighbours are index -1, the last
+        k, a, b = -1, ordered[-1], ordered[-1]
+    else:
+        k = math.floor(v)
+        a, b = ordered[k], ordered[k + 1]
+    g, diff = v - k, b - a
+    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of the (non-empty) values bit for bit: the middle value,
+    or the mean (a + b) / 2 of the middle two, and NaN if any value is
+    NaN; without the numpy.ma import that np.median makes."""
+    ordered = np.sort(values).tolist()  # NaN sorts last
+    half = len(ordered) // 2
+    if math.isnan(ordered[-1]):
+        return math.nan
+    if len(ordered) % 2:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +559,15 @@ def _exit_columns(run: _Run) -> dict:
     """Shared scans of escape/delay/branch: first exit from D with its
     side, exit time from the delay strip, and the endpoint.  A scan skips
     the rows whose exit it has already kept."""
-    cfg, grid = run.config, run.grid
+    cfg = run.config
     regD = _region_D(run)
     width = float(branches(cfg.model).x_tilde(math.sqrt(cfg.eps)))
 
     def scan(X, nodes, cols):
-        _first_exit_D(X, grid[nodes], cols, regD)
+        t = run.times(nodes)
+        _first_exit_D(X, t, cols, regD)
         cols.first("tau_delay", delay_times_batch(
-            X, grid[nodes], width, cols.recorded("tau_delay")))
+            X, t, width, cols.recorded("tau_delay")))
 
     cols, x_end = run.scan(scan, {"tau_D": np.nan, "exit_side": 0,
                                   "tau_delay": np.nan})
@@ -580,7 +631,7 @@ def _run_delay(run: _Run) -> tuple:
 def _run_branch(run: _Run) -> tuple:
     cols = _exit_columns(run)
     return ({"branch": _branch_stats(cols["x_final"]),
-             "t": float(run.grid[-1])}, cols)
+             "t": float(run.times(slice(-1, None))[0])}, cols)
 
 
 def _run_approach(run: _Run) -> tuple:
@@ -644,7 +695,7 @@ def _run_approach(run: _Run) -> tuple:
         - cols["xhat_end"][paths]
     # the median over the distinct exit nodes of the whole run
     _, distinct = np.unique(tau_d[paths], return_index=True)
-    pred = cfg.sigma * float(np.median(cols["sqrtz_end"][paths][distinct]))
+    pred = cfg.sigma * _median(cols["sqrtz_end"][paths][distinct])
     emp = float(np.std(devs, ddof=1)) if devs.size > 1 else math.nan
     results.update({
         "exceedance": series,
@@ -676,9 +727,8 @@ def run_ensemble(config: EnsembleConfig, threads: int = 1) -> EnsembleReport:
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     start = time.perf_counter()
-    grid = time_grid(config.t0, config.dt,
-                     n_steps_for(config.t0, config.t_end, config.dt))
-    run = _Run(config, grid, _resolve_x0(config), threads)
+    run = _Run(config, n_steps_for(config.t0, config.t_end, config.dt),
+               _resolve_x0(config), threads)
     results, per_path = _RUNNERS[config.tag](run)
     return EnsembleReport(
         config=config.to_dict(), config_hash=config_hash(config),

@@ -5,9 +5,10 @@ Both integrators step a whole batch of paths at once: em_batch by
 Euler-Maruyama, linear_batch through precomputed exponential multipliers.
 em_batch steps a polynomial drift through em_poly, a kernel of the
 compiled library _em.c, built and loaded at its first use (see _compiled):
-path by path, it reads each row of increments where the noise was drawn,
-runs full Horner over the drift's coefficient table, one row per step, and
-freezes the paths that leave |x| <= d in the same call.  Any other drift,
+path by path, in place in the workspace row where the noise was drawn, it
+replaces each increment by the node it leads to, runs full Horner over the
+drift's coefficient table, one row per step, and freezes the paths that
+leave |x| <= d in the same call.  Any other drift,
 and a polynomial one when no C compiler works, steps time-major through
 one NumPy loop, running PolyDrift.horner on the same rows, and is frozen
 by _freeze: the reference the kernel equals bit for bit.
@@ -105,20 +106,27 @@ def _time_major(eps: float, sigma: float, x0, dt: float,
 
 def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
              x0, dt: float, increments: np.ndarray, k0: int = 0,
-             trunc: Optional[np.ndarray] = None) -> tuple:
+             trunc: Optional[np.ndarray] = None,
+             out: Optional[np.ndarray] = None) -> tuple:
     """Integrate a batch of Euler-Maruyama paths on the grid t0 + dt * k.
 
     increments (B, n) drive the steps from node k0 to node k0 + n, and x0
     (a scalar or (B,)) is the state at node k0.  Returns (paths (B, n+1),
-    trunc (B,)): paths is C-contiguous when the compiled kernel steps it,
-    else the transposed view of the time-major (n+1, B) array of the NumPy
-    loop, with the same values; trunc is NaN where the path stayed in
-    |x| <= d and its freeze time otherwise.  To integrate in time chunks,
-    pass each chunk's first node as k0, the previous chunk's last column as
-    x0 and its trunc, which is updated in place; the chunks then reproduce
-    the nodes of one call bit for bit, because the step times are the same
-    nodes of the one grid.  With sigma = 0 this is explicit Euler on the
-    slow ODE, bit for bit.
+    trunc (B,)): trunc is NaN where the path stayed in |x| <= d and its
+    freeze time otherwise.  To integrate in time chunks, pass each chunk's
+    first node as k0, the previous chunk's last column as x0 and its trunc,
+    which is updated in place; the chunks then reproduce the nodes of one
+    call bit for bit, because the step times are the same nodes of the one
+    grid.  With sigma = 0 this is explicit Euler on the slow ODE, bit for
+    bit.
+
+    out (B, n+1), when given, is a workspace whose columns 1.. are the
+    increments: increments must be out[:, 1:].  The compiled kernel then
+    writes x0 into column 0 and steps the paths in place, so paths is out
+    and the increments are gone.  Without out it steps a new C-contiguous
+    array with the increments copied in, and they are kept.  The NumPy loop
+    reads the increments either way and returns the transposed view of its
+    own time-major (n+1, B) array, with the same values.
 
     In the NumPy loop every column is stepped as if live and fixed up once
     per chunk by _freeze, so a drift callable is also evaluated at states
@@ -127,24 +135,26 @@ def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
     returns there (non-finite values included) never reaches the paths.
     """
     _check_dt(dt, eps)
+    if out is not None and not _compiled.tail_columns(increments, out):
+        raise ValueError("em_batch: increments must be out[:, 1:]")
     B, n = increments.shape
     if trunc is None:
         trunc = np.full(B, np.nan)
     t_nodes = t0 + dt * np.arange(k0, k0 + n)  # time_grid(t0, dt, .)[k0:]
     step = None if model.poly is None else _compiled.LIBRARY.get("em_poly")
     if step is not None:
-        if not _compiled.contiguous_rows(increments, writeable=False):
-            increments = np.ascontiguousarray(increments, dtype=np.float64)
-        out = np.empty((B, n + 1))
+        if out is None:
+            out = np.empty((B, n + 1))
+            out[:, 1:] = increments
         out[:, 0] = x0
-        step(out, increments, model.poly.coeff_table(t_nodes), dt / eps,
+        step(out, out[:, 1:], model.poly.coeff_table(t_nodes), dt / eps,
              sigma / math.sqrt(eps), model.d, trunc, t0, dt, k0)
         return out, trunc
-    out = _time_major(eps, sigma, x0, dt, increments)
+    paths = _time_major(eps, sigma, x0, dt, increments)
     with np.errstate(over="ignore", invalid="ignore"):
-        _em_steps(out, model, t_nodes, dt / eps)
-        _freeze(out, model.d, trunc, t0, dt, k0)
-    return out.T, trunc
+        _em_steps(paths, model, t_nodes, dt / eps)
+        _freeze(paths, model.d, trunc, t0, dt, k0)
+    return paths.T, trunc
 
 
 def linear_batch(rate_fn: Callable, eps: float, sigma: float, t0: float,

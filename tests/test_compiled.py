@@ -141,49 +141,67 @@ def read_only(shape, dtype=np.float64):
 
 PATHS, INC, COEF, TRUNC = (np.zeros((3, 6)), np.zeros((3, 5)),
                            np.zeros((5, 4)), np.full(3, math.nan))
+TAIL = None  # inc is out[:, 1:], the one inc em_poly takes
 
 
 def sharing_out():
-    """A path matrix and increments inside it."""
+    """A path matrix and increments inside it, one column early: any
+    overlap but out[:, 1:] itself."""
     out = np.zeros((3, 6))
-    return out, out[:, 1:]
+    return out, out[:, :-1]
 
 
 @pytest.mark.parametrize("out,inc,coef,trunc", [
-    (np.zeros((3, 12))[:, ::2], INC, COEF, TRUNC),  # not contiguous
-    (np.zeros((6, 3)).T, INC, COEF, TRUNC),         # Fortran order
-    (read_only((3, 6)), INC, COEF, TRUNC),
-    (np.zeros((3, 6), dtype=np.float32), INC, COEF, TRUNC),
-    (PATHS, INC, np.zeros((6, 4)), TRUNC),          # one row per node
-    (PATHS, INC, np.zeros((4, 4)), TRUNC),
-    (PATHS, INC, np.zeros((5, 0)), TRUNC),          # no coefficient
-    (PATHS, INC, np.zeros(5), TRUNC),
-    (PATHS, INC, np.zeros((5, 4), dtype=np.float32), TRUNC),
-    (PATHS, INC, np.zeros((5, 8))[:, ::2], TRUNC),
-    (PATHS, INC, [[0.0] * 4] * 5, TRUNC),           # not an ndarray
+    (np.zeros((3, 12))[:, ::2], TAIL, COEF, TRUNC),  # not contiguous
+    (np.zeros((6, 3)).T, TAIL, COEF, TRUNC),         # Fortran order
+    (read_only((3, 6)), TAIL, COEF, TRUNC),
+    (np.zeros((3, 6), dtype=np.float32), TAIL, COEF, TRUNC),
+    (PATHS, TAIL, np.zeros((6, 4)), TRUNC),          # one row per node
+    (PATHS, TAIL, np.zeros((4, 4)), TRUNC),
+    (PATHS, TAIL, np.zeros((5, 0)), TRUNC),          # no coefficient
+    (PATHS, TAIL, np.zeros(5), TRUNC),
+    (PATHS, TAIL, np.zeros((5, 4), dtype=np.float32), TRUNC),
+    (PATHS, TAIL, np.zeros((5, 8))[:, ::2], TRUNC),
+    (PATHS, TAIL, [[0.0] * 4] * 5, TRUNC),           # not an ndarray
     (np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((0, 4)), TRUNC),
     (PATHS, np.zeros((3, 10))[:, ::2], COEF, TRUNC),
     (PATHS, np.zeros((5, 3)).T, COEF, TRUNC),
     (PATHS, np.zeros((3, 5), dtype=np.float32), COEF, TRUNC),
-    (PATHS, np.zeros((3, 6)), COEF, TRUNC),         # a column too many
+    (PATHS, np.zeros((3, 6)), COEF, TRUNC),          # a column too many
     (PATHS, np.zeros((2, 5)), COEF, TRUNC),
     (PATHS, [[0.0] * 5] * 3, COEF, TRUNC),
     (*sharing_out(), COEF, TRUNC),
-    (PATHS, INC, COEF, read_only(3)),
-    (PATHS, INC, COEF, np.full(2, math.nan)),
-    (PATHS, INC, COEF, np.full(3, math.nan, dtype=np.float32)),
-    (PATHS, INC, COEF, np.full(6, math.nan)[::2]),
-    (PATHS, INC, COEF, [math.nan] * 3),
+    (PATHS, INC, COEF, TRUNC),                       # apart from out
+    (PATHS, TAIL, COEF, read_only(3)),
+    (PATHS, TAIL, COEF, np.full(2, math.nan)),
+    (PATHS, TAIL, COEF, np.full(3, math.nan, dtype=np.float32)),
+    (PATHS, TAIL, COEF, np.full(6, math.nan)[::2]),
+    (PATHS, TAIL, COEF, [math.nan] * 3),
 ], ids=["strided", "fortran", "read-only", "float32", "rows+1", "rows-1",
         "no-columns", "1-d-coef", "float32-coef", "strided-coef",
         "list-coef", "no-nodes", "strided-inc", "fortran-inc",
         "float32-inc", "inc-columns", "inc-rows", "list-inc", "inc-in-out",
-        "read-only-trunc", "trunc-length", "float32-trunc", "strided-trunc",
-        "list-trunc"])
+        "inc-apart", "read-only-trunc", "trunc-length", "float32-trunc",
+        "strided-trunc", "list-trunc"])
 def test_step_rejects_what_c_cannot_take(unreached, out, inc, coef, trunc):
+    if inc is TAIL:
+        inc = out[:, 1:]
     with pytest.raises(ValueError, match="em_poly"):
         unreached("em_poly")(out, inc, coef, 0.5, 0.1, 1.0, trunc, 0.0,
                              1e-3, 0)
+
+
+def test_step_takes_its_workspace_tail(unreached):
+    """The cases above differ from this call, which reaches the kernel,
+    only in what they name."""
+    out = np.zeros((3, 6))
+    with pytest.raises(pytest.fail.Exception, match="kernel was called"):
+        unreached("em_poly")(out, out[:, 1:], COEF, 0.5, 0.1, 1.0, TRUNC,
+                             0.0, 1e-3, 0)
+    wide = np.zeros((3, 9))[:, :6]  # the row-strided last chunk
+    with pytest.raises(pytest.fail.Exception, match="kernel was called"):
+        unreached("em_poly")(wide, wide[:, 1:], COEF, 0.5, 0.1, 1.0, TRUNC,
+                             0.0, 1e-3, 0)
 
 
 ZETA, SUB = np.zeros((5, 3)), np.zeros((16, 3))

@@ -10,7 +10,7 @@ import pytest
 from slowsde import (ConfigError, NonFiniteResult, RegimeViolation,
                      ResourceLimit, branches, compare_bound, envelope,
                      estimate_prob, exits, model_from_coeffs, montecarlo,
-                     run_ensemble, standard_pitchfork, zeta_post_exit)
+                     run_ensemble, sde, standard_pitchfork, zeta_post_exit)
 from slowsde.deterministic import DetPath, post_exit_family
 from slowsde.envelope import BoundEvaluation
 from slowsde.montecarlo import (EnsembleConfig, exceedance_curve,
@@ -204,6 +204,50 @@ class TestNonFinitePaths:
         for inf in (np.inf, -np.inf):
             with pytest.raises(NonFiniteResult, match="1 of 3 paths"):
                 montecarlo._quantiles(np.array([0.2, inf, np.nan]))
+
+    def test_quantiles_are_numpys_bits(self):
+        """The sorted-list interpolation equals np.quantile's default
+        "linear" method bit for bit on 10200 seeded arrays: n = 1 and 2
+        among them, ties, values across the exponent range, and sizes
+        (5, 21, 101) on which every q falls on an exact index.  A tie of
+        -0.0 with 0.0 is left out: NumPy's partition may order it unlike a
+        sort, and no run gives -0.0 (its times are grid nodes, its sups
+        maxima of |x|)."""
+        rng = np.random.default_rng(2024)
+        qs = (0.05, 0.25, 0.5, 0.75, 0.95)
+        for i in range(10200):
+            n = (1, 2, 3, 5, 21, 101)[i % 6] if i % 2 else \
+                int(rng.integers(1, 400))
+            kind = i % 3
+            if kind == 0:
+                x = rng.standard_normal(n)
+            elif kind == 1:  # ties
+                x = rng.integers(-3, 4, n) * 0.25
+            else:
+                x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+            got = montecarlo._quantiles(x)
+            want = {f"q{int(100 * q):02d}": float(np.quantile(x, q))
+                    for q in qs}
+            assert list(got) == list(want)
+            assert np.array_equal(np.array(list(got.values())).view(np.uint64),
+                                  np.array(list(want.values())).view(np.uint64)), \
+                (n, x)
+
+    def test_median_is_numpys_bits(self):
+        """The approach tag's median equals np.median bit for bit, for odd
+        and even counts, ties and a NaN among the values."""
+        rng = np.random.default_rng(77)
+        for i in range(3000):
+            n = int(rng.integers(1, 60))
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+            if i % 3 == 1:
+                x = rng.integers(-2, 3, n) * 0.5
+            if i % 5 == 0:
+                x[rng.integers(n)] = np.nan
+            want = np.float64(np.median(x))
+            got = np.float64(montecarlo._median(x))
+            assert got.view(np.uint64) == want.view(np.uint64) \
+                or (np.isnan(want) and np.isnan(got)), x
 
     def test_exceedance_counts_over_all_given_sups(self):
         cfg = dataclasses.make_dataclass("Cfg", [("h_list", tuple)])(
@@ -416,6 +460,24 @@ def test_peak_memory_flat_in_n_steps(standard):
     matrix = 8 * 64 * 100_000
     assert peaks[100_000] < matrix / 8
     assert peaks[100_000] < 2 * peaks[10_000]
+
+
+@pytest.mark.parametrize("tag", ["delay", "branch"])
+def test_run_holds_one_workspace(standard, tag):
+    """A batch draws its noise into, and steps its paths in, one workspace
+    of CHUNK_STEPS + 1 columns: over five chunks the compiled run peaks
+    below 1.3 of it plus 64 KiB.  A separate increments matrix beside the
+    paths would take twice the workspace."""
+    assert sde.backend() == "c"
+    cfg = delay_config(standard, tag=tag, dt=2.0 / 5000, eps=0.005,
+                       n_paths=400)
+    assert n_steps_for(cfg.t0, cfg.t_end, cfg.dt) > 4 * montecarlo.CHUNK_STEPS
+    workspace = 8 * 400 * (montecarlo.CHUNK_STEPS + 1)
+    tracemalloc.start()
+    run_ensemble(cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1.3 * workspace + 64 * 1024
 
 
 def test_approach_steps_each_path_once(monkeypatch):

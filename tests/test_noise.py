@@ -3,7 +3,9 @@ library's philox_normal and by NumPy's Generators, against
 Generator(Philox(key=[master_seed, index])).standard_normal bit for bit:
 over millions of draws, which reach the ziggurat's tail and wedges; in
 chunks that split a block of 4 Philox words; on column slices, mirrored; at
-the largest keys; and across a carry of the Philox counter."""
+the largest keys; across a carry of the Philox counter; for rows that enter
+with words in the buffer; and where a tail or wedge draw runs past the
+words the compiled fill stores in the row before it makes its normals."""
 
 import math
 import os
@@ -105,6 +107,83 @@ def test_counter_carry(carry):
     assert np.array_equal(bits(out[0]), bits(want))
     assert np.array_equal(state[0], state_words(g.bit_generator))
     assert list(state[0, 1:4]) == [0] * (carry - 1) + [1] + [0] * (3 - carry)
+
+
+def words_used(bit_generator):
+    """The words of a Philox stream used so far: 4 per block drawn, less
+    those still in its buffer."""
+    s = bit_generator.state
+    return 4 * int(s["state"]["counter"][0]) - 4 + s["buffer_pos"]
+
+
+def draw_past_the_stored_words(kind, master_seed=21):
+    """By seeded search, (index, n): a path whose row of n normals, drawn
+    from an empty buffer, stores end = n words (a multiple of 4) before it
+    makes its normals from them, and one of whose normals, a tail draw
+    (kind "tail") or a wedge test ("wedge"), takes the last stored word
+    and then words of the next block."""
+    for index in range(1000):
+        g = generator(master_seed, index)
+        for _ in range(20000):
+            before = words_used(g.bit_generator)
+            x = g.standard_normal()
+            after = words_used(g.bit_generator)
+            end = (after - 1) // 4 * 4  # the last block start before after
+            if end > before and (abs(x) > ZIG_R) == (kind == "tail"):
+                return index, end
+    raise AssertionError("no such row")
+
+
+def final_states(gens):
+    """Each stream's philox_state words, whichever fill holds them."""
+    if isinstance(gens, np.ndarray):
+        return [row.copy() for row in gens]
+    return [state_words(g.bit_generator) for g in gens]
+
+
+@pytest.mark.parametrize("kind", ["wedge", "tail"])
+def test_draw_past_the_stored_words(kernels, kind):
+    """A normal whose extra words run from the last word stored in the row
+    into the next block: the bits and the final state are NumPy's."""
+    index, n = draw_past_the_stored_words(kind)
+    g = generator(21, index)
+    want = g.standard_normal(n)
+    for kernel in kernels():
+        gens = path_generators(21, [index])
+        out = np.full((1, n), np.nan)
+        fill_increments(out, 21, [index], 1.0, gens=gens)
+        assert np.array_equal(bits(out[0]), bits(want)), kernel
+        assert np.array_equal(final_states(gens)[0],
+                              state_words(g.bit_generator)), kernel
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023])
+def test_rows_that_enter_with_buffered_words(kernels, n):
+    """Rows whose buffers hold 3, 2, 1 and 0 words on entry: the buffered
+    words go first, then the stored ones, with NumPy's bits and states."""
+    indices = [4, 5, 6, 7]
+    # how many normals leave each stream with buffer_pos 1, 2, 3 and 4
+    skip = []
+    for index, pos in zip(indices, (1, 2, 3, 4)):
+        g, k = generator(9, index), 0
+        while k == 0 or g.bit_generator.state["buffer_pos"] != pos:
+            g.standard_normal()
+            k += 1
+        skip.append(k)
+    refs = [generator(9, i) for i in indices]
+    for g, k in zip(refs, skip):
+        g.standard_normal(k)
+    want = np.stack([g.standard_normal(n) for g in refs])
+    for kernel in kernels():
+        gens = path_generators(9, indices)
+        for b, k in enumerate(skip):
+            fill_increments(np.empty((1, k)), 9, indices[b:b + 1], 1.0,
+                            gens=gens[b:b + 1])
+        out = np.full((len(indices), n), np.nan)
+        fill_increments(out, 9, indices, 1.0, gens=gens)
+        assert np.array_equal(bits(out), bits(want)), kernel
+        for got, g in zip(final_states(gens), refs):
+            assert np.array_equal(got, state_words(g.bit_generator)), kernel
 
 
 def test_benchmark_script_bit_identical():

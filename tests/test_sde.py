@@ -144,6 +144,27 @@ def em_in_chunks(model, eps, sigma, t0, x0, dt, dw, chunk):
     return np.hstack(parts), trunc
 
 
+def em_in_workspace(model, eps, sigma, t0, x0, dt, dw, chunk):
+    """em_batch over consecutive time chunks as _Run.scan steps them: each
+    chunk's increments copied into columns 1.. of one (B, chunk + 1)
+    workspace and stepped there, the last chunk a row-strided view of its
+    first columns.  Returns the paths, trunc, and per chunk whether the
+    paths returned were the workspace itself."""
+    B, K = dw.shape
+    ws = np.empty((B, chunk + 1))
+    ws[:, 0] = x0
+    parts, trunc, in_place = [ws[:, :1].copy()], None, []
+    for k0 in range(0, K, chunk):
+        c = ws[:, :min(chunk, K - k0) + 1]
+        c[:, 1:] = dw[:, k0:k0 + chunk]
+        X, trunc = em_batch(model, eps, sigma, t0, c[:, 0], dt, c[:, 1:], k0,
+                            trunc, c)
+        in_place.append(np.shares_memory(X, ws))
+        parts.append(X[:, 1:].copy())
+        ws[:, 0] = X[:, -1]
+    return np.hstack(parts), trunc, in_place
+
+
 class TestChunkedStepping:
     """em_batch against the per-step reference, in one call and in chunks."""
 
@@ -210,6 +231,47 @@ class TestChunkedStepping:
                 assert np.array_equal(got, X, equal_nan=True), kernel
                 assert np.array_equal(got_trunc, trunc, equal_nan=True), \
                     kernel
+
+    def test_in_place_equals_separate_increments(self, quintic, kernels):
+        """Stepped in place in a workspace of 12-step chunks, whose last
+        chunk of 6 steps is row-strided, the edge freezes of the test above
+        come out as from separate increments; the compiled kernel returns
+        the workspace itself, the NumPy loop its own array."""
+        dw = np.random.default_rng(7).standard_normal((7, 30)) * 1e-2
+        dw[0, 12] = 10.0       # the first step of the second chunk
+        dw[1, 23] = -10.0      # the second chunk's last node
+        dw[2, 0] = 10.0
+        dw[3, 24] = math.inf   # the first step of the row-strided chunk
+        dw[4, 29] = -math.inf  # the last node of all
+        dw[5, 4] = math.nan
+        args = (quintic, self.eps, self.sigma, self.t0, 0.1, self.dt, dw)
+        X, trunc = em_per_step(*args)
+        node = np.rint((trunc - self.t0) / self.dt)
+        assert node[:5].tolist() == [13, 24, 1, 25, 30]
+        for kernel in kernels():
+            want, want_trunc = em_in_chunks(*args, 12)
+            got, got_trunc, in_place = em_in_workspace(*args, 12)
+            assert np.array_equal(want, X, equal_nan=True), kernel
+            assert np.array_equal(got, X, equal_nan=True), kernel
+            assert np.array_equal(got_trunc, trunc, equal_nan=True), kernel
+            assert np.array_equal(want_trunc, trunc, equal_nan=True), kernel
+            assert in_place == [kernel == "c"] * 3, kernel
+
+    @pytest.mark.parametrize("view", ["shifted", "columns-2..", "copy",
+                                      "rows", "whole"])
+    def test_workspace_takes_only_its_tail(self, quintic, kernels, view):
+        """With out given, the increments must be out[:, 1:] itself: any
+        other overlap, or increments apart from out, is refused before a
+        step is taken."""
+        for kernel in kernels():
+            out = np.zeros((4, 11))
+            inc = {"shifted": out[:, :-1], "columns-2..": out[:, 2:],
+                   "copy": out[:, 1:].copy(), "rows": out[:2, 1:],
+                   "whole": out}[view]
+            with pytest.raises(ValueError, match="out\\[:, 1:\\]"):
+                em_batch(quintic, self.eps, self.sigma, self.t0, 0.1,
+                         self.dt, inc, 0, None, out)
+            assert not out.any(), kernel
 
     def test_frozen_on_entry_holds(self, quintic, kernels):
         dw = np.random.default_rng(8).standard_normal((4, 12)) * 1e-2
