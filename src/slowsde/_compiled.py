@@ -237,23 +237,21 @@ def tail_columns(inc, out) -> bool:
 
 
 def _em_poly(fn) -> Callable:
-    def step(out: np.ndarray, inc: np.ndarray, coef: np.ndarray, cdt: float,
-             cns: float, d: float, trunc: np.ndarray, t0: float, dt: float,
+    def step(out: np.ndarray, coef: np.ndarray, cdt: float, cns: float,
+             d: float, trunc: np.ndarray, t0: float, dt: float,
              k0: int) -> None:
         """Step the rows of out (rows, n + 1) in place by Euler-Maruyama
-        from column 0 on the increments inc, which must be out[:, 1:]: the
-        increments go in as columns 1.. of out and the path comes out
-        there.  Full Horner on coef, the drift's coefficient table with one
-        row per step, with cdt = dt/eps and cns = sigma/sqrt(eps).  Rows
+        from column 0 on the increments in columns 1.., which the path
+        replaces.  Full Horner on coef, the drift's coefficient table with
+        one row per step, with cdt = dt/eps and cns = sigma/sqrt(eps).  Rows
         that leave |x| <= d freeze as sde._freeze freezes them, with trunc
         (rows,) updated in place and the grid t0 + dt * k from node k0.
         Each row of out must be contiguous; the rows may be a column slice
         of a larger matrix."""
         rows, cols = np.shape(out) if np.ndim(out) == 2 else (0, 0)
-        _need(contiguous_rows(out) and cols >= 1 and tail_columns(inc, out),
-              "em_poly", "out must be a writeable float64 (rows, n + 1) "
-              "whose rows are contiguous and do not overlap, and inc its "
-              "view out[:, 1:]")
+        _need(contiguous_rows(out) and cols >= 1, "em_poly", "out must be a "
+              "writeable float64 (rows, n + 1) whose rows are contiguous and "
+              "do not overlap")
         _need(_array(coef, 2) and coef.shape[0] == cols - 1
               and coef.shape[1] >= 1 and _array(trunc, 1, writeable=True)
               and trunc.shape == (rows,), "em_poly",

@@ -14,9 +14,8 @@
  * -ffast-math.  Arrays are C-contiguous unless a stride is passed;
  * slowsde._compiled checks every argument before the call.  A batch of
  * paths is path-major, one row per path of one workspace: philox_normal
- * writes a chunk's Philox words there and turns them into increments in
- * place, em_poly replaces each increment by the node it leads to, and
- * first_outside scans the rows where they are.
+ * writes a chunk's increments there, em_poly replaces each increment by the
+ * node it leads to, and first_outside scans the rows where they are.
  *
  * A drift is full Horner in x over one time's coefficients c_0 .. c_n,
  * x*c_n + c_(n-1), then f*x + c_i down to c_0, as PolyDrift.horner runs it.
@@ -696,7 +695,10 @@ static inline void philox_block(uint64_t *s, uint64_t w[4])
     w[0] = c0, w[1] = c1, w[2] = c2, w[3] = c3;
 }
 
-static uint64_t next_u64(uint64_t *s)
+/* The next word of the stream s: NumPy's philox_next64, which takes the
+ * buffer's words in turn and, once they are used up, draws the next block
+ * into it. */
+static inline uint64_t next_u64(uint64_t *s)
 {
     if (s[POS] < 4)
         return s[BUF + s[POS]++];
@@ -705,30 +707,10 @@ static uint64_t next_u64(uint64_t *s)
     return s[BUF];
 }
 
-/* Where a row's normals take their words from: the words stored at
- * row[next .. end), then the stream s.  The stored words sit where the
- * normals go, so they are read through memcpy, which may alias the doubles
- * stored there. */
-struct words {
-    const double *row;
-    ptrdiff_t next, end;
-    uint64_t *s;
-};
-
-static inline uint64_t next_word(struct words *w)
+/* A double in [0, 1) from the next word of s: NumPy's next_double. */
+static double next_double(uint64_t *s)
 {
-    uint64_t u;
-
-    if (w->next < w->end) {
-        memcpy(&u, w->row + w->next++, sizeof u);
-        return u;
-    }
-    return next_u64(w->s);
-}
-
-static double next_double(struct words *w)
-{
-    return (double)(next_word(w) >> 11) * (1.0 / 9007199254740992.0);
+    return (double)(next_u64(s) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* x with its sign bit flipped when flip is 1, which is -x when it is. */
@@ -742,11 +724,12 @@ static inline double flip_sign(double x, uint64_t flip)
     return x;
 }
 
-/* One normal from its first word r on, any further words drawn from w:
- * random_standard_normal of NumPy. */
-static inline double ziggurat(uint64_t r, struct words *w)
+/* The next normal of the stream s, every word it needs taken from s in
+ * turn: random_standard_normal of NumPy. */
+static inline double ziggurat(uint64_t *s)
 {
     for (;;) {
+        uint64_t r = next_u64(s);
         int idx = r & 0xff;
         uint64_t rabs = (r >> 9) & 0x000fffffffffffff;
         /* the signed conversion, exact as rabs < 2^52 */
@@ -756,53 +739,30 @@ static inline double ziggurat(uint64_t r, struct words *w)
             return x;
         if (idx == 0) {
             for (;;) {
-                double xx = -ZIG_INV_R * log1p(-next_double(w));
-                double yy = -log1p(-next_double(w));
+                double xx = -ZIG_INV_R * log1p(-next_double(s));
+                double yy = -log1p(-next_double(s));
 
                 if (yy + yy > xx * xx)
                     return ((rabs >> 8) & 1) ? -(ZIG_R + xx) : ZIG_R + xx;
             }
         }
-        if ((fi[idx - 1] - fi[idx]) * next_double(w) + fi[idx]
+        if ((fi[idx - 1] - fi[idx]) * next_double(s) + fi[idx]
             < exp(-0.5 * x * x))
             return x;
-        r = next_word(w);
     }
 }
 
 /* Fill row i of out (rows, n), which starts at out[i * ld], with the next n
- * normals of the stream state + i * PHILOX_WORDS, each times scale.
- *
- * A row is filled in two phases.  Words left in the stream's buffer are
- * used up first, value by value, so that the buffer is empty.  Then the
- * row's next 4 * floor(m / 4) words, m the values still to go, are drawn
- * block by block into the row itself, the last block staying in the
- * buffer with buffer_pos 4, as NumPy leaves it; and the ziggurat makes the
- * normals from them in place.  Each value takes at least one word, so
- * value j is stored only once the word at column j has been read.  A wedge
- * or tail draw takes the next stored word, and the stream's once they run
- * out; the row's last values come from the stream too.
- */
+ * normals of the stream state + i * PHILOX_WORDS, each times scale: NumPy's
+ * loop of random_standard_normal, one value at a time. */
 void philox_normal(double *out, ptrdiff_t rows, ptrdiff_t n, ptrdiff_t ld,
                    uint64_t *state, double scale)
 {
     for (ptrdiff_t i = 0; i < rows; i++) {
         uint64_t *s = state + i * PHILOX_WORDS;
         double *y = out + i * ld;
-        struct words w = {y, 0, 0, s};
-        ptrdiff_t j = 0;
 
-        while (j < n && s[POS] < 4)
-            y[j++] = ziggurat(next_u64(s), &w) * scale;
-        w.next = j;
-        w.end = j + (n - j) / 4 * 4;
-        for (ptrdiff_t k = j; k < w.end; k += 4) {
-            philox_block(s, s + BUF);
-            memcpy(y + k, s + BUF, 4 * sizeof *s);
-        }
-        while (w.next < w.end)
-            y[j++] = ziggurat(next_word(&w), &w) * scale;
-        while (j < n)
-            y[j++] = ziggurat(next_u64(s), &w) * scale;
+        for (ptrdiff_t j = 0; j < n; j++)
+            y[j] = ziggurat(s) * scale;
     }
 }

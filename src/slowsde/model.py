@@ -67,7 +67,6 @@ def _numbers(v) -> bool:
 JSON_TYPES = {
     "a number": _finite,
     "a number > 0": lambda v: _finite(v) and v > 0,
-    "a number >= 0": lambda v: _finite(v) and v >= 0,
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "true or false": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),

@@ -32,7 +32,7 @@ from .sde import em_batch, n_steps_for, time_grid
 __all__ = [
     "EnsembleConfig", "EnsembleReport", "BoundComparison",
     "run_ensemble", "estimate_prob", "compare_bound", "exceedance_curve",
-    "serialize_json",
+    "serialize_json", "config_hash",
 ]
 
 PITCHFORK_TAGS = ("before", "escape", "approach", "delay", "branch")
@@ -52,7 +52,7 @@ MAX_BATCH = 838
 # EnsembleConfig field of its name, and the key of a field without a
 # default is required.  from_dict reads and to_dict writes through it.
 SECTIONS = {
-    "dynamics": {"eps": "a number > 0", "sigma": "a number >= 0",
+    "dynamics": {"eps": "a number > 0", "sigma": "a number > 0",
                  "t0": "a number", "x0": "a number or 'x_tilde'",
                  "t_end": "a number", "dt": "a number > 0"},
     "ensemble": {"n_paths": "an integer", "master_seed": "an integer",
@@ -94,6 +94,16 @@ class EnsembleConfig:
             raise ConfigError(f"unknown experiment tag {self.tag!r}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be at least 1")
+        if not self.sigma > 0:  # the bounds hold for 0 < sigma < sqrt(eps)
+            raise ConfigError(f"sigma={self.sigma:g} must be > 0")
+        model = self.model
+        if self.t0 < model.t_min:
+            raise ConfigError(f"t0={self.t0:g} is before the model's time "
+                              f"range [{model.t_min:g}, {model.t_max:g}]")
+        if self.t_end > model.t_max:
+            raise ConfigError(f"t_end={self.t_end:g} is past the model's "
+                              f"time range [{model.t_min:g}, "
+                              f"{model.t_max:g}]")
         if not 0 <= self.master_seed < 2 ** 64:  # a Philox key is 64 bits
             raise ConfigError(f"master_seed={self.master_seed} is not in "
                               "[0, 2^64)")
@@ -119,11 +129,22 @@ class EnsembleConfig:
             raise RegimeViolation("tag 'stable' needs a stable-branch model")
         if self.tag == "unstable" and self.model.kind != "unstable-branch":
             raise RegimeViolation("tag 'unstable' needs an unstable-branch model")
+        # the unstable tag reports one level h, in its bound's window h <= sigma
+        if self.tag == "unstable" and not (
+                len(self.h_list) <= 1
+                and all(0 < h <= self.sigma for h in self.h_list)):
+            raise ConfigError(f"h_list={list(self.h_list)}: tag 'unstable' "
+                              "takes at most one h, with 0 < h <= "
+                              f"sigma={self.sigma:g}")
         with np.errstate(invalid="ignore"):
             x0 = _resolve_x0(self)
         if not math.isfinite(x0):
             raise ValueError(f"x0={self.x0!r} resolves to {x0!r} at "
                              f"t0={self.t0:g}; the start value must be finite")
+        if not abs(x0) <= model.d:
+            value = f" = {x0:g}" if isinstance(self.x0, str) else ""
+            raise ConfigError(f"x0={self.x0!r}{value} is outside the model's "
+                              f"domain |x| <= d={model.d:g}")
         n_steps = n_steps_for(self.t0, self.t_end, self.dt)
         if self.n_paths * n_steps > MAX_TOTAL_STEPS:
             raise ResourceLimit(
@@ -372,7 +393,7 @@ class _Run:
             gens = path_generators(cfg.master_seed, idx)
             # the batch's one workspace: column 0 holds the paths' state at
             # a chunk's first node, and each row's other columns take the
-            # chunk's Philox words, then its increments, then its nodes
+            # chunk's increments, then its nodes
             ws = np.empty((len(idx), min(CHUNK_STEPS, n_steps) + 1))
             ws[:, 0] = self.x0
             cols = _Columns({k: np.full(len(idx), v)

@@ -28,8 +28,9 @@ from .model import ModelSpec
 from .noise import NoiseStream
 
 __all__ = [
-    "PathSample", "simulate", "simulate_linear", "simulate_coupled",
-    "em_batch", "linear_batch", "time_grid", "n_steps_for",
+    "PathSample", "backend", "simulate", "simulate_linear",
+    "simulate_coupled", "em_batch", "linear_batch", "time_grid",
+    "n_steps_for",
 ]
 
 
@@ -147,7 +148,7 @@ def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
             out = np.empty((B, n + 1))
             out[:, 1:] = increments
         out[:, 0] = x0
-        step(out, out[:, 1:], model.poly.coeff_table(t_nodes), dt / eps,
+        step(out, model.poly.coeff_table(t_nodes), dt / eps,
              sigma / math.sqrt(eps), model.d, trunc, t0, dt, k0)
         return out, trunc
     paths = _time_major(eps, sigma, x0, dt, increments)

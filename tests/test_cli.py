@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import importlib.resources
 import json
 import math
 import os
@@ -185,8 +186,20 @@ class TestRun:
 STANDARD_COEFFS = [[0.0], [0.0, 1.0], [0.0], [-1.0]]
 DROP = object()  # a MALFORMED value that deletes the key
 
+LINEAR_STABLE = json.loads((importlib.resources.files("slowsde") / "configs"
+                            / "linear_stable.json").read_text())
+SMALL_UNSTABLE = {
+    "model": {"coeffs": [[0.0], [1.0]], "kind": "unstable-branch",
+              "equilibrium": [0.0], "d": 2.0, "T": 0.2},
+    "dynamics": {"eps": 0.01, "sigma": 1e-3, "t0": 0.0, "x0": 0.0,
+                 "t_end": 0.2},
+    "ensemble": {"n_paths": 20, "master_seed": 1},
+    "experiment": {"tag": "unstable", "t_probe_list": [0.01]},
+}
+
 # one document per rule of the config document: (path, value) edits of
-# SMALL_DELAY, each of which must be rejected
+# SMALL_DELAY, or (path, value, doc) edits of another doc, each of which
+# must be rejected
 MALFORMED = {
     "unknown-top": (("colour",), {}),
     "unknown-model": (("model", "colour"), 1.0),
@@ -223,6 +236,19 @@ MALFORMED = {
     "zero-dt": (("dynamics", "dt"), 0.0),
     "negative-dt": (("dynamics", "dt"), -2e-4),
     "negative-sigma": (("dynamics", "sigma"), -1e-4),
+    "zero-sigma": (("dynamics", "sigma"), 0.0),
+    # outside the model's domain |x| <= d, -T <= t <= T (d = T = 1)
+    "past-T-t_end": (("dynamics", "t_end"), 3.0),
+    "before-T-t0": (("dynamics", "t0"), -1.5),
+    "outside-d-x0": (("dynamics", "x0"), 1.5),
+    "stable-outside-d-x0": (("dynamics", "x0"), 5.0, LINEAR_STABLE),
+    "stable-past-T-t_end": (("dynamics", "t_end"), 0.3, LINEAR_STABLE),
+    # the unstable tag reports one h, and its bound needs 0 < h <= sigma
+    "unstable-two-h_list": (("experiment", "h_list"), [5e-4, 2e-3],
+                            SMALL_UNSTABLE),
+    "unstable-above-sigma-h_list": (("experiment", "h_list"), [2e-3],
+                                    SMALL_UNSTABLE),
+    "unstable-zero-h_list": (("experiment", "h_list"), [0.0], SMALL_UNSTABLE),
     "zero-n_paths": (("ensemble", "n_paths"), 0),
     "negative-master_seed": (("ensemble", "master_seed"), -1),
     "three-tau_window": (("experiment", "tau_window"), [0.1, 0.2, 0.3]),
@@ -270,12 +296,12 @@ class TestMalformed:
         # rejected before anything is simulated, naming the key
         monkeypatch.setattr(cli, "run_ensemble",
                             lambda *args, **kw: pytest.fail("ran"))
-        path, value = MALFORMED[case]
-        cfg = write(tmp_path, "bad.json", edited(SMALL_DELAY, path, value))
-        assert cmd_run(cfg, out=str(out)) == 1
+        path, value, *base = MALFORMED[case]
+        doc = edited(base[0] if base else SMALL_DELAY, path, value)
+        assert cmd_run(write(tmp_path, "bad.json", doc), out=str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path[-1] in err
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("path, value", [
         (("dynamics", "eps"), math.nan), (("dynamics", "t_end"), math.inf),

@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import threading
+import types
 from collections import Counter
 
 import numpy as np
@@ -84,6 +85,13 @@ class Spy:
         return kernel
 
 
+def steps_of(args) -> int:
+    """The path-steps of the em_poly calls among a Spy's args: each steps
+    the rows of its out (rows, n + 1) by n steps."""
+    return sum(out.shape[0] * (out.shape[1] - 1)
+               for name, (out, *_) in args if name == "em_poly")
+
+
 def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
     for name in _compiled.ARGTYPES:
         assert _compiled.LIBRARY.get(name) is not None, f"{name} did not build"
@@ -94,8 +102,7 @@ def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
     assert cfg.model.poly is not None
     run_ensemble(cfg)
     path_steps = cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
-    assert sum(inc.size for name, (out, inc, *_) in spy.args
-               if name == "em_poly") == path_steps
+    assert steps_of(spy.args) == path_steps
     # every increment is drawn by the noise kernel
     assert sum(out.size for name, (out, *_) in spy.args
                if name == "philox_normal") == path_steps
@@ -116,8 +123,7 @@ def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
     spy.args.clear()
     cfg = pinned_config("approach")
     run_ensemble(cfg)
-    assert sum(inc.size for name, (out, inc, *_) in spy.args
-               if name == "em_poly") \
+    assert steps_of(spy.args) \
         == cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
     assert 1 < spy.calls["rk4_poly"] < spy.calls["em_poly"]
     assert spy.calls["rk4_poly"] <= spy.calls["zeta_rate"]
@@ -141,7 +147,7 @@ def read_only(shape, dtype=np.float64):
 
 PATHS, INC, COEF, TRUNC = (np.zeros((3, 6)), np.zeros((3, 5)),
                            np.zeros((5, 4)), np.full(3, math.nan))
-TAIL = None  # inc is out[:, 1:], the one inc em_poly takes
+TAIL = None  # inc is out[:, 1:], the increments em_poly steps in place
 
 
 def sharing_out():
@@ -163,13 +169,8 @@ def sharing_out():
     (PATHS, TAIL, np.zeros((5, 4), dtype=np.float32), TRUNC),
     (PATHS, TAIL, np.zeros((5, 8))[:, ::2], TRUNC),
     (PATHS, TAIL, [[0.0] * 4] * 5, TRUNC),           # not an ndarray
-    (np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((0, 4)), TRUNC),
-    (PATHS, np.zeros((3, 10))[:, ::2], COEF, TRUNC),
-    (PATHS, np.zeros((5, 3)).T, COEF, TRUNC),
-    (PATHS, np.zeros((3, 5), dtype=np.float32), COEF, TRUNC),
-    (PATHS, np.zeros((3, 6)), COEF, TRUNC),          # a column too many
+    (np.zeros((3, 0)), TAIL, np.zeros((0, 4)), TRUNC),
     (PATHS, np.zeros((2, 5)), COEF, TRUNC),
-    (PATHS, [[0.0] * 5] * 3, COEF, TRUNC),
     (*sharing_out(), COEF, TRUNC),
     (PATHS, INC, COEF, TRUNC),                       # apart from out
     (PATHS, TAIL, COEF, read_only(3)),
@@ -179,29 +180,35 @@ def sharing_out():
     (PATHS, TAIL, COEF, [math.nan] * 3),
 ], ids=["strided", "fortran", "read-only", "float32", "rows+1", "rows-1",
         "no-columns", "1-d-coef", "float32-coef", "strided-coef",
-        "list-coef", "no-nodes", "strided-inc", "fortran-inc",
-        "float32-inc", "inc-columns", "inc-rows", "list-inc", "inc-in-out",
-        "inc-apart", "read-only-trunc", "trunc-length", "float32-trunc",
-        "strided-trunc", "list-trunc"])
-def test_step_rejects_what_c_cannot_take(unreached, out, inc, coef, trunc):
+        "list-coef", "no-nodes", "inc-rows", "inc-in-out", "inc-apart",
+        "read-only-trunc", "trunc-length", "float32-trunc", "strided-trunc",
+        "list-trunc"])
+def test_step_rejects_what_c_cannot_take(unreached, monkeypatch, out, inc,
+                                         coef, trunc):
     if inc is TAIL:
-        inc = out[:, 1:]
-    with pytest.raises(ValueError, match="em_poly"):
-        unreached("em_poly")(out, inc, coef, 0.5, 0.1, 1.0, trunc, 0.0,
-                             1e-3, 0)
+        with pytest.raises(ValueError, match="em_poly"):
+            unreached("em_poly")(out, coef, 0.5, 0.1, 1.0, trunc, 0.0, 1e-3,
+                                 0)
+        return
+    # em_poly takes no increments of its own: they are out's columns 1..,
+    # and em_batch refuses any others before the kernel is reached
+    monkeypatch.setattr(_compiled, "LIBRARY",
+                        types.SimpleNamespace(get=unreached))
+    with pytest.raises(ValueError, match="em_batch"):
+        em_batch(standard_pitchfork(), 0.01, 0.1, 0.0, 0.1, 1e-3, inc, 0,
+                 trunc, out)
+    assert not out.any() and np.isnan(trunc).all()
 
 
 def test_step_takes_its_workspace_tail(unreached):
     """The cases above differ from this call, which reaches the kernel,
     only in what they name."""
-    out = np.zeros((3, 6))
     with pytest.raises(pytest.fail.Exception, match="kernel was called"):
-        unreached("em_poly")(out, out[:, 1:], COEF, 0.5, 0.1, 1.0, TRUNC,
+        unreached("em_poly")(np.zeros((3, 6)), COEF, 0.5, 0.1, 1.0, TRUNC,
                              0.0, 1e-3, 0)
     wide = np.zeros((3, 9))[:, :6]  # the row-strided last chunk
     with pytest.raises(pytest.fail.Exception, match="kernel was called"):
-        unreached("em_poly")(wide, wide[:, 1:], COEF, 0.5, 0.1, 1.0, TRUNC,
-                             0.0, 1e-3, 0)
+        unreached("em_poly")(wide, COEF, 0.5, 0.1, 1.0, TRUNC, 0.0, 1e-3, 0)
 
 
 ZETA, SUB = np.zeros((5, 3)), np.zeros((16, 3))

@@ -92,6 +92,17 @@ class TestConfigValidation:
         with pytest.raises(ResourceLimit):
             delay_config(standard, n_paths=10 ** 7)
 
+    @pytest.mark.parametrize("key,value", [
+        ("sigma", 0.0), ("sigma", -1e-4), ("x0", -1.0 - 1e-12)])
+    def test_outside_the_model_rejected(self, standard, key, value):
+        # the bounds need sigma > 0, and x0 must lie in |x| <= d = 1; the
+        # CLI tests check t0 and t_end against the model's time range
+        with pytest.raises(ConfigError, match=f"{key}="):
+            delay_config(standard, **{key: value})
+
+    def test_domain_edges_accepted(self, standard):
+        delay_config(standard, x0=-1.0, t0=-1.0, t_end=1.0)
+
 
 class TestDeterminism:
     def test_identical_configs_identical_reports(self, standard):

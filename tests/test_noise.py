@@ -4,8 +4,8 @@ Generator(Philox(key=[master_seed, index])).standard_normal bit for bit:
 over millions of draws, which reach the ziggurat's tail and wedges; in
 chunks that split a block of 4 Philox words; on column slices, mirrored; at
 the largest keys; across a carry of the Philox counter; for rows that enter
-with words in the buffer; and where a tail or wedge draw runs past the
-words the compiled fill stores in the row before it makes its normals."""
+with words in the buffer; and where a tail or wedge draw takes its words
+across the end of a block."""
 
 import math
 import os
@@ -117,11 +117,10 @@ def words_used(bit_generator):
 
 
 def draw_past_the_stored_words(kind, master_seed=21):
-    """By seeded search, (index, n): a path whose row of n normals, drawn
-    from an empty buffer, stores end = n words (a multiple of 4) before it
-    makes its normals from them, and one of whose normals, a tail draw
-    (kind "tail") or a wedge test ("wedge"), takes the last stored word
-    and then words of the next block."""
+    """By seeded search, (index, n): a path one of whose first n normals,
+    drawn from an empty buffer, is a tail draw (kind "tail") or a wedge
+    test ("wedge") that takes word n - 1, the last of a block (n a multiple
+    of 4), and then words of the next block."""
     for index in range(1000):
         g = generator(master_seed, index)
         for _ in range(20000):
@@ -143,8 +142,9 @@ def final_states(gens):
 
 @pytest.mark.parametrize("kind", ["wedge", "tail"])
 def test_draw_past_the_stored_words(kernels, kind):
-    """A normal whose extra words run from the last word stored in the row
-    into the next block: the bits and the final state are NumPy's."""
+    """A normal whose extra words run from the end of one block into the
+    next, among the row's last words: the bits and the final state are
+    NumPy's."""
     index, n = draw_past_the_stored_words(kind)
     g = generator(21, index)
     want = g.standard_normal(n)
@@ -160,7 +160,7 @@ def test_draw_past_the_stored_words(kernels, kind):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023])
 def test_rows_that_enter_with_buffered_words(kernels, n):
     """Rows whose buffers hold 3, 2, 1 and 0 words on entry: the buffered
-    words go first, then the stored ones, with NumPy's bits and states."""
+    words go first, then new blocks, with NumPy's bits and states."""
     indices = [4, 5, 6, 7]
     # how many normals leave each stream with buffer_pos 1, 2, 3 and 4
     skip = []

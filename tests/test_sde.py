@@ -258,16 +258,21 @@ class TestChunkedStepping:
             assert in_place == [kernel == "c"] * 3, kernel
 
     @pytest.mark.parametrize("view", ["shifted", "columns-2..", "copy",
-                                      "rows", "whole"])
+                                      "rows", "whole", "columns+1", "strided",
+                                      "fortran", "float32", "list"])
     def test_workspace_takes_only_its_tail(self, quintic, kernels, view):
         """With out given, the increments must be out[:, 1:] itself: any
-        other overlap, or increments apart from out, is refused before a
-        step is taken."""
+        other overlap, or increments apart from out, of any shape, layout
+        or dtype, is refused before a step is taken."""
         for kernel in kernels():
             out = np.zeros((4, 11))
             inc = {"shifted": out[:, :-1], "columns-2..": out[:, 2:],
                    "copy": out[:, 1:].copy(), "rows": out[:2, 1:],
-                   "whole": out}[view]
+                   "whole": out, "columns+1": np.zeros((4, 11)),
+                   "strided": np.zeros((4, 20))[:, ::2],
+                   "fortran": np.zeros((10, 4)).T,
+                   "float32": np.zeros((4, 10), dtype=np.float32),
+                   "list": [[0.0] * 10] * 4}[view]
             with pytest.raises(ValueError, match="out\\[:, 1:\\]"):
                 em_batch(quintic, self.eps, self.sigma, self.t0, 0.1,
                          self.dt, inc, 0, None, out)

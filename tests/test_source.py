@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: no unused imports, no private
-helper that nothing calls, no runtime dependency that the package never
-imports, and a C source that compiles without a warning."""
+helper that nothing calls, an __all__ that lists what its module defines, no
+runtime dependency that the package never imports, and a C source that
+compiles without a warning."""
 
 import ast
 import re
@@ -79,6 +80,53 @@ def test_checker_finds_orphaned_private_functions():
 def test_no_orphaned_private_functions():
     sources = [p.read_text() for p in (ROOT / "src").rglob("*.py")]
     assert orphaned_private_functions(sources) == []
+
+
+def export_mismatches(source: str) -> tuple:
+    """For a module with __all__: the public functions and classes it
+    defines but does not list, and the names it lists but never binds at
+    its top level (by a def, a class, an assignment or an import)."""
+    tree = ast.parse(source)
+    listed, bound, public = None, set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            if not node.name.startswith("_"):
+                public.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+                    if target.id == "__all__":
+                        listed = set(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+    if listed is None:
+        return [], []
+    return sorted(public - listed), sorted(listed - bound)
+
+
+def test_checker_finds_export_mismatches():
+    src = ("from m import imp\n__all__ = ['f', 'K', 'imp', 'X', 'gone']\n"
+           "X = 1\ndef f():\n    pass\ndef g():\n    pass\n"
+           "def _h():\n    pass\nclass K:\n    def m(self):\n        pass\n"
+           "class L:\n    pass\n")
+    assert export_mismatches(src) == (["L", "g"], ["gone"])
+    assert export_mismatches("def f():\n    pass\n") == ([], [])
+
+
+def test_all_matches_the_module():
+    """Every name in a module's __all__ exists, and every public function
+    or class it defines is listed there."""
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        unlisted, unbound = export_mismatches(path.read_text())
+        if unlisted or unbound:
+            found[path.name] = {"unlisted": unlisted, "unbound": unbound}
+    assert found == {}
 
 
 def imported_modules(source: str) -> set:
