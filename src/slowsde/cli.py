@@ -54,6 +54,11 @@ def _outdir(doc: dict, out) -> Path:
     return outdir
 
 
+# what a command reports through _failed, not as a traceback (ValueError
+# covers json's JSONDecodeError too)
+_ERRORS = (OSError, SlowSdeError, ValueError)
+
+
 def _failed(exc: Exception) -> int:
     """Print an error and return its exit status."""
     if isinstance(exc, RegimeViolation):
@@ -141,7 +146,7 @@ def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
     try:
         doc, config = load_config(config_path, seed)
         outdir = _outdir(doc, out)
-    except (OSError, SlowSdeError, ValueError) as exc:  # JSONDecodeError too
+    except _ERRORS as exc:
         return _failed(exc)
     try:
         report = run_ensemble(config, threads=threads)
@@ -160,7 +165,7 @@ def cmd_run(config_path, seed=None, threads=1, strict=False, out=None) -> int:
         if report.per_path:
             _write_per_path(outdir / "paths_summary.csv", report,
                             report.per_path)
-    except (OSError, SlowSdeError) as exc:
+    except _ERRORS as exc:
         return _failed(exc)
     print(f"wrote {outdir / 'report.json'} ({report.runtime_seconds:.2f}s)")
     if strict and _has_violation(res):
@@ -174,7 +179,7 @@ def cmd_envelope(config_path, out=None) -> int:
         doc, config = load_config(config_path)
         outdir = _outdir(doc, out)
         _export_envelopes(outdir, config)
-    except (OSError, SlowSdeError, ValueError) as exc:
+    except _ERRORS as exc:
         return _failed(exc)
     print(f"wrote envelope tables to {outdir}")
     return 0
@@ -183,7 +188,7 @@ def cmd_envelope(config_path, out=None) -> int:
 def cmd_validate(model_path) -> int:
     try:
         model = model_from_json(model_path)
-    except (OSError, ValueError, SlowSdeError) as exc:
+    except _ERRORS as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
     rep = model.validation

@@ -140,7 +140,7 @@ def first_exit_batch(X: np.ndarray, t_grid: np.ndarray,
     Returns (exit_times with NaN for confined paths, sides with 0 none /
     -1 lower / +1 upper).  Columns of X outside the region's window are
     ignored, so a window that misses t_grid gives no exits.  Rows where the
-    bool skip (rows,) is set are not read and give NaN and 0.
+    bool skip (rows,) is set are skipped and give NaN and 0.
     """
     idx = _window_indices(t_grid, region.t_lo, region.t_hi)
     if idx.size == 0:
@@ -155,7 +155,7 @@ def first_exit_batch(X: np.ndarray, t_grid: np.ndarray,
 def delay_times_batch(X: np.ndarray, t_grid: np.ndarray,
                       width, skip=None) -> np.ndarray:
     """First time each row leaves |x| < width; NaN when it never does, or
-    where the bool skip (rows,) is set, whose rows are not read.
+    where the bool skip (rows,) is set, whose rows are skipped.
 
     width is a constant or one value per grid node.
     """
@@ -168,8 +168,8 @@ def _first_outside(X: np.ndarray, g1: np.ndarray, g2: np.ndarray,
     """Per row of X, the first column k with x <= g1[k] (side -1) or else
     x >= g2[k] (side 1), and its side: (first, sides), with -1 and 0 for a
     row that stays inside, so a NaN never leaves, and for a row where skip
-    is set, which is not read.  The compiled first_outside scans when it
-    loads, else NumPy."""
+    is set.  The compiled first_outside scans when it loads and does not
+    read the skipped rows; else NumPy scans every row and ignores them."""
     scan = _compiled.LIBRARY.get("first_outside")
     if scan is not None:
         if not _compiled.contiguous_rows(X, writeable=False):
@@ -181,16 +181,15 @@ def _first_outside(X: np.ndarray, g1: np.ndarray, g2: np.ndarray,
         return scan(X, g1, g2, skip)
     first = np.full(X.shape[0], -1, dtype=np.intp)
     sides = np.zeros(X.shape[0], dtype=np.int8)
-    rows = np.arange(X.shape[0])
-    if skip is not None:
-        rows = rows[~np.asarray(skip)]
-        X = X[rows]
     low = X <= g1
     outside = low | (X >= g2)
-    hit = np.nonzero(outside.any(axis=1))[0]
+    read = outside.any(axis=1)
+    if skip is not None:
+        read &= ~np.asarray(skip)
+    hit = np.nonzero(read)[0]
     at = outside[hit].argmax(axis=1)
-    first[rows[hit]] = at
-    sides[rows[hit]] = np.where(low[hit, at], -1, 1)
+    first[hit] = at
+    sides[hit] = np.where(low[hit, at], -1, 1)
     return first, sides
 
 

@@ -35,8 +35,11 @@ __all__ = [
     "serialize_json", "config_hash",
 ]
 
-PITCHFORK_TAGS = ("before", "escape", "approach", "delay", "branch")
-ALL_TAGS = ("stable", "unstable") + PITCHFORK_TAGS
+# the model kind each experiment tag needs
+TAG_KINDS = {"stable": "stable-branch", "unstable": "unstable-branch",
+             **dict.fromkeys(("before", "escape", "approach", "delay",
+                              "branch"), "pitchfork")}
+ALL_TAGS = tuple(TAG_KINDS)
 
 MAX_TOTAL_STEPS = 2_000_000_000
 # time steps per streamed chunk: a batch holds O(batch size x CHUNK_STEPS)
@@ -118,17 +121,14 @@ class EnsembleConfig:
             object.__setattr__(self, "dt", self.eps / 50.0)
         if self.dt > self.eps / 10.0 * (1.0 + 1e-12):
             raise ConfigError(f"dt={self.dt:g} exceeds eps/10")
-        if self.tag in PITCHFORK_TAGS:
-            if self.model.kind != "pitchfork":
-                raise RegimeViolation(f"tag {self.tag!r} needs a pitchfork model")
-            if self.sigma >= math.sqrt(self.eps):
-                raise RegimeViolation(
-                    f"sigma={self.sigma:g} >= sqrt(eps)={math.sqrt(self.eps):.4g}; "
-                    "pitchfork experiments need sigma well below sqrt(eps)")
-        if self.tag == "stable" and self.model.kind != "stable-branch":
-            raise RegimeViolation("tag 'stable' needs a stable-branch model")
-        if self.tag == "unstable" and self.model.kind != "unstable-branch":
-            raise RegimeViolation("tag 'unstable' needs an unstable-branch model")
+        kind = TAG_KINDS[self.tag]
+        if self.model.kind != kind:
+            raise RegimeViolation(f"tag {self.tag!r} needs a model of "
+                                  f"kind {kind!r}")
+        if kind == "pitchfork" and self.sigma >= math.sqrt(self.eps):
+            raise RegimeViolation(
+                f"sigma={self.sigma:g} >= sqrt(eps)={math.sqrt(self.eps):.4g}; "
+                "pitchfork experiments need sigma well below sqrt(eps)")
         # the unstable tag reports one level h, in its bound's window h <= sigma
         if self.tag == "unstable" and not (
                 len(self.h_list) <= 1
@@ -380,11 +380,12 @@ class _Run:
         workspace of CHUNK_STEPS + 1 columns, which the noise and the
         stepping fill in place.  columns maps each column name to its start
         value.  For every chunk, scan(X, nodes, cols) gets the batch's paths
-        X (B, n+1) on the grid nodes of the slice nodes, whose first node
-        closes the previous chunk, and merges what it finds into the batch's
-        _Columns cols; X is overwritten by the next chunk, so a scan keeps
-        no view of it.  A path whose state turns non-finite raises
-        NonFiniteResult at the end of that chunk.
+        X (B, n+1), the chunk's columns of the workspace, on the grid nodes
+        of the slice nodes, whose first node closes the previous chunk, and
+        merges what it finds into the batch's _Columns cols; X is
+        overwritten by the next chunk, so a scan keeps no view of it.  A
+        path whose state turns non-finite raises NonFiniteResult at the end
+        of that chunk.
         """
         cfg = self.config
         n_steps = self.n_steps if last is None else last
@@ -403,12 +404,11 @@ class _Run:
                 chunk = ws[:, :min(CHUNK_STEPS, n_steps - k0) + 1]
                 fill_increments(chunk[:, 1:], cfg.master_seed, idx, cfg.dt,
                                 cfg.mirror, gens)
-                X, trunc = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0,
+                _, trunc = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0,
                                     chunk[:, 0], cfg.dt, chunk[:, 1:], k0,
                                     trunc, chunk)
-                scan(X, slice(k0, k0 + X.shape[1]), cols)
-                ws[:, 0] = X[:, -1]
-                del X  # the NumPy loop's own paths: free them now
+                scan(chunk, slice(k0, k0 + chunk.shape[1]), cols)
+                ws[:, 0] = chunk[:, -1]
                 bad = idx[~np.isfinite(ws[:, 0])]
                 if bad.size:
                     # only |x| > d freezes a path: a NaN state keeps

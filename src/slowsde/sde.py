@@ -1,17 +1,18 @@
 """SDE integration: Euler-Maruyama for the nonlinear equation, exponential
 Euler for linear comparisons, and coupled pairs sharing one noise realization.
 
-Both integrators step a whole batch of paths at once: em_batch by
-Euler-Maruyama, linear_batch through precomputed exponential multipliers.
-em_batch steps a polynomial drift through em_poly, a kernel of the
-compiled library _em.c, built and loaded at its first use (see _compiled):
-path by path, in place in the workspace row where the noise was drawn, it
-replaces each increment by the node it leads to, runs full Horner over the
-drift's coefficient table, one row per step, and freezes the paths that
-leave |x| <= d in the same call.  Any other drift,
-and a polynomial one when no C compiler works, steps time-major through
-one NumPy loop, running PolyDrift.horner on the same rows, and is frozen
-by _freeze: the reference the kernel equals bit for bit.
+Both integrators step a whole batch of paths at once, in rows of one
+path-major (paths, nodes) array: the state in column 0, and in the other
+columns the increments, each replaced by the node its step leads to.
+em_batch steps a polynomial drift by Euler-Maruyama through em_poly, a
+kernel of the compiled library _em.c, built and loaded at its first use
+(see _compiled): path by path, it runs full Horner over the drift's
+coefficient table, one row per step, and freezes the paths that leave
+|x| <= d in the same call.  Any other drift, and a polynomial one when no
+C compiler works, steps the same rows column by column in one NumPy loop,
+running PolyDrift.horner, and is frozen by _freeze: the reference the
+kernel equals bit for bit.  linear_batch steps its rows through
+precomputed exponential multipliers.
 """
 
 from __future__ import annotations
@@ -89,22 +90,6 @@ def _check_dt(dt: float, eps: float) -> None:
         raise StepTooLarge(f"dt={dt:g} exceeds eps/10={eps / 10.0:g}")
 
 
-def _time_major(eps: float, sigma: float, x0, dt: float,
-                increments: np.ndarray) -> np.ndarray:
-    """The (n+1, B) array a batch steps in: the state x0 in row 0, and in
-    row j + 1 the increments of step j times sigma/sqrt(eps), which the
-    step's new state replaces."""
-    _check_dt(dt, eps)
-    B, n = increments.shape
-    out = np.empty((n + 1, B))
-    out[0] = x0
-    # the transpose goes in blocks of paths, which keeps it cache-friendly
-    cns = sigma / math.sqrt(eps)
-    for b in range(0, B, 64):
-        np.multiply(increments[b:b + 64].T, cns, out=out[1:, b:b + 64])
-    return out
-
-
 def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
              x0, dt: float, increments: np.ndarray, k0: int = 0,
              trunc: Optional[np.ndarray] = None,
@@ -122,18 +107,16 @@ def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
     bit.
 
     out (B, n+1), when given, is a workspace whose columns 1.. are the
-    increments: increments must be out[:, 1:].  The compiled kernel then
-    writes x0 into column 0 and steps the paths in place, so paths is out
-    and the increments are gone.  Without out it steps a new C-contiguous
-    array with the increments copied in, and they are kept.  The NumPy loop
-    reads the increments either way and returns the transposed view of its
-    own time-major (n+1, B) array, with the same values.
+    increments: increments must be out[:, 1:].  x0 is written into column 0
+    and the paths are stepped in place, so paths is out and the increments
+    are gone.  Without out, paths is a new array with the increments copied
+    in, and they are kept.  Both kernels step the same array.
 
-    In the NumPy loop every column is stepped as if live and fixed up once
-    per chunk by _freeze, so a drift callable is also evaluated at states
-    beyond d, and at the held value of a frozen path, in columns whose
-    nodes are then overwritten: it must accept any float there, and what it
-    returns there (non-finite values included) never reaches the paths.
+    In the NumPy loop every row is stepped as if live and fixed up once per
+    chunk by _freeze, so a drift callable is also evaluated at states
+    beyond d, and at the held value of a frozen path, in nodes that are
+    then overwritten: it must accept any float there, and what it returns
+    there (non-finite values included) never reaches the paths.
     """
     _check_dt(dt, eps)
     if out is not None and not _compiled.tail_columns(increments, out):
@@ -141,21 +124,22 @@ def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
     B, n = increments.shape
     if trunc is None:
         trunc = np.full(B, np.nan)
+    if out is None:
+        out = np.empty((B, n + 1))
+        out[:, 1:] = increments
+    out[:, 0] = x0
     t_nodes = t0 + dt * np.arange(k0, k0 + n)  # time_grid(t0, dt, .)[k0:]
+    cns = sigma / math.sqrt(eps)
     step = None if model.poly is None else _compiled.LIBRARY.get("em_poly")
     if step is not None:
-        if out is None:
-            out = np.empty((B, n + 1))
-            out[:, 1:] = increments
-        out[:, 0] = x0
-        step(out, model.poly.coeff_table(t_nodes), dt / eps,
-             sigma / math.sqrt(eps), model.d, trunc, t0, dt, k0)
+        step(out, model.poly.coeff_table(t_nodes), dt / eps, cns, model.d,
+             trunc, t0, dt, k0)
         return out, trunc
-    paths = _time_major(eps, sigma, x0, dt, increments)
+    np.multiply(out[:, 1:], cns, out=out[:, 1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        _em_steps(paths, model, t_nodes, dt / eps)
-        _freeze(paths, model.d, trunc, t0, dt, k0)
-    return paths.T, trunc
+        _em_steps(out, model, t_nodes, dt / eps)
+        _freeze(out, model.d, trunc, t0, dt, k0)
+    return out, trunc
 
 
 def linear_batch(rate_fn: Callable, eps: float, sigma: float, t0: float,
@@ -168,24 +152,29 @@ def linear_batch(rate_fn: Callable, eps: float, sigma: float, t0: float,
     whole batch.  Returns (paths (B, K+1), trunc (B,)) as em_batch does,
     freezing a path at its last value with |x| <= domain.
     """
-    out = _time_major(eps, sigma, x0, dt, increments)
+    _check_dt(dt, eps)
     B, K = increments.shape
+    out = np.empty((B, K + 1))
+    out[:, 0] = x0
+    np.multiply(increments, sigma / math.sqrt(eps), out=out[:, 1:])
     trunc = np.full(B, np.nan)
     a_vals = np.asarray(rate_fn(time_grid(t0, dt, K)[:-1]), dtype=float)
     if a_vals.ndim == 0:
         a_vals = np.full(K, float(a_vals))
     mult = np.exp(a_vals * (dt / eps))
     with np.errstate(over="ignore", invalid="ignore"):
-        # x: state at a node, y: the step's scaled increment, then its result
-        for m, x, y in zip(mult.tolist(), out[:-1], out[1:]):
-            y += x * m
+        # column k: the state at node k; column k + 1: the scaled increment
+        # of step k, then the state it leads to
+        for k, m in enumerate(mult.tolist()):
+            out[:, k + 1] += out[:, k] * m
         _freeze(out, domain, trunc, t0, dt, 0)
-    return out.T, trunc
+    return out, trunc
 
 
 def _em_steps(out, model, t_nodes, cdt):
-    """Euler-Maruyama steps of one time chunk, in place in _time_major's
-    array out, whose row 0 is the state at grid node k0.
+    """Euler-Maruyama steps of one time chunk, column by column in place in
+    the rows of out (paths, nodes), whose column 0 is the state at grid
+    node k0 and whose other columns hold the scaled increments.
 
     t_nodes[j] is the time of step k0 + j.  A polynomial drift is
     tabulated, one row of coefficients per step, and PolyDrift.horner runs
@@ -202,34 +191,38 @@ def _em_steps(out, model, t_nodes, cdt):
         drift, rows = model.drift, t_nodes
     mul, add = np.multiply, np.add
     cdt = np.array(cdt)
-    f = np.empty(out.shape[1])
-    # x: state at a node, y: the step's scaled increment, then its result;
-    # c: the step's time, or its row of coefficients
-    for x, y, c in zip(out[:-1], out[1:], rows):
+    f = np.empty(out.shape[0])
+    # x: the state at a node, kept contiguous, since a column of out is
+    # strided; y: the step's scaled increment, then its result; c: the
+    # step's time, or its row of coefficients
+    x = out[:, 0].copy()
+    for j, c in enumerate(rows):
+        y = out[:, j + 1]
         fx = drift(x, c)
         mul(fx, cdt, f)
         add(x, f, f)
-        add(f, y, y)
+        add(f, y, x)
+        y[...] = x
 
 
 def _freeze(out, d, trunc, t0, dt, k0):
-    """Hold frozen columns of out at their value on entry, and freeze each
-    live column from its first node with |x| > d, at that node's previous
+    """Hold frozen rows of out at their value on entry, and freeze each
+    live row from its first node with |x| > d, at that node's previous
     value; trunc[b] records the time t0 + (k + 1) * dt of the step k that
     left."""
     live = np.isnan(trunc)
     if not live.all():
-        out[1:, ~live] = out[0, ~live]
-    # fmax and fmin skip NaN, so a column qualifies iff a node has |x| > d
-    steps = out[1:]
-    hit = np.nonzero(live & ((np.fmax.reduce(steps, axis=0) > d)
-                             | (np.fmin.reduce(steps, axis=0) < -d)))[0]
+        out[~live, 1:] = out[~live, :1]
+    # fmax and fmin skip NaN, so a row qualifies iff a node has |x| > d
+    steps = out[:, 1:]
+    hit = np.nonzero(live & ((np.fmax.reduce(steps, axis=1) > d)
+                             | (np.fmin.reduce(steps, axis=1) < -d)))[0]
     if hit.size == 0:
         return
-    first = (np.abs(steps[:, hit]) > d).argmax(axis=0)
+    first = (np.abs(steps[hit]) > d).argmax(axis=1)
     trunc[hit] = t0 + (k0 + first + 1) * dt
     for b, j in zip(hit.tolist(), first.tolist()):
-        out[j + 1:, b] = out[j, b]
+        out[b, j + 1:] = out[b, j]
 
 
 def _one_path(batch, scheme, drift, eps, sigma, t0, x0, t_end, dt, noise,
@@ -242,8 +235,7 @@ def _one_path(batch, scheme, drift, eps, sigma, t0, x0, t_end, dt, noise,
     if noise.n_steps != n or abs(noise.dt - dt) > 1e-15 * max(1.0, dt):
         raise ValueError("noise stream grid does not match the requested grid")
     dw = noise.increments()[None, :] if sigma != 0.0 else np.zeros((1, n))
-    X, trunc = batch(drift, eps, sigma, t0, x0, dt, np.ascontiguousarray(dw),
-                     **kwargs)
+    X, trunc = batch(drift, eps, sigma, t0, x0, dt, dw, **kwargs)
     return PathSample(time_grid(t0, dt, n), X[0], eps, sigma,
                       noise.master_seed, noise.path_index, scheme,
                       None if math.isnan(trunc[0]) else float(trunc[0]),

@@ -151,6 +151,20 @@ class TestRun:
     def test_missing_config(self, out):
         assert cmd_run("no_such_config.json", out=str(out)) == 1
 
+    def test_value_error_in_run_status(self, tmp_path, out, capsys,
+                                       monkeypatch):
+        # a bare ValueError from inside the run, as solve_det raises for a
+        # start outside the model domain, is status 1, not a traceback
+        def fail(*args, **kw):
+            raise ValueError("start (5, 0) outside the model domain")
+
+        monkeypatch.setattr(cli, "run_ensemble", fail)
+        cfg = write(tmp_path, "cfg.json", SMALL_DELAY)
+        assert cmd_run(cfg, out=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "outside the model domain" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "envelope"])
     @pytest.mark.parametrize("case", ["out-is-a-file", "config-is-a-dir"])
     def test_io_error_status(self, tmp_path, capsys, monkeypatch, command,

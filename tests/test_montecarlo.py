@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -87,6 +88,19 @@ class TestConfigValidation:
     def test_kind_matches_tag(self, standard):
         with pytest.raises(RegimeViolation):
             delay_config(standard, tag="stable")
+
+    @pytest.mark.parametrize("tag", montecarlo.ALL_TAGS)
+    def test_each_tag_takes_only_its_kind(self, standard, linear_stable,
+                                          linear_unstable, tag):
+        need = montecarlo.TAG_KINDS[tag]
+        for model in (standard, linear_stable, linear_unstable):
+            make = functools.partial(delay_config, model, tag=tag, t0=0.0)
+            if model.kind == need:
+                assert make().tag == tag
+            else:
+                with pytest.raises(RegimeViolation,
+                                   match=f"needs a model of kind '{need}'"):
+                    make()
 
     def test_resource_budget(self, standard):
         with pytest.raises(ResourceLimit):
@@ -432,7 +446,7 @@ def test_pinned_outputs_in_short_chunks(tag, monkeypatch):
     and with the region_D window opening inside a chunk, changes no bit."""
     cfg = pinned_config(tag)
     assert n_steps_for(cfg.t0, cfg.t_end, cfg.dt) % 700
-    if tag in montecarlo.PITCHFORK_TAGS:
+    if montecarlo.TAG_KINDS[tag] == "pitchfork":
         assert round((math.sqrt(cfg.eps) - cfg.t0) / cfg.dt) % 700
     monkeypatch.setattr(montecarlo, "CHUNK_STEPS", 700)
     assert pinned_hashes(run_ensemble(cfg)) == PINNED[tag]
@@ -474,21 +488,24 @@ def test_peak_memory_flat_in_n_steps(standard):
 
 
 @pytest.mark.parametrize("tag", ["delay", "branch"])
-def test_run_holds_one_workspace(standard, tag):
+def test_run_holds_one_workspace(standard, tag, kernels):
     """A batch draws its noise into, and steps its paths in, one workspace
-    of CHUNK_STEPS + 1 columns: over five chunks the compiled run peaks
-    below 1.3 of it plus 64 KiB.  A separate increments matrix beside the
-    paths would take twice the workspace."""
-    assert sde.backend() == "c"
+    of CHUNK_STEPS + 1 columns, whichever kernels run: over five chunks the
+    compiled run peaks below 1.3 of it plus 64 KiB, and the NumPy fallbacks,
+    whose exit scans take boolean masks of the chunk, below twice it plus
+    64 KiB.  A second path matrix beside the workspace would take more."""
     cfg = delay_config(standard, tag=tag, dt=2.0 / 5000, eps=0.005,
                        n_paths=400)
     assert n_steps_for(cfg.t0, cfg.t_end, cfg.dt) > 4 * montecarlo.CHUNK_STEPS
     workspace = 8 * 400 * (montecarlo.CHUNK_STEPS + 1)
-    tracemalloc.start()
-    run_ensemble(cfg)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 1.3 * workspace + 64 * 1024
+    for kernel in kernels():
+        assert sde.backend() == kernel
+        tracemalloc.start()
+        run_ensemble(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        bound = {"c": 1.3, "numpy": 2.0}[kernel]
+        assert peak < bound * workspace + 64 * 1024, (kernel, peak / workspace)
 
 
 def test_approach_steps_each_path_once(monkeypatch):
