@@ -50,20 +50,6 @@ class DetPath:
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
 
-    def value_at(self, t: float) -> float:
-        k = int(round((t - self.t_grid[0]) / self.dt))
-        if not 0 <= k < len(self.t_grid) or abs(self.t_grid[k] - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"t={t!r} is not a grid node")
-        return float(self.x_values[k])
-
-    def to_csv(self, path) -> None:
-        err = self.local_error
-        with open(path, "w") as fh:
-            fh.write("t,x,local_error\n")
-            for k, (t, x) in enumerate(zip(self.t_grid, self.x_values)):
-                e = err[k - 1] if err is not None and k >= 1 else 0.0
-                fh.write(f"{t:.17g},{x:.17g},{e:.6g}\n")
-
 
 def _rk4_step(g, x, h):
     """One classical RK4 step of length h for x' = g(x, stage), where stage

@@ -36,11 +36,10 @@ __all__ = [
     "EnvelopeTable", "SpaceTimeRegion", "BoundEvaluation",
     "zeta_stable", "zeta_pitchfork", "zeta_post_exit", "zeta_along",
     "zeta_rows", "PostExitFamily", "variance",
-    "region_stable_strip", "region_unstable_strip", "region_B", "region_D",
-    "region_S", "region_A", "region_delay_strip",
+    "region_D", "region_S",
     "bound_stable", "bound_before", "bound_approach", "bound_unstable",
-    "bound_escape", "gaussian_exit_bound", "martingale_sup_bound",
-    "return_to_zero_bound", "no_exit_linear_bound", "delay_interval",
+    "bound_escape", "return_to_zero_bound", "no_exit_linear_bound",
+    "delay_interval",
     "calibrate_zeta_brackets", "calibrate_post_exit_brackets",
     "STANDARD_ZETA_BRACKETS", "STANDARD_POST_EXIT_BRACKETS",
     "default_strip_width", "KAPPA_UNSTABLE", "write_csv",
@@ -471,60 +470,6 @@ class SpaceTimeRegion:
                   np.column_stack([t_values, g1, g2]))
 
 
-def _interp_fn(grid: np.ndarray, values: np.ndarray) -> Callable:
-    lo, hi = grid[0], grid[-1]
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < lo - 1e-9) or np.any(t > hi + 1e-9):
-            raise GridMismatch("time outside the tabulated range")
-        return np.interp(t, grid, values)
-
-    return fn
-
-
-def region_stable_strip(h: float, xdet_path: DetPath,
-                        table: EnvelopeTable) -> SpaceTimeRegion:
-    """|x - xdet(t)| < h sqrt(zeta(t)) around a stable deterministic path."""
-    if not np.allclose(xdet_path.t_grid, table.t_grid):
-        raise GridMismatch("path and envelope table grids differ")
-    half = h * table.sqrt_zeta()
-    c = xdet_path.x_values
-    return SpaceTimeRegion(
-        _interp_fn(table.t_grid, c - half), _interp_fn(table.t_grid, c + half),
-        float(table.t_grid[0]), float(table.t_grid[-1]), f"stable-strip(h={h:g})")
-
-
-def region_unstable_strip(h: float, xdet_path: DetPath,
-                          abar_values: np.ndarray) -> SpaceTimeRegion:
-    """|x - xdet(t)| < h / sqrt(2 abar(t)) around an unstable slow solution."""
-    abar = np.asarray(abar_values, dtype=float)
-    if np.any(abar <= 0):
-        raise ValueError("unstable strip needs abar > 0")
-    if len(abar) != len(xdet_path.t_grid):
-        raise GridMismatch("abar values and path grid differ in length")
-    half = h / np.sqrt(2.0 * abar)
-    c = xdet_path.x_values
-    return SpaceTimeRegion(
-        _interp_fn(xdet_path.t_grid, c - half),
-        _interp_fn(xdet_path.t_grid, c + half),
-        float(xdet_path.t_grid[0]), float(xdet_path.t_grid[-1]),
-        f"unstable-strip(h={h:g})")
-
-
-def region_B(model: ModelSpec, eps: float, h: float, x0: float, t0: float,
-             table: EnvelopeTable) -> SpaceTimeRegion:
-    """Crossing strip |x - x0 e^{alpha(t,t0)/eps}| < h sqrt(zeta(t))."""
-    tg = table.t_grid
-    if abs(tg[0] - t0) > 1e-12:
-        raise GridMismatch("envelope table must start at t0")
-    centre = x0 * np.exp(alpha(model, tg, t0) / eps)
-    half = h * table.sqrt_zeta()
-    return SpaceTimeRegion(
-        _interp_fn(tg, centre - half), _interp_fn(tg, centre + half),
-        float(tg[0]), float(tg[-1]), f"B(h={h:g})")
-
-
 def region_D(model: ModelSpec, eps: float,
              curves: Optional[BranchCurves] = None,
              t_hi: Optional[float] = None) -> SpaceTimeRegion:
@@ -556,32 +501,6 @@ def region_S(model: ModelSpec, eps: float, sigma: float,
 
     return SpaceTimeRegion(lambda t: -upper(t), upper, math.sqrt(eps),
                            model.t_max, f"S(h={h:g})")
-
-
-def region_A(h: float, tau: float, det: DetPath,
-             table: EnvelopeTable) -> SpaceTimeRegion:
-    """|x - xdet_tau(t)| < h sqrt(zeta_tau(t)) after the exit at tau."""
-    n = len(table.t_grid)
-    if len(det.t_grid) < n or not np.allclose(det.t_grid[:n], table.t_grid):
-        raise GridMismatch("post-exit path and envelope grids differ")
-    half = h * table.sqrt_zeta()
-    c = det.x_values[:n]
-    return SpaceTimeRegion(
-        _interp_fn(table.t_grid, c - half), _interp_fn(table.t_grid, c + half),
-        float(tau), float(table.t_grid[-1]), f"A(h={h:g},tau={tau:g})")
-
-
-def region_delay_strip(model: ModelSpec, eps: float, t_lo: float,
-                       t_hi: Optional[float] = None,
-                       curves: Optional[BranchCurves] = None) -> SpaceTimeRegion:
-    """Constant-width strip |x| < x_tilde(sqrt(eps)) defining the delay."""
-    if curves is None:
-        curves = branches(model)
-    w = float(curves.x_tilde(math.sqrt(eps)))
-    return SpaceTimeRegion(lambda t: np.full_like(np.asarray(t, dtype=float), -w),
-                           lambda t: np.full_like(np.asarray(t, dtype=float), w),
-                           t_lo, t_hi if t_hi is not None else model.t_max,
-                           "delay-strip")
 
 
 # ---------------------------------------------------------------------------
@@ -716,20 +635,6 @@ def bound_escape(model: ModelSpec, t: float, t0: float, eps: float,
             * abs(math.log(sigma)) / sigma * (1.0 + al / eps) / denom)
     return _finish("escape", {"t": t, "t0": t0, "eps": eps, "sigma": sigma,
                               "C0": C0, "eta": eta, "kappa": kappa}, pref, -x)
-
-
-def gaussian_exit_bound(delta: float, v: float) -> float:
-    """Single-time Gaussian tail bound exp(-delta^2 / 2v)."""
-    if v <= 0:
-        raise ValueError("need v > 0")
-    return math.exp(-delta * delta / (2.0 * v))
-
-
-def martingale_sup_bound(delta: float, Phi: float) -> float:
-    """Running-sup tail bound exp(-delta^2 / 2 Phi) for int phi dW."""
-    if Phi <= 0:
-        raise ValueError("need Phi > 0")
-    return math.exp(-delta * delta / (2.0 * Phi))
 
 
 def return_to_zero_bound(rho: float, sigma: float, a0_t0: float) -> float:

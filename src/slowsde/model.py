@@ -130,12 +130,8 @@ class PolyDrift:
             raise ValueError("coeffs must be finite")
         self.coeffs = np.ascontiguousarray(c)
 
-    @property
-    def deg_x(self) -> int:
-        return self.coeffs.shape[0] - 1
-
     def coeff_at(self, t):
-        """Coefficients of x^i at time t (Horner in t), shape (deg_x + 1,)."""
+        """Coefficients of x^i at time t (Horner in t), one per coeffs row."""
         c = self.coeffs
         out = []
         for i in range(c.shape[0]):
@@ -146,7 +142,7 @@ class PolyDrift:
         return out
 
     def coeff_table(self, t_values: np.ndarray) -> np.ndarray:
-        """Per-step coefficient matrix, shape (len(t_values), deg_x + 1)."""
+        """Per-step coefficient matrix, shape (len(t_values), len(coeffs))."""
         t = np.asarray(t_values, dtype=float)
         tab = np.empty((t.size, self.coeffs.shape[0]))
         for i, col in enumerate(self.coeff_at(t)):

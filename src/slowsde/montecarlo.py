@@ -31,7 +31,7 @@ from .sde import em_batch, n_steps_for, time_grid
 
 __all__ = [
     "EnsembleConfig", "EnsembleReport", "BoundComparison",
-    "run_ensemble", "estimate_prob", "compare_bound", "exceedance_curve",
+    "run_ensemble", "estimate_prob", "compare_bound",
     "serialize_json", "config_hash",
 ]
 
@@ -756,13 +756,3 @@ def run_ensemble(config: EnsembleConfig, threads: int = 1) -> EnsembleReport:
         tag=config.tag, results=results,
         runtime_seconds=time.perf_counter() - start, per_path=per_path)
 
-
-def exceedance_curve(config: EnsembleConfig, h_list=None,
-                     threads: int = 1) -> list:
-    """Per-h exceedance rows (h, p_hat, ci, bound) for the sup-deviation tags."""
-    if config.tag not in ("stable", "before", "approach"):
-        raise ValueError("exceedance_curve applies to stable/before/approach")
-    if h_list is not None:
-        config = dataclasses.replace(config, h_list=tuple(h_list))
-    report = run_ensemble(config, threads=threads)
-    return report.results["exceedance"]

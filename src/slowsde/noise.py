@@ -74,9 +74,6 @@ class NoiseStream:
         return replace(self, dt=self.dt / 2.0, n_steps=2 * self.n_steps,
                        level=self.level + 1)
 
-    def mirror(self) -> "NoiseStream":
-        return replace(self, mirrored=not self.mirrored)
-
 
 def path_generators(master_seed: int, indices):
     """The Philox streams of the path indices, each at its first increment,

@@ -1,5 +1,5 @@
-"""SDE integration: Euler-Maruyama for the nonlinear equation, exponential
-Euler for linear comparisons, and coupled pairs sharing one noise realization.
+"""SDE integration: Euler-Maruyama for the nonlinear equation and
+exponential Euler for linear comparisons.
 
 Both integrators step a whole batch of paths at once, in rows of one
 path-major (paths, nodes) array: the state in column 0, and in the other
@@ -29,9 +29,8 @@ from .model import ModelSpec
 from .noise import NoiseStream
 
 __all__ = [
-    "PathSample", "backend", "simulate", "simulate_linear",
-    "simulate_coupled", "em_batch", "linear_batch", "time_grid",
-    "n_steps_for",
+    "PathSample", "backend", "simulate", "em_batch", "linear_batch",
+    "time_grid", "n_steps_for",
 ]
 
 
@@ -60,15 +59,6 @@ class PathSample:
     @property
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
-
-    def to_csv(self, path) -> None:
-        header = (f"# scheme={self.scheme} eps={self.eps!r} sigma={self.sigma!r} "
-                  f"seed={self.master_seed} index={self.path_index}\n"
-                  "t,x\n")
-        with open(path, "w") as fh:
-            fh.write(header)
-            for t, x in zip(self.t_grid, self.x_values):
-                fh.write(f"{t:.17g},{x:.17g}\n")
 
 
 def n_steps_for(t0: float, t_end: float, dt: float) -> int:
@@ -225,64 +215,24 @@ def _freeze(out, d, trunc, t0, dt, k0):
         out[b, j + 1:] = out[b, j]
 
 
-def _one_path(batch, scheme, drift, eps, sigma, t0, x0, t_end, dt, noise,
-              master_seed, path_index, **kwargs) -> PathSample:
-    """One path of batch (em_batch or linear_batch) from t0 to t_end, driven
-    by noise or else by the stream of (master_seed, path_index)."""
+def simulate(model: ModelSpec, eps: float, sigma: float, t0: float, x0: float,
+             t_end: float, dt: float, noise: Optional[NoiseStream] = None,
+             master_seed: int = 0, path_index: int = 0) -> PathSample:
+    """One Euler-Maruyama path of eps dx = f dt + sigma sqrt(eps) dW (slow time).
+
+    Update rule: x_{k+1} = x_k + (dt/eps) f(x_k, t_k) + (sigma/sqrt(eps)) dW_k,
+    with the increments of noise, or else of the stream of (master_seed,
+    path_index).  Leaving |x| <= d freezes the state at the last in-domain
+    value and records the truncation time; it is not an exception.
+    """
     n = n_steps_for(t0, t_end, dt)
     if noise is None:
         noise = NoiseStream(master_seed, path_index, t0, dt, n)
     if noise.n_steps != n or abs(noise.dt - dt) > 1e-15 * max(1.0, dt):
         raise ValueError("noise stream grid does not match the requested grid")
     dw = noise.increments()[None, :] if sigma != 0.0 else np.zeros((1, n))
-    X, trunc = batch(drift, eps, sigma, t0, x0, dt, dw, **kwargs)
+    X, trunc = em_batch(model, eps, sigma, t0, x0, dt, dw)
     return PathSample(time_grid(t0, dt, n), X[0], eps, sigma,
-                      noise.master_seed, noise.path_index, scheme,
+                      noise.master_seed, noise.path_index, "euler-maruyama",
                       None if math.isnan(trunc[0]) else float(trunc[0]),
                       noise.mirrored, noise.level)
-
-
-def simulate(model: ModelSpec, eps: float, sigma: float, t0: float, x0: float,
-             t_end: float, dt: float, noise: Optional[NoiseStream] = None,
-             master_seed: int = 0, path_index: int = 0) -> PathSample:
-    """One Euler-Maruyama path of eps dx = f dt + sigma sqrt(eps) dW (slow time).
-
-    Update rule: x_{k+1} = x_k + (dt/eps) f(x_k, t_k) + (sigma/sqrt(eps)) dW_k.
-    Leaving |x| <= d freezes the state at the last in-domain value and records
-    the truncation time; it is not an exception.
-    """
-    return _one_path(em_batch, "euler-maruyama", model, eps, sigma, t0, x0,
-                     t_end, dt, noise, master_seed, path_index)
-
-
-def simulate_linear(rate_fn: Callable, eps: float, sigma: float, t0: float,
-                    x0: float, t_end: float, dt: float,
-                    noise: Optional[NoiseStream] = None,
-                    master_seed: int = 0, path_index: int = 0,
-                    domain: float = math.inf) -> PathSample:
-    """One exponential-Euler path of the linear SDE with rate a(t).
-
-    x_{k+1} = x_k exp(a(t_k) dt/eps) + (sigma/sqrt(eps)) dW_k: the drift
-    response is distribution-exact for frozen coefficients and never blows
-    up for a > 0 at moderate dt/eps, while the shared dW keeps paths
-    comparable with simulate().
-    """
-    return _one_path(linear_batch, "exponential-euler", rate_fn, eps, sigma,
-                     t0, x0, t_end, dt, noise, master_seed, path_index,
-                     domain=domain)
-
-
-def simulate_coupled(model: ModelSpec, rate_fn: Callable, eps: float,
-                     sigma: float, start: tuple, t_end: float, dt: float,
-                     noise: Optional[NoiseStream] = None,
-                     master_seed: int = 0, path_index: int = 0) -> tuple:
-    """Nonlinear and linear paths driven by the identical increment sequence.
-
-    Both start from the same (x0, t0); used for pathwise comparison tests
-    where the nonlinear path must dominate the linear one until it exits
-    the wedge or the linear path returns to zero.
-    """
-    x0, t0 = start
-    keys = (noise, master_seed, path_index)
-    return (simulate(model, eps, sigma, t0, x0, t_end, dt, *keys),
-            simulate_linear(rate_fn, eps, sigma, t0, x0, t_end, dt, *keys))

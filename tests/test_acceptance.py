@@ -15,8 +15,9 @@ from scipy.stats import kstest, norm
 
 from slowsde import (adiabatic_solution, bifurcation_delay, branches,
                      bound_stable, det_after_exit, model_from_coeffs,
-                     simulate, solve_det, standard_pitchfork, zeta_pitchfork,
-                     zeta_post_exit, zeta_stable)
+                     return_to_zero_bound, simulate, solve_det,
+                     standard_pitchfork, zeta_pitchfork, zeta_post_exit,
+                     zeta_stable)
 from slowsde.montecarlo import EnsembleConfig, estimate_prob, run_ensemble
 from slowsde.noise import NoiseStream, fill_increments
 from slowsde.sde import em_batch, linear_batch, n_steps_for, time_grid
@@ -267,7 +268,8 @@ def test_criterion_9_return_to_zero():
             returned += int(np.sum((X <= 0.0).any(axis=1)))
         p_hat, lo_ci, hi_ci = estimate_prob(returned, n_paths)
         half_width = (hi_ci - lo_ci) / 2.0
-        assert p_hat <= 0.1 + 3.0 * half_width, f"returned {p_hat}"
+        bound = return_to_zero_bound(rho, sigma, a0_t0)
+        assert p_hat <= bound + 3.0 * half_width, f"returned {p_hat}"
 
 
 def test_criterion_10_deterministic_layer():

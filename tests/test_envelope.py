@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.stats import norm
 
 from slowsde import _compiled
 from slowsde import (DegenerateWindow, EpsTooLarge, HExceedsSigma,
@@ -12,10 +11,8 @@ from slowsde import (DegenerateWindow, EpsTooLarge, HExceedsSigma,
                      RegimeViolation, RhoTooSmall, alpha, bound_approach,
                      bound_before, bound_escape, bound_stable, bound_unstable,
                      branches, default_strip_width, delay_interval, envelope,
-                     gaussian_exit_bound, make_model, martingale_sup_bound,
-                     model_from_coeffs, no_exit_linear_bound, region_B,
-                     region_D, region_S, region_delay_strip,
-                     region_stable_strip, return_to_zero_bound, solve_det,
+                     make_model, model_from_coeffs, no_exit_linear_bound,
+                     region_D, region_S, return_to_zero_bound, solve_det,
                      variance, zeta_pitchfork, zeta_post_exit, zeta_stable)
 from slowsde.model import alpha_on_panels, gauss_legendre
 from slowsde.envelope import (KAPPA_UNSTABLE, STANDARD_POST_EXIT_BRACKETS,
@@ -370,14 +367,6 @@ class TestRegions:
         assert g2 == pytest.approx(math.sqrt(0.4) * 0.5, abs=1e-14)
         assert g1 == pytest.approx(-math.sqrt(0.4) * 0.5, abs=1e-14)
 
-    def test_region_b_initial_halfwidth(self, standard):
-        eps, h = 0.01, 5e-4
-        tg = grid_to(-1.0, math.sqrt(eps), eps / 50.0)
-        tab = zeta_pitchfork(standard, eps, -1.0, tg)
-        reg = region_B(standard, eps, h, 0.0, -1.0, tab)
-        g1, g2 = reg.boundaries(-1.0)
-        assert g2 == pytest.approx(h * math.sqrt(1.0 / 2.0), rel=1e-12)
-
     def test_region_s_clipped_inside_d(self, standard):
         eps, sigma = 0.005, 1e-4
         regS = region_S(standard, eps, sigma)
@@ -387,24 +376,6 @@ class TestRegions:
         d1, d2 = regD.boundaries(ts)
         assert np.all(s2 <= d2 + 1e-15)
         assert np.all(s1 >= d1 - 1e-15)
-
-    def test_delay_strip_width(self, standard):
-        eps = 0.005
-        reg = region_delay_strip(standard, eps, -1.0)
-        g1, g2 = reg.boundaries(0.3)
-        w = math.sqrt(0.4) * eps ** 0.25
-        assert g2 == pytest.approx(w, abs=1e-14)
-
-    def test_stable_strip_and_csv(self, linear_stable, tmp_path):
-        eps = 0.01
-        xdet = solve_det(linear_stable, eps, 0.0, 0.0, 0.2, eps / 50.0)
-        tab = zeta_stable(linear_stable, eps, xdet.t_grid, xdet)
-        reg = region_stable_strip(3e-3, xdet, tab)
-        g1, g2 = reg.boundaries(0.1)
-        assert g2 == pytest.approx(3e-3 * math.sqrt(0.5), rel=1e-12)
-        out = tmp_path / "r.csv"
-        reg.to_csv(out, xdet.t_grid[::100])
-        assert out.read_text().splitlines()[1] == "t,g1,g2"
 
 
 class TestBounds:
@@ -490,32 +461,6 @@ class TestBounds:
                              -1.0).bound for h in hs]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_gaussian_exit_bound(self):
-        assert gaussian_exit_bound(0.0, 1.0) == 1.0
-        v = 0.37
-        assert gaussian_exit_bound(math.sqrt(2 * v), v) == pytest.approx(
-            math.exp(-1))
-        assert gaussian_exit_bound(3 * math.sqrt(v), v) == pytest.approx(
-            math.exp(-4.5))
-
-    def test_martingale_sup_bound(self):
-        assert martingale_sup_bound(math.sqrt(2.0), 1.0) == pytest.approx(
-            math.exp(-1))
-        b1 = martingale_sup_bound(1.0, 1.0)
-        b2 = martingale_sup_bound(1.0, 2.0)
-        assert math.log(b2) == pytest.approx(0.5 * math.log(b1))
-
-    def test_martingale_sup_monte_carlo(self, rng):
-        # sup of W on [0,1] vs delta=3: reflection gives 2(1-Phi(3)), which
-        # must sit below the martingale bound exp(-4.5)
-        n, steps = 10000, 1000
-        w = np.cumsum(rng.standard_normal((n, steps)) / math.sqrt(steps),
-                      axis=1)
-        emp = float(np.mean(w.max(axis=1) >= 3.0))
-        exact = 2 * (1 - norm.cdf(3.0))
-        assert emp <= martingale_sup_bound(3.0, 1.0)
-        assert emp == pytest.approx(exact, abs=3 * math.sqrt(exact / n) + 1e-4)
-
     def test_return_to_zero_identity(self):
         # rho = h/sqrt(a(t0)) with h = 2 sigma sqrt(|log sigma|), a0 = kappa a
         sigma, kappa, a_t0 = 1e-3, 0.6, 0.3
@@ -575,34 +520,6 @@ class TestDelayInterval:
         _, hi1 = delay_interval(0.005, 1e-4, standard)
         _, hi2 = delay_interval(0.005, 1e-2, standard)
         assert hi2 < hi1
-
-
-class TestRegionAAndUnstableStrip:
-    def test_region_a_boundaries(self, standard):
-        from slowsde import det_after_exit
-        from slowsde.envelope import region_A
-        eps, tau, h = 0.01, 0.2, 1e-3
-        tg = grid_to(tau, 1.0, eps / 50.0)
-        det = det_after_exit(standard, eps, tau, +1, 1.0, eps / 50.0)
-        tab = zeta_post_exit(standard, eps, tau, tg, det=det)
-        reg = region_A(h, tau, det, tab)
-        g1, g2 = reg.boundaries(tau)
-        atau = standard.drift_dx(math.sqrt(0.4 * tau), tau)
-        half = h * math.sqrt(1.0 / (2.0 * abs(atau)))
-        assert g2 - g1 == pytest.approx(2 * half, rel=1e-12)
-        centre = 0.5 * (g1 + g2)
-        assert centre == pytest.approx(math.sqrt(0.4 * tau), rel=1e-12)
-
-    def test_unstable_strip_width(self, linear_unstable):
-        from slowsde.envelope import region_unstable_strip
-        eps, h = 0.01, 5e-4
-        from slowsde import adiabatic_solution
-        tg = np.linspace(0.0, 0.1, 251)
-        xhat = adiabatic_solution(linear_unstable, eps, tg)
-        abar = np.ones_like(tg)
-        reg = region_unstable_strip(h, xhat, abar)
-        g1, g2 = reg.boundaries(0.05)
-        assert g2 - g1 == pytest.approx(2 * h / math.sqrt(2.0), rel=1e-9)
 
 
 class TestNoExitLinearMonteCarlo:

@@ -14,8 +14,7 @@ from slowsde import (ConfigError, NonFiniteResult, RegimeViolation,
                      run_ensemble, sde, standard_pitchfork, zeta_post_exit)
 from slowsde.deterministic import DetPath, post_exit_family
 from slowsde.envelope import BoundEvaluation
-from slowsde.montecarlo import (EnsembleConfig, exceedance_curve,
-                                serialize_json)
+from slowsde.montecarlo import EnsembleConfig, serialize_json
 from slowsde.sde import n_steps_for, time_grid
 
 
@@ -195,14 +194,10 @@ class TestExceedanceCurve:
                              t0=0.0, x0=0.0, t_end=0.2, dt=2e-4,
                              n_paths=2000, master_seed=3, tag="stable",
                              h_list=(2 * sig, 3 * sig, 4 * sig))
-        rows = exceedance_curve(cfg)
+        rows = run_ensemble(cfg).results["exceedance"]
         ps = [r["p_hat"] for r in rows]
         assert ps[0] >= ps[1] >= ps[2]
         assert all("ci_low" in r and "bound" in r for r in rows)
-
-    def test_wrong_tag_rejected(self, standard):
-        with pytest.raises(ValueError):
-            exceedance_curve(delay_config(standard))
 
 
 class TestNonFinitePaths:
@@ -492,8 +487,9 @@ def test_run_holds_one_workspace(standard, tag, kernels):
     """A batch draws its noise into, and steps its paths in, one workspace
     of CHUNK_STEPS + 1 columns, whichever kernels run: over five chunks the
     compiled run peaks below 1.3 of it plus 64 KiB, and the NumPy fallbacks,
-    whose exit scans take boolean masks of the chunk, below twice it plus
-    64 KiB.  A second path matrix beside the workspace would take more."""
+    whose exit scans hold up to two boolean masks of the chunk, below 1.6
+    of it plus 64 KiB.  A second path matrix beside the workspace would take
+    more."""
     cfg = delay_config(standard, tag=tag, dt=2.0 / 5000, eps=0.005,
                        n_paths=400)
     assert n_steps_for(cfg.t0, cfg.t_end, cfg.dt) > 4 * montecarlo.CHUNK_STEPS
@@ -504,7 +500,7 @@ def test_run_holds_one_workspace(standard, tag, kernels):
         run_ensemble(cfg)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        bound = {"c": 1.3, "numpy": 2.0}[kernel]
+        bound = {"c": 1.3, "numpy": 1.6}[kernel]
         assert peak < bound * workspace + 64 * 1024, (kernel, peak / workspace)
 
 

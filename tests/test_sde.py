@@ -10,8 +10,7 @@ import pytest
 from scipy.stats import kstest
 
 from slowsde import (NoiseStream, StepTooLarge, branches, make_model,
-                     model_from_coeffs, simulate, simulate_coupled,
-                     simulate_linear, solve_det, variance)
+                     model_from_coeffs, simulate, solve_det, variance)
 from slowsde.noise import fill_increments, path_generators
 from slowsde.sde import em_batch, linear_batch, n_steps_for, time_grid
 
@@ -29,7 +28,8 @@ class TestNoiseStream:
 
     def test_mirror_is_exact_negation(self):
         s = NoiseStream(42, 7, 0.0, 1e-3, 100)
-        assert np.array_equal(s.mirror().increments(), -s.increments())
+        m = NoiseStream(42, 7, 0.0, 1e-3, 100, mirrored=True)
+        assert np.array_equal(m.increments(), -s.increments())
 
     def test_refinement_sums_to_parent(self):
         s = NoiseStream(9, 0, 0.0, 1e-3, 64)
@@ -72,9 +72,10 @@ class TestSimulate:
 
     def test_mirrored_noise_negates_path(self, standard):
         noise = NoiseStream(3, 0, -0.2, 2e-4, 2000)
+        mirrored = NoiseStream(3, 0, -0.2, 2e-4, 2000, mirrored=True)
         a = simulate(standard, 0.01, 1e-3, -0.2, 0.02, 0.2, 2e-4, noise=noise)
         b = simulate(standard, 0.01, 1e-3, -0.2, -0.02, 0.2, 2e-4,
-                     noise=noise.mirror())
+                     noise=mirrored)
         assert np.array_equal(a.x_values, -b.x_values)
 
     def test_step_too_large(self, standard):
@@ -340,9 +341,10 @@ class TestSimulateLinear:
 
     def test_single_step_multiplier(self):
         eps, dt = 0.01, 2e-4
-        p = simulate_linear(lambda t: np.full_like(t, -1.0), eps, 0.0, 0.0,
-                            1.0, dt, dt)
-        assert p.x_values[1] == pytest.approx(math.exp(-dt / eps), rel=1e-15)
+        dw = NoiseStream(0, 0, 0.0, dt, 1).increments()[None, :]
+        X, _ = linear_batch(lambda t: np.full_like(t, -1.0), eps, 0.0, 0.0,
+                            1.0, dt, dw)
+        assert X[0, 1] == pytest.approx(math.exp(-dt / eps), rel=1e-15)
 
     def test_ks_against_gaussian_oracle(self, linear_stable):
         # rate -(1+t); variance oracle from the envelope quadrature
@@ -387,12 +389,11 @@ class TestSimulateLinear:
     def test_additivity(self):
         eps, sigma, dt = 0.01, 1e-3, 2e-4
         rate = lambda t: -(1.0 + t)  # noqa: E731
-        noise = NoiseStream(21, 0, 0.0, dt, 400)
-        a = simulate_linear(rate, eps, sigma, 0.0, 0.3, 0.08, dt, noise=noise)
-        b = simulate_linear(rate, eps, 0.0, 0.0, 0.4, 0.08, dt)
-        c = simulate_linear(rate, eps, sigma, 0.0, 0.7, 0.08, dt, noise=noise)
-        assert np.allclose(a.x_values + b.x_values, c.x_values,
-                           rtol=1e-13, atol=1e-18)
+        dw = NoiseStream(21, 0, 0.0, dt, 400).increments()[None, :]
+        a, _ = linear_batch(rate, eps, sigma, 0.0, 0.3, dt, dw)
+        b, _ = linear_batch(rate, eps, 0.0, 0.0, 0.4, dt, np.zeros_like(dw))
+        c, _ = linear_batch(rate, eps, sigma, 0.0, 0.7, dt, dw)
+        assert np.allclose(a + b, c, rtol=1e-13, atol=1e-18)
 
 
 class TestCoupled:
@@ -403,18 +404,13 @@ class TestCoupled:
         rate = lambda t: 0.6 * t  # noqa: E731
         curves = branches(standard)
         x0 = 0.5 * float(curves.x_tilde(0.1))
-        nl, lin = simulate_coupled(standard, rate, eps, 0.0, (x0, 0.1), 0.4,
-                                   dt)
-        xt = np.asarray(curves.x_tilde(nl.t_grid))
-        exits = np.nonzero(nl.x_values >= xt)[0]
-        end = exits[0] if exits.size else len(nl.t_grid)
+        n = n_steps_for(0.1, 0.4, dt)
+        zero = np.zeros((1, n))
+        nl = em_batch(standard, eps, 0.0, 0.1, x0, dt, zero)[0][0]
+        lin = linear_batch(rate, eps, 0.0, 0.1, x0, dt, zero)[0][0]
+        xt = np.asarray(curves.x_tilde(time_grid(0.1, dt, n)))
+        exits = np.nonzero(nl >= xt)[0]
+        end = exits[0] if exits.size else n + 1
         assert end > 50
-        assert np.all(nl.x_values[5:end] > lin.x_values[5:end])
+        assert np.all(nl[5:end] > lin[5:end])
 
-
-class TestPathIO:
-    def test_csv(self, standard, tmp_path):
-        p = simulate(standard, 0.01, 1e-3, -0.1, 0.0, 0.0, 2e-4)
-        f = tmp_path / "p.csv"
-        p.to_csv(f)
-        assert f.read_text().splitlines()[1] == "t,x"

@@ -179,6 +179,60 @@ def test_readme_lists_every_config_key():
             assert f"| `{section}.{key}` | {kind} |" in readme, key
 
 
+def readme_names(readme: str) -> list:
+    """(module, name) for every backticked identifier in a row of the
+    README's "What's inside" table, module being the row's first cell.  A
+    call form name() counts as name; expressions and file names such as
+    _em.c are no identifiers."""
+    table = readme.split("## What's inside", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for line in table.splitlines():
+        cells = re.split(r"(?<!\\)\|", line)[1:-1]
+        if len(cells) != 2 or not cells[0].strip().startswith("`"):
+            continue
+        module = cells[0].strip().strip("`")
+        for token in re.findall(r"`([^`]+)`", cells[1]):
+            token = token.removesuffix("()")
+            if (re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", token)
+                    and token.rsplit(".", 1)[-1] not in ("c", "py", "json")):
+                names.append((module, token))
+    return names
+
+
+def test_checker_reads_readme_names():
+    readme = ("## What's inside\n\n| module | contents |\n| --- | --- |\n"
+              "| `m.a` | `f`, `g()`, `_em.c`, `x = 1`, `h.k` and `\\|x\\|` |\n"
+              "\n## Next\n| `m.b` | `z` |\n")
+    assert readme_names(readme) == [("m.a", "f"), ("m.a", "g"),
+                                    ("m.a", "h.k")]
+
+
+def test_readme_names_resolve():
+    """Every identifier the README's module table names exists: an
+    attribute of the row's module or of slowsde, a dotted module.name of
+    the package, a kernel of the compiled library or an experiment tag."""
+    import importlib
+
+    import slowsde
+    from slowsde import _compiled
+    from slowsde.montecarlo import ALL_TAGS
+
+    def resolves(module, name):
+        for obj in (importlib.import_module(module), slowsde):
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                return True
+        return False
+
+    names = readme_names((ROOT / "README.md").read_text())
+    assert names
+    missing = [(module, name) for module, name in names
+               if not resolves(module, name)
+               and name not in _compiled.ARGTYPES and name not in ALL_TAGS]
+    assert missing == []
+
+
 def test_c_kernel_source_is_shipped():
     """The stepping kernel's C source is package data, which the installed
     package builds from."""
