@@ -68,9 +68,10 @@ ARGTYPES = {
 # uint64 words of one Philox stream's state in philox_normal, the fields of
 # NumPy's philox_state: counter[4], key[2], buffer[4] and buffer_pos
 PHILOX_WORDS = 11
-# rows fmt_g17 formats per call, and the bytes it may take per value: %.17g
-# needs at most 24 ("-1.2345678901234567e-308"), plus the separator, which
-# fmt_g17 writes where snprintf put its NUL
+# rows fmt_g17 formats per call (write_csv hands it blocks of this many),
+# and the bytes it may take per value: %.17g needs at most 24
+# ("-1.2345678901234567e-308"), plus the separator, which fmt_g17 writes
+# where snprintf put its NUL
 FMT_BLOCK_ROWS = 4096
 FMT_VALUE_BYTES = 25
 

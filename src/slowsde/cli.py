@@ -79,21 +79,21 @@ def _stamp(report, columns) -> str:
 def _write_prob_series(path, report, rows, key: str) -> None:
     names = (key, "p_hat", "ci_low", "ci_high")
     env.write_csv(path, _stamp(report, names + ("bound",)),
-                  np.column_stack([[row[k] for row in rows] for k in names]
-                                  + [[row["bound"]["bound"] for row in rows]]))
+                  [[row[k] for row in rows] for k in names]
+                  + [[row["bound"]["bound"] for row in rows]])
 
 
 def _write_histogram(path, report, hist: dict) -> None:
     edges = hist["edges"]
     env.write_csv(path, _stamp(report, ("bin_lo", "bin_hi", "count")),
-                  np.column_stack([edges[:-1], edges[1:], hist["counts"]]))
+                  (edges[:-1], edges[1:], hist["counts"]))
 
 
 def _write_per_path(path, report, per_path: dict) -> None:
     keys = sorted(per_path)
     n = len(per_path[keys[0]])
     env.write_csv(path, _stamp(report, ("path_index", *keys)),
-                  np.column_stack([np.arange(n)] + [per_path[k] for k in keys]))
+                  [np.arange(n)] + [per_path[k] for k in keys])
 
 
 def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
@@ -121,7 +121,7 @@ def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
             files[name] = functools.partial(region.to_csv, t_values=tpos)
         files["bounds.csv"] = functools.partial(
             env.write_csv, header="t,bound_escape\n",
-            table=np.column_stack([tpos[1:], [b.bound for b in bounds]]))
+            columns=(tpos[1:], [b.bound for b in bounds]))
     elif model.kind == "stable-branch":
         xdet = solve_det(model, eps, config.t0, float(config.x0),
                          config.t_end, dt)

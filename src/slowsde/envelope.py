@@ -182,16 +182,23 @@ def zeta_rows(model: ModelSpec, eps: float, t: np.ndarray, x: np.ndarray,
     n+1), whose column 0 holds the start values: each row's zeta is driven
     by df/dx along it from the end of its first skip[i] cells, where it
     holds its start value.  The one zeta integrator: zeta_along runs it
-    over the whole grid (every zeta_* table goes through it), PostExitFamily
+    over the whole grid, zeta_pitchfork on the origin row, PostExitFamily
     over one chunk at a time.
-    The nodes are taken in blocks of cells so the refined arrays stay small
-    however many rows there are: a block holds about 2^16 refined values
-    (512 kB an array), and some eight arrays of that size are live at once.
-    With blocks of 2^17, glibc gave their memory back after each chunk of
-    the approach tag and paged it in again: 35k minor faults a run against
-    5k."""
+    The nodes are taken in blocks of cells so that a block stays small
+    however many rows there are: about 2^16 refined values (512 kB),
+    counting each row's rates and each coefficient column that _rates
+    tabulates for a polynomial drift; some eight arrays of the rows' size
+    are live at once.  One row of the standard drift, beside its seven
+    coefficient columns, takes blocks of 2048 cells.  With blocks of 2^17
+    values, glibc gave their memory back after each chunk of the approach
+    tag and paged it in again: 35k minor faults a run against 5k."""
     n = len(t) - 1
-    cells = max(1, (1 << 16) // (SUBSTEPS * max(1, len(x))))
+    dx = model.drift_dx
+    # the columns of the coefficient tables _rates makes for a polynomial
+    # drift: the drift's at the nodes and df/dx's at the refined nodes
+    cols = model.poly.coeffs.shape[0] + dx.coeffs.shape[0] \
+        if model.poly is not None and isinstance(dx, PolyDrift) else 0
+    cells = max(1, (1 << 16) // (SUBSTEPS * max(1, len(x) + cols)))
     for lo in range(0, n, cells):
         hi = min(lo + cells, n)
         block = slice(lo, hi + 1)
@@ -290,29 +297,40 @@ class EnvelopeTable:
     def to_csv(self, path) -> None:
         """t and zeta as %.17g rows under a two-line header (write_csv)."""
         write_csv(path, f"# regime={self.regime} eps={self.eps!r}\nt,zeta\n",
-                  np.column_stack([self.t_grid, self.zeta_values]))
+                  (self.t_grid, self.zeta_values))
 
 
-def write_csv(path, header: str, table) -> None:
-    """Write header, then the rows of table (rows, cols) as %.17g cells,
-    comma-separated and newline-terminated, to the file path; a NaN is an
-    empty cell.  The one writer of every CSV the CLI writes.  The compiled
-    fmt_g17 formats a finite table, and Python every other, with the same
-    bytes; C's snprintf writes the LC_NUMERIC decimal point, Python's format
-    always ".", so Python also formats under a locale whose decimal point is
-    not "."."""
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    write = _compiled.LIBRARY.get("fmt_g17")
+def write_csv(path, header: str, columns) -> None:
+    """Write header, then one row per index of the columns (equal-length
+    1-d sequences of numbers) as %.17g cells, comma-separated and
+    newline-terminated, to the file path; a NaN is an empty cell.  The one
+    writer of every CSV the CLI writes.  The rows are formatted one block
+    of FMT_BLOCK_ROWS at a time, copied into one reused float64 buffer, so
+    the writer holds a block, not a table.  The compiled fmt_g17 formats a
+    finite block, and Python every other, with the same bytes; C's snprintf
+    writes the LC_NUMERIC decimal point, Python's format always ".", so
+    Python also formats under a locale whose decimal point is not "."."""
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0]) if columns else 0
+    if any(c.shape != (rows,) for c in columns):
+        raise ValueError("write_csv: the columns must be 1-d and of one "
+                         "length")
+    write = _compiled.LIBRARY.get("fmt_g17") \
+        if locale.localeconv()["decimal_point"] == "." else None
+    # Python prints a NaN as "nan", which no other %.17g cell holds
+    line = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    buf = np.empty((min(rows, _compiled.FMT_BLOCK_ROWS), len(columns)))
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        if write is not None and np.isfinite(table).all() \
-                and locale.localeconv()["decimal_point"] == ".":
-            write(fh, table)
-        else:
-            # Python prints a NaN as "nan", which no other %.17g cell holds
-            line = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
-            fh.write("".join(map(line.format, *table.T.tolist()))
-                     .replace("nan", "").encode())
+        for lo in range(0, rows, _compiled.FMT_BLOCK_ROWS):
+            block = buf[:min(len(buf), rows - lo)]
+            for j, col in enumerate(columns):
+                block[:, j] = col[lo:lo + len(block)]
+            if write is not None and np.isfinite(block).all():
+                write(fh, block)
+            else:
+                fh.write("".join(map(line.format, *block.T.tolist()))
+                         .replace("nan", "").encode())
 
 
 def zeta_stable(model: ModelSpec, eps: float, t_grid,
@@ -363,17 +381,23 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t0: float,
         raise GridMismatch("grid must start at t0")
     if tg[-1] > sq * (1.0 + 1e-9):
         raise GridMismatch("grid must end at or before sqrt(eps)")
-    abar = np.asarray(model.a(tg), dtype=float)
-    z = zeta_along(model, eps, tg, np.zeros(len(tg)), abar)
+    # zeta_along's scan of the origin row, which starts at node 0; the row
+    # is a read-only broadcast of 0.0 and takes no memory
+    zeta = np.empty((1, len(tg)))
+    zeta[:, 0] = _zeta_start(np.asarray(model.a(tg[:1]), dtype=float))
+    zeta_rows(model, eps, tg, np.broadcast_to(0.0, zeta.shape),
+              np.zeros(1, dtype=np.intp), zeta)
+    z = zeta[0]
 
-    pre = tg <= -sq + 1e-12
-    cross = ~pre
+    # the grid increases: its pre-crossing nodes are a prefix
+    k = int(np.searchsorted(tg, -sq + 1e-12, side="right"))
     params = {"t0": t0}
-    if pre.any():
-        v = z[pre] * np.abs(tg[pre])
+    if k > 0:
+        v = np.abs(tg[:k])
+        v *= z[:k]
         params["pre_range"] = (float(np.min(v)), float(np.max(v)))
-    if cross.any():
-        v = z[cross] * sq
+    if k < len(tg):
+        v = z[k:] * sq
         params["cross_range"] = (float(np.min(v)), float(np.max(v)))
     params["nondecreasing"] = bool(np.all(np.diff(z) >= -1e-12 * np.max(z)))
     if _standard_drift(model):
@@ -383,6 +407,7 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t0: float,
                 lo, hi = STANDARD_ZETA_BRACKETS[name]
                 ok &= params[key][0] >= lo and params[key][1] <= hi
         params["bracket_ok"] = ok
+    abar = np.asarray(model.a(tg), dtype=float)
     return EnvelopeTable(tg, z, abar, "pitchfork-pre", eps, params)
 
 
@@ -467,7 +492,7 @@ class SpaceTimeRegion:
     def to_csv(self, path, t_values) -> None:
         g1, g2 = self.boundaries(t_values)
         write_csv(path, f"# region={self.label}\nt,g1,g2\n",
-                  np.column_stack([t_values, g1, g2]))
+                  (t_values, g1, g2))
 
 
 def region_D(model: ModelSpec, eps: float,

@@ -110,13 +110,21 @@ def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
     # and region D's in the chunks that meet its window
     assert spy.calls["em_poly"] < spy.calls["first_outside"] \
         < 2 * spy.calls["em_poly"]
-    # the envelope export takes the zeta rates and scans them in one block,
-    # and every CSV of the run, none with a blank cell, is formatted in C
+    # the envelope export takes the zeta rates and scans them in blocks of
+    # 2048 cells (one row of the standard drift beside its seven coefficient
+    # columns), and every CSV of the run, none with a blank cell, is
+    # formatted in C, one call per block of FMT_BLOCK_ROWS rows
     assert cmd_run(write(tmp_path, "cfg.json", SMALL_DELAY),
                    out=str(tmp_path / "out")) == 0
-    assert spy.calls["zeta_rate"] == spy.calls["zeta_scan"] == 1
-    assert spy.calls["fmt_g17"] == len(list((tmp_path / "out").glob("*.csv"))) \
-        == 7
+    cells = n_steps_for(-1.0, 0.1, 2e-4)
+    assert spy.calls["zeta_rate"] == spy.calls["zeta_scan"] \
+        == -(-cells // 2048) == 3
+    csvs = list((tmp_path / "out").glob("*.csv"))
+    rows = [sum(not line.startswith(b"#") for line in p.read_bytes()
+                .splitlines()) - 1 for p in csvs]
+    assert len(csvs) == 7 and max(rows) > _compiled.FMT_BLOCK_ROWS
+    assert spy.calls["fmt_g17"] \
+        == sum(-(-r // _compiled.FMT_BLOCK_ROWS) for r in rows)
     # the approach tag steps each path once, and its post-exit family chunk
     # by chunk beside the paths: the RK4 rows and the zeta rates in C
     spy.calls.clear()

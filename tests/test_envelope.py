@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,7 +180,8 @@ class TestEnvelopeTable:
         infinity as Python does; a table without rows is its header."""
         for kernel in kernels():
             path = tmp_path / f"{kernel}.csv"
-            envelope.write_csv(path, "# h\na,b\n", table)
+            envelope.write_csv(path, "# h\na,b\n",
+                               np.asarray(table, dtype=float).T)
             assert path.read_text() == "# h\na,b\n" + cells, kernel
 
     def test_zeta_along_rows_of_a_linear_model(self):
@@ -247,6 +249,67 @@ class TestEnvelopeTable:
             got.append(zeta)
         assert np.array_equal(got[0].view(np.uint64),
                               got[1].view(np.uint64))
+
+
+def python_csv(columns) -> str:
+    """The rows of columns as format(v, ".17g") cells, "" for a NaN."""
+    return "".join(",".join("" if math.isnan(v) else format(v, ".17g")
+                            for v in row) + "\n"
+                   for row in zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+class TestWriteCsv:
+    """write_csv formats one FMT_BLOCK_ROWS block of rows at a time, copied
+    from the columns into one buffer; each block goes to fmt_g17 when it is
+    finite and to Python otherwise, with the same bytes."""
+
+    BLOCK = _compiled.FMT_BLOCK_ROWS
+
+    @pytest.mark.parametrize("rows", [0, 1, _compiled.FMT_BLOCK_ROWS,
+                                      _compiled.FMT_BLOCK_ROWS + 1])
+    def test_rows_at_the_block_edges(self, kernels, tmp_path, rows):
+        cols = (np.arange(rows) / 7.0, -np.exp(np.arange(rows) / 3e3))
+        for kernel in kernels():
+            path = tmp_path / f"{kernel}.csv"
+            envelope.write_csv(path, "a,b\n", cols)
+            assert path.read_text() == "a,b\n" + python_csv(cols), kernel
+
+    def test_one_block_with_a_nan(self, kernels, tmp_path):
+        """Only the middle one of three blocks holds a NaN: the compiled
+        run formats the other two in C and gives the bytes of Python
+        formatting every row."""
+        t = np.linspace(-1.0, 0.1, 3 * self.BLOCK)
+        z = np.sqrt(np.arange(3 * self.BLOCK) + 0.5)
+        z[self.BLOCK + 17] = math.nan
+        for kernel in kernels():
+            path = tmp_path / f"{kernel}.csv"
+            envelope.write_csv(path, "# h\nt,zeta\n", (t, z))
+            assert path.read_text() == "# h\nt,zeta\n" + python_csv((t, z))
+        assert (tmp_path / "c.csv").read_bytes().count(b",\n") == 1
+
+    def test_integer_and_list_columns(self, tmp_path):
+        envelope.write_csv(tmp_path / "a.csv", "", ([1, 2], np.arange(2),
+                                                    [0.5, None]))
+        assert (tmp_path / "a.csv").read_text() == "1,0,0.5\n2,1,\n"
+
+    def test_columns_of_one_length(self, tmp_path):
+        with pytest.raises(ValueError, match="one length"):
+            envelope.write_csv(tmp_path / "a.csv", "", (np.zeros(3),
+                                                        np.zeros(4)))
+
+    def test_memory_does_not_grow_with_the_rows(self, kernels, tmp_path):
+        """10^6 rows of two columns (16 MB of values) are written holding
+        one block at a time: the traced peak stays below 1 MiB (0.26 MiB
+        measured).  Python formatting holds more per block (0.74 MiB) and,
+        traced, takes seconds per 10^6 rows, so it writes 10^5."""
+        for kernel in kernels():
+            n = 1_000_000 if kernel == "c" else 100_000
+            cols = (np.linspace(-1.0, 0.0158, n), np.sqrt(np.arange(n) + 0.5))
+            tracemalloc.start()
+            envelope.write_csv(tmp_path / f"{kernel}.csv", "t,z\n", cols)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1 << 20, (kernel, peak)
 
 
 class TestZetaPostExit:

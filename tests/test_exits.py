@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from slowsde import (branches, simulate, solve_det, standard_pitchfork,
-                     zeta_stable)
+from slowsde import (_compiled, branches, simulate, solve_det,
+                     standard_pitchfork, zeta_stable)
 from slowsde.envelope import SpaceTimeRegion, region_D
-from slowsde.exits import (delay_times_batch, first_exit_batch,
-                           sup_deviation_batch)
+from slowsde.exits import (_first_outside, delay_times_batch,
+                           first_exit_batch, sup_deviation_batch)
 from slowsde.noise import fill_increments
 from slowsde.sde import em_batch, time_grid
 
@@ -260,13 +261,32 @@ class TestFirstOutside:
             assert np.array_equal(delays[~skip], early[~skip],
                                   equal_nan=True), kernel
 
+    def test_numpy_scan_holds_two_masks(self, monkeypatch):
+        """The NumPy scan of a (B, K) chunk in which every row leaves, at
+        its last node, holds at most two boolean masks of the chunk at once
+        (the x >= g2 one is ORed into the x <= g1 one and freed, and the
+        rows that leave are gathered from it): its traced peak stays below
+        2.5 B K bytes plus 64 KiB, where three masks would take 3 B K."""
+        monkeypatch.setattr(_compiled, "LIBRARY", _compiled.Library(None))
+        assert _compiled.LIBRARY.get("first_outside") is None
+        B, K = 200, 2000
+        X = np.zeros((B, K))
+        X[:, -1] = 2.0
+        g1, g2 = np.full(K, -1.0), np.full(K, 1.0)
+        tracemalloc.start()
+        first, sides = _first_outside(X, g1, g2)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (first == K - 1).all() and (sides == 1).all()
+        assert peak < 2.5 * B * K + 64 * 1024, peak / (B * K)
+
 
 class TestDelayOrdering:
     def test_delay_after_strip_exit_when_strip_wider(self, standard):
         # when x_tilde(sqrt(eps)) >= h sqrt(zeta) pointwise, the delay time
         # cannot precede the exit from the crossing strip
         from slowsde import zeta_pitchfork
-        eps, sigma = 0.005, 1e-4
+        eps = 0.005
         dt = eps / 50.0
         g = time_grid(-1.0, dt, 21000)
         curves = branches(standard)
@@ -279,11 +299,18 @@ class TestDelayOrdering:
         reg = SpaceTimeRegion(lambda t: -np.interp(t, sub, half),
                               lambda t: np.interp(t, sub, half),
                               -1.0, float(sub[-1]), "crossing")
+        # sigma sqrt(zeta) is the standard deviation of the linearized path,
+        # so with sigma = h/3 the strip is three of them wide: over the
+        # window's ~1/(2 eps) = 100 relaxation times eps/|t| a path leaves
+        # it with a fair chance, well before sqrt(eps), and some of 10 paths
+        # do (h = 0.9 * 0.168 / 7.92 = 0.019, sigma = 0.0064 < sqrt(eps))
+        sigma = h / 3.0
         dw = np.empty((10, len(g) - 1))
         fill_increments(dw, 23, range(10), dt)
         X, _ = em_batch(standard, eps, sigma, -1.0, 0.0, dt, dw)
         t_d = np.nan_to_num(delay_times_batch(X, g, width), nan=math.inf)
         exits, _ = first_exit_batch(X, g, reg)
+        assert not np.isnan(exits).all()
         for t, exit_time in zip(t_d, exits):
             if not np.isnan(exit_time):
                 assert t >= exit_time

@@ -668,9 +668,11 @@ def test_zeta_along_memory_stays_near_its_output(standard):
 
 
 def test_zeta_pitchfork_memory_stays_near_its_output(standard):
-    """zeta_pitchfork runs through zeta_along's blocks of cells, so on a
-    1.0e6-node export grid it peaks below 6x its zeta table (refining a(t)
-    over the whole grid at once took 28x)."""
+    """zeta_pitchfork scans the origin row in zeta_rows' blocks of cells,
+    so on a 1.0e6-node export grid it peaks below 2.6x its zeta table: the
+    table and one more grid-long array at a time (2.2x measured; 5.2x
+    through zeta_along's masks and NaN-filled copy, 28x refining a(t) over
+    the whole grid at once)."""
     eps, dt, t0 = 2.5e-4, 1e-6, -1.0
     grid = time_grid(t0, dt, n_steps_for(t0, math.sqrt(eps), dt))
     assert len(grid) > 1_000_000
@@ -678,4 +680,25 @@ def test_zeta_pitchfork_memory_stays_near_its_output(standard):
     table = envelope.zeta_pitchfork(standard, eps, t0, grid)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 6 * table.zeta_values.nbytes
+    assert peak < 2.6 * table.zeta_values.nbytes
+
+
+def test_zeta_rows_block_counts_the_coefficient_columns(standard):
+    """A block of zeta_rows on one row of the standard drift holds some
+    2^16 values counting the seven columns of the drift's and df/dx's
+    coefficient tables: 2048 cells, whose arrays stay below 1.5 MiB on 2e4
+    and 2e5 cells alike (0.66 MiB measured; blocks sized by the row alone
+    held 4.6 MiB)."""
+    eps = 2.5e-4
+    for n in (8, 20_000, 200_000):  # the first call only warms up
+        grid = time_grid(-1.0, 4e-6, n)
+        zeta = np.empty((1, n + 1))
+        zeta[:, 0] = 1.0
+        tracemalloc.start()
+        envelope.zeta_rows(standard, eps, grid,
+                           np.broadcast_to(0.0, (1, n + 1)),
+                           np.zeros(1, dtype=np.intp), zeta)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.isfinite(zeta).all()
+        assert peak < 1.5 * (1 << 20), (n, peak)
