@@ -70,8 +70,7 @@ ARGTYPES = {
 PHILOX_WORDS = 11
 # rows fmt_g17 formats per call (write_csv hands it blocks of this many),
 # and the bytes it may take per value: %.17g needs at most 24
-# ("-1.2345678901234567e-308"), plus the separator, which fmt_g17 writes
-# where snprintf put its NUL
+# ("-1.2345678901234567e-308", _em.c's G17_LEN), plus the separator
 FMT_BLOCK_ROWS = 4096
 FMT_VALUE_BYTES = 25
 
@@ -317,9 +316,8 @@ def _fmt_g17(fn) -> Callable:
         """Write the rows of table (rows, cols) to the binary file fh as
         %.17g, comma-separated and newline-terminated, FMT_BLOCK_ROWS rows
         at a time through one buffer, with the bytes of Python's
-        format(v, ".17g") when LC_NUMERIC's decimal point is ".".  A
-        non-finite value raises before anything is written: glibc would
-        print nan as -nan or nan."""
+        format(v, ".17g") under any locale.  A non-finite value raises
+        before anything is written: C formats finite values only."""
         _need(_array(table, 2) and table.shape[1] >= 1, "fmt_g17",
               "table must be a C-contiguous float64 (rows, >= 1)")
         _need(bool(np.isfinite(table).all()), "fmt_g17",

@@ -23,7 +23,6 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-#include <stdio.h>
 #include <string.h>
 
 enum { LANES = 8 };
@@ -323,10 +322,228 @@ void rk4_poly(double *out, ptrdiff_t rows, ptrdiff_t n, ptrdiff_t ld,
     }
 }
 
-/* rows (rows, cols) as %.17g text, comma-separated and newline-terminated,
- * into buf; returns the bytes written, or -1 if they do not fit in cap.
- * snprintf writes LC_NUMERIC's decimal point, which the caller checks is
- * ".".  Each value's terminating NUL is where its separator goes.
+/* %.17g without printf: each finite double v = ±m 2^e as Python's
+ * format(v, ".17g") prints it, with "." as the decimal point whatever the
+ * locale.  Its 17 significant digits are the integer
+ * D = round(|v| 10^p), p = 16 - k, in [10^16, 10^17), where
+ * k = floor(log10 |v|) is the decimal exponent and the rounding is half to
+ * even on the exact binary value (the digits of glibc's and of Python's
+ * correctly rounded conversions).  k is first taken as floor(b log10 2)
+ * for b = floor(log2 |v|), which is k or k - 1: a D of 10^17 or more means
+ * that it was k - 1, or that D rounded up to the next power of ten, and D
+ * is taken again with p - 1.  The text follows C's %g: fixed notation for
+ * -4 <= k < 17, else d.ddde±XX with at least two exponent digits; trailing
+ * zeros and a bare decimal point go, and -0 keeps its sign.
+ *
+ * D is |v| 10^p = m 5^p 2^(e + p).  For 0 <= p <= 32 (|v| in about
+ * [1e-16, 1e17), every such v normal) m 5^p < 2^53 5^32 < 2^128, so D and
+ * its rounding remainder come exactly from one unsigned __int128 product
+ * and one shift by e + p, which is in [-76, 4] there.  Every other v (subnormals, tiny and huge values) is the
+ * exact quotient of two integers of at most 815 bits, found by
+ * shift-and-subtract long division on LIMBS 32-bit limbs.  Adams, "Ryu
+ * revisited: printf floating point conversion" (OOPSLA 2019), makes the
+ * same fixed-precision conversion fast with precomputed tables; this path
+ * stays plain, since it serves few values (bounds and probabilities far
+ * below 1e-16).
+ */
+typedef unsigned __int128 u128;
+
+/* G17_LEN: the longest text, -2.2250738585072014e-308; LIMBS: 896 bits */
+enum { G17_LEN = 24, LIMBS = 28 };
+
+/* 5^0 .. 5^27, every power of 5 below 2^64 */
+static const uint64_t POW5[28] = {
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625,
+    48828125, 244140625, 1220703125, 6103515625, 30517578125,
+    152587890625, 762939453125, 3814697265625, 19073486328125,
+    95367431640625, 476837158203125, 2384185791015625, 11920928955078125,
+    59604644775390625, 298023223876953125, 1490116119384765625,
+    7450580596923828125u};
+
+/* An unsigned integer of LIMBS 32-bit limbs, least significant first. */
+typedef struct {
+    uint32_t w[LIMBS];
+} big;
+
+static void big_set(big *a, uint64_t x)
+{
+    memset(a, 0, sizeof *a);
+    a->w[0] = (uint32_t)x;
+    a->w[1] = (uint32_t)(x >> 32);
+}
+
+/* a *= 5^n */
+static void big_mul_pow5(big *a, int n)
+{
+    while (n > 0) {
+        uint64_t f = POW5[n < 13 ? n : 13], carry = 0;
+
+        for (int i = 0; i < LIMBS; i++) {
+            carry += a->w[i] * f;
+            a->w[i] = (uint32_t)carry;
+            carry >>= 32;
+        }
+        n -= 13;
+    }
+}
+
+/* a <<= s, s >= 0 */
+static void big_shl(big *a, int s)
+{
+    int words = s / 32, bits = s % 32;
+
+    for (int i = LIMBS - 1; i >= 0; i--) {
+        uint64_t hi = i >= words ? a->w[i - words] : 0;
+        uint64_t lo = i > words ? a->w[i - words - 1] : 0;
+
+        a->w[i] = (uint32_t)(((hi << 32 | lo) << bits) >> 32);
+    }
+}
+
+/* a >>= 1 */
+static void big_halve(big *a)
+{
+    for (int i = 0; i < LIMBS - 1; i++)
+        a->w[i] = a->w[i] >> 1 | a->w[i + 1] << 31;
+    a->w[LIMBS - 1] >>= 1;
+}
+
+static int big_cmp(const big *a, const big *b)
+{
+    for (int i = LIMBS - 1; i >= 0; i--)
+        if (a->w[i] != b->w[i])
+            return a->w[i] < b->w[i] ? -1 : 1;
+    return 0;
+}
+
+/* a -= b, b <= a */
+static void big_sub(big *a, const big *b)
+{
+    uint64_t borrow = 0;
+
+    for (int i = 0; i < LIMBS; i++) {
+        uint64_t d = (uint64_t)a->w[i] - b->w[i] - borrow;
+
+        a->w[i] = (uint32_t)d;
+        borrow = d >> 63;
+    }
+}
+
+/* round(m 2^e 10^p), half to even, below 2^64 */
+static uint64_t g17_digits(uint64_t m, int e, int p)
+{
+    int s = e + p;
+    uint64_t q = 0;
+    big num, den, d;
+
+    if (0 <= p && p <= 32) {
+        u128 x = (u128)m * POW5[p < 27 ? p : 27], rem, half;
+
+        if (p > 27)
+            x *= POW5[p - 27];
+        if (s >= 0)
+            return (uint64_t)(x << s);
+        rem = x & (((u128)1 << -s) - 1);
+        half = (u128)1 << (-s - 1);
+        q = (uint64_t)(x >> -s);
+        return q + (rem > half || (rem == half && (q & 1)));
+    }
+    /* num / den = m 5^p 2^s */
+    big_set(&num, m);
+    big_set(&den, 1);
+    big_mul_pow5(p >= 0 ? &num : &den, p >= 0 ? p : -p);
+    big_shl(s >= 0 ? &num : &den, s >= 0 ? s : -s);
+    d = den;
+    big_shl(&d, 63);
+    for (int i = 63; i >= 0; i--) {
+        if (big_cmp(&num, &d) >= 0) {
+            big_sub(&num, &d);
+            q |= (uint64_t)1 << i;
+        }
+        big_halve(&d);
+    }
+    big_shl(&num, 1);  /* twice the remainder, against den */
+    s = big_cmp(&num, &den);
+    return q + (s > 0 || (s == 0 && (q & 1)));
+}
+
+/* v as %.17g into out (G17_LEN bytes, no NUL); returns the bytes written */
+static int g17(char *out, double v)
+{
+    uint64_t bits, m, d;
+    uint32_t hi, lo;
+    int e, k, n = 17, len = 0;
+    char dig[17];
+
+    memcpy(&bits, &v, sizeof bits);
+    if (bits >> 63)
+        out[len++] = '-';
+    m = bits & (((uint64_t)1 << 52) - 1);
+    e = (int)(bits >> 52 & 0x7ff);
+    if (e == 0 && m == 0) {
+        out[len++] = '0';
+        return len;
+    }
+    if (e == 0)
+        e = 1;  /* subnormal */
+    else
+        m |= (uint64_t)1 << 52;
+    e -= 1075;
+    /* floor(b log10 2) for b = floor(log2 |v|) in [-1074, 1023], exactly
+     * (with an arithmetic shift) */
+    k = ((63 - __builtin_clzll(m) + e) * 78913) >> 18;
+    d = g17_digits(m, e, 16 - k);
+    if (d >= 100000000000000000u) {
+        k++;
+        d = g17_digits(m, e, 16 - k);
+    }
+    /* two independent 32-bit chains of divisions by 10 */
+    hi = (uint32_t)(d / 100000000);
+    lo = (uint32_t)(d % 100000000);
+    for (int i = 16; i >= 9; i--) {
+        dig[i] = (char)('0' + lo % 10);
+        dig[i - 8] = (char)('0' + hi % 10);
+        lo /= 10;
+        hi /= 10;
+    }
+    dig[0] = (char)('0' + hi);
+    while (dig[n - 1] == '0')
+        n--;
+    if (k < -4 || k >= 17) {
+        int x = k < 0 ? -k : k;
+
+        out[len++] = dig[0];
+        if (n > 1) {
+            out[len++] = '.';
+            memcpy(out + len, dig + 1, n - 1);
+            len += n - 1;
+        }
+        out[len++] = 'e';
+        out[len++] = k < 0 ? '-' : '+';
+        if (x >= 100)
+            out[len++] = (char)('0' + x / 100);
+        out[len++] = (char)('0' + x / 10 % 10);
+        out[len++] = (char)('0' + x % 10);
+    } else if (k >= 0) {
+        memcpy(out + len, dig, k + 1);
+        len += k + 1;
+        if (n > k + 1) {
+            out[len++] = '.';
+            memcpy(out + len, dig + k + 1, n - k - 1);
+            len += n - k - 1;
+        }
+    } else {
+        memcpy(out + len, "0.0000", 1 - k);
+        len += 1 - k;
+        memcpy(out + len, dig, n);
+        len += n;
+    }
+    return len;
+}
+
+/* rows (rows, cols) as %.17g text (g17), comma-separated and
+ * newline-terminated, into buf; returns the bytes written, or -1 if they
+ * do not fit in cap.
  */
 ptrdiff_t fmt_g17(char *buf, ptrdiff_t cap, const double *a, ptrdiff_t rows,
                   ptrdiff_t cols)
@@ -334,10 +551,12 @@ ptrdiff_t fmt_g17(char *buf, ptrdiff_t cap, const double *a, ptrdiff_t rows,
     char *p = buf, *end = buf + cap;
 
     for (ptrdiff_t i = 0; i < rows * cols; i++) {
-        int m = snprintf(p, (size_t)(end - p), "%.17g", a[i]);
+        char text[G17_LEN];
+        int m = g17(text, a[i]);
 
-        if (m < 0 || m >= end - p)
+        if (m >= end - p)
             return -1;
+        memcpy(p, text, m);
         p += m;
         *p++ = (i + 1) % cols ? ',' : '\n';
     }

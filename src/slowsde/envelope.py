@@ -14,7 +14,6 @@ result is flagged leading_order.
 
 from __future__ import annotations
 
-import locale
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -92,7 +91,7 @@ def _scan_rates(eps: float, h: np.ndarray, m: np.ndarray,
     rest.  A substep whose rate is NaN (a row that has not started) leaves
     zeta unchanged.  The factors E = exp(m) and w = (h/eps) phi1(m) are
     NumPy's; the scan z = z*E + w runs in the compiled zeta_scan when it
-    loads, else in the loop below, which it equals bit for bit.
+    loads, else in the loops below, which it equals bit for bit.
     """
     h_sub = np.repeat(h / SUBSTEPS, SUBSTEPS)[:, None]
     idle = np.isnan(m)
@@ -104,6 +103,15 @@ def _scan_rates(eps: float, h: np.ndarray, m: np.ndarray,
     scan = _compiled.LIBRARY.get("zeta_scan")
     if scan is not None:
         scan(zeta, E, w, SUBSTEPS)
+        return
+    if zeta.shape[1] == 1:
+        # one row (the origin row of zeta_pitchfork) scans Python floats,
+        # whose * and + round as NumPy's do, at a fraction of the cost
+        z, subs = float(zeta[0, 0]), []
+        for e, c in zip(E.ravel().tolist(), w.ravel().tolist()):
+            z = z * e + c
+            subs.append(z)
+        zeta[1:, 0] = subs[SUBSTEPS - 1::SUBSTEPS]
         return
     z = zeta[0]
     for k in range(len(h)):
@@ -307,16 +315,14 @@ def write_csv(path, header: str, columns) -> None:
     writer of every CSV the CLI writes.  The rows are formatted one block
     of FMT_BLOCK_ROWS at a time, copied into one reused float64 buffer, so
     the writer holds a block, not a table.  The compiled fmt_g17 formats a
-    finite block, and Python every other, with the same bytes; C's snprintf
-    writes the LC_NUMERIC decimal point, Python's format always ".", so
-    Python also formats under a locale whose decimal point is not "."."""
+    finite block, and Python every other, with the same bytes under any
+    locale: both write "." as the decimal point."""
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0]) if columns else 0
     if any(c.shape != (rows,) for c in columns):
         raise ValueError("write_csv: the columns must be 1-d and of one "
                          "length")
-    write = _compiled.LIBRARY.get("fmt_g17") \
-        if locale.localeconv()["decimal_point"] == "." else None
+    write = _compiled.LIBRARY.get("fmt_g17")
     # Python prints a NaN as "nan", which no other %.17g cell holds
     line = ",".join(["{:.17g}"] * len(columns)) + "\n"
     buf = np.empty((min(rows, _compiled.FMT_BLOCK_ROWS), len(columns)))

@@ -13,6 +13,7 @@ import sys
 import threading
 import types
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -468,22 +469,125 @@ def test_fmt_g17_checks_every_block_before_writing():
     assert fh.getvalue() == b""
 
 
-def test_other_decimal_point_formats_in_python(tmp_path, monkeypatch):
-    """Under a locale whose decimal point is not ".", snprintf would write
-    that one, so the table is formatted by Python: the same bytes."""
+def assert_g17(values):
+    """fmt_g17 prints each of values, one row each, as Python's
+    format(v, ".17g")."""
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, 1)
+    fh = io.BytesIO()
+    _compiled.LIBRARY.get("fmt_g17")(fh, values)
+    got = fh.getvalue().decode().split("\n")
+    want = [format(v, ".17g") for v in values[:, 0].tolist()] + [""]
+    assert len(got) == len(want)
+    assert [(w, g) for w, g in zip(want, got) if w != g][:5] == []
+
+
+def decimal_exponent(v: float) -> int:
+    """k of v's 17 significant digits d.dddd 10^k: fmt_g17 takes them on
+    its 128-bit path for -16 <= k <= 16 and on its exact path else."""
+    return int(format(v, ".16e").split("e")[1])
+
+
+def test_fmt_g17_matches_python_at_every_binary_exponent():
+    """16 random mantissas at each binary exponent of a double, both signs:
+    floor(log2 |v|) from -1074 (the least subnormal) to 1023."""
+    rng = np.random.default_rng(31)
+    top = np.repeat(np.arange(52, dtype=np.uint64), 16)
+    subnormal = (np.uint64(1) << top) | (
+        rng.integers(0, 2 ** 52, len(top), dtype=np.uint64)
+        & ((np.uint64(1) << top) - np.uint64(1)))
+    biased = np.repeat(np.arange(1, 2047, dtype=np.uint64), 16)
+    normal = (biased << np.uint64(52)) | rng.integers(
+        0, 2 ** 52, len(biased), dtype=np.uint64)
+    values = np.concatenate([subnormal, normal]).view(np.float64)
+    assert np.array_equal(np.unique(np.floor(np.log2(values))),
+                          np.arange(-1074, 1024))
+    assert_g17(np.concatenate([values, -values]))
+
+
+def test_fmt_g17_matches_python_across_its_two_paths():
+    """The switch between the 128-bit and the exact path, near 1e-16 and
+    1e17: the 64 doubles either side of each and of the powers of two
+    around them, where floor(log2 |v|) moves, and random values within a
+    factor of 16."""
+    rng = np.random.default_rng(32)
+    step = np.arange(-64, 65)
+    values = [(np.float64(x).view(np.int64) + step).view(np.float64)
+              for x in (1e-16, 2.0 ** -54, 2.0 ** -53, 1e17, 2.0 ** 56,
+                        2.0 ** 57)]
+    values += [x * 16.0 ** rng.uniform(-1, 1, 1000) for x in (1e-16, 1e17)]
+    values = np.concatenate(values)
+    k = {decimal_exponent(v) for v in values.tolist()}
+    assert {-17, -16, 16, 17} <= k
+    assert_g17(np.concatenate([values, -values]))
+
+
+def test_fmt_g17_rounds_ties_to_even():
+    """Exact ties of the 17th digit, |v| 10^p = D + 1/2 with p = 16 - k,
+    take the even D.  Ties exist for 1 <= p <= 24 only, all on the 128-bit
+    path: v = j 2^-(p+1) with j = (2D + 1)/5^p odd and below 2^53, so 5^p
+    must divide 2D + 1 < 2e17 < 5^25; for p <= 0 the odd part of v,
+    (2D + 1) 5^-p, would be at least 2D + 1 > 2^54.  The exact path's
+    rounding is checked instead on the doubles either side of a tie."""
+    rng = np.random.default_rng(33)
+    ties, odd = [], set()
+    for p in range(1, 25):
+        lo = -(-(2 * 10 ** 16 + 1) // 5 ** p) | 1
+        hi = min(2 ** 53, (2 * 10 ** 17 - 1) // 5 ** p)
+        for j in {int(x) | 1 for x in rng.integers(lo, hi, 32)}:
+            v = math.ldexp(j, -(p + 1))
+            twice_d = j * 5 ** p - 1
+            assert Fraction(v) * 10 ** p == Fraction(twice_d + 1, 2)
+            assert decimal_exponent(v) == 16 - p
+            ties.append(v)
+            odd.add(twice_d // 2 % 2)
+    assert odd == {0, 1}  # rounding up and rounding down
+    near = []
+    for k in rng.choice(np.r_[-323:-16, 17:308], 400).tolist():
+        d = int(rng.integers(10 ** 16, 10 ** 17))
+        v = float(Fraction(2 * d + 1, 2) * Fraction(10) ** (k - 16))
+        near += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    assert all(abs(decimal_exponent(v)) > 16 for v in near)
+    values = np.array(ties + near)
+    assert_g17(np.concatenate([values, -values]))
+
+
+def test_fmt_g17_carries_into_the_exponent():
+    """The two doubles below each power of ten 10^k: where their 17 digits
+    round up to 10^k (at k = -14, -73, 98 and eleven more) the digits
+    carry into the decimal exponent, on both paths."""
+    values, carried = [], set()
+    for k in range(-323, 309):
+        v = float(Fraction(10) ** k)
+        if Fraction(v) >= Fraction(10) ** k:
+            v = math.nextafter(v, 0.0)
+        for v in (v, math.nextafter(v, 0.0)):
+            values.append(v)
+            if Fraction(format(v, ".17g")) == Fraction(10) ** k:
+                carried.add(k)
+    assert {-14, -73, 98} <= carried
+    values = np.array(values)
+    assert_g17(np.concatenate([values, -values]))
+
+
+def test_fmt_g17_formats_under_a_comma_decimal_point(tmp_path, monkeypatch):
+    """fmt_g17 reads no locale: under a locale whose decimal point is ",",
+    write_csv still calls it, and it writes Python's bytes, with "."."""
     table = envelope.EnvelopeTable(np.linspace(-1.0, 0.1, 50),
                                    np.linspace(0.5, 3.0, 50) / 3.0,
                                    np.zeros(50), "test", 0.01)
-    table.to_csv(tmp_path / "c.csv")
+    with monkeypatch.context() as m:
+        m.setattr(_compiled, "LIBRARY", _compiled.Library(None))
+        table.to_csv(tmp_path / "py.csv")
     conv = locale.localeconv()
     monkeypatch.setattr(locale, "localeconv",
                         lambda: dict(conv, decimal_point=","))
-    monkeypatch.setattr(_compiled, "LIBRARY",
-                        Spy(_compiled.LIBRARY, fail=("fmt_g17",)))
-    table.to_csv(tmp_path / "py.csv")
-    assert (tmp_path / "py.csv").read_bytes() == \
-        (tmp_path / "c.csv").read_bytes()
-    assert (tmp_path / "py.csv").read_bytes().splitlines()[2] == \
+    spy = Spy(_compiled.LIBRARY)
+    monkeypatch.setattr(_compiled, "LIBRARY", spy)
+    table.to_csv(tmp_path / "c.csv")
+    assert spy.calls["fmt_g17"] == 1
+    assert (tmp_path / "c.csv").read_bytes() == \
+        (tmp_path / "py.csv").read_bytes()
+    assert (tmp_path / "c.csv").read_bytes().splitlines()[2] == \
         b"-1,0.16666666666666666"
 
 

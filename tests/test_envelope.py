@@ -150,6 +150,23 @@ class TestEnvelopeTable:
         assert o1.shape == (1,)
         assert b1 == b2 and b1.count(b"\n") == len(grid) + 2
 
+    def test_one_row_scan_is_the_row_loop(self, monkeypatch):
+        """Without the library one row is scanned on Python floats, and
+        gives the bits of the NumPy loop over rows, which two rows take,
+        idle (NaN) substeps included."""
+        monkeypatch.setattr(_compiled, "LIBRARY", _compiled.Library(None))
+        rng = np.random.default_rng(5)
+        h = rng.uniform(1e-4, 2e-4, 300)
+        m = rng.normal(0.0, 0.3, (len(h) * envelope.SUBSTEPS, 1))
+        m[:37] = np.nan
+        one, two = np.empty((len(h) + 1, 1)), np.empty((len(h) + 1, 2))
+        one[0] = two[0] = 0.7
+        envelope._scan_rates(0.01, h, m.copy(), one)
+        envelope._scan_rates(0.01, h, np.repeat(m, 2, axis=1), two)
+        for col in two.T:
+            assert np.array_equal(one[:, 0].view(np.uint64),
+                                  col.view(np.uint64))
+
     @pytest.mark.parametrize("name", ["standard", "quintic", "callable"])
     def test_zeta_pitchfork_is_the_scan_of_a(self, request, kernels, name):
         """Along the origin row the Hermite values are 0 and df/dx(0, t) is

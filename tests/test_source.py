@@ -1,7 +1,7 @@
 """Source hygiene checks that need no linter: no unused imports, no private
 helper that nothing calls, an __all__ that lists what its module defines, no
 runtime dependency that the package never imports, and a C source that
-compiles without a warning."""
+compiles without a warning and calls no locale-dependent conversion."""
 
 import ast
 import re
@@ -291,3 +291,26 @@ def test_c_source_compiles_without_warnings(tmp_path):
          str(tmp_path / "_em.so"), str(_compiled.SOURCE)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def locale_calls(source: str) -> list:
+    """The calls in the C source that follow the C locale: the printf and
+    scanf families, strtod and its kin, atof, localeconv and setlocale.
+    Comments are not code."""
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", "", source, flags=re.S)
+    return re.findall(r"\b(\w*printf|\w*scanf|strto\w+|ato[fil]l?|"
+                      r"localeconv|setlocale)\s*\(", code)
+
+
+def test_checker_finds_locale_calls():
+    src = ("/* snprintf(buf, n, \"%g\", x) */\nint f(char *s, double x)\n{\n"
+           "    return snprintf(s, 8, \"%g\", x) + (int)strtod(s, 0)\n"
+           "        + (int)atof(s) + g17(s, x);  // printf(s)\n}\n")
+    assert locale_calls(src) == ["snprintf", "strtod", "atof"]
+
+
+def test_c_source_reads_no_locale():
+    """fmt_g17 writes "." whatever LC_NUMERIC holds, so write_csv calls it
+    under any locale: no kernel may call a conversion that reads it."""
+    from slowsde import _compiled
+    assert locale_calls(_compiled.SOURCE.read_text()) == []
