@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slowsde import _compiled, branches, standard_pitchfork, zeta_pitchfork
+from slowsde import _compiled, standard_pitchfork, zeta_pitchfork
 from slowsde.envelope import PostExitFamily
 from slowsde.montecarlo import CHUNK_STEPS
 from slowsde.sde import n_steps_for, time_grid
@@ -50,24 +50,22 @@ def parts(eps, dt, stride, csv_path):
     computed, and the numbers of export nodes and family rows."""
     model = standard_pitchfork()
     export = time_grid(-1.0, dt, n_steps_for(-1.0, math.sqrt(eps), dt))
-    table = zeta_pitchfork(model, eps, -1.0, export)
+    table = zeta_pitchfork(model, eps, export)
 
     def csv():
         table.to_csv(csv_path)
         return csv_path.read_bytes()
 
-    fns = {"zeta": lambda: zeta_pitchfork(model, eps, -1.0,
-                                          export).zeta_values,
+    fns = {"zeta": lambda: zeta_pitchfork(model, eps, export).zeta_values,
            "csv": csv}
     if stride is None:
         return fns, len(export), 0
     grid = time_grid(-1.0, dt, n_steps_for(-1.0, 1.0, dt))
     window = np.nonzero((grid >= 0.15 - 1e-12) & (grid <= 0.25 + 1e-12))[0]
     starts = window[::stride]
-    curves = branches(model)
 
     def family():
-        rows = PostExitFamily(model, eps, grid, curves)
+        rows = PostExitFamily(model, eps, grid)
         digest = hashlib.sha256()
         for k0 in range(starts[0] // CHUNK_STEPS * CHUNK_STEPS,
                         len(grid) - 1, CHUNK_STEPS):

@@ -74,9 +74,8 @@ def chunked(model, t0, n_steps, ref, ref_trunc):
     and stepped there in place (the draws are not timed)."""
     n_paths = ref.shape[0]
     grid = time_grid(t0, DT, n_steps)
-    curves = branches(model)
-    region = envelope.region_D(model, EPS, curves, t_hi=T_END)
-    width = float(curves.x_tilde(math.sqrt(EPS)))
+    region = envelope.region_D(model, EPS, t_hi=T_END)
+    width = float(branches(model).x_tilde(math.sqrt(EPS)))
     gens = path_generators(SEED, range(n_paths))
     ws = np.empty((n_paths, min(CHUNK_STEPS, n_steps) + 1))
     ws[:, 0] = X0

@@ -23,7 +23,7 @@ import numpy as np
 from . import envelope as env
 from .deterministic import solve_det
 from .errors import ConfigError, RegimeViolation, SlowSdeError
-from .model import branches, model_from_dict, model_from_json
+from .model import model_from_dict, model_from_json
 from .montecarlo import EnsembleConfig, run_ensemble
 from .sde import time_grid, n_steps_for
 
@@ -106,16 +106,14 @@ def _export_envelopes(outdir: Path, config: EnsembleConfig) -> None:
         sq = math.sqrt(eps)
         t0 = min(config.t0, -2.0 * sq)
         grid = time_grid(t0, dt, n_steps_for(t0, sq, dt))
-        table = env.zeta_pitchfork(model, eps, t0, grid)
-        curves = branches(model)
+        table = env.zeta_pitchfork(model, eps, grid)
         tpos = np.linspace(sq, model.t_max, 201)
-        regions = {"region_D.csv": env.region_D(model, eps, curves),
-                   "region_S.csv": env.region_S(model, eps, config.sigma,
-                                                curves=curves)}
+        regions = {"region_D.csv": env.region_D(model, eps),
+                   "region_S.csv": env.region_S(model, eps, config.sigma)}
         for region in regions.values():
             region.boundaries(tpos)  # its g1 < g2 check raises here
-        bounds = [env.bound_escape(model, float(t), sq, eps, config.sigma,
-                                   curves=curves) for t in tpos[1:]]
+        bounds = [env.bound_escape(model, float(t), sq, eps, config.sigma)
+                  for t in tpos[1:]]
         files["zeta_pitchfork.csv"] = table.to_csv
         for name, region in regions.items():
             files[name] = functools.partial(region.to_csv, t_values=tpos)

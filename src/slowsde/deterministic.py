@@ -6,8 +6,8 @@ accumulated linearization integral returns to zero, and the post-exit
 solutions used as centrelines for the approach strips.  Every RK4 solution
 is stepped by one loop, _rk4_rows, which advances any number of rows in
 lockstep: solve_det and adiabatic_solution are one row of it, and the
-post-exit centrelines of PostExitRows one row per exit time, stepped over
-the whole grid by post_exit_family or chunk by chunk by the ensemble.
+post-exit centrelines of PostExitRows one row per exit time, stepped chunk
+by chunk by the ensemble (post_exit_path is one row over the whole grid).
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import numpy as np
 from . import _compiled
 from ._brentq import brentq
 from .errors import NotHyperbolic, SandwichViolation
-from .model import BranchCurves, ModelSpec, alpha, branches
+from .model import ModelSpec, alpha, branches
 from .sde import _check_dt, em_batch, n_steps_for, time_grid
 
 __all__ = [
     "DetPath", "solve_det", "adiabatic_solution", "bifurcation_delay",
-    "PostExitRows", "post_exit_family", "post_exit_path", "det_after_exit",
+    "PostExitRows", "post_exit_path", "det_after_exit",
 ]
 
 
@@ -249,9 +249,9 @@ class PostExitRows:
     """
 
     def __init__(self, model: ModelSpec, eps: float, grid: np.ndarray,
-                 curves: BranchCurves, sign: int = +1):
+                 sign: int = +1):
         self.model, self.eps, self.grid = model, eps, grid
-        self.curves, self.sign = curves, sign
+        self.curves, self.sign = branches(model), sign
         self.dt = grid[1] - grid[0]
         self.start = np.empty(0, dtype=np.intp)  # each row's start node
         # each row's value on the last node stepped, or its start value
@@ -268,51 +268,30 @@ class PostExitRows:
         return x0
 
     def step(self, nodes: slice) -> np.ndarray:
-        """The rows on the nodes of grid[nodes] (rows, len), NaN before
-        each row's start node."""
+        """The rows on the nodes of grid[nodes] (rows, len); a row holds
+        its start value before its start node."""
         t = self.grid[nodes]
         out = np.empty((len(self.x), len(t)))
         out[:, 0] = self.x
-        # each row holds its start value until its own start node
-        start = np.maximum(self.start - nodes.start, 0)
         if len(out):
-            _rk4_rows(self.model, self.eps, t[:-1], self.dt, out, start)
+            _rk4_rows(self.model, self.eps, t[:-1], self.dt, out,
+                      np.maximum(self.start - nodes.start, 0))
         self.x = out[:, -1].copy()
-        out[np.arange(len(t))[None, :] < start[:, None]] = np.nan
         return out
 
 
-def post_exit_family(model: ModelSpec, eps: float, taus: np.ndarray,
-                     grid: np.ndarray, curves: BranchCurves,
-                     sign: int = +1) -> tuple:
-    """RK4 post-exit centrelines for exit times on grid nodes, all at once:
-    the rows of PostExitRows stepped over the whole grid in one slice.
-
-    Returns (xhat (n_tau, K+1), start column per tau); entries before a
-    row's start column are NaN.
-    """
-    start_col = np.rint((taus - grid[0]) / (grid[1] - grid[0])).astype(int)
-    k_first = int(start_col.min())
-    rows = PostExitRows(model, eps, grid, curves, sign)
-    rows.add(start_col)
-    xhat = np.full((len(taus), len(grid)), np.nan)
-    xhat[:, k_first:] = rows.step(slice(k_first, len(grid)))
-    return xhat, start_col
-
-
 def det_after_exit(model: ModelSpec, eps: float, tau: float, sign: int,
-                   t_end: float, dt: float,
-                   curves: Optional[BranchCurves] = None) -> DetPath:
+                   t_end: float, dt: float) -> DetPath:
     """Deterministic solution started on the escape boundary at time tau:
     post_exit_path on the grid from tau to t_end in steps of dt."""
     grid = time_grid(tau, dt, n_steps_for(tau, t_end, dt))
-    return post_exit_path(model, eps, grid, sign, curves)
+    return post_exit_path(model, eps, grid, sign)
 
 
-def post_exit_path(model: ModelSpec, eps: float, grid, sign: int = +1,
-                   curves: Optional[BranchCurves] = None) -> DetPath:
-    """The row of post_exit_family that starts at sign * x_tilde(tau) on the
-    grid's first node, tau.
+def post_exit_path(model: ModelSpec, eps: float, grid,
+                   sign: int = +1) -> DetPath:
+    """The one row of PostExitRows that starts at sign * x_tilde(tau) on
+    the grid's first node, tau.
 
     Asserts the wedge ordering x_tilde(t) <= |x| <= x_star(t) at every node;
     violations beyond the discretization tolerance raise SandwichViolation.
@@ -325,12 +304,12 @@ def post_exit_path(model: ModelSpec, eps: float, grid, sign: int = +1,
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     _check_dt(grid[1] - grid[0], eps)
-    if curves is None:
-        curves = branches(model)
-    x = post_exit_family(model, eps, grid[:1], grid, curves, sign)[0][0]
+    rows = PostExitRows(model, eps, grid, sign)
+    rows.add([0])
+    x = rows.step(slice(0, len(grid)))[0]
     absx = np.abs(x)
-    xt = np.asarray(curves.x_tilde(grid), dtype=float)
-    xs = np.asarray(curves.x_star(grid), dtype=float)
+    xt = np.asarray(rows.curves.x_tilde(grid), dtype=float)
+    xs = np.asarray(rows.curves.x_star(grid), dtype=float)
     tol = 1e-7 * (1.0 + float(np.max(xs)))
     low = float(np.min(absx - xt))
     high = float(np.min(xs - absx))

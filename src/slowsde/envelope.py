@@ -27,14 +27,13 @@ from .deterministic import DetPath, PostExitRows, post_exit_path
 from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
                      HExceedsSigma, NonFiniteResult, NotStable, OutsideRegime,
                      RegimeViolation, RhoTooSmall)
-from .model import (BranchCurves, ModelSpec, PolyDrift, _standard_drift,
-                    alpha, alpha_on_panels, branches)
+from .model import ModelSpec, PolyDrift, alpha, alpha_on_panels, branches
 from .sde import n_steps_for, time_grid
 
 __all__ = [
     "EnvelopeTable", "SpaceTimeRegion", "BoundEvaluation",
-    "zeta_stable", "zeta_pitchfork", "zeta_post_exit", "zeta_along",
-    "zeta_rows", "PostExitFamily", "variance",
+    "zeta_stable", "zeta_pitchfork", "zeta_post_exit", "zeta_rows",
+    "PostExitFamily", "variance",
     "region_D", "region_S",
     "bound_stable", "bound_before", "bound_approach", "bound_unstable",
     "bound_escape", "return_to_zero_bound", "no_exit_linear_bound",
@@ -189,9 +188,9 @@ def zeta_rows(model: ModelSpec, eps: float, t: np.ndarray, x: np.ndarray,
     """zeta along the rows x (rows, n+1) on the nodes t, into zeta (rows,
     n+1), whose column 0 holds the start values: each row's zeta is driven
     by df/dx along it from the end of its first skip[i] cells, where it
-    holds its start value.  The one zeta integrator: zeta_along runs it
-    over the whole grid, zeta_pitchfork on the origin row, PostExitFamily
-    over one chunk at a time.
+    holds its start value.  The one zeta integrator: every zeta_* table
+    runs it over one row of the whole grid (_zeta_row), PostExitFamily
+    over one chunk of its rows at a time.
     The nodes are taken in blocks of cells so that a block stays small
     however many rows there are: about 2^16 refined values (512 kB),
     counting each row's rates and each coefficient column that _rates
@@ -218,35 +217,27 @@ def zeta_rows(model: ModelSpec, eps: float, t: np.ndarray, x: np.ndarray,
         zeta[:, lo + 1:hi + 1] = zb[1:].T
 
 
-def zeta_along(model: ModelSpec, eps: float, t_grid: np.ndarray,
-               x: np.ndarray, abar: np.ndarray) -> np.ndarray:
-    """zeta driven by df/dx along a path, refined by cubic Hermite values.
-
-    x is one path (K+1,) or rows (n, K+1) with abar = df/dx on its nodes.
-    Each row starts at its first finite node from 1/(2|abar|) there, and its
-    zeta is NaN before that node.
-    """
-    rows = np.atleast_2d(np.asarray(x, dtype=float))
-    first = np.argmax(np.isfinite(rows), axis=-1)
-    a_first = np.atleast_2d(abar)[np.arange(len(rows)), first]
-    k0 = int(first.min())
-    zeta = np.full(rows.shape, np.nan)
-    zeta[:, k0] = _zeta_start(a_first)
-    zeta_rows(model, eps, t_grid[k0:], rows[:, k0:], first - k0,
-               zeta[:, k0:])
-    zeta[np.isnan(rows)] = np.nan
-    return zeta.reshape(np.shape(x))
+def _zeta_row(model: ModelSpec, eps: float, t: np.ndarray, x: np.ndarray,
+              a0: float) -> np.ndarray:
+    """zeta along the one row x on the nodes t, started from 1/(2|a0|) on
+    t[0].  A NaN node of x is an error: zeta_rows would hold zeta over
+    it as over a row that has not started."""
+    if not np.isfinite(x).all():
+        raise NonFiniteResult("zeta must stay finite: its path has a "
+                              "non-finite node")
+    zeta = np.empty((1, len(t)))
+    zeta[0, 0] = _zeta_start(a0)
+    zeta_rows(model, eps, t, x[None, :], np.zeros(1, dtype=np.intp), zeta)
+    return zeta[0]
 
 
 class PostExitFamily(PostExitRows):
     """Post-exit centrelines with the zeta along each, stepped one slice of
     grid nodes at a time (see PostExitRows).  A row's zeta starts at
-    1/(2|df/dx|) on its start node and is zeta_along's, however the grid
-    is sliced."""
+    1/(2|df/dx|) on its start node, however the grid is sliced."""
 
-    def __init__(self, model: ModelSpec, eps: float, grid: np.ndarray,
-                 curves: BranchCurves):
-        super().__init__(model, eps, grid, curves)
+    def __init__(self, model: ModelSpec, eps: float, grid: np.ndarray):
+        super().__init__(model, eps, grid)
         self.z = np.empty(0)  # each row's zeta on the last node stepped
 
     def add(self, k) -> np.ndarray:
@@ -261,9 +252,10 @@ class PostExitFamily(PostExitRows):
         xhat = super().step(nodes)
         zeta = np.empty_like(xhat)
         zeta[:, 0] = self.z
-        zeta_rows(self.model, self.eps, self.grid[nodes], xhat,
-                   np.maximum(self.start - nodes.start, 0), zeta)
+        start = np.maximum(self.start - nodes.start, 0)
+        zeta_rows(self.model, self.eps, self.grid[nodes], xhat, start, zeta)
         self.z = zeta[:, -1].copy()
+        xhat[np.arange(xhat.shape[1])[None, :] < start[:, None]] = np.nan
         zeta[np.isnan(xhat)] = np.nan
         return xhat, zeta
 
@@ -348,7 +340,7 @@ def zeta_stable(model: ModelSpec, eps: float, t_grid,
     abar = np.asarray(model.drift_dx(xdet_path.x_values, tg), dtype=float)
     if np.any(abar >= 0):
         raise NotStable("df/dx along the path must stay negative")
-    z = zeta_along(model, eps, tg, xdet_path.x_values, abar)
+    z = _zeta_row(model, eps, tg, xdet_path.x_values, abar[0])
     a_plus, a_minus = float(np.max(-abar)), float(np.min(-abar))
     gap_mask = tg - tg[0] >= 10.0 * eps * abs(math.log(eps))
     gap = float(np.max(np.abs(z[gap_mask] - 1.0 / (2.0 * np.abs(abar[gap_mask]))))) \
@@ -362,38 +354,32 @@ def zeta_stable(model: ModelSpec, eps: float, t_grid,
     return EnvelopeTable(tg, z, abar, "stable", eps, params)
 
 
-def zeta_pitchfork(model: ModelSpec, eps: float, t0: float,
-                   t_grid) -> EnvelopeTable:
+def zeta_pitchfork(model: ModelSpec, eps: float, t_grid) -> EnvelopeTable:
     """zeta for the pitchfork crossing, driven by the origin linearization.
 
-    zeta is zeta_along's along the origin row x = 0, started from
-    1/(2|a(t0)|): the Hermite values of that row are exactly 0, so its rate
-    df/dx(0, t) is a(t), which a pitchfork's ModelSpec.a is by definition.
-    (A make_model pitchfork given an `a` that is not f_x(0, t) is still
-    driven by f_x(0, t); its a gives the start value and abar_values.)
-    Valid for t0 <= -2 sqrt(eps) and a grid inside [t0, sqrt(eps)].  The
-    regime brackets (zeta ~ 1/|t| before, ~ 1/sqrt(eps) across) are
-    recorded; for the standard cubic drift they are compared against the
-    shipped calibration constants.
+    zeta is the scan along the origin row x = 0 from the grid's first node
+    t0, started from 1/(2|a(t0)|): the Hermite values of that row are
+    exactly 0, so its rate df/dx(0, t) is a(t), which a pitchfork's
+    ModelSpec.a is by definition.  (A make_model pitchfork given an `a` that
+    is not f_x(0, t) is still driven by f_x(0, t); its a gives the start
+    value and abar_values.)  Valid for t0 <= -2 sqrt(eps) and a grid ending
+    at or before sqrt(eps).  The regime ranges zeta |t| before -sqrt(eps)
+    and zeta sqrt(eps) after it are recorded (zeta ~ 1/|t| before, ~
+    1/sqrt(eps) across).
     """
     sq = math.sqrt(eps)
+    tg = np.asarray(t_grid, dtype=float)
+    t0 = float(tg[0])
     a_t0 = float(model.a(t0))
     if eps > min(4.0 * a_t0 * a_t0, (t0 / 2.0) ** 2):
         raise EpsTooLarge("need eps <= min(4 a(t0)^2, (t0/2)^2)")
     if t0 > -2.0 * sq:
         raise EpsTooLarge("need t0 <= -2 sqrt(eps)")
-    tg = np.asarray(t_grid, dtype=float)
-    if abs(tg[0] - t0) > 1e-12:
-        raise GridMismatch("grid must start at t0")
     if tg[-1] > sq * (1.0 + 1e-9):
         raise GridMismatch("grid must end at or before sqrt(eps)")
-    # zeta_along's scan of the origin row, which starts at node 0; the row
-    # is a read-only broadcast of 0.0 and takes no memory
-    zeta = np.empty((1, len(tg)))
-    zeta[:, 0] = _zeta_start(np.asarray(model.a(tg[:1]), dtype=float))
-    zeta_rows(model, eps, tg, np.broadcast_to(0.0, zeta.shape),
-              np.zeros(1, dtype=np.intp), zeta)
-    z = zeta[0]
+    # the origin row is a read-only broadcast of 0.0 and takes no memory
+    z = _zeta_row(model, eps, tg, np.broadcast_to(0.0, tg.shape),
+                  np.asarray(model.a(tg[:1]), dtype=float)[0])
 
     # the grid increases: its pre-crossing nodes are a prefix
     k = int(np.searchsorted(tg, -sq + 1e-12, side="right"))
@@ -406,45 +392,35 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t0: float,
         v = z[k:] * sq
         params["cross_range"] = (float(np.min(v)), float(np.max(v)))
     params["nondecreasing"] = bool(np.all(np.diff(z) >= -1e-12 * np.max(z)))
-    if _standard_drift(model):
-        ok = True
-        for key, name in (("pre_range", "pre"), ("cross_range", "cross")):
-            if key in params:
-                lo, hi = STANDARD_ZETA_BRACKETS[name]
-                ok &= params[key][0] >= lo and params[key][1] <= hi
-        params["bracket_ok"] = ok
     abar = np.asarray(model.a(tg), dtype=float)
     return EnvelopeTable(tg, z, abar, "pitchfork-pre", eps, params)
 
 
-def zeta_post_exit(model: ModelSpec, eps: float, tau: float, t_grid,
-                   det: Optional[DetPath] = None,
-                   curves: Optional[BranchCurves] = None) -> EnvelopeTable:
-    """zeta along the deterministic solution restarted on the escape boundary.
+def zeta_post_exit(model: ModelSpec, eps: float, t_grid,
+                   det: Optional[DetPath] = None) -> EnvelopeTable:
+    """zeta along the deterministic solution restarted on the escape
+    boundary at the grid's first node, tau: post_exit_path on the grid,
+    or the path det, which must cover it.
 
     The rate is df/dx along that path; the table checks the sandwich between
     1/(2|a_star(t)|) and the initial value, and that the slope never exceeds
     1/eps.
     """
     tg = np.asarray(t_grid, dtype=float)
-    if curves is None:
-        curves = branches(model)
     if det is None:
-        if not np.isclose(tg[0], tau):
-            raise GridMismatch(f"the grid starts at {tg[0]:g}, not at tau")
-        det = post_exit_path(model, eps, tg, +1, curves)
+        det = post_exit_path(model, eps, tg, +1)
     if len(det.t_grid) < len(tg) or not np.allclose(det.t_grid[:len(tg)], tg):
         raise GridMismatch("post-exit path does not cover the requested grid")
     xhat = np.abs(det.x_values[:len(tg)])
     abar = np.asarray(model.drift_dx(xhat, tg), dtype=float)
-    z = zeta_along(model, eps, tg, xhat, abar)
+    z = _zeta_row(model, eps, tg, xhat, abar[0])
     zeta0 = z[0]
 
-    a_star = np.asarray(curves.a_star(tg), dtype=float)
+    a_star = np.asarray(branches(model).a_star(tg), dtype=float)
     lower = 1.0 / (2.0 * np.abs(a_star))
     tol = 1e-9 * zeta0
     params = {
-        "tau": tau,
+        "tau": float(tg[0]),
         "sandwich_low_margin": float(np.min(z - lower)),
         "sandwich_high_margin": float(np.min(zeta0 - z)),
         "sandwich_ok": bool(np.all(z >= lower - tol) and np.all(z <= zeta0 + tol)),
@@ -502,12 +478,9 @@ class SpaceTimeRegion:
 
 
 def region_D(model: ModelSpec, eps: float,
-             curves: Optional[BranchCurves] = None,
              t_hi: Optional[float] = None) -> SpaceTimeRegion:
     """|x| < x_tilde(t) for sqrt(eps) <= t <= T."""
-    if curves is None:
-        curves = branches(model)
-    xt = curves.x_tilde
+    xt = branches(model).x_tilde
     return SpaceTimeRegion(lambda t: -np.asarray(xt(t), dtype=float),
                            lambda t: np.asarray(xt(t), dtype=float),
                            math.sqrt(eps), t_hi if t_hi is not None else model.t_max,
@@ -515,14 +488,11 @@ def region_D(model: ModelSpec, eps: float,
 
 
 def region_S(model: ModelSpec, eps: float, sigma: float,
-             h: Optional[float] = None,
-             curves: Optional[BranchCurves] = None) -> SpaceTimeRegion:
+             h: Optional[float] = None) -> SpaceTimeRegion:
     """Inner strip |x| < h / sqrt(a(t)), clipped to stay inside D."""
     if h is None:
         h = default_strip_width(sigma)
-    if curves is None:
-        curves = branches(model)
-    xt = curves.x_tilde
+    xt = branches(model).x_tilde
     a = model.a
 
     def upper(t):
@@ -615,21 +585,16 @@ def bound_approach(model: ModelSpec, t: float, eps: float, sigma: float,
                                 "tau": tau}, pref, expo)
 
 
-def bound_unstable(t: float, eps: float, sigma: float, h: float,
-                   model: Optional[ModelSpec] = None,
-                   alpha_value: Optional[float] = None,
-                   t_start: float = 0.0) -> BoundEvaluation:
+def bound_unstable(model: ModelSpec, t: float, eps: float, sigma: float,
+                   h: float, t_start: float = 0.0) -> BoundEvaluation:
     """Confinement bound near an unstable branch, valid for h <= sigma.
 
-    sqrt(e) exp(-kappa0 (sigma/h)^2 alpha(t)/eps) with kappa0 = pi/(2e).
+    sqrt(e) exp(-kappa0 (sigma/h)^2 alpha(t, t_start)/eps) with
+    kappa0 = pi/(2e).
     """
     if h > sigma:
         raise HExceedsSigma(f"need h <= sigma, got h={h:g} > sigma={sigma:g}")
-    if alpha_value is None:
-        if model is None:
-            raise ValueError("pass either model or alpha_value")
-        alpha_value = alpha(model, t, t_start)
-    expo = -KAPPA_UNSTABLE * (sigma / h) ** 2 * alpha_value / eps
+    expo = -KAPPA_UNSTABLE * (sigma / h) ** 2 * alpha(model, t, t_start) / eps
     return _finish("unstable", {"t": t, "eps": eps, "sigma": sigma, "h": h},
                    math.sqrt(math.e), expo)
 
@@ -642,8 +607,8 @@ def _kappa_eff(model: ModelSpec, eta: Optional[float]) -> tuple:
 
 
 def bound_escape(model: ModelSpec, t: float, t0: float, eps: float,
-                 sigma: float, C0: float = 1.0, eta: Optional[float] = None,
-                 curves: Optional[BranchCurves] = None) -> BoundEvaluation:
+                 sigma: float, C0: float = 1.0,
+                 eta: Optional[float] = None) -> BoundEvaluation:
     """Survival bound for the escape region D.
 
     C0 x_tilde(t) sqrt(a(t)) (|log sigma|/sigma) (1 + alpha/eps)
@@ -657,12 +622,10 @@ def bound_escape(model: ModelSpec, t: float, t0: float, eps: float,
         warnings.warn("sigma |log sigma|^{3/2} exceeds sqrt(eps); the escape "
                       "bound is outside its comfort zone", RuntimeWarning)
     eta, kappa = _kappa_eff(model, eta)
-    if curves is None:
-        curves = branches(model)
     al = alpha(model, t, t0)
     x = kappa * al / eps
     denom = math.sqrt(-math.expm1(-2.0 * x)) if x < 350 else 1.0
-    pref = (C0 * float(curves.x_tilde(t)) * math.sqrt(float(model.a(t)))
+    pref = (C0 * float(branches(model).x_tilde(t)) * math.sqrt(float(model.a(t)))
             * abs(math.log(sigma)) / sigma * (1.0 + al / eps) / denom)
     return _finish("escape", {"t": t, "t0": t0, "eps": eps, "sigma": sigma,
                               "C0": C0, "eta": eta, "kappa": kappa}, pref, -x)
@@ -677,17 +640,14 @@ def return_to_zero_bound(rho: float, sigma: float, a0_t0: float) -> float:
 
 
 def no_exit_linear_bound(model: ModelSpec, t: float, t0: float, eps: float,
-                         sigma: float, eta: Optional[float] = None,
-                         curves: Optional[BranchCurves] = None) -> float:
+                         sigma: float, eta: Optional[float] = None) -> float:
     """Bound on a linear comparison path staying inside (0, x_tilde)."""
     if t <= t0:
         raise DegenerateWindow("need t > t0")
     _, kappa = _kappa_eff(model, eta)
-    if curves is None:
-        curves = branches(model)
     x = kappa * alpha(model, t, t0) / eps
     a0_t = kappa * float(model.a(t))
-    val = (float(curves.x_tilde(t)) * math.sqrt(a0_t)
+    val = (float(branches(model).x_tilde(t)) * math.sqrt(a0_t)
            / (math.sqrt(math.pi) * sigma)
            * math.exp(-x) / math.sqrt(-math.expm1(-2.0 * x)))
     return min(1.0, val)
@@ -732,7 +692,7 @@ def calibrate_zeta_brackets(model: Optional[ModelSpec] = None,
         for t0 in t0_list:
             dt = eps / 50.0
             tg = time_grid(t0, dt, n_steps_for(t0, math.sqrt(eps), dt))
-            tab = zeta_pitchfork(model, eps, t0, tg)
+            tab = zeta_pitchfork(model, eps, tg)
             if "pre_range" in tab.params:
                 pre_lo = min(pre_lo, tab.params["pre_range"][0])
                 pre_hi = max(pre_hi, tab.params["pre_range"][1])
@@ -754,7 +714,7 @@ def calibrate_post_exit_brackets(model: Optional[ModelSpec] = None,
         for tau in tau_list:
             dt = eps / 50.0
             tg = time_grid(tau, dt, n_steps_for(tau, model.t_max, dt))
-            tab = zeta_post_exit(model, eps, tau, tg)
+            tab = zeta_post_exit(model, eps, tg)
             lo = min(lo, tab.params["t_range"][0])
             hi = max(hi, tab.params["t_range"][1])
     return lo, hi

@@ -277,22 +277,22 @@ def estimate_prob(successes: int, n: int) -> tuple:
     return p, lo, hi
 
 
-def compare_bound(empirical: tuple, bound_eval) -> BoundComparison:
+def compare_bound(empirical: tuple,
+                  bound_eval: env.BoundEvaluation) -> BoundComparison:
     """empirical = (p_hat, ci_low, ci_high); violated iff ci_low > bound."""
     _, ci_low, _ = empirical
-    bound = bound_eval.bound if hasattr(bound_eval, "bound") else float(bound_eval)
-    leading = getattr(bound_eval, "leading_order", True)
+    bound = bound_eval.bound
     verdict = "consistent" if ci_low <= bound else "violated"
-    return BoundComparison(verdict, bound - ci_low, leading)
+    return BoundComparison(verdict, bound - ci_low, bound_eval.leading_order)
 
 
-def _prob_entry(successes: int, n: int, bound_eval=None) -> dict:
+def _prob_entry(successes: int, n: int,
+                bound_eval: Optional[env.BoundEvaluation] = None) -> dict:
     p, lo, hi = estimate_prob(successes, n)
     entry = {"successes": int(successes), "n": int(n), "p_hat": p,
              "ci_low": lo, "ci_high": hi}
     if bound_eval is not None:
-        entry["bound"] = bound_eval.to_dict() if hasattr(bound_eval, "to_dict") \
-            else float(bound_eval)
+        entry["bound"] = bound_eval.to_dict()
         entry["comparison"] = compare_bound((p, lo, hi), bound_eval).to_dict()
     return entry
 
@@ -527,7 +527,7 @@ def _run_unstable(run: _Run) -> tuple:
                                        cols.recorded("exit_time"))),
         {"exit_time": np.nan})[0]["exit_time"]
     series = _survival(cfg, exit_times, lambda t: env.bound_unstable(
-        t, cfg.eps, cfg.sigma, h, model=cfg.model, t_start=cfg.t0))
+        cfg.model, t, cfg.eps, cfg.sigma, h, t_start=cfg.t0))
     return ({"survival": series, "h": h,
              "censored_fraction": float(np.mean(np.isnan(exit_times)))},
             {"exit_time": exit_times})
@@ -537,7 +537,7 @@ def _run_before(run: _Run) -> tuple:
     cfg = run.config
     n_cols = int(np.searchsorted(run.grid, math.sqrt(cfg.eps) + 1e-12))
     sub_grid = run.grid[:n_cols]
-    table = env.zeta_pitchfork(cfg.model, cfg.eps, cfg.t0, sub_grid)
+    table = env.zeta_pitchfork(cfg.model, cfg.eps, sub_grid)
     sqrtz = table.sqrt_zeta()
     centre = run.x0 * np.exp(env.alpha(cfg.model, sub_grid, cfg.t0) / cfg.eps)
 
@@ -563,7 +563,7 @@ def _run_before(run: _Run) -> tuple:
 
 def _region_D(run: _Run):
     cfg = run.config
-    return env.region_D(cfg.model, cfg.eps, branches(cfg.model),
+    return env.region_D(cfg.model, cfg.eps,
                         t_hi=min(cfg.t_end, cfg.model.t_max))
 
 
@@ -662,7 +662,6 @@ def _run_approach(run: _Run) -> tuple:
     zeta are stepped chunk by chunk beside the paths, each selected path's
     sup deviation taken against its row from its exit node on."""
     cfg, grid = run.config, run.grid
-    curves = branches(cfg.model)
     regD = _region_D(run)
     lo_w, hi_w = cfg.tau_window
 
@@ -674,7 +673,7 @@ def _run_approach(run: _Run) -> tuple:
         if picked.any():
             if family is None:
                 family = cols.carry = env.PostExitFamily(
-                    cfg.model, cfg.eps, grid, curves)
+                    cfg.model, cfg.eps, grid)
             k = np.rint((tau_d[picked] - grid[0])
                         / (grid[1] - grid[0])).astype(np.intp)
             starts, row = np.unique(k, return_inverse=True)

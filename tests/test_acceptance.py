@@ -331,9 +331,9 @@ def test_criterion_11_infrastructure():
         sq = math.sqrt(eps)
         grid = time_grid(-1.0, eps / 50.0, n_steps_for(-1.0, sq, eps / 50.0))
         grid = grid[grid <= sq + 1e-12]
-        tab_p = zeta_pitchfork(model, eps, -1.0, grid)
+        tab_p = zeta_pitchfork(model, eps, grid)
         assert tab_p.ode_residual() <= 1e-6, "crossing residual"
 
         grid2 = time_grid(0.2, eps / 50.0, n_steps_for(0.2, 1.0, eps / 50.0))
-        tab_a = zeta_post_exit(model, eps, 0.2, grid2)
+        tab_a = zeta_post_exit(model, eps, grid2)
         assert tab_a.ode_residual() <= 1e-6, "post-exit residual"

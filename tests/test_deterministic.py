@@ -6,7 +6,7 @@ import pytest
 from slowsde import (NotHyperbolic, StepTooLarge, adiabatic_solution, alpha,
                      bifurcation_delay, branches, det_after_exit, make_model,
                      model_from_coeffs, solve_det, standard_pitchfork)
-from slowsde.deterministic import _rk4_rows, post_exit_family
+from slowsde.deterministic import PostExitRows, _rk4_rows
 from slowsde.sde import n_steps_for, time_grid
 
 
@@ -177,7 +177,7 @@ def adiabatic_reference(model, eps, tg):
 
 
 class TestOneRK4Loop:
-    """solve_det, adiabatic_solution and post_exit_family share one RK4
+    """solve_det, adiabatic_solution and PostExitRows share one RK4
     loop; it equals scalar RK4 written out node by node, bit for bit,
     through the compiled rk4_poly and through the NumPy loop."""
 
@@ -346,14 +346,15 @@ class TestAfterExit:
         # node; rows starting later are stepped in the same loop
         eps, tau, dt = 0.01, 0.15, 2e-4
         grid = time_grid(tau, dt, 2500)
-        curves = branches(standard)
         for sign in (+1, -1):
-            xhat, _ = post_exit_family(standard, eps, grid[[0, 40, 700]],
-                                           grid, curves, sign)
+            rows = PostExitRows(standard, eps, grid, sign)
+            rows.add([0, 40, 700])
+            xhat = rows.step(slice(0, len(grid)))
             det = det_after_exit(standard, eps, tau, sign, grid[-1], dt)
             assert np.array_equal(det.t_grid, grid)
             assert np.array_equal(det.x_values, xhat[0])
-            assert xhat[2, 700] == sign * curves.x_tilde(grid[700])
+            assert (xhat[2, :701] == sign * rows.curves.x_tilde(
+                grid[700])).all()
 
     def test_tau_before_sqrt_eps_rejected(self, standard):
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,17 @@ from slowsde.sde import n_steps_for, time_grid
 def grid_to(t0, t_end, dt):
     g = time_grid(t0, dt, n_steps_for(t0, t_end, dt))
     return g[g <= t_end + 1e-12]
+
+
+def scan_rows(model, eps, grid, rows, skip):
+    """zeta_rows along rows, each from 1/(2|df/dx|) on its node skip[i],
+    which it holds on the nodes before."""
+    skip = np.asarray(skip, dtype=np.intp)
+    zeta = np.empty_like(rows)
+    zeta[:, 0] = 1.0 / (2.0 * np.abs(model.drift_dx(
+        rows[np.arange(len(rows)), skip], grid[skip])))
+    envelope.zeta_rows(model, eps, grid, rows, skip, zeta)
+    return zeta
 
 
 class TestZetaStable:
@@ -77,33 +92,32 @@ class TestZetaPitchfork:
     @pytest.mark.parametrize("eps", [0.01, 0.005])
     def test_regime_brackets(self, standard, eps):
         tg = grid_to(-1.0, math.sqrt(eps), eps / 50.0)
-        tab = zeta_pitchfork(standard, eps, -1.0, tg)
+        tab = zeta_pitchfork(standard, eps, tg)
         lo, hi = STANDARD_ZETA_BRACKETS["pre"]
         assert tab.params["pre_range"][0] >= lo
         assert tab.params["pre_range"][1] <= hi
         lo, hi = STANDARD_ZETA_BRACKETS["cross"]
         assert tab.params["cross_range"][0] >= lo
         assert tab.params["cross_range"][1] <= hi
-        assert tab.params["bracket_ok"]
         assert tab.ode_residual() < 1e-6
 
     def test_monotone_for_increasing_rate(self, standard):
         eps = 0.01
         tg = grid_to(-1.0, math.sqrt(eps), eps / 50.0)
-        tab = zeta_pitchfork(standard, eps, -1.0, tg)
+        tab = zeta_pitchfork(standard, eps, tg)
         assert tab.params["nondecreasing"]
 
     def test_value_at_zero(self, standard):
         # zeta(0) ~ sqrt(pi)/(2 sqrt(eps)) for a(t) = t with decayed memory
         eps = 0.005
         tg = grid_to(-1.0, 0.0, eps / 50.0)
-        tab = zeta_pitchfork(standard, eps, -1.0, tg)
+        tab = zeta_pitchfork(standard, eps, tg)
         assert tab.zeta_values[-1] == pytest.approx(
             math.sqrt(math.pi) / (2 * math.sqrt(eps)), rel=0.01)
 
     def test_eps_too_large(self, standard):
         with pytest.raises(EpsTooLarge):
-            zeta_pitchfork(standard, 0.05, -0.3, grid_to(-0.3, 0.1, 0.005))
+            zeta_pitchfork(standard, 0.05, grid_to(-0.3, 0.1, 0.005))
 
     def test_calibration_reproduces_shipped_constants(self):
         fresh = calibrate_zeta_brackets()
@@ -122,9 +136,19 @@ class TestEnvelopeTable:
                           np.zeros(3), "test", 0.01)
         assert issubclass(NonFiniteResult, ValueError)
 
+    @pytest.mark.parametrize("node", [0, 40])
+    def test_nan_node_of_the_path_rejected(self, linear_stable, node):
+        # zeta_rows steps over a NaN rate as idle, and df/dx of f = -x does
+        # not read x at all: the path itself must be finite
+        eps = 0.01
+        xdet = solve_det(linear_stable, eps, 0.0, 0.5, 0.5, eps / 50.0)
+        xdet.x_values[node] = np.nan
+        with pytest.raises(NonFiniteResult, match="zeta must stay finite"):
+            zeta_stable(linear_stable, eps, xdet.t_grid, xdet)
+
     def test_kernels_give_the_same_tables_and_bytes(self, standard, kernels,
                                                     tmp_path):
-        """zeta_pitchfork (one row), zeta_along (stacked rows that start at
+        """zeta_pitchfork (one row), zeta_rows (stacked rows that start at
         different nodes) and the CSV export give the same bits and bytes
         through zeta_scan and fmt_g17 as through the NumPy loop and Python
         formatting, down to a one-node grid."""
@@ -135,10 +159,9 @@ class TestEnvelopeTable:
             rows[r, k0:] = 0.3 * np.exp(grid[k0:] - grid[k0]) * (r + 1)
         got = []
         for kernel in kernels():
-            table = zeta_pitchfork(standard, eps, -0.5, grid)
-            abar = standard.drift_dx(rows, grid)
-            stacked = envelope.zeta_along(standard, eps, grid, rows, abar)
-            one = zeta_pitchfork(standard, eps, -0.5, grid[:1])
+            table = zeta_pitchfork(standard, eps, grid)
+            stacked = scan_rows(standard, eps, grid, rows, [0, 7, 500])
+            one = zeta_pitchfork(standard, eps, grid[:1])
             path = tmp_path / f"{kernel}.csv"
             table.to_csv(path)
             got.append((table.zeta_values, stacked, one.zeta_values,
@@ -183,7 +206,7 @@ class TestEnvelopeTable:
             a_sub = np.asarray(model.a(envelope._refine_nodes(tg)), dtype=float)
             envelope._scan_rates(
                 eps, h, envelope._substep_rates(eps, h, a_sub)[:, None], want)
-            got = zeta_pitchfork(model, eps, t0, tg).zeta_values
+            got = zeta_pitchfork(model, eps, tg).zeta_values
             assert np.array_equal(got.view(np.uint64),
                                   want[:, 0].view(np.uint64)), kernel
 
@@ -201,7 +224,7 @@ class TestEnvelopeTable:
                                np.asarray(table, dtype=float).T)
             assert path.read_text() == "# h\na,b\n" + cells, kernel
 
-    def test_zeta_along_rows_of_a_linear_model(self):
+    def test_zeta_rows_of_a_linear_model(self):
         """f = -(1 + t) x: df/dx has degree 0 in x but depends on t, and
         stacked rows give each row's zeta alone."""
         model = model_from_coeffs(
@@ -210,18 +233,17 @@ class TestEnvelopeTable:
              "t_range": [0.0, 1.0]})
         eps, grid = 0.01, time_grid(0.0, 2e-4, 1000)
         rows = np.vstack([0.3 * np.exp(-grid), -0.1 * np.exp(-2 * grid)])
-        abar = model.drift_dx(rows, grid)
-        assert abar.shape == rows.shape
-        stacked = envelope.zeta_along(model, eps, grid, rows, abar)
-        for row, a_row, got in zip(rows, abar, stacked):
-            alone = envelope.zeta_along(model, eps, grid, row, a_row)
+        assert model.drift_dx(rows, grid).shape == rows.shape
+        stacked = scan_rows(model, eps, grid, rows, [0, 0])
+        for row, got in zip(rows, stacked):
+            alone = scan_rows(model, eps, grid, row[None, :], [0])[0]
             assert np.array_equal(got, alone)
-
 
     def test_late_row_of_a_linear_model_starts_at_its_node(self, kernels):
         """f = -(1 + t) x: df/dx does not read x, so a row that is NaN
         before node 300 would have a finite rate there.  Its zeta still
-        starts at node 300 from 1/(2|a|), stacked as alone."""
+        starts at node 300 from 1/(2|a|), holding that value until then,
+        stacked as alone."""
         model = model_from_coeffs(
             [[0.0], [-1.0, -1.0]],
             {"kind": "stable-branch", "equilibrium": lambda t: 0.0, "d": 2.0,
@@ -229,18 +251,17 @@ class TestEnvelopeTable:
         eps, grid = 0.01, time_grid(0.0, 2e-4, 1000)
         rows = np.vstack([0.3 * np.exp(-grid), -0.1 * np.exp(-2 * grid)])
         rows[1, :300] = np.nan
-        abar = model.drift_dx(rows, grid)
+        a_start = model.drift_dx(rows[1, 300], grid[300])
         for kernel in kernels():
-            stacked = envelope.zeta_along(model, eps, grid, rows, abar)
-            alone = envelope.zeta_along(model, eps, grid[300:],
-                                        rows[1, 300:], abar[1, 300:])
-            assert np.isnan(stacked[1, :300]).all(), kernel
-            assert stacked[1, 300] == 1.0 / (2.0 * abs(abar[1, 300]))
-            assert np.array_equal(stacked[1, 300:], alone), kernel
+            stacked = scan_rows(model, eps, grid, rows, [0, 300])
+            alone = scan_rows(model, eps, grid[300:], rows[1:, 300:], [0])
+            assert (stacked[1, :301] == 1.0 / (2.0 * abs(a_start))).all(), \
+                kernel
+            assert np.array_equal(stacked[1, 300:], alone[0]), kernel
 
     @pytest.mark.parametrize("name", ["standard", "quintic", "linear"])
     def test_zeta_rate_gives_the_numpy_bits(self, request, kernels, name):
-        """The rates of zeta_along through the compiled zeta_rate and
+        """The rates of zeta_rows through the compiled zeta_rate and
         through NumPy: rows NaN before their starts, a start on the last
         node, blocks of cells cut inside a row, a quintic drift and a
         df/dx of degree 0 in x."""
@@ -256,12 +277,11 @@ class TestEnvelopeTable:
         starts = np.linspace(0, 1500, 40).astype(int)
         for r, k0 in enumerate(starts):
             rows[r, k0:] = (0.1 + 0.01 * r) * np.exp(grid[k0] - grid[k0:])
-        abar = model.drift_dx(rows, grid)
         got = []
         for kernel in kernels():
             compiled = _compiled.LIBRARY.get("zeta_rate") is not None
             assert compiled == (kernel == "c")
-            zeta = envelope.zeta_along(model, eps, grid, rows, abar)
+            zeta = scan_rows(model, eps, grid, rows, starts)
             assert np.isfinite(zeta[np.arange(40), starts]).all(), kernel
             got.append(zeta)
         assert np.array_equal(got[0].view(np.uint64),
@@ -333,7 +353,7 @@ class TestZetaPostExit:
     def test_relaxes_to_branch_value(self, standard):
         eps = 0.01
         tg = grid_to(0.2, 1.0, eps / 50.0)
-        tab = zeta_post_exit(standard, eps, 0.2, tg)
+        tab = zeta_post_exit(standard, eps, tg)
         # a_star(1) = -2, so zeta -> 1/4 up to O(eps)
         assert abs(tab.zeta_values[-1] - 0.25) < 2 * eps
         assert tab.ode_residual() < 1e-6
@@ -342,7 +362,7 @@ class TestZetaPostExit:
         eps = 0.01
         tau = 0.2
         tg = grid_to(tau, 1.0, eps / 50.0)
-        tab = zeta_post_exit(standard, eps, tau, tg)
+        tab = zeta_post_exit(standard, eps, tg)
         atau = standard.drift_dx(math.sqrt(0.4 * tau), tau)
         assert tab.zeta_values[0] == pytest.approx(1.0 / (2 * abs(atau)),
                                                    rel=1e-12)
@@ -350,7 +370,7 @@ class TestZetaPostExit:
     def test_sandwich_and_slope(self, standard):
         eps = 0.005
         tg = grid_to(0.15, 1.0, eps / 50.0)
-        tab = zeta_post_exit(standard, eps, 0.15, tg)
+        tab = zeta_post_exit(standard, eps, tg)
         assert tab.params["sandwich_ok"]
         assert tab.params["slope_ok"]
 
@@ -366,10 +386,10 @@ class TestZetaPostExit:
         model = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"})
         eps = 0.01
         tg = grid_to(0.2, 1.0, eps / 50.0)
-        tab = zeta_post_exit(model, eps, 0.2, tg)
+        tab = zeta_post_exit(model, eps, tg)
         assert np.array_equal(tab.t_grid, tg)
         assert tab.params["sandwich_ok"]
-        closed = zeta_post_exit(standard, eps, 0.2, tg)
+        closed = zeta_post_exit(standard, eps, tg)
         np.testing.assert_allclose(tab.zeta_values, closed.zeta_values,
                                    rtol=1e-6)
 
@@ -480,23 +500,23 @@ class TestBounds:
         assert b.prefactor == pytest.approx(abs(closed) / eps ** 2 + 2.0,
                                             rel=1e-9)
 
-    def test_unstable_formula(self):
-        # sigma/h = 2, alpha/eps = 10
-        b = bound_unstable(0.1, 0.01, 2e-3, 1e-3, alpha_value=0.1)
+    def test_unstable_formula(self, linear_unstable):
+        # sigma/h = 2, alpha/eps = 10 (constant rate 1: alpha(0.1) = 0.1)
+        b = bound_unstable(linear_unstable, 0.1, 0.01, 2e-3, 1e-3)
         assert b.prefactor == pytest.approx(math.sqrt(math.e))
         assert b.exponent == pytest.approx(-KAPPA_UNSTABLE * 4.0 * 10.0)
 
     def test_unstable_clamps_at_start(self, linear_unstable):
-        b = bound_unstable(0.0, 0.01, 1e-3, 1e-3, model=linear_unstable)
+        b = bound_unstable(linear_unstable, 0.0, 0.01, 1e-3, 1e-3)
         assert b.bound == 1.0
 
-    def test_unstable_h_window(self):
+    def test_unstable_h_window(self, linear_unstable):
         with pytest.raises(HExceedsSigma):
-            bound_unstable(0.1, 0.01, 1e-3, 2e-3, alpha_value=0.1)
+            bound_unstable(linear_unstable, 0.1, 0.01, 1e-3, 2e-3)
 
     def test_unstable_quadrature_cross_check(self, linear_unstable):
         # constant rate 1: alpha(0.05) = 0.05
-        b = bound_unstable(0.05, 0.01, 1e-3, 5e-4, model=linear_unstable)
+        b = bound_unstable(linear_unstable, 0.05, 0.01, 1e-3, 5e-4)
         assert b.exponent == pytest.approx(-KAPPA_UNSTABLE * 4.0 * 5.0,
                                            rel=1e-9)
 
@@ -638,3 +658,17 @@ class TestNoExitLinearMonteCarlo:
         for j, t in enumerate(probes):
             bound = no_exit_linear_bound(standard, float(t), t0, eps, sigma)
             assert counts[j] / n_paths <= bound
+
+
+def test_precompute_benchmark_script_bit_identical():
+    """benchmarks/bench_precompute.py runs and finds the library's zeta
+    table, CSV bytes and post-exit family equal to the fallbacks'."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_precompute.py"),
+         "1"], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "bit-identical" in proc.stdout.splitlines()

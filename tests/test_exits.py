@@ -292,7 +292,7 @@ class TestDelayOrdering:
         curves = branches(standard)
         width = float(curves.x_tilde(math.sqrt(eps)))
         sub = g[g <= math.sqrt(eps) + 1e-12]
-        tab = zeta_pitchfork(standard, eps, -1.0, sub)
+        tab = zeta_pitchfork(standard, eps, sub)
         h = 0.9 * width / float(np.max(tab.sqrt_zeta()))
         # the crossing strip |x| < h sqrt(zeta(t)) of paths started at 0
         half = h * tab.sqrt_zeta()

@@ -6,9 +6,8 @@ import pytest
 from slowsde import (NonFiniteResult, PolyDrift, RootNotBracketed,
                      SlowSdeError, ValidationFailure, alpha, branches,
                      make_model, model_from_coeffs, model_from_dict,
-                     standard_pitchfork, zeta_pitchfork)
+                     standard_pitchfork)
 from slowsde.envelope import _kappa_eff
-from slowsde.sde import time_grid
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -148,9 +147,6 @@ class TestMakeModel:
         c = branches(named)
         assert float(c.x_star(0.1)) == float(branches(quintic).x_star(0.1))
         assert abs(named.drift(float(c.x_star(0.1)), 0.1)) < 1e-12
-        grid = time_grid(-0.2, 1e-4, 1000)
-        assert "bracket_ok" not in zeta_pitchfork(named, 0.001, -0.2,
-                                                  grid).params
         cubic = model_from_dict({"kind": "pitchfork", "name": "renamed",
                                  "coeffs": [[0], [0, 1], [0], [-1]]})
         assert float(branches(cubic).x_star(0.3)) == math.sqrt(0.3)

@@ -12,7 +12,7 @@ from slowsde import (ConfigError, NonFiniteResult, RegimeViolation,
                      ResourceLimit, branches, compare_bound, envelope,
                      estimate_prob, exits, model_from_coeffs, montecarlo,
                      run_ensemble, sde, standard_pitchfork, zeta_post_exit)
-from slowsde.deterministic import DetPath, post_exit_family
+from slowsde.deterministic import DetPath
 from slowsde.envelope import BoundEvaluation
 from slowsde.montecarlo import EnsembleConfig, serialize_json
 from slowsde.sde import n_steps_for, time_grid
@@ -66,9 +66,12 @@ class TestCompareBound:
         assert c.verdict == "violated"
         assert c.to_dict()["note"] == "exceeds leading-order bound"
 
-    def test_plain_float_bound(self):
-        c = compare_bound((0.0, 0.0, 0.01), 0.5)
+    def test_leading_order_flag_is_carried(self):
+        bound = BoundEvaluation("test", {}, 0.5, 0.0, 0.5, False,
+                                leading_order=False)
+        c = compare_bound((0.0, 0.0, 0.01), bound)
         assert c.verdict == "consistent"
+        assert not c.leading_order
 
 
 class TestConfigValidation:
@@ -272,8 +275,9 @@ class TestNonFinitePaths:
     def test_exceedance_counts_over_all_given_sups(self):
         cfg = dataclasses.make_dataclass("Cfg", [("h_list", tuple)])(
             (0.1, 0.5))
+        bound = BoundEvaluation("test", {}, 1.0, 0.0, 1.0, True)
         rows = montecarlo._exceedance(cfg, np.array([0.7, 0.2, 0.1, 0.05]),
-                                      lambda h: 1.0)
+                                      lambda h: bound)
         assert [(r["successes"], r["n"]) for r in rows] == [(3, 4), (1, 4)]
 
     def test_nan_path_fails_the_run(self, standard, monkeypatch):
@@ -564,20 +568,18 @@ def test_post_exit_family_matches_zeta_post_exit(standard, kernels):
     the same bits through the compiled kernels and the NumPy loops."""
     eps = 0.005
     grid = time_grid(0.1, 1e-4, 3000)
-    taus = grid[[200, 205, 450, 1300]]
+    start = [200, 205, 450, 1300]
     got = []
     for kernel in kernels():
-        xhat, start = post_exit_family(standard, eps, taus, grid,
-                                       branches(standard))
-        abar = standard.drift_dx(xhat, grid)
-        sqrtz = np.sqrt(envelope.zeta_along(standard, eps, grid, xhat, abar))
-        assert list(start) == [200, 205, 450, 1300]
+        family = envelope.PostExitFamily(standard, eps, grid)
+        family.add(start)
+        xhat, zeta = family.step(slice(0, len(grid)))
+        sqrtz = np.sqrt(zeta)
         for j, k0 in enumerate(start):
             assert np.all(np.isnan(xhat[j, :k0])), kernel
             assert np.all(np.isnan(sqrtz[j, :k0])), kernel
             det = DetPath(grid[k0:], xhat[j, k0:], eps, "rk4")
-            table = zeta_post_exit(standard, eps, float(taus[j]), grid[k0:],
-                                   det=det)
+            table = zeta_post_exit(standard, eps, grid[k0:], det=det)
             assert np.array_equal(table.sqrt_zeta(), sqrtz[j, k0:]), kernel
         got.append((xhat, sqrtz))
     (xc, zc), (xn, zn) = got
@@ -589,18 +591,17 @@ def test_post_exit_family_matches_zeta_post_exit(standard, kernels):
 def test_streamed_family_equals_the_whole_grid(standard, kernels, chunk):
     """PostExitFamily stepped over slices of chunk steps, each row added in
     the first slice that holds its start node (for 700 steps, one starts
-    on the first slice's last node), gives the bits of post_exit_family
-    and zeta_along over the whole grid, through the kernels and NumPy."""
+    on the first slice's last node), gives the bits of one step over the
+    whole grid, through the kernels and NumPy."""
     eps = 0.005
     grid = time_grid(0.1, 1e-4, 2100)
     starts = np.array([1, 200, 205, 699, 700, 1400, 2099])
-    curves = branches(standard)
     got = []
     for kernel in kernels():
-        xhat, _ = post_exit_family(standard, eps, grid[starts], grid, curves)
-        zeta = envelope.zeta_along(standard, eps, grid, xhat,
-                                   standard.drift_dx(xhat, grid))
-        family = envelope.PostExitFamily(standard, eps, grid, curves)
+        whole = envelope.PostExitFamily(standard, eps, grid)
+        whole.add(starts)
+        xhat, zeta = whole.step(slice(0, len(grid)))
+        family = envelope.PostExitFamily(standard, eps, grid)
         xs, zs = np.full_like(xhat, np.nan), np.full_like(zeta, np.nan)
         for k0 in range(0, len(grid) - 1, chunk):
             nodes = slice(k0, min(k0 + chunk, len(grid) - 1) + 1)
@@ -652,32 +653,35 @@ def test_approach_sup_starts_at_the_exit_node(monkeypatch):
     assert np.allclose(sups[picked], at_start, rtol=1e-3, atol=0)
 
 
-def test_zeta_along_memory_stays_near_its_output(standard):
-    """zeta_along refines the grid in blocks of cells, so one call on 64
-    family rows x 20001 nodes peaks below 3x its output array."""
+def test_zeta_rows_memory_stays_near_its_output(standard):
+    """zeta_rows refines the grid in blocks of cells, so one call on 64
+    family rows x 20001 nodes, with its output array, peaks below 1.5x that
+    array (1.21x measured)."""
     eps = 0.01
     grid = time_grid(0.2, 4e-5, 20000)
-    taus = grid[np.linspace(0, 10000, 64).astype(int)]
-    xhat, _ = post_exit_family(standard, eps, taus, grid, branches(standard))
-    abar = standard.drift_dx(xhat, grid)
+    family = envelope.PostExitFamily(standard, eps, grid)
+    family.add(np.linspace(0, 10000, 64).astype(np.intp))
+    xhat, _ = family.step(slice(0, len(grid)))
     tracemalloc.start()
-    zeta = envelope.zeta_along(standard, eps, grid, xhat, abar)
+    zeta = np.empty_like(xhat)
+    zeta[:, 0] = 1.0
+    envelope.zeta_rows(standard, eps, grid, xhat, family.start, zeta)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 3 * zeta.nbytes
+    assert peak < 1.5 * zeta.nbytes
 
 
 def test_zeta_pitchfork_memory_stays_near_its_output(standard):
     """zeta_pitchfork scans the origin row in zeta_rows' blocks of cells,
     so on a 1.0e6-node export grid it peaks below 2.6x its zeta table: the
     table and one more grid-long array at a time (2.2x measured; 5.2x
-    through zeta_along's masks and NaN-filled copy, 28x refining a(t) over
-    the whole grid at once)."""
+    through a whole-grid scan's masks and NaN-filled copy, 28x refining
+    a(t) over the whole grid at once)."""
     eps, dt, t0 = 2.5e-4, 1e-6, -1.0
     grid = time_grid(t0, dt, n_steps_for(t0, math.sqrt(eps), dt))
     assert len(grid) > 1_000_000
     tracemalloc.start()
-    table = envelope.zeta_pitchfork(standard, eps, t0, grid)
+    table = envelope.zeta_pitchfork(standard, eps, grid)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 2.6 * table.zeta_values.nbytes
