@@ -15,8 +15,8 @@ from .errors import (ConfigError, DegenerateWindow, EpsTooLarge, GridMismatch,
                      SandwichViolation, SlowSdeError, StepTooLarge,
                      ValidationFailure)
 from .model import (BranchCurves, ModelSpec, PolyDrift, ValidationReport,
-                    alpha, branches, make_model, model_from_coeffs,
-                    model_from_dict, model_from_json, standard_pitchfork)
+                    alpha, branches, model_from_coeffs, model_from_dict,
+                    model_from_json, standard_pitchfork)
 from .deterministic import (DetPath, adiabatic_solution, bifurcation_delay,
                             det_after_exit, solve_det)
 from .envelope import (BoundEvaluation, EnvelopeTable, SpaceTimeRegion,

@@ -191,13 +191,12 @@ def cmd_validate(model_path) -> int:
         return 1
     rep = model.validation
     print(f"model {model.name!r} ({model.kind}) accepted")
-    if rep is not None:
-        print(f"  symmetry residual   {rep.symmetry_residual:.3g}")
-        print(f"  df/dx(0,0)          {rep.fx_origin:.3g}")
-        print(f"  d2f/dtdx(0,0)       {rep.fxt_origin:.6g}")
-        print(f"  d3f/dx3(0,0)        {rep.fxxx_origin:.6g}")
-        print(f"  a_plus / a_minus    {rep.a_plus:.6g} / {rep.a_minus:.6g}")
-        print(f"  |f_xxx|/6 bound     {rep.big_m:.3g}")
+    print(f"  symmetry residual   {rep.symmetry_residual:.3g}")
+    print(f"  df/dx(0,0)          {rep.fx_origin:.3g}")
+    print(f"  d2f/dtdx(0,0)       {rep.fxt_origin:.6g}")
+    print(f"  d3f/dx3(0,0)        {rep.fxxx_origin:.6g}")
+    print(f"  a_plus / a_minus    {rep.a_plus:.6g} / {rep.a_minus:.6g}")
+    print(f"  |f_xxx|/6 bound     {rep.big_m:.3g}")
     if model.kind == "pitchfork":
         lam = model.lambda_param
         print(f"  lambda={lam:g} in (1/3, 1/2): "

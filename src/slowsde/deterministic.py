@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import _compiled
 from ._brentq import brentq
@@ -69,7 +70,7 @@ def _rk4_rows(model: ModelSpec, eps: float, t: np.ndarray, h, out: np.ndarray,
     length h[j] (or h) and fills column j + 1.  Row i holds its start value
     until step start[i].  A row that would leave |x| <= d freezes at its
     last in-domain value, and the loop stops once every row is frozen.
-    Returns per row the step that left, or n.  A polynomial's coefficients
+    Returns per row the step that left, or n.  The drift's coefficients
     are tabulated once at the stage times t, t + h/2 and t + h, as the
     drift computes them; the compiled rk4_poly then runs full Horner on
     them for every row and step, and without it the loop below runs the
@@ -77,24 +78,19 @@ def _rk4_rows(model: ModelSpec, eps: float, t: np.ndarray, h, out: np.ndarray,
     """
     n = len(t)
     h = np.broadcast_to(h, n)
-    stage_t = (t, t + 0.5 * h, t + h)
     inv = 1.0 / eps
     poly = model.poly
-    if poly is not None:
-        tabs = [poly.coeff_table(s) for s in stage_t]
-        rk4 = _compiled.LIBRARY.get("rk4_poly")
-        if rk4 is not None:
-            starts = np.zeros(len(out), dtype=np.intp) if start is None \
-                else np.ascontiguousarray(start, dtype=np.intp)
-            return rk4(out, np.ascontiguousarray(h, dtype=float), tabs, inv,
-                       starts, d)
-        tabs = [tab.tolist() for tab in tabs]
+    tabs = [poly.coeff_table(s) for s in (t, t + 0.5 * h, t + h)]
+    rk4 = _compiled.LIBRARY.get("rk4_poly")
+    if rk4 is not None:
+        starts = np.zeros(len(out), dtype=np.intp) if start is None \
+            else np.ascontiguousarray(start, dtype=np.intp)
+        return rk4(out, np.ascontiguousarray(h, dtype=float), tabs, inv,
+                   starts, d)
+    tabs = [tab.tolist() for tab in tabs]
 
-        def rhs(j):
-            return lambda x, s: poly.horner(tabs[s][j], x) * inv
-    else:
-        def rhs(j):
-            return lambda x, s: model.drift(x, stage_t[s][j]) * inv
+    def rhs(j):
+        return lambda x, s: poly.horner(tabs[s][j], x) * inv
 
     # a single row steps as a NumPy scalar: the same double arithmetic at a
     # fraction of the cost of a one-element array
@@ -127,10 +123,9 @@ def solve_det(model: ModelSpec, eps: float, t0: float, x0: float,
     """Fixed-step solution of eps dx/dt = f(x, t) from (x0, t0).
 
     method="rk4" records per-step local-error estimates from step doubling,
-    computed for all nodes at once, so a drift callable must accept arrays
-    of x and t; method="euler" reuses the SDE kernel with zero noise and
-    therefore matches simulate(..., sigma=0) bit for bit.  Leaving the domain
-    truncates the path (recorded, not raised).
+    computed for all nodes at once; method="euler" reuses the SDE kernel
+    with zero noise and therefore matches simulate(..., sigma=0) bit for
+    bit.  Leaving the domain truncates the path (recorded, not raised).
     """
     _check_dt(dt, eps)
     if not model.in_domain(x0, t0):
@@ -182,6 +177,7 @@ def adiabatic_solution(model: ModelSpec, eps: float, t_grid) -> DetPath:
         raise NotHyperbolic("adiabatic_solution needs a nonbifurcating model")
     if model.equilibrium is None:
         raise NotHyperbolic("model carries no equilibrium branch")
+    eq = model.equilibrium
     tg = np.asarray(t_grid, dtype=float)
     a_vals = np.array([float(model.a(t)) for t in tg])
     a0_min = 1e-2
@@ -207,13 +203,13 @@ def adiabatic_solution(model: ModelSpec, eps: float, t_grid) -> DetPath:
             a += hk
         ends.append(len(t))
     xs = np.empty((1, len(t) + 1))
-    xs[0, 0] = float(model.equilibrium(nodes[0]))
+    xs[0, 0] = float(P.polyval(nodes[0], eq))
     _rk4_rows(model, eps, np.array(t), np.array(h), xs)
     xs = xs[0, ends]
     if backward:
         xs = xs[::-1]
 
-    star = np.array([float(model.equilibrium(t)) for t in tg])
+    star = np.array([float(P.polyval(t, eq)) for t in tg])
     dev = float(np.max(np.abs(xs - star)))
     return DetPath(tg, xs, eps, "rk4-adiabatic", None, None,
                    meta={"deviation_sup": dev, "deviation_over_eps": dev / eps})

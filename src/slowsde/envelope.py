@@ -27,7 +27,7 @@ from .deterministic import DetPath, PostExitRows, post_exit_path
 from .errors import (DegenerateWindow, EpsTooLarge, GridMismatch,
                      HExceedsSigma, NonFiniteResult, NotStable, OutsideRegime,
                      RegimeViolation, RhoTooSmall)
-from .model import ModelSpec, PolyDrift, alpha, alpha_on_panels, branches
+from .model import ModelSpec, alpha, branches, gauss_legendre
 from .sde import n_steps_for, time_grid
 
 __all__ = [
@@ -157,13 +157,11 @@ def _rates(model: ModelSpec, eps: float, t: np.ndarray, x: np.ndarray,
     """The substep rates m of the zeta recurrence along the rows x
     (rows, n+1) on the nodes t, step-major (n * SUBSTEPS, rows): df/dx at
     the cubic Hermite values of each row on the refined grid, NaN on the
-    first skip[i] cells of row i.  The compiled zeta_rate computes them for
-    a polynomial drift when it loads, else NumPy below, with the same
-    bits."""
+    first skip[i] cells of row i.  The compiled zeta_rate computes them
+    when it loads, else NumPy below, with the same bits."""
     h = np.diff(t)
     dx = model.drift_dx
-    rate = _compiled.LIBRARY.get("zeta_rate") \
-        if model.poly is not None and isinstance(dx, PolyDrift) else None
+    rate = _compiled.LIBRARY.get("zeta_rate")
     if rate is not None:
         if not _compiled.contiguous_rows(x, writeable=False):
             x = np.ascontiguousarray(x, dtype=np.float64)
@@ -194,17 +192,15 @@ def zeta_rows(model: ModelSpec, eps: float, t: np.ndarray, x: np.ndarray,
     The nodes are taken in blocks of cells so that a block stays small
     however many rows there are: about 2^16 refined values (512 kB),
     counting each row's rates and each coefficient column that _rates
-    tabulates for a polynomial drift; some eight arrays of the rows' size
+    tabulates; some eight arrays of the rows' size
     are live at once.  One row of the standard drift, beside its seven
     coefficient columns, takes blocks of 2048 cells.  With blocks of 2^17
     values, glibc gave their memory back after each chunk of the approach
     tag and paged it in again: 35k minor faults a run against 5k."""
     n = len(t) - 1
-    dx = model.drift_dx
-    # the columns of the coefficient tables _rates makes for a polynomial
-    # drift: the drift's at the nodes and df/dx's at the refined nodes
-    cols = model.poly.coeffs.shape[0] + dx.coeffs.shape[0] \
-        if model.poly is not None and isinstance(dx, PolyDrift) else 0
+    # the columns of the coefficient tables _rates makes: the drift's at
+    # the nodes and df/dx's at the refined nodes
+    cols = model.poly.coeffs.shape[0] + model.drift_dx.coeffs.shape[0]
     cells = max(1, (1 << 16) // (SUBSTEPS * max(1, len(x) + cols)))
     for lo in range(0, n, cells):
         hi = min(lo + cells, n)
@@ -360,12 +356,10 @@ def zeta_pitchfork(model: ModelSpec, eps: float, t_grid) -> EnvelopeTable:
     zeta is the scan along the origin row x = 0 from the grid's first node
     t0, started from 1/(2|a(t0)|): the Hermite values of that row are
     exactly 0, so its rate df/dx(0, t) is a(t), which a pitchfork's
-    ModelSpec.a is by definition.  (A make_model pitchfork given an `a` that
-    is not f_x(0, t) is still driven by f_x(0, t); its a gives the start
-    value and abar_values.)  Valid for t0 <= -2 sqrt(eps) and a grid ending
-    at or before sqrt(eps).  The regime ranges zeta |t| before -sqrt(eps)
-    and zeta sqrt(eps) after it are recorded (zeta ~ 1/|t| before, ~
-    1/sqrt(eps) across).
+    ModelSpec.a is by definition.  Valid for t0 <= -2 sqrt(eps) and a grid
+    ending at or before sqrt(eps).  The regime ranges zeta |t| before
+    -sqrt(eps) and zeta sqrt(eps) after it are recorded (zeta ~ 1/|t|
+    before, ~ 1/sqrt(eps) across).
     """
     sq = math.sqrt(eps)
     tg = np.asarray(t_grid, dtype=float)
@@ -442,8 +436,8 @@ def variance(model: ModelSpec, eps: float, sigma: float, t: float,
     if t < s:
         raise ValueError("need s <= t")
     n_panels = max(1, int(math.ceil((t - s) / (eps / 10.0))))
-    _, wts, al = alpha_on_panels(model, s, t, n_panels)
-    expo = 2.0 * al / eps
+    nodes, wts = gauss_legendre(s, t, n_panels)
+    expo = 2.0 * alpha(model, t, nodes) / eps
     m = float(np.max(expo))
     integral = math.exp(m) * float(np.sum(wts * np.exp(expo - m)))
     return sigma * sigma / eps * integral

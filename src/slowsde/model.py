@@ -11,15 +11,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._brentq import brentq
-from .errors import (ConfigError, NonFiniteResult, RootNotBracketed,
-                     SlowSdeError, ValidationFailure)
+from .errors import ConfigError, RootNotBracketed, ValidationFailure
 
 __all__ = [
     "PolyDrift",
@@ -27,13 +26,11 @@ __all__ = [
     "ModelSpec",
     "BranchCurves",
     "standard_pitchfork",
-    "make_model",
     "model_from_coeffs",
     "model_from_dict",
     "model_from_json",
     "branches",
     "alpha",
-    "alpha_on_panels",
     "gauss_legendre",
     "read_object",
 ]
@@ -45,13 +42,6 @@ ROOT_TOL = 1e-13
 STANDARD_COEFFS = ((0.0,), (0.0, 1.0), (0.0,), (-1.0,))
 MODEL_KINDS = ("pitchfork", "stable-branch", "unstable-branch")
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)  # 5 nodes on [-1, 1]
-# antiderivatives of the Lagrange basis polynomials of the nodes, and
-# _GL_TAIL[i, j] = int_{_GL_X[i]}^1 of the j-th: the integral from node i to
-# the panel's end of a's degree-4 interpolant is _GL_TAIL[i] @ a(nodes)
-_GL_BASIS = [P.polyint(c) for c in np.linalg.inv(P.polyvander(_GL_X, 4)).T]
-_GL_TAIL = np.array([[P.polyval(1.0, b) - P.polyval(x, b) for b in _GL_BASIS]
-                     for x in _GL_X])
-ALPHA_EPSABS, ALPHA_EPSREL = 1e-14, 1e-10  # alpha's quadrature tolerances
 
 
 def _finite(v) -> bool:
@@ -190,48 +180,111 @@ class ValidationReport:
     a_plus: float
     a_minus: float
     big_m: float
-    drift_dx_numeric: bool
-    messages: tuple = ()
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A drift family with its geometry and structural constants.
+    """A polynomial drift family with its geometry and structural constants.
 
-    The domain is the rectangle |x| <= d, t_min <= t <= t_max.  `a` is the
-    linearization along the reference branch (the origin for pitchfork
-    models, the equilibrium curve otherwise).  `lambda_param` positions the
-    inner escape-region boundary and must lie strictly in (1/3, 1/2);
+    The drift is poly; the domain is the rectangle |x| <= d, t_min <= t <=
+    t_max.  `equilibrium`, the reference branch of a nonbifurcating model,
+    is a coefficient list in t from low order; pitchfork models, and a
+    model without one, linearize at the origin.  `lambda_param` positions
+    the inner escape-region boundary and must lie strictly in (1/3, 1/2);
     `eta` deflates the leading-order repulsion rate, kappa_eff =
     (1 - lambda) * (1 - eta), as a safety margin for dropped corrections.
+
+    The rest is derived from these at construction: drift_dx, poly's
+    x-derivative; `a`, the linearization a(t) = f_x(eq(t), t) along the
+    reference branch, a polynomial in t; alpha_closed, a's antiderivative
+    (coefficients in t from low order); a_plus and a_minus, the extremes
+    of a(t)/t (pitchfork) or |a(t)| on (0, t_max]; and validation.
+    Pitchfork models are checked for oddness and the supercritical
+    derivative conditions; a violation raises ValidationFailure.
     """
 
     kind: str
-    drift: Callable
-    drift_dx: Callable
-    a: Callable
-    d: float
+    poly: PolyDrift
     t_min: float
     t_max: float
+    d: float = 1.0
     lambda_param: float = 0.4
     eta: float = 0.1
-    a_plus: float = 1.0
-    a_minus: float = 1.0
-    alpha_closed: Optional[tuple] = None  # a's antiderivative in t
-    equilibrium: Optional[Callable] = None
-    poly: Optional[PolyDrift] = None
-    validation: Optional[ValidationReport] = None
+    equilibrium: Optional[tuple] = None
     name: str = "custom"
+    drift_dx: PolyDrift = field(init=False, repr=False, compare=False)
+    a: Callable = field(init=False, repr=False, compare=False)
+    alpha_closed: tuple = field(init=False, repr=False, compare=False)
+    a_plus: float = field(init=False, repr=False, compare=False)
+    a_minus: float = field(init=False, repr=False, compare=False)
+    validation: ValidationReport = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValidationFailure(f"unknown model kind {self.kind!r}")
-        if self.kind == "pitchfork" and not (1 / 3 < self.lambda_param < 1 / 2):
+        kind, poly, d, t_max = self.kind, self.poly, self.d, self.t_max
+        if kind not in MODEL_KINDS:
+            raise ValidationFailure(f"unknown model kind {kind!r}")
+        if kind == "pitchfork" and not poly.is_odd_in_x():
             raise ValidationFailure(
-                f"lambda_param={self.lambda_param} outside the open window (1/3, 1/2)"
-            )
+                "pitchfork coefficient matrix must use odd x powers only")
+        if not d > 0:
+            raise ValidationFailure(f"d={d:g} leaves no domain; need d > 0")
+        if not self.t_min < t_max:
+            raise ValidationFailure(
+                f"time range [{self.t_min:g}, {t_max:g}] is empty or reversed")
+
+        sym = fx0 = fxt0 = fxxx0 = big_m = 0.0
+        if kind == "pitchfork":
+            sym, fx0, fxt0, fxxx0, big_m = _validate_pitchfork(poly, d, t_max)
+            # each check is written to fail on NaN
+            if not sym <= SYMMETRY_TOL:
+                raise ValidationFailure(
+                    f"symmetry residual {sym:.3g} exceeds {SYMMETRY_TOL:g}; "
+                    "drift is not odd in x")
+            if not abs(fx0) <= DERIVATIVE_TOL:
+                raise ValidationFailure(f"df/dx(0,0) = {fx0:.3g}, expected 0")
+            if not abs(fxt0 - 1.0) <= DERIVATIVE_TOL:
+                raise ValidationFailure(
+                    f"d2f/dtdx(0,0) = {fxt0:.3g}, expected 1")
+            if not abs(fxxx0 + 6.0) <= DERIVATIVE_TOL:
+                raise ValidationFailure(
+                    f"d3f/dx3(0,0) = {fxxx0:.3g}, expected -6 (supercritical)")
+            if not math.isfinite(big_m):
+                raise ValidationFailure(
+                    f"|f_xxx|/6 bound estimate {big_m:.3g} is not finite")
+
+        drift_dx = poly.dx()
+        # a(t) = f_x(eq(t), t) is a polynomial in t: keep its antiderivative
+        origin = kind == "pitchfork" or self.equilibrium is None
+        eq = np.zeros(1) if origin else np.asarray(self.equilibrium,
+                                                    dtype=float)
+        rate = np.zeros(1)
+        for i, row in enumerate(drift_dx.coeffs):
+            rate = P.polyadd(rate, P.polymul(row, P.polypow(eq, i)))
+        if origin:  # Horner in t, as PolyDrift tabulates its rows
+            a = functools.partial(PolyDrift([rate]), 0.0)
+        else:
+            def a(t):
+                return drift_dx(P.polyval(t, eq), t)
+        a_plus, a_minus = _slope_bounds(a, kind, t_max)
+
+        if kind == "pitchfork" and not 1 / 3 < self.lambda_param < 1 / 2:
+            raise ValidationFailure(
+                f"lambda_param={self.lambda_param} outside the open window "
+                "(1/3, 1/2)")
         if not 0 <= self.eta < 1:
             raise ValidationFailure("eta must lie in [0, 1)")
+        derived = {"drift_dx": drift_dx, "a": a,
+                   "alpha_closed": tuple(P.polyint(rate).tolist()),
+                   "a_plus": a_plus, "a_minus": a_minus,
+                   "validation": ValidationReport(sym, fx0, fxt0, fxxx0,
+                                                  a_plus, a_minus, big_m)}
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
+
+    @property
+    def drift(self) -> PolyDrift:
+        return self.poly
 
     def in_domain(self, x: float, t: float) -> bool:
         return abs(x) <= self.d and self.t_min <= t <= self.t_max
@@ -242,17 +295,8 @@ class ModelSpec:
         if self.kind == "pitchfork":
             out["lambda"] = self.lambda_param
             out["eta"] = self.eta
-        if self.poly is not None:
-            out["coeffs"] = self.poly.coeffs.tolist()
+        out["coeffs"] = self.poly.coeffs.tolist()
         return out
-
-
-def _numeric_dx(drift: Callable) -> Callable:
-    def fx(x, t):
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        return (drift(x + h, t) - drift(x - h, t)) / (2.0 * h)
-
-    return fx
 
 
 def _richardson(d_of_h: Callable[[float], float], h: float) -> float:
@@ -276,7 +320,7 @@ def _van_der_corput(n: int, base: int) -> np.ndarray:
     return seq
 
 
-def _validate_pitchfork(drift, drift_dx, d, T, n_points=1000) -> tuple:
+def _validate_pitchfork(drift, d, T, n_points=1000) -> tuple:
     # the unscrambled 2-d Halton points in bases 2 and 3
     xs = (2.0 * _van_der_corput(n_points, 2) - 1.0) * d
     ts = (2.0 * _van_der_corput(n_points, 3) - 1.0) * T
@@ -317,121 +361,34 @@ def _slope_bounds(a: Callable, kind: str, t_max: float) -> tuple:
     return float(np.max(mag)), float(np.min(mag))
 
 
-def make_model(drift: Callable, config: dict) -> ModelSpec:
-    """Build a validated ModelSpec from a drift callable and a config dict.
-
-    config keys: kind (required); lambda, eta, d, T or t_range; optional
-    drift_dx, a, equilibrium callables, alpha_closed (a's antiderivative,
-    coefficients in t from low order), name.  The domain needs d > 0 and
-    t_min < t_max (so T > 0).  Pitchfork models are checked for oddness and
-    the supercritical derivative conditions; violations raise
-    ValidationFailure.
+def model_from_coeffs(coeffs, config: dict) -> ModelSpec:
+    """Model from a polynomial coefficient matrix c[i][j] * x^i * t^j and
+    the other keys of its model document, checked by model_from_dict's
+    table (_COEFFS_KEYS): kind (required); lambda, eta, d (default 1),
+    t_range or T (default 1: [-T, T] for a pitchfork, [0, T] otherwise),
+    equilibrium (a coefficient list in t from low order) and name.
     """
+    read_object(config, {k: v for k, v in _COEFFS_KEYS.items()
+                         if k != "coeffs"}, "model", required=("kind",))
+    if "T" in config and "t_range" in config:
+        raise ConfigError("model: give T or t_range, not both")
     kind = config["kind"]
-    d = float(config.get("d", 1.0))
     if "t_range" in config:
         t_min, t_max = (float(v) for v in config["t_range"])
     else:
         t_hi = float(config.get("T", 1.0))
         t_min, t_max = (-t_hi, t_hi) if kind == "pitchfork" else (0.0, t_hi)
-    if not d > 0:
-        raise ValidationFailure(f"d={d:g} leaves no domain; need d > 0")
-    if not t_min < t_max:
-        raise ValidationFailure(
-            f"time range [{t_min:g}, {t_max:g}] is empty or reversed")
-
-    drift_dx = config.get("drift_dx")
-    dx_numeric = drift_dx is None
-    if drift_dx is None:
-        drift_dx = _numeric_dx(drift)
-
-    messages = []
-    sym = fx0 = fxt0 = fxxx0 = 0.0
-    big_m = 0.0
-    if kind == "pitchfork":
-        sym, fx0, fxt0, fxxx0, big_m = _validate_pitchfork(drift, drift_dx, d, t_max)
-        # each check is written to fail on NaN
-        if not sym <= SYMMETRY_TOL:
-            raise ValidationFailure(
-                f"symmetry residual {sym:.3g} exceeds {SYMMETRY_TOL:g}; "
-                "drift is not odd in x")
-        if not abs(fx0) <= DERIVATIVE_TOL:
-            raise ValidationFailure(f"df/dx(0,0) = {fx0:.3g}, expected 0")
-        if not abs(fxt0 - 1.0) <= DERIVATIVE_TOL:
-            raise ValidationFailure(f"d2f/dtdx(0,0) = {fxt0:.3g}, expected 1")
-        if not abs(fxxx0 + 6.0) <= DERIVATIVE_TOL:
-            raise ValidationFailure(
-                f"d3f/dx3(0,0) = {fxxx0:.3g}, expected -6 (supercritical)")
-        if not math.isfinite(big_m):
-            raise ValidationFailure(
-                f"|f_xxx|/6 bound estimate {big_m:.3g} is not finite")
-
-    a = config.get("a")
-    equilibrium = config.get("equilibrium")
-    if a is None:
-        if kind == "pitchfork":
-            a = lambda t: drift_dx(0.0, t)  # noqa: E731
-        elif equilibrium is not None:
-            a = lambda t: drift_dx(equilibrium(t), t)  # noqa: E731
-        else:
-            raise ValidationFailure(
-                f"kind {kind!r} needs either an `a` callable or an "
-                "`equilibrium` branch in the config")
-    a_plus, a_minus = _slope_bounds(a, kind, t_max)
-    if dx_numeric:
-        messages.append("drift_dx from central differences (step 1e-6*max(1,|x|))")
-
-    report = ValidationReport(
-        symmetry_residual=sym, fx_origin=fx0, fxt_origin=fxt0,
-        fxxx_origin=fxxx0, a_plus=a_plus, a_minus=a_minus, big_m=big_m,
-        drift_dx_numeric=dx_numeric, messages=tuple(messages))
-
+    eq = config.get("equilibrium")
     return ModelSpec(
-        kind=kind, drift=drift, drift_dx=drift_dx, a=a, d=d,
-        t_min=t_min, t_max=t_max,
+        kind, PolyDrift(coeffs), t_min, t_max,
+        d=float(config.get("d", ModelSpec.d)),
         lambda_param=float(config.get("lambda", ModelSpec.lambda_param)),
         eta=float(config.get("eta", ModelSpec.eta)),
-        a_plus=a_plus, a_minus=a_minus,
-        alpha_closed=config.get("alpha_closed"),
-        equilibrium=equilibrium,
-        poly=config.get("poly"),
-        validation=report,
-        name=config.get("name", ModelSpec.name),
-    )
+        equilibrium=None if eq is None else tuple(eq),
+        name=config.get("name", ModelSpec.name))
 
 
-def model_from_coeffs(coeffs, config: dict) -> ModelSpec:
-    """Model from a polynomial coefficient matrix c[i][j] * x^i * t^j.
-
-    config is make_model's, but `equilibrium` may also be a coefficient
-    list in t from low order.  Unless config gives `a`, the rate is
-    a(t) = f_x(eq(t), t), with eq = 0 for pitchfork models and for a model
-    with no equilibrium; for a polynomial eq alpha has a closed form.
-    """
-    poly = PolyDrift(coeffs)
-    kind = config["kind"]
-    if kind == "pitchfork" and not poly.is_odd_in_x():
-        raise ValidationFailure("pitchfork coefficient matrix must use odd x powers only")
-    cfg = dict(config, poly=poly, drift_dx=poly.dx())
-    eq = cfg.get("equilibrium")
-    if isinstance(eq, (list, tuple)):
-        eq = np.asarray(eq, dtype=float)
-        cfg["equilibrium"] = functools.partial(P.polyval, c=eq)
-    # pitchfork models, and models with no equilibrium, linearize at x = 0
-    origin = kind == "pitchfork" or eq is None
-    if "a" not in config and (origin or not callable(eq)):
-        # a(t) = f_x(eq(t), t) is a polynomial in t: keep its antiderivative
-        eq = np.zeros(1) if origin else eq
-        rate = np.zeros(1)
-        for i, row in enumerate(cfg["drift_dx"].coeffs):
-            rate = P.polyadd(rate, P.polymul(row, P.polypow(eq, i)))
-        cfg["alpha_closed"] = tuple(P.polyint(rate).tolist())
-        if origin:  # Horner in t, as PolyDrift tabulates its rows
-            cfg["a"] = functools.partial(PolyDrift([rate]), 0.0)
-    return make_model(poly, cfg)
-
-
-# the parameters of a model document, as make_model reads them
+# the parameters of a model document
 _PARAMS = {"lambda": "a number", "eta": "a number", "d": "a number > 0",
            "T": "a number > 0"}
 # the builtin document: only what standard_pitchfork honours
@@ -444,18 +401,18 @@ _COEFFS_KEYS = {"coeffs": "a list of lists of numbers", "kind": MODEL_KINDS,
 def standard_pitchfork(lambda_param: Optional[float] = None,
                        d: Optional[float] = None, T: Optional[float] = None,
                        eta: Optional[float] = None) -> ModelSpec:
-    """The reference cubic model f(x, t) = t*x - x**3.
+    """The reference cubic model f(x, t) = t*x - x**3 on [-T, T].
 
-    A parameter left None takes make_model's default.  Closed forms, all
-    derived from the coefficients: a(t) = t, alpha(t, s) = (t^2 - s^2)/2,
-    branches x_star = sqrt(t), x_bar = sqrt(t/3).
+    A parameter left None takes its default, as in a model document.
+    Closed forms, all derived from the coefficients: a(t) = t,
+    alpha(t, s) = (t^2 - s^2)/2, branches x_star = sqrt(t), x_bar =
+    sqrt(t/3).
     """
-    params = {"lambda": lambda_param, "d": d, "T": T, "eta": eta}
-    return model_from_coeffs(
-        STANDARD_COEFFS,
-        {"kind": "pitchfork", "name": "standard",
-         **{k: v for k, v in params.items() if v is not None}},
-    )
+    t_hi = 1.0 if T is None else float(T)
+    params = {"d": d, "lambda_param": lambda_param, "eta": eta}
+    return ModelSpec("pitchfork", PolyDrift(STANDARD_COEFFS), -t_hi, t_hi,
+                     name="standard", **{k: float(v) for k, v in params.items()
+                                         if v is not None})
 
 
 def model_from_dict(doc: dict) -> ModelSpec:
@@ -474,8 +431,6 @@ def model_from_dict(doc: dict) -> ModelSpec:
     if isinstance(doc, dict) and "coeffs" not in doc:
         raise ConfigError("model document needs 'builtin' or 'coeffs'")
     read_object(doc, _COEFFS_KEYS, "model", required=("kind",))
-    if "T" in doc and "t_range" in doc:
-        raise ConfigError("model: give T or t_range, not both")
     return model_from_coeffs(doc["coeffs"],
                              {k: v for k, v in doc.items() if k != "coeffs"})
 
@@ -551,8 +506,8 @@ def _root_x_star(model: ModelSpec, t: float, x_bar: float) -> float:
 def _standard_drift(model: ModelSpec) -> bool:
     """Whether the drift is the polynomial t x - x^3, whatever the model's
     name; its branches have closed forms."""
-    return model.poly is not None and np.array_equal(
-        model.poly.coeffs, PolyDrift(STANDARD_COEFFS).coeffs)
+    return np.array_equal(model.poly.coeffs,
+                          PolyDrift(STANDARD_COEFFS).coeffs)
 
 
 def branches(model: ModelSpec, t_grid=None) -> BranchCurves:
@@ -624,59 +579,9 @@ def gauss_legendre(s: float, t: float, n_panels: int) -> tuple:
     return nodes, wts
 
 
-def alpha_on_panels(model: ModelSpec, s: float, t: float,
-                    n_panels: int) -> tuple:
-    """(nodes, weights, alpha(model, t, nodes)) for the nodes and weights of
-    gauss_legendre(s, t, n_panels), s < t.
-
-    A model carrying `alpha_closed` evaluates it.  Any other integrates `a`
-    once, cumulatively, from its values at the nodes alone: each later
-    panel by the rule, and the rest of a node's own panel by integrating
-    a's degree-4 interpolant through that panel's nodes.
-    """
-    nodes, wts = gauss_legendre(s, t, n_panels)
-    if model.alpha_closed is not None:
-        return nodes, wts, alpha(model, t, nodes)
-    vals = np.array([model.a(u) for u in nodes.tolist()], dtype=float)
-    if not np.isfinite(vals).all():
-        raise NonFiniteResult(f"a(t) is not finite on [{s:g}, {t:g}]")
-    vals = vals.reshape(n_panels, len(_GL_X))
-    half = 0.5 * np.diff(np.linspace(s, t, n_panels + 1))
-    # int_u^t a = (rest of u's panel) + (every later panel)
-    later = np.append(np.cumsum((half * (vals @ _GL_W))[:0:-1])[::-1], 0.0)
-    rest = half[:, None] * (vals @ _GL_TAIL.T)
-    return nodes, wts, (rest + later[:, None]).ravel()
-
-
-def _integrate_rate(a: Callable, s: float, t: float) -> float:
-    """int_s^t a(u) du by gauss_legendre on 1, 2, 4, ..., 4096 panels until
-    two estimates agree, with a called on one node at a time."""
-    if t == s:
-        return 0.0
-    prev = math.nan
-    for k in range(13):
-        nodes, wts = gauss_legendre(s, t, 1 << k)
-        val = float(np.sum(wts * np.array([a(u) for u in nodes.tolist()],
-                                          dtype=float)))
-        if not math.isfinite(val):
-            raise NonFiniteResult(f"a(t) is not finite on [{s:g}, {t:g}]")
-        if abs(val - prev) <= max(ALPHA_EPSABS, ALPHA_EPSREL * abs(val)):
-            return val
-        prev = val
-    raise SlowSdeError(f"the integral of a(t) over [{s:g}, {t:g}] did not "
-                       "converge on 4096 panels")
-
-
 def alpha(model: ModelSpec, t, s):
-    """Accumulated linearization integral of a(u) from s to t.
-
-    t and s broadcast; scalars give a float.  A model carrying
-    `alpha_closed` evaluates that antiderivative; any other integrates `a`
-    for each (t, s) by _integrate_rate, to ALPHA_EPSABS or ALPHA_EPSREL.
-    """
-    if model.alpha_closed is not None:
-        val = P.polyval(t, model.alpha_closed) - P.polyval(s, model.alpha_closed)
-    else:
-        val = np.vectorize(functools.partial(_integrate_rate, model.a),
-                           otypes=[float])(s, t)
+    """Accumulated linearization integral of a(u) from s to t, by the
+    model's antiderivative alpha_closed.  t and s broadcast; scalars give a
+    float."""
+    val = P.polyval(t, model.alpha_closed) - P.polyval(s, model.alpha_closed)
     return float(val) if np.ndim(val) == 0 else val

@@ -4,15 +4,14 @@ exponential Euler for linear comparisons.
 Both integrators step a whole batch of paths at once, in rows of one
 path-major (paths, nodes) array: the state in column 0, and in the other
 columns the increments, each replaced by the node its step leads to.
-em_batch steps a polynomial drift by Euler-Maruyama through em_poly, a
+em_batch steps the polynomial drift by Euler-Maruyama through em_poly, a
 kernel of the compiled library _em.c, built and loaded at its first use
 (see _compiled): path by path, it runs full Horner over the drift's
 coefficient table, one row per step, and freezes the paths that leave
-|x| <= d in the same call.  Any other drift, and a polynomial one when no
-C compiler works, steps the same rows column by column in one NumPy loop,
-running PolyDrift.horner, and is frozen by _freeze: the reference the
-kernel equals bit for bit.  linear_batch steps its rows through
-precomputed exponential multipliers.
+|x| <= d in the same call.  When no C compiler works, it steps the same
+rows column by column in one NumPy loop, running PolyDrift.horner, and
+freezes them by _freeze: the reference the kernel equals bit for bit.
+linear_batch steps its rows through precomputed exponential multipliers.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ __all__ = [
 
 
 def backend() -> str:
-    """The kernel that steps polynomial drifts in this process: "c" for the
+    """The kernel that steps the drift in this process: "c" for the
     compiled one, "numpy" when it cannot be built or loaded.  Reports keep
     the literal "python", so their bytes never depend on it."""
     return "numpy" if _compiled.LIBRARY.get("em_poly") is None else "c"
@@ -103,10 +102,7 @@ def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
     in, and they are kept.  Both kernels step the same array.
 
     In the NumPy loop every row is stepped as if live and fixed up once per
-    chunk by _freeze, so a drift callable is also evaluated at states
-    beyond d, and at the held value of a frozen path, in nodes that are
-    then overwritten: it must accept any float there, and what it returns
-    there (non-finite values included) never reaches the paths.
+    chunk by _freeze, with the same result.
     """
     _check_dt(dt, eps)
     if out is not None and not _compiled.tail_columns(increments, out):
@@ -120,7 +116,7 @@ def em_batch(model: ModelSpec, eps: float, sigma: float, t0: float,
     out[:, 0] = x0
     t_nodes = t0 + dt * np.arange(k0, k0 + n)  # time_grid(t0, dt, .)[k0:]
     cns = sigma / math.sqrt(eps)
-    step = None if model.poly is None else _compiled.LIBRARY.get("em_poly")
+    step = _compiled.LIBRARY.get("em_poly")
     if step is not None:
         step(out, model.poly.coeff_table(t_nodes), dt / eps, cns, model.d,
              trunc, t0, dt, k0)
@@ -166,29 +162,21 @@ def _em_steps(out, model, t_nodes, cdt):
     the rows of out (paths, nodes), whose column 0 is the state at grid
     node k0 and whose other columns hold the scaled increments.
 
-    t_nodes[j] is the time of step k0 + j.  A polynomial drift is
-    tabulated, one row of coefficients per step, and PolyDrift.horner runs
-    full Horner on each row, as the compiled em_poly does.  Any other drift
-    is one model.drift(x, t) call per step.
+    t_nodes[j] is the time of step k0 + j.  The drift is tabulated, one
+    row of coefficients per step, and PolyDrift.horner runs full Horner on
+    each row, as the compiled em_poly does.
     """
-    poly = model.poly
-    if poly is not None:
-        def drift(x, ct):
-            return poly.horner(ct, x)
-
-        rows = poly.coeff_table(t_nodes).tolist()
-    else:
-        drift, rows = model.drift, t_nodes
+    horner = model.poly.horner
     mul, add = np.multiply, np.add
     cdt = np.array(cdt)
     f = np.empty(out.shape[0])
     # x: the state at a node, kept contiguous, since a column of out is
     # strided; y: the step's scaled increment, then its result; c: the
-    # step's time, or its row of coefficients
+    # step's row of coefficients
     x = out[:, 0].copy()
-    for j, c in enumerate(rows):
+    for j, c in enumerate(model.poly.coeff_table(t_nodes).tolist()):
         y = out[:, j + 1]
-        fx = drift(x, c)
+        fx = horner(c, x)
         mul(fx, cdt, f)
         add(x, f, f)
         add(f, y, x)

@@ -1,9 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from slowsde import _compiled, make_model, model_from_coeffs, standard_pitchfork
+from slowsde import _compiled, model_from_coeffs, standard_pitchfork
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +14,7 @@ def linear_stable():
     # f = -x with equilibrium 0
     return model_from_coeffs(
         [[0.0], [-1.0]],
-        {"kind": "stable-branch", "equilibrium": lambda t: 0.0, "d": 2.0,
+        {"kind": "stable-branch", "equilibrium": [0.0], "d": 2.0,
          "t_range": [0.0, 1.0], "name": "linear-stable"})
 
 
@@ -25,7 +23,7 @@ def linear_unstable():
     # f = +x with equilibrium 0
     return model_from_coeffs(
         [[0.0], [1.0]],
-        {"kind": "unstable-branch", "equilibrium": lambda t: 0.0, "d": 2.0,
+        {"kind": "unstable-branch", "equilibrium": [0.0], "d": 2.0,
          "t_range": [0.0, 1.0], "name": "linear-unstable"})
 
 
@@ -35,20 +33,6 @@ def quintic():
     return model_from_coeffs(
         [[0.0], [0.0, 1.0], [0.0], [-1.0], [0.0], [1.0]],
         {"kind": "pitchfork", "d": 0.7, "T": 0.2, "name": "quintic"})
-
-
-@pytest.fixture(scope="session")
-def nan_patch():
-    # t x - x^3, but NaN on 0.02 < |x| < 0.05 once t > 0.3.  make_model
-    # rejects a drift that is NaN where it samples, so the patch goes onto
-    # a validated model: it stands for a fault the validation misses
-    def drift(x, t):
-        patch = (np.asarray(t) > 0.3) & (np.abs(x) > 0.02) & (np.abs(x) < 0.05)
-        return np.where(patch, np.nan, t * x - x ** 3)
-
-    valid = make_model(lambda x, t: t * x - x ** 3,
-                       {"kind": "pitchfork", "d": 1.5})
-    return dataclasses.replace(valid, drift=drift)
 
 
 @pytest.fixture()

@@ -53,7 +53,7 @@ def em_variance(rate, eps, sigma, dt, n_steps):
 def linear_model(rate, t_max=1.0, d=2.0, name="linear"):
     kind = "stable-branch" if rate < 0 else "unstable-branch"
     return model_from_coeffs([[0.0], [rate]],
-                             {"kind": kind, "equilibrium": lambda t: 0.0,
+                             {"kind": kind, "equilibrium": [0.0],
                               "d": d, "t_range": [0.0, t_max], "name": name})
 
 
@@ -279,7 +279,7 @@ def test_criterion_10_deterministic_layer():
 
         moving = model_from_coeffs(
             [[0.0, 1.0], [-1.0]],
-            {"kind": "stable-branch", "d": 3.0, "equilibrium": lambda t: t,
+            {"kind": "stable-branch", "d": 3.0, "equilibrium": [0.0, 1.0],
              "t_range": [0.0, 1.0], "name": "moving"})
         ratios = []
         for eps in (0.02, 0.01, 0.005):

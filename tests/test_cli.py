@@ -98,7 +98,7 @@ class TestRun:
                                        "root_not_converged", "envelope_table",
                                        "nan_zeta"])
     def test_run_failure_status(self, tmp_path, out, capsys, monkeypatch,
-                                nan_patch, fault):
+                                fault):
         # a package error raised inside the run is status 1, not a traceback
         doc = json.loads(json.dumps(SMALL_DELAY))
         if fault == "nan_path":
@@ -113,8 +113,16 @@ class TestRun:
             doc["experiment"] = {"tag": "branch"}
             expected = "non-finite final state"
         elif fault == "nan_drift":
-            # paths turn NaN in the drift; escape reads only exit times
-            monkeypatch.setattr(cli, "model_from_dict", lambda doc: nan_patch)
+            # a path turns NaN mid-chunk, before region D's window opens;
+            # escape reads only exit times, which stay NaN on it
+            stepper = montecarlo.em_batch
+
+            def nan_tail(*args):
+                X, trunc = stepper(*args)
+                X[3, X.shape[1] // 2:] = np.nan
+                return X, trunc
+
+            monkeypatch.setattr(montecarlo, "em_batch", nan_tail)
             doc["dynamics"].update(sigma=1e-3, dt=1e-3)
             doc["ensemble"] = {"n_paths": 50, "master_seed": 3}
             doc["experiment"] = {"tag": "escape", "t_probe_list": [0.5]}
@@ -412,8 +420,9 @@ _ZETA_STABLE = {"zeta_stable.csv": "e1c6c3ba1e4f13c1"}
 CSV_PINNED = {
     "run-stable": {**_ZETA_STABLE, "exceedance.csv": "191f08d70c47f2d9",
                    "paths_summary.csv": "9a7ae8f9b162f6b7"},
+    # survival.csv: see PINNED["unstable"] of test_montecarlo.py
     "run-unstable": {"paths_summary.csv": "4d14f96d8bbbf2b8",
-                     "survival.csv": "f83c977e6fd4136d"},
+                     "survival.csv": "4437e7cfcb93c672"},
     "run-before": {**_ENVELOPE_01, "exceedance.csv": "d408c2c267dc8a48",
                    "paths_summary.csv": "8f9ee7359c929f8a"},
     "run-escape": {**_ENVELOPE_01, "paths_summary.csv": "d6d0724ba68f9881",
@@ -552,10 +561,8 @@ def test_run_path_loads_no_scipy(tmp_path):
     ResourceWarning an error, so a file the CLI leaves unclosed shows on
     stderr.
 
-    Roots are solved by slowsde._brentq.  The rate integral alpha has a
-    closed form for every coefficient model (linear_stable.json included)
-    and takes NumPy Gauss-Legendre panels for the pinned stable and
-    unstable models, whose equilibrium is a callable.
+    Roots are solved by slowsde._brentq, and the rate integral alpha has
+    a closed form for every model.
     """
     small_approach = write(tmp_path, "approach.json", {
         "model": {"builtin": "standard"},

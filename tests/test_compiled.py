@@ -409,10 +409,11 @@ def g17_values(n):
     binary exponents from 2^-22 to 2^58, across the switches of %.17g
     between fixed and exponent form at 1e-5 and 1e17; exact ties of the
     17th digit, m/4 near 1e15 and m 2^-s; then every edge: +-0, subnormals,
-    the normal boundary, +-max, the largest double below 1e17 (the last
-    one %.17g writes in fixed form) and each power of ten from 1e-8 to
-    1e18 with five neighbours either side.  A carry of the digits into the
-    exponent is test_fmt_g17_carries_into_the_exponent's case."""
+    the normal boundary, +-max and the double below it, the largest double
+    below 1e17 (the last one %.17g writes in fixed form) and each power of
+    ten from 1e-8 to 1e18 with five neighbours either side.  A carry of the
+    digits into the exponent is test_fmt_g17_carries_into_the_exponent's
+    case."""
     rng = np.random.default_rng(20)
     values = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
     mantissa = rng.integers(0, 2 ** 52, n, dtype=np.uint64)
@@ -423,8 +424,8 @@ def g17_values(n):
         rng.integers(2 ** 52, 2 ** 53, n // 2)
         * 2.0 ** -rng.integers(1, 70, n // 2)])
     edges = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
-             1e-310, np.finfo(float).max, np.nextafter(1e17, 0.0),
-             9.999999999999999e-7]
+             1e-310, np.finfo(float).max,
+             np.nextafter(np.finfo(float).max, 0.0), np.nextafter(1e17, 0.0)]
     for k in range(-8, 19):
         v = up = down = 10.0 ** k
         edges.append(v)

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,10 +15,9 @@ from slowsde import (DegenerateWindow, EpsTooLarge, HExceedsSigma,
                      RegimeViolation, RhoTooSmall, alpha, bound_approach,
                      bound_before, bound_escape, bound_stable, bound_unstable,
                      branches, default_strip_width, delay_interval, envelope,
-                     make_model, model_from_coeffs, no_exit_linear_bound,
-                     region_D, region_S, return_to_zero_bound, solve_det,
-                     variance, zeta_pitchfork, zeta_post_exit, zeta_stable)
-from slowsde.model import alpha_on_panels, gauss_legendre
+                     model_from_coeffs, no_exit_linear_bound, region_D,
+                     region_S, return_to_zero_bound, solve_det, variance,
+                     zeta_pitchfork, zeta_post_exit, zeta_stable)
 from slowsde.envelope import (KAPPA_UNSTABLE, STANDARD_POST_EXIT_BRACKETS,
                               STANDARD_ZETA_BRACKETS, EnvelopeTable,
                               calibrate_post_exit_brackets,
@@ -55,7 +53,7 @@ class TestZetaStable:
         # abar(t) = -(1+t): zeta(1) = 1/4 + O(eps), oracle via stiff solver
         m = model_from_coeffs([[0.0], [-1.0, -1.0]],
                               {"kind": "stable-branch", "d": 3.0,
-                               "equilibrium": lambda t: 0.0,
+                               "equilibrium": [0.0],
                                "t_range": [0.0, 1.0], "name": "drift-rate"})
         eps = 0.01
         xdet = solve_det(m, eps, 0.0, 0.0, 1.0, eps / 50.0)
@@ -71,7 +69,7 @@ class TestZetaStable:
     def test_bracket_invariant(self):
         m = model_from_coeffs([[0.0], [-1.0, -1.0]],
                               {"kind": "stable-branch", "d": 3.0,
-                               "equilibrium": lambda t: 0.0,
+                               "equilibrium": [0.0],
                                "t_range": [0.0, 1.0], "name": "drift-rate"})
         eps = 0.01
         xdet = solve_det(m, eps, 0.0, 0.0, 1.0, eps / 50.0)
@@ -190,13 +188,12 @@ class TestEnvelopeTable:
             assert np.array_equal(one[:, 0].view(np.uint64),
                                   col.view(np.uint64))
 
-    @pytest.mark.parametrize("name", ["standard", "quintic", "callable"])
+    @pytest.mark.parametrize("name", ["standard", "quintic"])
     def test_zeta_pitchfork_is_the_scan_of_a(self, request, kernels, name):
         """Along the origin row the Hermite values are 0 and df/dx(0, t) is
         a(t), so zeta_pitchfork gives the recurrence driven by a(t) on the
-        refined grid bit for bit, for a coefficient model and a callable."""
-        model = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"}) \
-            if name == "callable" else request.getfixturevalue(name)
+        refined grid bit for bit, for the cubic and the quintic."""
+        model = request.getfixturevalue(name)
         eps, t0 = 0.005, -0.15
         tg = time_grid(t0, 1e-4, n_steps_for(t0, math.sqrt(eps), 1e-4))
         h = np.diff(tg)
@@ -229,7 +226,7 @@ class TestEnvelopeTable:
         stacked rows give each row's zeta alone."""
         model = model_from_coeffs(
             [[0.0], [-1.0, -1.0]],
-            {"kind": "stable-branch", "equilibrium": lambda t: 0.0, "d": 2.0,
+            {"kind": "stable-branch", "equilibrium": [0.0], "d": 2.0,
              "t_range": [0.0, 1.0]})
         eps, grid = 0.01, time_grid(0.0, 2e-4, 1000)
         rows = np.vstack([0.3 * np.exp(-grid), -0.1 * np.exp(-2 * grid)])
@@ -246,7 +243,7 @@ class TestEnvelopeTable:
         stacked as alone."""
         model = model_from_coeffs(
             [[0.0], [-1.0, -1.0]],
-            {"kind": "stable-branch", "equilibrium": lambda t: 0.0, "d": 2.0,
+            {"kind": "stable-branch", "equilibrium": [0.0], "d": 2.0,
              "t_range": [0.0, 1.0]})
         eps, grid = 0.01, time_grid(0.0, 2e-4, 1000)
         rows = np.vstack([0.3 * np.exp(-grid), -0.1 * np.exp(-2 * grid)])
@@ -268,7 +265,7 @@ class TestEnvelopeTable:
         if name == "linear":
             model = model_from_coeffs(
                 [[0.0], [-1.0, -1.0]],
-                {"kind": "stable-branch", "equilibrium": lambda t: 0.0,
+                {"kind": "stable-branch", "equilibrium": [0.0],
                  "d": 2.0, "t_range": [0.0, 1.0]})
         else:
             model = request.getfixturevalue(name)
@@ -379,11 +376,13 @@ class TestZetaPostExit:
         fresh = calibrate_post_exit_brackets()
         assert lo <= fresh[0] and fresh[1] <= hi
 
-    def test_callable_drift_stays_on_the_callers_grid(self, standard):
-        # t x - x^3 as a callable, d = T = 1: x_star reaches d at t = 1, so
-        # its root search fails for any node past T, and the centreline must
-        # run on the grid given, not on one re-derived from its first step
-        model = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"})
+    def test_searched_roots_stay_on_the_callers_grid(self, standard):
+        # t x - x^3 with a zero x^5 row, which takes the root search, and
+        # d = T = 1: x_star reaches d at t = 1, so its root search fails for
+        # any node past T, and the centreline must run on the grid given,
+        # not on one re-derived from its first step
+        model = model_from_coeffs([[0], [0, 1], [0], [-1], [0], [0]],
+                                  {"kind": "pitchfork"})
         eps = 0.01
         tg = grid_to(0.2, 1.0, eps / 50.0)
         tab = zeta_post_exit(model, eps, tg)
@@ -403,34 +402,6 @@ class TestVariance:
         v = variance(linear_stable, 0.01, sigma, 0.9, 0.0)
         assert v == pytest.approx(sigma ** 2 / 2.0, rel=1e-10)
 
-    def test_without_closed_form_integrates_once(self, linear_stable):
-        """Without alpha_closed, variance integrates a once over its nodes:
-        it agrees with per-node alpha and takes under a tenth of its time."""
-        eps, sigma, s, t = 0.01, 1e-3, 0.0, 0.9
-        assert linear_stable.alpha_closed is None
-        start = time.perf_counter()
-        v = variance(linear_stable, eps, sigma, t, s)
-        once = time.perf_counter() - start
-        start = time.perf_counter()
-        nodes, wts = gauss_legendre(s, t, 900)  # variance's panels
-        per_node = sigma ** 2 / eps * float(np.sum(
-            wts * np.exp(2.0 * alpha(linear_stable, t, nodes) / eps)))
-        assert time.perf_counter() - start > 10 * once
-        assert v == pytest.approx(per_node, rel=1e-10)
-
-    @pytest.mark.parametrize("s,t,n_panels", [(0.0, 0.9, 900),
-                                              (0.1, 0.35, 125),
-                                              (0.2, 0.2005, 1)])
-    def test_alpha_on_panels_is_per_node_alpha(self, s, t, n_panels):
-        # a time-varying rate given as a callable
-        m = make_model(lambda x, t: -(1.0 + np.sin(3.0 * t)) * x,
-                       {"kind": "stable-branch", "d": 2.0,
-                        "t_range": [0.0, 1.0],
-                        "a": lambda t: -1.0 - math.sin(3.0 * t)})
-        nodes, wts, al = alpha_on_panels(m, s, t, n_panels)
-        assert np.array_equal((nodes, wts), gauss_legendre(s, t, n_panels))
-        np.testing.assert_allclose(al, alpha(m, t, nodes), rtol=1e-10)
-
     def test_growth_sandwich(self, standard):
         # increasing positive rate on [0.1, 0.3]
         eps, sigma = 0.01, 1e-3
@@ -448,7 +419,7 @@ class TestVariance:
             c1 = rng.uniform(0.1, 2.0)
             m = model_from_coeffs([[0.0], [c0, c1]],
                                   {"kind": "unstable-branch", "d": 5.0,
-                                   "equilibrium": lambda t: 0.0,
+                                   "equilibrium": [0.0],
                                    "t_range": [0.0, 1.0], "name": "r"})
             eps, sigma = 0.02, 1e-2
             s, t = 0.05, 0.35

@@ -142,8 +142,8 @@ def test_em_batch_is_full_horner(kernels, c, x0, k_zero, sigma, scale,
     eps, t0 = 16 * dt, -dt * k_zero
     dw = np.random.default_rng(seed).standard_normal((len(x0), K)) * scale
     poly = PolyDrift(c)
-    model = ModelSpec(kind="stable-branch", drift=poly, drift_dx=poly.dx(),
-                      a=lambda t: -1.0, d=D, t_min=-8.0, t_max=8.0, poly=poly)
+    model = ModelSpec(kind="stable-branch", poly=poly, d=D, t_min=-8.0,
+                      t_max=8.0)
     with np.errstate(all="ignore"):
         X, trunc = em_reference(poly, D, eps, sigma, t0, x0, dt, dw)
     for kernel in kernels():
@@ -170,8 +170,8 @@ def test_rk4_rows_kernels_agree(kernels, c, x0, seed, h, d):
     bit for bit, from every edge state, with per-row start steps and
     steps through t = 0 exactly."""
     poly = PolyDrift(c)
-    model = ModelSpec(kind="stable-branch", drift=poly, drift_dx=poly.dx(),
-                      a=lambda t: -1.0, d=D, t_min=-8.0, t_max=8.0, poly=poly)
+    model = ModelSpec(kind="stable-branch", poly=poly, d=D, t_min=-8.0,
+                      t_max=8.0)
     n = 300
     t = h * np.arange(-150, n - 150)
     start = np.random.default_rng(seed).integers(0, n, len(x0))

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from slowsde import (NonFiniteResult, PolyDrift, RootNotBracketed,
-                     SlowSdeError, ValidationFailure, alpha, branches,
-                     make_model, model_from_coeffs, model_from_dict,
-                     standard_pitchfork)
+from slowsde import (ConfigError, PolyDrift, RootNotBracketed,
+                     ValidationFailure, alpha, branches, model_from_coeffs,
+                     model_from_dict, standard_pitchfork)
+from slowsde.model import gauss_legendre
 from slowsde.envelope import _kappa_eff
+
+
+# t x - x^3 as a coefficient matrix
+STANDARD = [[0.0], [0.0, 1.0], [0.0], [-1.0]]
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -99,35 +103,36 @@ class TestMakeModel:
             branches(m, np.linspace(0.05, 0.2, 4))
 
     def test_non_odd_rejected(self):
-        with pytest.raises(ValidationFailure, match="symmetry"):
-            make_model(lambda x, t: t * x - x ** 3 + 0.1,
-                       {"kind": "pitchfork"})
+        # t x - x^3 + 0.1
+        with pytest.raises(ValidationFailure, match="odd x powers only"):
+            model_from_coeffs([[0.1], [0.0, 1.0], [0.0], [-1.0]],
+                              {"kind": "pitchfork"})
 
     def test_subcritical_rejected(self):
+        # t x + x^3
         with pytest.raises(ValidationFailure, match="supercritical"):
-            make_model(lambda x, t: t * x + x ** 3, {"kind": "pitchfork"})
+            model_from_coeffs([[0.0], [0.0, 1.0], [0.0], [1.0]],
+                              {"kind": "pitchfork"})
 
     def test_nan_drift_rejected(self):
-        # NaN beyond |x| = 0.9, inside the domain |x| <= 1
-        def drift(x, t):
-            return np.where(np.abs(x) <= 0.9, t * x - x ** 3, np.nan)
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            model_from_coeffs([[0.0], [0.0, 1.0], [0.0], [math.nan]],
+                              {"kind": "pitchfork"})
 
-        with pytest.raises(ValidationFailure, match="symmetry residual nan"):
-            make_model(drift, {"kind": "pitchfork", "d": 1.0})
-
-    def test_infinite_outside_domain_accepted(self):
-        # the |f_xxx| stencil stays inside |x| <= d, where f is finite
-        def drift(x, t):
-            return np.where(np.abs(x) <= 1.0, t * x - x ** 3, np.inf)
-
-        m = make_model(drift, {"kind": "pitchfork", "d": 1.0})
-        assert m.validation.big_m == pytest.approx(1.0, rel=1e-6)
+    @pytest.mark.parametrize("key, value", [
+        ("a", lambda t: t), ("drift_dx", PolyDrift([[0.0, 1.0]])),
+        ("poly", PolyDrift(STANDARD)), ("equilibrium", lambda t: 0.0)],
+        ids=["a", "drift_dx", "poly", "callable-equilibrium"])
+    def test_only_document_keys(self, key, value):
+        # the rate, the derivative and the drift follow from the
+        # coefficients, and the equilibrium is a coefficient list
+        with pytest.raises(ConfigError, match=f"model.*{key}"):
+            model_from_coeffs(STANDARD, {"kind": "pitchfork", key: value})
 
     @pytest.mark.parametrize("build", [
         lambda: standard_pitchfork(d=-1.0), lambda: standard_pitchfork(T=-0.2),
-        lambda: make_model(lambda x, t: -x, {"kind": "stable-branch",
-                                             "a": lambda t: -1.0,
-                                             "t_range": [0.5, 0.5]})],
+        lambda: model_from_coeffs([[0.0], [-1.0]], {"kind": "stable-branch",
+                                                    "t_range": [0.5, 0.5]})],
         ids=["negative-d", "negative-T", "empty-t_range"])
     def test_empty_domain_rejected(self, build):
         with pytest.raises(ValidationFailure, match="d > 0|empty or reversed"):
@@ -152,8 +157,10 @@ class TestMakeModel:
         assert float(branches(cubic).x_star(0.3)) == math.sqrt(0.3)
 
     def test_root_on_the_domain_edge(self):
-        # x_star(1) = d = 1, where f(d, 1) = 0
-        m = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"})
+        # x_star(1) = d = 1, where f(d, 1) = 0, found by the root search
+        # through a zero x^5 row
+        m = model_from_coeffs([[0], [0, 1], [0], [-1], [0], [0]],
+                              {"kind": "pitchfork"})
         assert branches(m).x_star(1.0) == 1.0
 
     def test_closed_forms_stop_at_the_domain_edge(self):
@@ -176,57 +183,21 @@ class TestMakeModel:
         with pytest.raises(RootNotBracketed):
             branches(closed).x_tilde(np.array([0.1, 0.3]))
 
-    def test_callable_drift_accepted(self):
-        m = make_model(lambda x, t: t * x - x ** 3, {"kind": "pitchfork"})
-        assert m.validation.symmetry_residual < 1e-12
-        assert abs(m.validation.fxt_origin - 1.0) < 1e-6
-        assert abs(m.validation.fxxx_origin + 6.0) < 1e-6
-        assert m.validation.drift_dx_numeric
-
-
-def rate_model(a):
-    """A stable-branch model whose rate is the callable a, so that alpha
-    takes the quadrature path."""
-    return make_model(lambda x, t: -x, {"kind": "stable-branch", "a": a,
-                                        "t_range": [-2.0, 2.0]})
-
 
 class TestAlpha:
     def test_quadrature_vs_antiderivative(self):
         # a(t) = t + t^2 via a pitchfork drift (t + t^2) x - x^3
         m = model_from_coeffs([[0.0], [0.0, 1.0, 1.0], [0.0], [-1.0]],
                               {"kind": "pitchfork", "T": 0.6, "name": "tt2"})
-        # model carries the closed form; compare against quadrature directly
+        # model carries the closed form; compare against a Gauss-Legendre
+        # sum, exact for this quadratic rate up to rounding
         assert m.alpha_closed is not None
         closed = alpha(m, 0.5, -0.5)
         exact = (0.5 ** 2 / 2 + 0.5 ** 3 / 3) - ((-0.5) ** 2 / 2 + (-0.5) ** 3 / 3)
         assert closed == pytest.approx(exact, abs=1e-15)
-        from scipy.integrate import quad
-        quad_val, _ = quad(m.a, -0.5, 0.5, epsabs=1e-14, epsrel=1e-10)
+        nodes, wts = gauss_legendre(-0.5, 0.5, 4)
+        quad_val = float(np.sum(wts * np.array([m.a(u) for u in nodes])))
         assert closed == pytest.approx(quad_val, abs=1e-10)
-
-    @pytest.mark.parametrize("a", [
-        lambda t: t + 0.3 * t * t + math.sin(t) ** 3,
-        math.sinh,
-        lambda t: math.exp(-t) * math.cos(3.0 * t) - 0.2],
-        ids=["poly-sin3", "sinh", "damped-cosine"])
-    def test_quadrature_path_vs_quad(self, a, rng):
-        from scipy.integrate import quad
-        m = rate_model(a)
-        assert m.alpha_closed is None
-        for s, t in rng.uniform(-2.0, 2.0, (40, 2)):
-            ref, _ = quad(a, s, t, epsabs=1e-14, epsrel=1e-10, limit=200)
-            assert alpha(m, t, s) == pytest.approx(ref, rel=1e-10, abs=1e-14)
-
-    @pytest.mark.parametrize("a, error, match", [
-        (lambda t: math.nan if t > 0.5 else 1.0, NonFiniteResult,
-         "not finite"),
-        (lambda t: abs(t - 1.0 / 3.0), SlowSdeError, "did not converge")],
-        ids=["nan", "kink"])
-    def test_quadrature_failure_raises(self, a, error, match):
-        # a kink inside a panel converges too slowly for 1e-10 relative
-        with pytest.raises(error, match=match):
-            alpha(rate_model(a), 1.0, 0.0)
 
     def test_closed_form_with_polynomial_equilibrium(self, rng):
         from scipy.integrate import quad
@@ -240,8 +211,13 @@ class TestAlpha:
             assert alpha(m, t, s) == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_arrays_equal_scalar_calls(self, standard, rng):
-        quadrature = rate_model(lambda t: math.cosh(t) - 0.5)
-        for m in (standard, quadrature):
+        # a rate from a polynomial equilibrium, a(t) = f_x(eq(t), t)
+        moving = model_from_dict({"kind": "stable-branch", "d": 2.0,
+                                  "t_range": [-1.0, 1.0],
+                                  "coeffs": [[0.0], [-1.0, 0.5], [0.0],
+                                             [-1.0]],
+                                  "equilibrium": [0.1, 0.2]})
+        for m in (standard, moving):
             t = rng.uniform(-1.0, 1.0, 50)
             s = rng.uniform(-1.0, 1.0)
             got = alpha(m, t, s)

@@ -293,10 +293,19 @@ class TestNonFinitePaths:
         with pytest.raises(NonFiniteResult):
             run_ensemble(cfg)
 
-    def test_nan_drift_fails_escape(self, nan_patch):
+    def test_nan_drift_fails_escape(self, standard, monkeypatch):
         # escape reads only exit times, which stay NaN ("never exited") on
-        # a NaN path; the run must fail rather than count it as a survivor
-        cfg = delay_config(nan_patch, sigma=1e-3, dt=1e-3, n_paths=50,
+        # a NaN path; the run must fail rather than count it as a survivor.
+        # The path turns NaN mid-chunk, before region D's window opens
+        stepper = montecarlo.em_batch
+
+        def nan_tail(*args):
+            X, trunc = stepper(*args)
+            X[3, X.shape[1] // 2:] = np.nan
+            return X, trunc
+
+        monkeypatch.setattr(montecarlo, "em_batch", nan_tail)
+        cfg = delay_config(standard, sigma=1e-3, dt=1e-3, n_paths=50,
                            master_seed=3, tag="escape")
         with pytest.raises(NonFiniteResult, match="non-finite final state"):
             run_ensemble(cfg)
@@ -366,7 +375,7 @@ class TestEscapeTag:
 def _linear_model(rate, kind):
     return model_from_coeffs(
         [[0.0], [rate]],
-        {"kind": kind, "equilibrium": lambda t: 0.0, "d": 2.0,
+        {"kind": kind, "equilibrium": [0.0], "d": 2.0,
          "t_range": [0.0, 1.0], "name": f"linear-{kind}"})
 
 
@@ -407,10 +416,11 @@ _EXIT_COLUMNS = {"tau_D": "5fdecabca7af9dcf", "exit_side": "dab291b8994155c6",
 PINNED = {
     "stable": {"results": "70c1a9af5efa1bfe",
                "sup_deviation": "dc43358576320dbd"},
-    # alpha of the callable-equilibrium model moved from QUADPACK to
-    # Gauss-Legendre panels; five bound floats moved by at most 2.4e-16
-    # relative (1 ulp)
-    "unstable": {"results": "df6afdc29301d3c0",
+    # the model's equilibrium is the coefficient list [0.0], not a
+    # callable, so alpha is its closed form, not Gauss-Legendre panels:
+    # five bound floats moved by at most 2.4e-16 relative (1 ulp), to the
+    # bytes the same model gave as a model document before
+    "unstable": {"results": "f3cd7c660f94aaf1",
                  "exit_time": "af97505c25c8d490"},
     "before": {"results": "fff836799d9068d4",
                "sup_deviation": "c50578ecb3f99fb1",

@@ -2,15 +2,14 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from slowsde import (NoiseStream, StepTooLarge, branches, make_model,
-                     model_from_coeffs, simulate, solve_det, variance)
+from slowsde import (NoiseStream, StepTooLarge, branches, model_from_coeffs,
+                     simulate, solve_det, variance)
 from slowsde.noise import fill_increments, path_generators
 from slowsde.sde import em_batch, linear_batch, n_steps_for, time_grid
 
@@ -102,7 +101,7 @@ class TestSimulate:
     def test_truncation_freezes_state(self):
         m = model_from_coeffs([[0.0], [1.0]],
                               {"kind": "unstable-branch", "d": 0.5,
-                               "equilibrium": lambda t: 0.0,
+                               "equilibrium": [0.0],
                                "t_range": [0.0, 1.0], "name": "lin-u"})
         p = simulate(m, 0.01, 0.0, 0.0, 0.115, 1.0, 2e-4)
         assert p.truncated_at is not None
@@ -178,20 +177,9 @@ class TestChunkedStepping:
         args = (model, self.eps, self.sigma, self.t0, self.x0, self.dt, dw)
         return em_per_step(*args), em_batch(*args), em_in_chunks(*args, 700)
 
-    @pytest.mark.parametrize("drift", ["polynomial", "callable",
-                                       "inf-outside"])
-    def test_matches_per_step(self, quintic, drift, kernels):
-        def quintic_fn(x, t):
-            return t * x - x ** 3 + x ** 5
-
-        model = quintic if drift == "polynomial" else make_model(
-            quintic_fn, {"kind": "pitchfork", "d": 0.7, "T": 0.2})
-        if drift == "inf-outside":
-            # non-finite in the columns em_batch steps and then overwrites
-            model = replace(model, drift=lambda x, t: np.where(
-                np.abs(x) > 0.7, np.inf, quintic_fn(x, t)))
+    def test_matches_per_step(self, quintic, kernels):
         for kernel in kernels():
-            (X, trunc), *runs = self._run(model, np.random.default_rng(1234))
+            (X, trunc), *runs = self._run(quintic, np.random.default_rng(1234))
             assert np.isfinite(trunc).any() and np.isnan(trunc).any()
             for got, got_trunc in runs:
                 assert np.array_equal(got, X), kernel
@@ -350,7 +338,7 @@ class TestSimulateLinear:
         # rate -(1+t); variance oracle from the envelope quadrature
         m = model_from_coeffs([[0.0], [-1.0, -1.0]],
                               {"kind": "stable-branch", "d": 3.0,
-                               "equilibrium": lambda t: 0.0,
+                               "equilibrium": [0.0],
                                "t_range": [0.0, 1.0], "name": "drift-rate"})
         eps, sigma, dt = 0.01, 1e-3, 2e-4
         n, steps = 10000, 1000
