@@ -7,15 +7,16 @@ standard pitchfork f = t x - x^3 in both:
   zeta         zeta_pitchfork on the envelope export grid, t0 to sqrt(eps)
   csv          EnvelopeTable.to_csv of the zeta table
   family       the post-exit centrelines and their zeta (PostExitFamily),
-               stepped to t_end = 1 in chunks of CHUNK_STEPS steps as the
-               approach tag steps them, for rows starting at every
+               stepped to t_end = 1 in the chunks that run_ensemble makes
+               for the workload's batches, for rows starting at every
                stride-th node of the tau window [0.15, 0.25], each added
                in the chunk that holds its start node; only the approach
                tag builds these, so long-horizon (tag delay) has no family
                part
 
-  long-horizon eps 2.5e-4, dt 1e-5
-  approach     eps 5e-3,   dt 1e-4, stride 4: 251 family rows
+  long-horizon eps 2.5e-4, dt 1e-5, 32 paths
+  approach     eps 5e-3,   dt 1e-4, 1000 paths in batches of 500 (chunks
+               of 1024 steps), stride 4: 251 family rows
 
 Each part runs `repeats` times with the library and with every kernel
 forced to its fallback; the median seconds of each are printed.  Exits with
@@ -37,15 +38,16 @@ import numpy as np
 
 from slowsde import _compiled, standard_pitchfork, zeta_pitchfork
 from slowsde.envelope import PostExitFamily
-from slowsde.montecarlo import CHUNK_STEPS
+from slowsde.montecarlo import _batches, _chunk_steps
 from slowsde.sde import n_steps_for, time_grid
 
-# name: (eps, dt, stride of the family's start nodes, or None for no family)
-WORKLOADS = {"long-horizon": (2.5e-4, 1e-5, None),
-             "approach": (5e-3, 1e-4, 4)}
+# name: (eps, dt, stride of the family's start nodes, or None for no
+# family, and the run's number of paths)
+WORKLOADS = {"long-horizon": (2.5e-4, 1e-5, None, 32),
+             "approach": (5e-3, 1e-4, 4, 1000)}
 
 
-def parts(eps, dt, stride, csv_path):
+def parts(eps, dt, stride, n_paths, csv_path):
     """The parts of one workload, each a callable returning what it
     computed, and the numbers of export nodes and family rows."""
     model = standard_pitchfork()
@@ -63,13 +65,14 @@ def parts(eps, dt, stride, csv_path):
     grid = time_grid(-1.0, dt, n_steps_for(-1.0, 1.0, dt))
     window = np.nonzero((grid >= 0.15 - 1e-12) & (grid <= 0.25 + 1e-12))[0]
     starts = window[::stride]
+    # the chunk length of the run's first batch, as run_ensemble makes it
+    steps = _chunk_steps(len(_batches(np.arange(n_paths), 1)[0]), model)
 
     def family():
         rows = PostExitFamily(model, eps, grid)
         digest = hashlib.sha256()
-        for k0 in range(starts[0] // CHUNK_STEPS * CHUNK_STEPS,
-                        len(grid) - 1, CHUNK_STEPS):
-            nodes = slice(k0, min(k0 + CHUNK_STEPS, len(grid) - 1) + 1)
+        for k0 in range(starts[0] // steps * steps, len(grid) - 1, steps):
+            nodes = slice(k0, min(k0 + steps, len(grid) - 1) + 1)
             added = len(rows.start)
             rows.add(starts[added:][starts[added:] < nodes.stop])
             for a in rows.step(nodes):
@@ -106,8 +109,9 @@ def main() -> int:
     print(f"{'workload':>12}  {'part':>6}  {'library':>8}  {'fallback':>8}"
           f"  {'speed-up':>8}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (eps, dt, stride) in WORKLOADS.items():
-            fns, nodes, rows = parts(eps, dt, stride, Path(tmp) / "z.csv")
+        for name, (eps, dt, stride, n_paths) in WORKLOADS.items():
+            fns, nodes, rows = parts(eps, dt, stride, n_paths,
+                                     Path(tmp) / "z.csv")
             for part, fn in fns.items():
                 t_c, got_c = timed(fn, repeats)
                 _compiled.LIBRARY = _compiled.Library(None)

@@ -3,20 +3,22 @@
 Integrates the same paths three times: with a plain per-step Euler-Maruyama
 loop over (paths, steps) rows whose drift is full Horner in x (every
 multiply and every add, zero coefficients included: 9 NumPy calls per step
-for the standard cubic), and with em_batch streamed through time chunks of
-montecarlo.CHUNK_STEPS steps, the way run_ensemble steps a batch (each
-chunk's noise drawn into one workspace per batch and stepped there in
+for the standard cubic), and with em_batch streamed through time chunks
+the way run_ensemble steps a batch (chunks as long as it makes them for a
+batch of that width, 1024 steps for a wide batch and 6553 for 32 paths;
+each chunk's noise drawn into one workspace per batch and stepped there in
 place), once through its NumPy loop and once through the compiled C
 kernel.  Each chunk is then scanned as the delay tag scans it:
 first_exit_batch against region D and delay_times_batch against the delay
-strip, again through NumPy and through the compiled first_outside.  The grid ends at t = 0.5, so the
-paths pass the bifurcation at t = 0 and leave the strip when n_steps is a
-few thousand.  It does so for n_paths paths and for 32, a narrow batch
-where per-step call overhead dominates, prints path-steps/second for the
-three steppers and path-nodes/second for the two scans, and exits with
-status 1 unless the C kernels load, both steppers' paths and freeze times
-equal the reference bit for bit, and both scans give the same times and
-sides.  Run from the root of a checkout:
+strip, again through NumPy and through the compiled first_outside.  The
+grid ends at t = 0.5, so the paths pass the bifurcation at t = 0 and leave
+the strip when n_steps is a few thousand.  It does so for n_paths paths
+and for 32, a narrow batch where per-step call overhead dominates, prints
+the chunk length, path-steps/second for the three steppers and
+path-nodes/second for the two scans, and exits with status 1 unless the C
+kernels load, both steppers' paths and freeze times equal the reference
+bit for bit, and both scans give the same times and sides.  Run from the
+root of a checkout:
 
     PYTHONPATH=src python benchmarks/bench_stepping.py [n_paths] [n_steps]
 """
@@ -30,7 +32,7 @@ import numpy as np
 from slowsde import _compiled, envelope, sde, standard_pitchfork
 from slowsde.exits import delay_times_batch, first_exit_batch
 from slowsde.model import branches
-from slowsde.montecarlo import CHUNK_STEPS
+from slowsde.montecarlo import _chunk_steps
 from slowsde.noise import fill_increments, path_generators
 from slowsde.sde import em_batch, time_grid
 
@@ -77,12 +79,13 @@ def chunked(model, t0, n_steps, ref, ref_trunc):
     region = envelope.region_D(model, EPS, t_hi=T_END)
     width = float(branches(model).x_tilde(math.sqrt(EPS)))
     gens = path_generators(SEED, range(n_paths))
-    ws = np.empty((n_paths, min(CHUNK_STEPS, n_steps) + 1))
+    steps = _chunk_steps(n_paths, model)
+    ws = np.empty((n_paths, min(steps, n_steps) + 1))
     ws[:, 0] = X0
     same, t_step, t_scan, found = True, 0.0, 0.0, []
     trunc = None
-    for k0 in range(0, n_steps, CHUNK_STEPS):
-        chunk = ws[:, :min(CHUNK_STEPS, n_steps - k0) + 1]
+    for k0 in range(0, n_steps, steps):
+        chunk = ws[:, :min(steps, n_steps - k0) + 1]
         fill_increments(chunk[:, 1:], SEED, range(n_paths), DT, gens=gens)
         start = time.perf_counter()
         X, trunc = em_batch(model, EPS, SIGMA, t0, chunk[:, 0], DT,
@@ -131,15 +134,17 @@ def main() -> int:
         print("MISSING: the C kernels did not build or load")
         return 1
     print(f"workload: {n_steps} steps to t = {T_END}, standard cubic drift, "
-          f"chunks of {CHUNK_STEPS} steps; M path-steps/s (stepping) and "
+          "in chunks of the steps shown; M path-steps/s (stepping) and "
           "M path-nodes/s (both scans of a chunk)")
-    print(f"{'paths':>6}  {'per-step reference':>18}  {'NumPy kernel':>12}  "
-          f"{'C kernel':>8}  {'NumPy scans':>11}  {'C scans':>7}")
+    print(f"{'paths':>6}  {'chunk':>5}  {'per-step reference':>18}  "
+          f"{'NumPy kernel':>12}  {'C kernel':>8}  {'NumPy scans':>11}  "
+          f"{'C scans':>7}")
     same = True
     for width in dict.fromkeys((n_paths, 32)):
         times, ok = bench(model, width, n_steps)
         rates = [width * n_steps / t / 1e6 for t in times]
-        print(f"{width:>6}  {rates[0]:>18.1f}  {rates[1]:>12.1f}  "
+        print(f"{width:>6}  {_chunk_steps(width, model):>5}  "
+              f"{rates[0]:>18.1f}  {rates[1]:>12.1f}  "
               f"{rates[2]:>8.1f}  {rates[3]:>11.1f}  {rates[4]:>7.1f}")
         same &= ok
     print("bit-identical" if same else "MISMATCH: chunked paths or scans "

@@ -188,11 +188,12 @@ class ModelSpec:
 
     The drift is poly; the domain is the rectangle |x| <= d, t_min <= t <=
     t_max.  `equilibrium`, the reference branch of a nonbifurcating model,
-    is a coefficient list in t from low order; pitchfork models, and a
-    model without one, linearize at the origin.  `lambda_param` positions
-    the inner escape-region boundary and must lie strictly in (1/3, 1/2);
-    `eta` deflates the leading-order repulsion rate, kappa_eff =
-    (1 - lambda) * (1 - eta), as a safety margin for dropped corrections.
+    is a coefficient list in t from low order; a model without one
+    linearizes at the origin, and a pitchfork model takes none.
+    `lambda_param` positions the inner escape-region boundary and must lie
+    strictly in (1/3, 1/2); `eta` deflates the leading-order repulsion
+    rate, kappa_eff = (1 - lambda) * (1 - eta), as a safety margin for
+    dropped corrections.
 
     The rest is derived from these at construction: drift_dx, poly's
     x-derivative; `a`, the linearization a(t) = f_x(eq(t), t) along the
@@ -227,6 +228,10 @@ class ModelSpec:
         if kind == "pitchfork" and not poly.is_odd_in_x():
             raise ValidationFailure(
                 "pitchfork coefficient matrix must use odd x powers only")
+        if kind == "pitchfork" and self.equilibrium is not None:
+            raise ValidationFailure(
+                "equilibrium: a pitchfork model linearizes at the origin "
+                "and takes no equilibrium")
         if not d > 0:
             raise ValidationFailure(f"d={d:g} leaves no domain; need d > 0")
         if not self.t_min < t_max:
@@ -255,7 +260,7 @@ class ModelSpec:
 
         drift_dx = poly.dx()
         # a(t) = f_x(eq(t), t) is a polynomial in t: keep its antiderivative
-        origin = kind == "pitchfork" or self.equilibrium is None
+        origin = self.equilibrium is None
         eq = np.zeros(1) if origin else np.asarray(self.equilibrium,
                                                     dtype=float)
         rate = np.zeros(1)
@@ -366,7 +371,8 @@ def model_from_coeffs(coeffs, config: dict) -> ModelSpec:
     the other keys of its model document, checked by model_from_dict's
     table (_COEFFS_KEYS): kind (required); lambda, eta, d (default 1),
     t_range or T (default 1: [-T, T] for a pitchfork, [0, T] otherwise),
-    equilibrium (a coefficient list in t from low order) and name.
+    equilibrium (a coefficient list in t from low order; not on a
+    pitchfork) and name.
     """
     read_object(config, {k: v for k, v in _COEFFS_KEYS.items()
                          if k != "coeffs"}, "model", required=("kind",))

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,11 +41,20 @@ TAG_KINDS = {"stable": "stable-branch", "unstable": "unstable-branch",
 ALL_TAGS = tuple(TAG_KINDS)
 
 MAX_TOTAL_STEPS = 2_000_000_000
-# time steps per streamed chunk: a batch holds O(batch size x CHUNK_STEPS)
-# floats however long its paths are
+# a batch streams through time chunks of _chunk_steps steps: CHUNK_STEPS,
+# or for a batch narrower than about 250 paths as many as fit CHUNK_VALUES
+# floats (2 MiB) of its workspace rows and its arrays of one value per
+# chunk node, so a narrow batch makes fewer, longer chunks; either way a
+# batch holds a bounded number of floats however long its paths are
 CHUNK_STEPS = 1024
-# paths per batch at most, whatever n_steps is; the batch's one workspace of
-# CHUNK_STEPS + 1 floats per path takes 6.9 MB at this width
+CHUNK_VALUES = 1 << 18
+# arrays of one value per chunk node beside the drift's coefficient table:
+# the chunk's times in em_batch and in the scans, and the two bounds of the
+# region a scan tests
+_NODE_ARRAYS = 4
+# paths per batch at most, whatever n_steps is; a batch this wide takes
+# chunks of CHUNK_STEPS steps, and its one workspace of CHUNK_STEPS + 1
+# floats per path takes 6.9 MB
 MAX_BATCH = 838
 
 
@@ -310,6 +318,15 @@ def _batches(paths: np.ndarray, threads: int) -> list:
     return np.array_split(paths, n) if n else []
 
 
+def _chunk_steps(paths: int, model: ModelSpec) -> int:
+    """Steps per chunk of a batch of paths: CHUNK_VALUES floats shared by
+    the batch's rows and the arrays of one value per chunk node (the
+    drift's coefficient table and _NODE_ARRAYS more), counted as
+    envelope.zeta_rows counts its blocks, and at least CHUNK_STEPS."""
+    per_node = paths + model.poly.coeffs.shape[0] + _NODE_ARRAYS
+    return max(CHUNK_STEPS, CHUNK_VALUES // per_node)
+
+
 def _resolve_x0(config: EnsembleConfig) -> float:
     if isinstance(config.x0, str):
         if config.x0 != "x_tilde":
@@ -376,32 +393,33 @@ class _Run:
         the grid by default) and return the per-path columns and the paths'
         states at that node, in path order.
 
-        Each batch streams through time chunks of CHUNK_STEPS steps in one
-        workspace of CHUNK_STEPS + 1 columns, which the noise and the
-        stepping fill in place.  columns maps each column name to its start
-        value.  For every chunk, scan(X, nodes, cols) gets the batch's paths
-        X (B, n+1), the chunk's columns of the workspace, on the grid nodes
-        of the slice nodes, whose first node closes the previous chunk, and
-        merges what it finds into the batch's _Columns cols; X is
-        overwritten by the next chunk, so a scan keeps no view of it.  A
-        path whose state turns non-finite raises NonFiniteResult at the end
-        of that chunk.
+        Each batch streams through time chunks of _chunk_steps steps in one
+        workspace of that many columns plus one, which the noise and the
+        stepping fill in place; how long the chunks are moves no bit.
+        columns maps each column name to its start value.  For every
+        chunk, scan(X, nodes, cols) gets the batch's paths X (B, n+1), the
+        chunk's columns of the workspace, on the grid nodes of the slice
+        nodes, whose first node closes the previous chunk, and merges what
+        it finds into the batch's _Columns cols; X is overwritten by the
+        next chunk, so a scan keeps no view of it.  A path whose state
+        turns non-finite raises NonFiniteResult at the end of that chunk.
         """
         cfg = self.config
         n_steps = self.n_steps if last is None else last
 
         def work(idx):
             gens = path_generators(cfg.master_seed, idx)
+            steps = _chunk_steps(len(idx), cfg.model)
             # the batch's one workspace: column 0 holds the paths' state at
             # a chunk's first node, and each row's other columns take the
             # chunk's increments, then its nodes
-            ws = np.empty((len(idx), min(CHUNK_STEPS, n_steps) + 1))
+            ws = np.empty((len(idx), min(steps, n_steps) + 1))
             ws[:, 0] = self.x0
             cols = _Columns({k: np.full(len(idx), v)
                              for k, v in columns.items()})
             trunc = None
-            for k0 in range(0, n_steps, CHUNK_STEPS):
-                chunk = ws[:, :min(CHUNK_STEPS, n_steps - k0) + 1]
+            for k0 in range(0, n_steps, steps):
+                chunk = ws[:, :min(steps, n_steps - k0) + 1]
                 fill_increments(chunk[:, 1:], cfg.master_seed, idx, cfg.dt,
                                 cfg.mirror, gens)
                 _, trunc = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0,
@@ -423,6 +441,9 @@ class _Run:
         if self.threads <= 1:
             parts = [work(span) for span in spans]
         else:
+            # here, so that a one-thread run does not import
+            # concurrent.futures and the logging it loads
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 parts = list(pool.map(work, spans))
         return ({k: np.concatenate([p[k] for p, _ in parts]) for k in columns},

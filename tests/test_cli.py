@@ -298,6 +298,8 @@ DRIFTED_MODELS = {
     "builtin-equilibrium": {"builtin": "standard", "equilibrium": [0.0]},
     "builtin-name": {"builtin": "standard", "name": "mine"},
     "coeffs-without-kind": {"coeffs": STANDARD_COEFFS},
+    "pitchfork-equilibrium": {"kind": "pitchfork", "coeffs": STANDARD_COEFFS,
+                              "equilibrium": [0.5, 3.0]},
 }
 
 
@@ -542,7 +544,8 @@ from test_montecarlo import PINNED, pinned_config
 loaded = {}
 def probe(name):
     loaded[name] = sorted(m for m in sys.modules
-                          if m.startswith(("scipy", "jsonschema"))
+                          if m.startswith(("scipy", "jsonschema",
+                                           "concurrent.futures"))
                           or m == "numpy.ma" or m.startswith("numpy.ma."))
 for name, argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, name
@@ -557,9 +560,10 @@ print(json.dumps(loaded))
 def test_run_path_loads_no_scipy(tmp_path):
     """No command imports SciPy, and no run imports jsonschema: the config
     classes check the document.  Nor does any, or a run of any pinned tag,
-    import numpy.ma, which np.quantile would load inside the timed run.  The commands run in development mode with
-    ResourceWarning an error, so a file the CLI leaves unclosed shows on
-    stderr.
+    import numpy.ma, which np.quantile would load inside the timed run, or
+    on one thread concurrent.futures, which only a run on more threads
+    needs.  The commands run in development mode with ResourceWarning an
+    error, so a file the CLI leaves unclosed shows on stderr.
 
     Roots are solved by slowsde._brentq, and the rate integral alpha has
     a closed form for every model.

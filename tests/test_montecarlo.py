@@ -449,6 +449,19 @@ def test_pinned_outputs(tag, kernels):
             PINNED[tag], kernel
 
 
+def chunk_shapes(monkeypatch) -> list:
+    """The (paths, steps) of each chunk that em_batch steps from now on."""
+    shapes = []
+    em_batch = montecarlo.em_batch
+
+    def recording(model, eps, sigma, t0, x0, dt, increments, *rest):
+        shapes.append(increments.shape)
+        return em_batch(model, eps, sigma, t0, x0, dt, increments, *rest)
+
+    monkeypatch.setattr(montecarlo, "em_batch", recording)
+    return shapes
+
+
 @pytest.mark.parametrize("tag", sorted(PINNED))
 def test_pinned_outputs_in_short_chunks(tag, monkeypatch):
     """Streaming in chunks of 700 steps, which divide no step count here,
@@ -457,8 +470,29 @@ def test_pinned_outputs_in_short_chunks(tag, monkeypatch):
     assert n_steps_for(cfg.t0, cfg.t_end, cfg.dt) % 700
     if montecarlo.TAG_KINDS[tag] == "pitchfork":
         assert round((math.sqrt(cfg.eps) - cfg.t0) / cfg.dt) % 700
-    monkeypatch.setattr(montecarlo, "CHUNK_STEPS", 700)
+    monkeypatch.setattr(montecarlo, "_chunk_steps", lambda paths, model: 700)
+    shapes = chunk_shapes(monkeypatch)
     assert pinned_hashes(run_ensemble(cfg)) == PINNED[tag]
+    assert max(n for _, n in shapes) == 700
+
+
+@pytest.mark.parametrize("tag", sorted(PINNED))
+def test_pinned_outputs_in_long_chunks(tag, monkeypatch):
+    """Batches of 20 paths stream in the long chunks of a narrow batch,
+    9362 steps each, inside one of which the region_D window opens; and
+    no bit moves."""
+    cfg = pinned_config(tag)
+    steps = montecarlo._chunk_steps(20, cfg.model)
+    if montecarlo.TAG_KINDS[tag] == "pitchfork":
+        assert steps == 9362
+        assert round((math.sqrt(cfg.eps) - cfg.t0) / cfg.dt) % steps
+    monkeypatch.setattr(montecarlo, "MAX_BATCH", 20)
+    shapes = chunk_shapes(monkeypatch)
+    assert pinned_hashes(run_ensemble(cfg)) == PINNED[tag]
+    # ten batches of 20 paths, each of ceil(taken / steps) chunks
+    taken = sum(n for _, n in shapes) // 10
+    assert shapes[0] == (20, min(steps, taken))
+    assert len(shapes) == 10 * -(-taken // steps)
 
 
 def test_before_steps_stop_at_sqrt_eps(monkeypatch):
@@ -468,16 +502,9 @@ def test_before_steps_stop_at_sqrt_eps(monkeypatch):
     grid = time_grid(cfg.t0, cfg.dt, n_steps_for(cfg.t0, cfg.t_end, cfg.dt))
     n_cols = int(np.sum(grid <= math.sqrt(cfg.eps) + 1e-12))
     assert n_cols < len(grid)
-    steps = []
-    em_batch = montecarlo.em_batch
-
-    def counting(model, eps, sigma, t0, x0, dt, increments, *rest):
-        steps.append(increments.size)
-        return em_batch(model, eps, sigma, t0, x0, dt, increments, *rest)
-
-    monkeypatch.setattr(montecarlo, "em_batch", counting)
+    shapes = chunk_shapes(monkeypatch)
     run_ensemble(cfg)
-    assert sum(steps) == cfg.n_paths * (n_cols - 1)
+    assert sum(b * n for b, n in shapes) == cfg.n_paths * (n_cols - 1)
 
 
 def test_peak_memory_flat_in_n_steps(standard):
@@ -518,21 +545,41 @@ def test_run_holds_one_workspace(standard, tag, kernels):
         assert peak < bound * workspace + 64 * 1024, (kernel, peak / workspace)
 
 
+def test_narrow_run_holds_about_chunk_values(standard, kernels):
+    """A narrow batch streams in chunks of several thousand steps, whose
+    workspace rows and arrays of one value per node take about
+    CHUNK_VALUES floats however many steps the paths take: 8 paths step
+    in chunks of 16384 steps.  Over 2e5 steps, where one path matrix
+    would take 6.1 CHUNK_VALUES floats, the compiled run peaks below 1.3
+    of them (1.13 measured); over 6e4 steps the NumPy fallbacks, whose
+    stepping loop also holds a chunk's coefficient table as Python floats
+    (some 23 floats' worth a node), peak below 3 (2.3-2.6).  Either peaks
+    within 20% of a run of 2e4 steps."""
+    budget = 8 * montecarlo.CHUNK_VALUES
+    for kernel in kernels():
+        peaks = []
+        for n_steps in (20_000, {"c": 200_000, "numpy": 60_000}[kernel]):
+            cfg = delay_config(standard, eps=0.005, dt=2.0 / n_steps,
+                               n_paths=8, t_probe_list=())
+            assert montecarlo._chunk_steps(8, cfg.model) == 16384
+            tracemalloc.start()
+            run_ensemble(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        bound = {"c": 1.3, "numpy": 3.0}[kernel]
+        assert max(peaks) < bound * budget, (kernel, max(peaks) / budget)
+        assert peaks[1] < 1.2 * peaks[0], (kernel, peaks)
+
+
 def test_approach_steps_each_path_once(monkeypatch):
     """The approach tag selects its paths and takes their sup deviations in
     one pass: em_batch is handed n_paths x n_steps path-steps."""
     cfg = pinned_config("approach")
-    steps = []
-    em_batch = montecarlo.em_batch
-
-    def counting(model, eps, sigma, t0, x0, dt, increments, *rest):
-        steps.append(increments.size)
-        return em_batch(model, eps, sigma, t0, x0, dt, increments, *rest)
-
-    monkeypatch.setattr(montecarlo, "em_batch", counting)
+    shapes = chunk_shapes(monkeypatch)
     report = run_ensemble(cfg)
     assert report.results["n_selected"] > 5
-    assert sum(steps) == cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
+    assert sum(b * n for b, n in shapes) == \
+        cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
 
 
 def test_approach_peak_memory_flat_in_n_steps():
