@@ -388,7 +388,8 @@ class _Run:
         start, stop, _ = nodes.indices(self.n_steps + 1)
         return self.config.t0 + self.config.dt * np.arange(start, stop)
 
-    def scan(self, scan, columns: dict, last: Optional[int] = None) -> tuple:
+    def scan(self, scan, columns: dict, last: Optional[int] = None,
+             done=None) -> tuple:
         """Simulate every path in batches up to grid node last (the end of
         the grid by default) and return the per-path columns and the paths'
         states at that node, in path order.
@@ -397,12 +398,21 @@ class _Run:
         workspace of that many columns plus one, which the noise and the
         stepping fill in place; how long the chunks are moves no bit.
         columns maps each column name to its start value.  For every
-        chunk, scan(X, nodes, cols) gets the batch's paths X (B, n+1), the
-        chunk's columns of the workspace, on the grid nodes of the slice
-        nodes, whose first node closes the previous chunk, and merges what
-        it finds into the batch's _Columns cols; X is overwritten by the
-        next chunk, so a scan keeps no view of it.  A path whose state
-        turns non-finite raises NonFiniteResult at the end of that chunk.
+        chunk, scan(X, nodes, cols) gets the batch's live paths X (B, n+1),
+        the chunk's columns of the workspace, on the grid nodes of the
+        slice nodes, whose first node closes the previous chunk, and merges
+        what it finds into the batch's _Columns cols, one row per live
+        path; X is overwritten by the next chunk, so a scan keeps no view
+        of it.  A path whose state turns non-finite raises NonFiniteResult
+        at the end of that chunk.
+
+        done(cols), when given, is called after each chunk's scan and marks
+        the live rows whose columns can no longer change.  Those paths
+        retire: their columns are kept as they are, and they are no longer
+        drawn, stepped or scanned, so a batch whose paths have all retired
+        stops early.  A retired path was finite when it retired, and its
+        returned state is NaN.  Paths are independent, so retiring moves
+        no bit of the other paths.
         """
         cfg = self.config
         n_steps = self.n_steps if last is None else last
@@ -410,24 +420,28 @@ class _Run:
         def work(idx):
             gens = path_generators(cfg.master_seed, idx)
             steps = _chunk_steps(len(idx), cfg.model)
-            # the batch's one workspace: column 0 holds the paths' state at
-            # a chunk's first node, and each row's other columns take the
-            # chunk's increments, then its nodes
+            # the batch's one workspace: column 0 holds the live paths'
+            # state at a chunk's first node, and each live row's other
+            # columns take the chunk's increments, then its nodes
             ws = np.empty((len(idx), min(steps, n_steps) + 1))
             ws[:, 0] = self.x0
             cols = _Columns({k: np.full(len(idx), v)
                              for k, v in columns.items()})
+            # the batch's result, and the batch positions of its live rows
+            out = {k: v.copy() for k, v in cols.items()}
+            x_end = np.full(len(idx), np.nan)
+            live = np.arange(len(idx))
             trunc = None
             for k0 in range(0, n_steps, steps):
-                chunk = ws[:, :min(steps, n_steps - k0) + 1]
-                fill_increments(chunk[:, 1:], cfg.master_seed, idx, cfg.dt,
-                                cfg.mirror, gens)
+                chunk = ws[:len(live), :min(steps, n_steps - k0) + 1]
+                fill_increments(chunk[:, 1:], cfg.master_seed, idx[live],
+                                cfg.dt, cfg.mirror, gens)
                 _, trunc = em_batch(cfg.model, cfg.eps, cfg.sigma, cfg.t0,
                                     chunk[:, 0], cfg.dt, chunk[:, 1:], k0,
                                     trunc, chunk)
                 scan(chunk, slice(k0, k0 + chunk.shape[1]), cols)
-                ws[:, 0] = chunk[:, -1]
-                bad = idx[~np.isfinite(ws[:, 0])]
+                chunk[:, 0] = chunk[:, -1]
+                bad = idx[live[~np.isfinite(chunk[:, 0])]]
                 if bad.size:
                     # only |x| > d freezes a path: a NaN state keeps
                     # stepping and stays NaN to the end
@@ -435,7 +449,26 @@ class _Run:
                     raise NonFiniteResult(
                         f"{bad.size} paths have a non-finite final state "
                         f"(path {bad[0]} is non-finite by t={t:g})")
-            return cols, ws[:, 0].copy()
+                if done is None:
+                    continue
+                gone = done(cols)
+                if not gone.any():
+                    continue
+                keep = ~gone
+                for k, v in cols.items():
+                    out[k][live[gone]] = v[gone]
+                    cols[k] = v[keep]
+                gens = (gens[keep] if isinstance(gens, np.ndarray)
+                        else [g for g, on in zip(gens, keep) if on])
+                trunc = trunc[keep]
+                live = live[keep]
+                ws[:len(live), 0] = chunk[keep, 0]
+                if not live.size:
+                    break
+            for k, v in cols.items():
+                out[k][live] = v
+            x_end[live] = ws[:len(live), 0]
+            return out, x_end
 
         spans = _batches(np.arange(cfg.n_paths), self.threads)
         if self.threads <= 1:
@@ -542,11 +575,13 @@ def _run_unstable(run: _Run) -> tuple:
     abar = np.asarray(cfg.model.drift_dx(xhat.x_values, grid), dtype=float)
     h = cfg.h_list[0] if cfg.h_list else cfg.sigma / 2.0
     widths = h / np.sqrt(2.0 * abar)
+    # a path retires in the chunk of its exit, the one value it reports,
+    # so every row a chunk scans is still inside
     exit_times = run.scan(lambda X, nodes, cols: cols.first(
         "exit_time", delay_times_batch(X - xhat.x_values[nodes], grid[nodes],
-                                       widths[nodes],
-                                       cols.recorded("exit_time"))),
-        {"exit_time": np.nan})[0]["exit_time"]
+                                       widths[nodes])),
+        {"exit_time": np.nan},
+        done=lambda cols: cols.recorded("exit_time"))[0]["exit_time"]
     series = _survival(cfg, exit_times, lambda t: env.bound_unstable(
         cfg.model, t, cfg.eps, cfg.sigma, h, t_start=cfg.t0))
     return ({"survival": series, "h": h,
@@ -681,7 +716,9 @@ def _run_approach(run: _Run) -> tuple:
     tau_window with a side.  There its post-exit centreline starts, one row
     per distinct exit node of the batch, and from there the rows and their
     zeta are stepped chunk by chunk beside the paths, each selected path's
-    sup deviation taken against its row from its exit node on."""
+    sup deviation taken against its row from its exit node on.  A path
+    that leaves D unselected retires at the end of that chunk: its tau_D
+    is all it reports, so it is not drawn, stepped or scanned further."""
     cfg, grid = run.config, run.grid
     regD = _region_D(run)
     lo_w, hi_w = cfg.tau_window
@@ -716,7 +753,8 @@ def _run_approach(run: _Run) -> tuple:
 
     cols, x_end = run.scan(scan, {
         "tau_D": np.nan, "exit_side": 0, "row": -1,
-        "sup_deviation": -np.inf, "xhat_end": np.nan, "sqrtz_end": np.nan})
+        "sup_deviation": -np.inf, "xhat_end": np.nan, "sqrtz_end": np.nan},
+        done=lambda cols: cols.recorded("tau_D") & (cols["row"] < 0))
     tau_d, side_d = cols["tau_D"], cols["exit_side"]
     paths = np.nonzero(cols["row"] >= 0)[0]
     n_sel = len(paths)

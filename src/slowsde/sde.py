@@ -157,6 +157,11 @@ def linear_batch(rate_fn: Callable, eps: float, sigma: float, t0: float,
     return out, trunc
 
 
+# rows of a chunk's coefficient table that _em_steps turns into Python
+# floats at a time
+_TABLE_BLOCK = 256
+
+
 def _em_steps(out, model, t_nodes, cdt):
     """Euler-Maruyama steps of one time chunk, column by column in place in
     the rows of out (paths, nodes), whose column 0 is the state at grid
@@ -164,23 +169,26 @@ def _em_steps(out, model, t_nodes, cdt):
 
     t_nodes[j] is the time of step k0 + j.  The drift is tabulated, one
     row of coefficients per step, and PolyDrift.horner runs full Horner on
-    each row, as the compiled em_poly does.
+    each row, as the compiled em_poly does.  The table's rows become Python
+    floats _TABLE_BLOCK at a time, so a long chunk never holds them all.
     """
     horner = model.poly.horner
     mul, add = np.multiply, np.add
     cdt = np.array(cdt)
     f = np.empty(out.shape[0])
+    table = model.poly.coeff_table(t_nodes)
     # x: the state at a node, kept contiguous, since a column of out is
     # strided; y: the step's scaled increment, then its result; c: the
     # step's row of coefficients
     x = out[:, 0].copy()
-    for j, c in enumerate(model.poly.coeff_table(t_nodes).tolist()):
-        y = out[:, j + 1]
-        fx = horner(c, x)
-        mul(fx, cdt, f)
-        add(x, f, f)
-        add(f, y, x)
-        y[...] = x
+    for j0 in range(0, len(table), _TABLE_BLOCK):
+        for j, c in enumerate(table[j0:j0 + _TABLE_BLOCK].tolist(), j0):
+            y = out[:, j + 1]
+            fx = horner(c, x)
+            mul(fx, cdt, f)
+            add(x, f, f)
+            add(f, y, x)
+            y[...] = x
 
 
 def _freeze(out, d, trunc, t0, dt, k0):

@@ -22,7 +22,7 @@ from slowsde import _compiled, envelope, run_ensemble, sde, standard_pitchfork
 from slowsde.cli import cmd_run
 from slowsde.sde import em_batch, n_steps_for
 from test_cli import SMALL_DELAY, write
-from test_montecarlo import pinned_config
+from test_montecarlo import approach_path_steps, pinned_config
 
 
 def outputs(directory):
@@ -126,14 +126,18 @@ def test_builds_and_steps_run_ensemble(tmp_path, monkeypatch):
     assert len(csvs) == 7 and max(rows) > _compiled.FMT_BLOCK_ROWS
     assert spy.calls["fmt_g17"] \
         == sum(-(-r // _compiled.FMT_BLOCK_ROWS) for r in rows)
-    # the approach tag steps each path once, and its post-exit family chunk
-    # by chunk beside the paths: the RK4 rows and the zeta rates in C
+    # the approach tag steps each path once, up to where it retires, and
+    # its post-exit family chunk by chunk beside the paths: the RK4 rows
+    # and the zeta rates in C; a retired path draws no more normals
     spy.calls.clear()
     spy.args.clear()
     cfg = pinned_config("approach")
-    run_ensemble(cfg)
-    assert steps_of(spy.args) \
-        == cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
+    report = run_ensemble(cfg)
+    path_steps = approach_path_steps(cfg, report)
+    assert steps_of(spy.args) == path_steps
+    assert sum(out.size for name, (out, *_) in spy.args
+               if name == "philox_normal") == path_steps
+    assert path_steps < cfg.n_paths * n_steps_for(cfg.t0, cfg.t_end, cfg.dt)
     assert 1 < spy.calls["rk4_poly"] < spy.calls["em_poly"]
     assert spy.calls["rk4_poly"] <= spy.calls["zeta_rate"]
 
